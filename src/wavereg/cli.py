@@ -314,20 +314,24 @@ def _output_dir(cfg: dict) -> str:
     return os.environ.get("WAVEREG_OUTPUT_DIR", ".")
 
 
-def _amplitude(cfg: dict) -> float:
-    """Datum prefactor: eps**alpha for the regularized system, a fixed
-    lambda for the modified one.  --theorem-scaling pins alpha per law."""
+def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
+    """The datum prefactor as (exponent, fixed): eps**alpha for the
+    regularized system (exponent = alpha), a fixed lambda for the modified
+    one (fixed = lambda).  --theorem-scaling pins alpha per law.  Every
+    command uses this rule, so each rejects the other system's flag."""
     conjugated = cfg["system"] == "modified"
     if conjugated and cfg["pressure"] != "p0":
         raise CliError("the modified system requires pressure law p0")
+    alpha, lam = cfg.get("alpha"), cfg.get("lam")
+    if (alpha if conjugated else lam) is not None:
+        hint = ("alpha does not apply to the modified system; use --lambda"
+                if conjugated else
+                "lambda only applies to the modified system; use --alpha")
+        if alpha is not None and lam is not None:
+            hint = f"give at most one of --alpha and --lambda ({hint})"
+        raise CliError(hint)
     if conjugated:
-        if cfg.get("alpha") is not None:
-            raise CliError("alpha does not apply to the modified system; use --lambda")
-        lam = cfg.get("lam")
-        return 0.2 if lam is None else lam
-    if cfg.get("lam") is not None:
-        raise CliError("lambda only applies to the modified system; use --alpha")
-    alpha = cfg.get("alpha")
+        return None, 0.2 if lam is None else lam
     if cfg.get("theorem_scaling"):
         pinned = _THEOREM_ALPHA[cfg["pressure"]]
         if alpha is not None and alpha != pinned:
@@ -340,7 +344,13 @@ def _amplitude(cfg: dict) -> float:
         alpha = 0.0
     if alpha < 0.0:
         raise CliError(f"alpha must be nonnegative, got {alpha}")
-    return cfg["epsilon"] ** alpha
+    return alpha, None
+
+
+def _amplitude(cfg: dict) -> float:
+    """The datum prefactor of _amplitude_rule at the run's epsilon."""
+    exponent, fixed = _amplitude_rule(cfg)
+    return fixed if exponent is None else cfg["epsilon"] ** exponent
 
 
 # --------------------------------------------------------------------------
@@ -484,32 +494,7 @@ def _cmd_sweep(args) -> int:
     _check_target_norm(cfg["target_norm"])
     law = _LAWS[cfg["pressure"]]
     conjugated = cfg["system"] == "modified"
-    if conjugated and cfg["pressure"] != "p0":
-        raise CliError("the modified system requires pressure law p0")
-
-    # exactly one amplitude mode: a fixed lambda or an exponent on epsilon
-    if cfg.get("lam") is not None and cfg.get("alpha") is not None:
-        raise CliError("give at most one of --alpha and --lambda")
-    exponent = None
-    fixed = cfg.get("lam")
-    if fixed is None:
-        exponent = cfg.get("alpha")
-        if cfg.get("theorem_scaling"):
-            pinned = _THEOREM_ALPHA[cfg["pressure"]]
-            if not conjugated:
-                if exponent is not None and exponent != pinned:
-                    raise CliError(
-                        f"theorem scaling pins alpha = {pinned} for "
-                        f"{cfg['pressure']}, got alpha = {exponent}"
-                    )
-                exponent = pinned
-            else:
-                fixed = 0.2
-        elif exponent is None:
-            if conjugated:
-                fixed = 0.2
-            else:
-                exponent = 0.0
+    exponent, fixed = _amplitude_rule(cfg)
 
     started = time.perf_counter()
     spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)

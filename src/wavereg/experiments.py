@@ -97,7 +97,7 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
     u2 = random_field(grid, rng, band=spec.mode_band, real_valued=True)
     u2 = u2 * (spec.target_norm / norm(u2, "L2"))
 
-    base = energy(spec.law, State(u1, u2), conjugated=spec.conjugated)
+    base = energy(spec.law, State(u1, u2))
     without_u2 = base.value - base.quadratic_u2_part
     if without_u2 >= 0.0:
         # Unreachable for target_norm < 1/6: the embedding constant ~2.07
@@ -107,7 +107,7 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
     sigma = min(1.0, 0.95 * math.sqrt(sigma_sq))
     u2 = u2 * sigma
 
-    report = energy(spec.law, State(u1, u2), conjugated=spec.conjugated)
+    report = energy(spec.law, State(u1, u2))
     if report.value > 0.0:
         raise RuntimeError("negative-energy certificate failed after damping")
     return State(u1, u2)

@@ -1,14 +1,17 @@
 """Time integration, blow-up detection, and the Duhamel fixed-point solver.
 
-The stiff linear parts are never discretized.  For the full systems the
-linear symbol of each Fourier mode is a small matrix (2x2 complex for the
-regularized system; the modified system couples the modes k and -k through
-conjugation, giving a 4x4 complex-linear block on (u1_k, u2_k, conj u1_{-k},
-conj u2_{-k})), and its exponential is applied exactly once per step.  For
-the reduced system the only stiff piece is the free Schroedinger factor on
-w2, a unimodular per-mode phase.  The nonlinear remainder is advanced by a
-Lawson-type exponential scheme: midpoint Runge-Kutta (order 2, the default)
-or Euler (order 1).
+The stiff linear parts are never discretized.  For the full system the
+linear symbol of each Fourier mode is a 2x2 complex matrix, and its
+exponential is applied exactly once per step.  For the reduced system the
+only stiff piece is the free Schroedinger factor on w2, a unimodular
+per-mode phase.  The nonlinear remainder is advanced by a Lawson-type
+exponential scheme: midpoint Runge-Kutta (order 2, the default) or Euler
+(order 1).
+
+The modified system is the plain p0 system seen through the mirror
+G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
+G o (plain p0 step) o G with the same coefficients; nothing below has a
+modified branch of its own.
 
 Blow-up detection monitors max(H1 of the first component, L2 of the second)
 against a threshold; when a step crosses it, the crossing time is refined by
@@ -23,12 +26,12 @@ that arbitrarily fast phases cost no accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .model import PressureLaw, State, SystemSpec, energy, q_apply, rhs_full
+from .model import PressureLaw, State, SystemSpec, _mirror, _require_law, energy, q_apply
 from .normalform import (
     NormalFormSetting,
     ReducedState,
@@ -37,7 +40,7 @@ from .normalform import (
     reduced_rhs,
 )
 from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
-from .spectral import Grid, SpectralField, conjugate, derivative, norm, zeros
+from .spectral import Grid, SpectralField, derivative, norm, zeros
 
 _SCHEMES = ("exp_rk2", "exp_euler")
 
@@ -84,12 +87,14 @@ class PicardReport:
 
 
 # --------------------------------------------------------------------------
-# Exact per-mode propagators for the full systems.
+# Exact per-mode propagator of the full system.
 
-_PLAIN_CACHE: dict = {}
-_MODIFIED_CACHE: dict = {}
+# Bisection probes ask for a fresh dt each, so the cache is bounded; a solve
+# reuses only the entries of its step length and half of it.
+_PROPAGATOR_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE)
 def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
     """Entrywise arrays (p11, p12, p21, p22) of exp(dt * L_k) over all modes,
     where L_k = [[0, -ik ct], [ik ct, i cd k^2]].
@@ -98,10 +103,6 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
     eigenvalues collide within 1e-8 (discriminant zero, e.g. the unrescaled
     system at eps|k| = 2) the Cayley-Hamilton limit exp(lam dt)(I + dt(L -
     lam I)) replaces it, avoiding the 0/0 in the spectral formula."""
-    key = (grid.n_modes, ct, cd, dt)
-    hit = _PLAIN_CACHE.get(key)
-    if hit is not None:
-        return hit
     k = grid.wavenumbers.astype(float)
     l12 = -1j * k * ct
     l21 = 1j * k * ct
@@ -121,52 +122,12 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
     p12 = np.where(degenerate, el * dt * l12, p12)
     p21 = np.where(degenerate, el * dt * l21, p21)
     p22 = np.where(degenerate, el * (1.0 + dt * (l22 - half)), p22)
-    out = (p11, p12, p21, p22)
-    _PLAIN_CACHE[key] = out
-    return out
-
-
-def _mode_matrix_modified(k: int, ct: float, cd: float) -> np.ndarray:
-    """Linear symbol of the modified system on (u1_k, u2_k, conj u1_{-k},
-    conj u2_{-k}); the conjugated transport couples k with -k."""
-    kk = float(k)
-    return np.array(
-        [
-            [0.0, 0.0, 0.0, -1j * kk * ct],
-            [0.0, 1j * kk * kk * cd, 1j * kk * ct, 0.0],
-            [0.0, -1j * kk * ct, 0.0, 0.0],
-            [1j * kk * ct, 0.0, 0.0, -1j * kk * kk * cd],
-        ],
-        dtype=complex,
-    )
-
-
-def _modified_propagator(grid: Grid, ct: float, cd: float, dt: float):
-    key = (grid.n_modes, ct, cd, dt)
-    hit = _MODIFIED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    blocks = [expm(dt * _mode_matrix_modified(k, ct, cd)) for k in range(1, grid.n_modes + 1)]
-    _MODIFIED_CACHE[key] = blocks
-    return blocks
+    return p11, p12, p21, p22
 
 
 def _apply_linear(spec: SystemSpec, state: State, dt: float) -> State:
     ct, cd = spec.coefficients
     grid = state.grid
-    if spec.kind == "modified":
-        blocks = _modified_propagator(grid, ct, cd, dt)
-        c1 = state.u1.coeffs.copy()
-        c2 = state.u2.coeffs.copy()
-        for k in range(1, grid.n_modes + 1):
-            ip, im = grid.index(k), grid.index(-k)
-            z = np.array(
-                [c1[ip], c2[ip], np.conj(c1[im]), np.conj(c2[im])], dtype=complex
-            )
-            z = blocks[k - 1] @ z
-            c1[ip], c2[ip] = z[0], z[1]
-            c1[im], c2[im] = np.conj(z[2]), np.conj(z[3])
-        return State(SpectralField(grid, c1), SpectralField(grid, c2))
     p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)
     c1 = p11 * state.u1.coeffs + p12 * state.u2.coeffs
     c2 = p21 * state.u1.coeffs + p22 * state.u2.coeffs
@@ -175,13 +136,24 @@ def _apply_linear(spec: SystemSpec, state: State, dt: float) -> State:
 
 def _nonlinear_full(spec: SystemSpec, law: PressureLaw, state: State) -> State:
     """rhs_full minus its linear part: the cubic transport forcing in the
-    second component (conjugated as a whole for the modified system)."""
+    second component."""
     ct, _ = spec.coefficients
-    if spec.kind == "modified":
-        f = conjugate(q_apply(PressureLaw.P0, state.u1, derivative(state.u1)))
-    else:
-        f = q_apply(law, state.u1, derivative(state.u1))
+    f = q_apply(law, state.u1, derivative(state.u1))
     return State(zeros(state.grid), (-ct) * f)
+
+
+def _step_full(
+    spec: SystemSpec, law: PressureLaw, state: State, dt: float, scheme: str
+) -> State:
+    if scheme == "exp_euler":
+        k1 = _nonlinear_full(spec, law, state)
+        return _apply_linear(spec, state + dt * k1, dt)
+    if scheme != "exp_rk2":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    k1 = _nonlinear_full(spec, law, state)
+    mid = _apply_linear(spec, state + (0.5 * dt) * k1, 0.5 * dt)
+    k2 = _nonlinear_full(spec, law, mid)
+    return _apply_linear(spec, state, dt) + dt * _apply_linear(spec, k2, 0.5 * dt)
 
 
 def step_full(
@@ -195,15 +167,11 @@ def step_full(
     """One exponential-integrator step of the full system."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if scheme == "exp_euler":
-        k1 = _nonlinear_full(spec, law, state)
-        return _apply_linear(spec, state + dt * k1, dt)
-    if scheme != "exp_rk2":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    k1 = _nonlinear_full(spec, law, state)
-    mid = _apply_linear(spec, state + (0.5 * dt) * k1, 0.5 * dt)
-    k2 = _nonlinear_full(spec, law, mid)
-    return _apply_linear(spec, state, dt) + dt * _apply_linear(spec, k2, 0.5 * dt)
+    _require_law(spec, law)
+    if spec.kind == "modified":
+        plain = replace(spec, kind="regularized")
+        return _mirror(_step_full(plain, law, _mirror(state), dt, scheme))
+    return _step_full(spec, law, state, dt, scheme)
 
 
 def _w2_phase(grid: Grid, cd: float, dt: float) -> np.ndarray:
@@ -281,8 +249,8 @@ def _finite(coeff_holder) -> bool:
     return bool(np.all(np.isfinite(a)) and np.all(np.isfinite(b)))
 
 
-def _diagnostics_full(spec: SystemSpec, law: PressureLaw, state: State) -> dict:
-    report = energy(law, state, conjugated=(spec.kind == "modified"))
+def _diagnostics_full(law: PressureLaw, state: State) -> dict:
+    report = energy(law, state)
     return {
         "norm1_h1": norm(state.u1, "Hs", s=1),
         "norm2_l2": norm(state.u2, "L2"),
@@ -297,7 +265,7 @@ def _diagnostics_reduced(setting: NormalFormSetting, w: ReducedState) -> dict:
         State(w.w1, w.w2), w.t, setting.epsilon, "backward", conjugated=setting.conjugated
     )
     physical = setting.amplitude * from_normal_coords(setting, v)
-    report = energy(setting.law, physical, conjugated=setting.conjugated)
+    report = energy(setting.law, physical)
     return {
         "norm1_h1": norm(w.w1, "Hs", s=1),
         "norm2_l2": norm(w.w2, "L2"),
@@ -325,10 +293,11 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
     if isinstance(system, SystemSpec):
         if not isinstance(datum, State):
             raise TypeError("full-system solve expects a State datum")
+        _require_law(system, law)
         _require_zero_mean_state(datum)
         stepper = lambda st, t, dt: step_full(system, law, st, t, dt, config.scheme)
         monitor = _monitor_full
-        diags = lambda st: _diagnostics_full(system, law, st)
+        diags = lambda st: _diagnostics_full(law, st)
         unpack = lambda st: (st.u1, st.u2)
         t0 = 0.0
         current = datum

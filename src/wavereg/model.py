@@ -19,12 +19,11 @@ first-order flux component-wise while leaving the dispersion alone:
     d/dt u1 + ct * d/dx conj(u2)                       = 0,
     d/dt u2 + ct * d/dx conj(p0(u1)) + i*cd*d/dx^2 u2  = 0.
 
-Note that the substitution u1 -> conj(u1) maps solutions of the modified
-system onto solutions of the plain p0 system with the same eps, so the two
-kinds share their linear mode structure; the conjugated quartic energy
-below is nevertheless a different functional from the plain-law energies
-and is exactly invariant only under flows that pair the cubic term
-bilinearly (see the energy-rate tests for the measured behaviour).
+The mirror G(u1, u2) = (conj u1, u2) maps solutions of the modified system
+onto solutions of the plain p0 system with the same eps, because p0 has
+real coefficients.  The integrator and the normal form implement the
+modified kind through G; rhs_full below keeps its own modified formula as
+the independent oracle for that fold.
 
 Energies are physical torus integrals (2*pi times the mean value),
 evaluated through exact coefficient convolutions rather than sampled
@@ -86,6 +85,12 @@ class State:
 
     def __truediv__(self, scalar: complex) -> "State":
         return State(self.u1 / scalar, self.u2 / scalar)
+
+
+def _mirror(state: State) -> State:
+    """G(u1, u2) = (conj u1, u2), which carries the modified system onto the
+    plain p0 system and back (G is its own inverse)."""
+    return State(conjugate(state.u1), state.u2)
 
 
 @dataclass(frozen=True)
@@ -158,20 +163,18 @@ def q_apply(law: PressureLaw, u: SpectralField, v: SpectralField) -> SpectralFie
     return 3.0 * multiply([cu, cu, conjugate(v)])
 
 
-def energy(law: PressureLaw, state: State, conjugated: bool = False) -> EnergyReport:
+def energy(law: PressureLaw, state: State) -> EnergyReport:
     """Physical-integral energy of a state.
 
         P1:  integral( |u1|^4/4      - |u1|^2/2    + |u2|^2/2 )
         P2:  integral( Re(u1^4)/4    - |u1|^2/2    + |u2|^2/2 )
         P0:  integral( Re(u1^4)/4    - Re(u1^2)/2  + |u2|^2/2 )
 
-    The P0 form is the quartic functional attached to the modified system
-    (conjugated=True demands law P0); it is also returned for plain P0 so
-    the candidate can be monitored, but only the P1, P2 and conjugated
-    cases are conserved-quantity claims.
+    P1 and P2 are the conserved energies of the regularized p1 and p2 flows.
+    The P0 form is the quartic functional monitored for the law p0 and for
+    the modified system; it does not change under u1 -> conj(u1), so a state
+    and its mirror have the same P0 energy.
     """
-    if conjugated and law is not PressureLaw.P0:
-        raise ValueError("the conjugated energy is only defined for law P0")
     u1, u2 = state.u1, state.u2
     two_pi = 2.0 * math.pi
     cu1 = conjugate(u1)
@@ -188,6 +191,11 @@ def energy(law: PressureLaw, state: State, conjugated: bool = False) -> EnergyRe
     return EnergyReport(quart + quad1 + quad2, quart, quad1, quad2)
 
 
+def _require_law(spec: SystemSpec, law: PressureLaw) -> None:
+    if spec.kind == "modified" and law is not PressureLaw.P0:
+        raise ValueError("the modified system is defined with law P0 only")
+
+
 def rhs_full(
     spec: SystemSpec, law: PressureLaw, state: State, t: float = 0.0
 ) -> State:
@@ -197,8 +205,7 @@ def rhs_full(
     modified kind is hard-wired to law P0 (its flux conjugates p0 only).
     """
     del t
-    if spec.kind == "modified" and law is not PressureLaw.P0:
-        raise ValueError("the modified system is defined with law P0 only")
+    _require_law(spec, law)
     ct, cd = spec.coefficients
     u1, u2 = state.u1, state.u2
     dxp = derivative(pressure(law, u1))

@@ -5,22 +5,18 @@ slow dynamics.  The cure is a near-identity change of unknown
 
     u_tilde = (Id + eps*M) v,
 
-where M is an order -1 corrector built from the inverse-derivative multiplier:
-for the regularized system M(v1, v2) = (-m v2, -m v1), and for the modified
-(conjugation-coupled) system M(v1, v2) = (+m conj(v2), -m conj(v1)).  M is
-chosen so that the commutator of the dispersive part with M cancels the stiff
-transport exactly:
+where M(v1, v2) = (-m v2, -m v1) is an order -1 corrector built from the
+inverse-derivative multiplier m.  M is chosen so that the commutator of the
+dispersive part with M cancels the stiff transport exactly:
 
-    [i D dx^2, M] + A dx = 0          (regularized)
-    [i D dx^2, M] + C A dx = 0        (modified; C conjugates both slots)
+    [i D dx^2, M] + A dx = 0
 
 with D = diag(0, 1) and A the rotation [[0, 1], [-1, 0]].  Because the
 coefficients obey eps * (1/eps^3) = 1/eps^2, the identity removes the large
 transport from the v-equation and leaves an order 1/eps linear part that a
 scalar oscillation absorbs:
 
-    w1 = exp(-i t/eps) v1,  w2 = exp(+i t/eps) v2     (regularized)
-    w1 = exp(+i t/eps) v1,  w2 = exp(+i t/eps) v2     (modified)
+    w1 = exp(-i t/eps) v1,  w2 = exp(+i t/eps) v2.
 
 What remains is the reduced system: a non-stiff cubic ODE for w1 with an
 oscillatory scalar prefactor, and a semilinear Schroedinger equation for w2
@@ -35,18 +31,24 @@ explicit parameter here (the full solver absorbs it into the state instead):
 the interaction operator and remainder depend on it through the combination
 amplitude^2 * cubic terms.
 
-The modified chain mirrors the regularized p0 chain under conjugation of the
-first component; that mirror identity is exercised by the tests as an oracle,
-but each operator below is implemented by its own formula.
+The modified (conjugated) system is the plain p0 system seen through the
+mirror G(u1, u2) = (conj u1, u2) (see model.py).  Every operator of the
+conjugated setting is therefore G o (the same operator of the plain p0
+setting, same eps and amplitude) o G, applied to every state argument and to
+a state result; the formulas below are the plain ones only.  The symbol 1/k
+of m is real and odd, so conj(m f) = -m conj(f) and the mirrored corrector
+is G M G (u1, u2) = (+m conj u2, -m conj u1); the mirrored frame phase on w1
+is exp(+i t/eps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import wraps
 
 import numpy as np
 
-from .model import PressureLaw, State, q_apply
+from .model import PressureLaw, State, _mirror, q_apply
 from .spectral import (
     SpectralField,
     apply_m,
@@ -117,14 +119,27 @@ class ReducedState:
         return self.w1.grid
 
 
-def apply_M(setting: NormalFormSetting, u: State) -> State:
-    """The order -1 corrector M.
+def _folded(plain):
+    """Turn the plain formula `plain(setting, *args)` into the operator of
+    either setting: a conjugated setting is folded onto its plain p0 twin by
+    mirroring every State argument and a State result."""
 
-    Regularized: (u1, u2) -> (-m u2, -m u1).
-    Modified:    (u1, u2) -> (+m conj(u2), -m conj(u1)).
+    @wraps(plain)
+    def operator(setting: NormalFormSetting, *args):
+        if not setting.conjugated:
+            return plain(setting, *args)
+        twin = replace(setting, conjugated=False)
+        out = plain(twin, *(_mirror(a) if isinstance(a, State) else a for a in args))
+        return _mirror(out) if isinstance(out, State) else out
+
+    return operator
+
+
+@_folded
+def apply_M(setting: NormalFormSetting, u: State) -> State:
+    """The order -1 corrector M: (u1, u2) -> (-m u2, -m u1).
+
     Output is always zero-mean (the multiplier kills the mean)."""
-    if setting.conjugated:
-        return State(apply_m(conjugate(u.u2)), -apply_m(conjugate(u.u1)))
     return State(-apply_m(u.u2), -apply_m(u.u1))
 
 
@@ -133,68 +148,33 @@ def from_normal_coords(setting: NormalFormSetting, v: State) -> State:
     return v + setting.epsilon * apply_M(setting, v)
 
 
-def to_normal_coords(
-    setting: NormalFormSetting, u_tilde: State, max_iterations: int = 1000
-) -> State:
+@_folded
+def to_normal_coords(setting: NormalFormSetting, u_tilde: State) -> State:
     """Invert (Id + eps*M).
 
-    Regularized: M is complex-linear and block-diagonal per wavenumber, with
-    2x2 blocks [[1, -eps/k], [-eps/k, 1]]; the inverse is closed-form and the
-    determinant 1 - (eps/k)^2 >= 1 - eps^2 never degenerates for eps < 1.
-
-    Modified: M conjugates, so the per-mode blocks couple k with -k through
-    the conjugate coefficients; rather than assembling real-linear blocks we
-    iterate the contraction v <- u_tilde - eps*M v (contraction rate at most
-    eps) until the defect ||v + eps*M v - u_tilde|| stops improving, which
-    lands at the rounding floor of a few ulps of the data size.  Raises
-    RuntimeError if the defect is still above 1e-13 relative to the data when
-    the iteration budget runs out; for eps < 1 that indicates a caller bug.
-    """
-    eps = setting.epsilon
-    if not setting.conjugated:
-        k = u_tilde.grid.wavenumbers.astype(float)
-        fac = np.where(k == 0.0, 0.0, eps / np.where(k == 0.0, 1.0, k))
-        det = 1.0 - fac * fac
-        v1 = (u_tilde.u1.coeffs + fac * u_tilde.u2.coeffs) / det
-        v2 = (fac * u_tilde.u1.coeffs + u_tilde.u2.coeffs) / det
-        return State(
-            SpectralField(u_tilde.grid, v1), SpectralField(u_tilde.grid, v2)
-        )
-
-    scale = max(1.0, norm(u_tilde.u1, "L2") + norm(u_tilde.u2, "L2"))
-    v = u_tilde
-    defect = np.inf
-    for _ in range(max_iterations):
-        v = u_tilde - eps * apply_M(setting, v)
-        residual = v + eps * apply_M(setting, v) - u_tilde
-        previous, defect = defect, norm(residual.u1, "L2") + norm(residual.u2, "L2")
-        if defect <= 5e-16 * scale or defect >= previous:
-            break
-    if defect <= 1e-13 * scale:
-        return v
-    raise RuntimeError(
-        f"coordinate inversion stalled at defect {defect:.3e} "
-        f"(limit 1e-13 relative) after {max_iterations} iterations"
-    )
+    M is complex-linear and block-diagonal per wavenumber, with 2x2 blocks
+    [[1, -eps/k], [-eps/k, 1]]; the inverse is closed-form and the
+    determinant 1 - (eps/k)^2 >= 1 - eps^2 never degenerates for eps < 1."""
+    k = u_tilde.grid.wavenumbers.astype(float)
+    fac = np.where(k == 0.0, 0.0, setting.epsilon / np.where(k == 0.0, 1.0, k))
+    det = 1.0 - fac * fac
+    v1 = (u_tilde.u1.coeffs + fac * u_tilde.u2.coeffs) / det
+    v2 = (fac * u_tilde.u1.coeffs + u_tilde.u2.coeffs) / det
+    return State(SpectralField(u_tilde.grid, v1), SpectralField(u_tilde.grid, v2))
 
 
+@_folded
 def cancellation_residual(setting: NormalFormSetting, u: State) -> float:
-    """L2 size of ([i D dx^2, M] + transport) u; zero for the correct M.
+    """L2 size of ([i D dx^2, M] + A dx) u; zero for the correct M.
 
-    The transport slot is A dx for the regularized system and its
-    component-wise conjugate for the modified one.  Returns the root of the
-    summed squared L2 norms of the two components."""
+    Returns the root of the summed squared L2 norms of the two components
+    (the mirror preserves both norms)."""
     mu = apply_M(setting, u)
     disp_m = State(zeros(u.grid), 1j * derivative(mu.u2, order=2))
     m_disp = apply_M(
         setting, State(zeros(u.grid), 1j * derivative(u.u2, order=2))
     )
-    if setting.conjugated:
-        transport = State(
-            conjugate(derivative(u.u2)), -conjugate(derivative(u.u1))
-        )
-    else:
-        transport = State(derivative(u.u2), -derivative(u.u1))
+    transport = State(derivative(u.u2), -derivative(u.u1))
     res = disp_m - m_disp + transport
     return float(
         np.sqrt(norm(res.u1, "L2") ** 2 + norm(res.u2, "L2") ** 2)
@@ -232,26 +212,18 @@ def _cubic_by_law(law: PressureLaw, f: SpectralField) -> SpectralField:
     return multiply([conjugate(f), conjugate(f), conjugate(f)])
 
 
+@_folded
 def operator_E(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
     """The order-one interaction operator of the v-equation.
 
-    Regularized:
         (E v)1 = -i v1 + i a^2 P (p(v1) + v1)           (P kills the mean)
         (E v)2 = +i v2 + q(a u_tilde1) applied to (-i v2)
-    Modified:
-        (E v)1 = +i v1 - i a^2 P (v1^3)
-        (E v)2 = +i v2 - 3 i a^2 conj(u_tilde1)^2 v2
 
     The v-equation reads  dt v + i c_d D dx^2 v + (1/eps) E v + kept forcing
     + R v = 0; E collects every term of size 1/eps.  Note the -i sits inside
-    the q slot in the regularized (E v)2: for the laws p1 and p2 the operator
-    q(c) is only real-linear, so scalar phases may not be pulled out."""
+    the q slot in (E v)2: for the laws p1 and p2 the operator q(c) is only
+    real-linear, so scalar phases may not be pulled out."""
     a2 = setting.amplitude**2
-    if setting.conjugated:
-        e1 = 1j * v.u1 - 1j * a2 * remove_mean(_cubic_by_law(PressureLaw.P0, v.u1))
-        cu = conjugate(u_tilde.u1)
-        e2 = 1j * v.u2 - 3j * a2 * multiply([cu, cu, v.u2])
-        return State(e1, e2)
     e1 = -1j * v.u1 + 1j * a2 * remove_mean(_cubic_by_law(setting.law, v.u1))
     e2 = 1j * v.u2 + q_apply(
         setting.law, setting.amplitude * u_tilde.u1, (-1j) * v.u2
@@ -263,7 +235,7 @@ def _r1_field(
     setting: NormalFormSetting, v: State, u_tilde: State
 ) -> SpectralField:
     """r1 = (1/eps) m[(q(a u_tilde1) - q(a v1)) dx v1], with the 1/eps
-    divided out symbolically.
+    divided out symbolically, for the plain setting.
 
     u_tilde1 - v1 = eps * (M v)1, so writing delta := (M v)1 (computable
     without any division) each law factors the difference of coefficients:
@@ -272,18 +244,15 @@ def _r1_field(
         p1:  2 a^2 eps (u~1 conj(delta) + delta conj(v1)) . + a^2 eps (u~1 + v1) delta conj(.)
         p2:  3 a^2 eps conj(u~1 + v1) conj(delta) conj(.)
 
-    The modified case uses the p0 factoring with no conjugations: the
-    conjugation of the forcing and the conjugation inside its M-lift cancel.
     Direct division by eps would lose roughly 16 + log10(eps) digits to
     cancellation; the factored forms are exact for every eps."""
     a2 = setting.amplitude**2
     delta = apply_M(setting, v).u1
     dv1 = derivative(v.u1)
     su = u_tilde.u1 + v.u1
-    law = PressureLaw.P0 if setting.conjugated else setting.law
-    if law is PressureLaw.P0:
+    if setting.law is PressureLaw.P0:
         diff = 3.0 * a2 * multiply([su, delta, dv1])
-    elif law is PressureLaw.P1:
+    elif setting.law is PressureLaw.P1:
         diff = a2 * (
             2.0 * multiply([u_tilde.u1, conjugate(delta), dv1])
             + 2.0 * multiply([delta, conjugate(v.u1), dv1])
@@ -296,41 +265,23 @@ def _r1_field(
     return apply_m(diff)
 
 
+@_folded
 def remainder_R(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
     """The exact order-one remainder of the v-equation.
 
-    With E = operator_E and r1 = _r1_field, the closed forms are
+    With E = operator_E and r1 = _r1_field, the closed form is
 
-        regularized:  R v = (Id + eps M)^{-1} ((r1, 0) - M E v)
-        modified:     R v = -(Id + eps M)^{-1} (M E v + (r1, 0))
+        R v = (Id + eps M)^{-1} ((r1, 0) - M E v),
 
-    (note the relative sign of (r1, 0) flips, and in both cases the pair sits
-    inside the inverse).  These make the split
+    which makes the split
 
         dt v = -i c_d D dx^2 v - (1/eps) E v - (0, c_t * kept forcing) - R v
 
-    exact to rounding, where the kept forcing is q(a u~1) dx v1 for the
-    regularized system and conj(q0(a u~1) dx v1) for the modified one."""
+    exact to rounding, where the kept forcing is q(a u~1) dx v1."""
     ev = operator_E(setting, v, u_tilde)
     r1 = _r1_field(setting, v, u_tilde)
-    zero = zeros(v.grid)
     mev = apply_M(setting, ev)
-    if setting.conjugated:
-        return -1.0 * to_normal_coords(setting, mev + State(r1, zero))
-    return to_normal_coords(setting, State(r1, zero) - mev)
-
-
-def _kept_forcing(
-    setting: NormalFormSetting, v: State, u_tilde: State
-) -> SpectralField:
-    # The w2-equation forcing, in slow-frame variables: q(a u~1) dx v1,
-    # conjugated as a whole for the modified system.
-    f = q_apply(
-        PressureLaw.P0 if setting.conjugated else setting.law,
-        setting.amplitude * u_tilde.u1,
-        derivative(v.u1),
-    )
-    return conjugate(f) if setting.conjugated else f
+    return to_normal_coords(setting, State(r1, zeros(v.grid)) - mev)
 
 
 def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
@@ -340,55 +291,53 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
 
         dt w1 = mu(t) * P N(w1) - phase1 * (R v)1
 
-    with (mu, N) depending on the law:  regularized p0, p1, p2 give
+    with (mu, N) depending on the law:  p0, p1, p2 give
     mu = -i a^2/eps * exp(2it/eps), -i a^2/eps, -i a^2/eps * exp(-4it/eps)
-    against N = w1^3, |w1|^2 w1, conj(w1)^3;  the modified system gives
-    mu = +i a^2/eps * exp(-2it/eps) against N = w1^3.
+    against N = w1^3, |w1|^2 w1, conj(w1)^3.
 
     The w2 equation is the forced Schroedinger flow
 
         dt w2 = -i c_d dx^2 w2 - c_t phase2 F1 - (1/eps) phase2 (E v)2^q
                 - phase2 (R v)2
 
-    where F1 is the kept forcing above, (E v)2^q is the coupling part of the
-    interaction operator (its +i v2 piece cancels against the frame phase
-    exactly and is dropped symbolically, not numerically), and
+    where F1 = q(a u~1) dx v1 is the kept forcing, (E v)2^q is the coupling
+    part of the interaction operator (its +i v2 piece cancels against the
+    frame phase exactly and is dropped symbolically, not numerically), and
     phase1, phase2 are the frame phases of oscillate.  Everything is built
     from the slow-frame state v = oscillate(w, backward) and the
     reconstructed u_tilde = (Id + eps M) v, so the result agrees with the
     full system's right-hand side to rounding."""
+    return _reduced_rhs(setting, State(w.w1, w.w2), w.t)
+
+
+@_folded
+def _reduced_rhs(setting: NormalFormSetting, w: State, t: float) -> State:
     eps = setting.epsilon
     ct, cd = setting.coefficients
     a2 = setting.amplitude**2
-    v = oscillate(
-        State(w.w1, w.w2), w.t, eps, "backward", conjugated=setting.conjugated
-    )
+    v = oscillate(w, t, eps, "backward")
     u_tilde = from_normal_coords(setting, v)
     ev = operator_E(setting, v, u_tilde)
     rv = remainder_R(setting, v, u_tilde)
-    f1 = _kept_forcing(setting, v, u_tilde)
+    f1 = q_apply(setting.law, setting.amplitude * u_tilde.u1, derivative(v.u1))
 
-    s1 = 1.0 if setting.conjugated else -1.0
-    phase1 = np.exp(s1 * 1j * w.t / eps)
-    phase2 = np.exp(1j * w.t / eps)
+    phase1 = np.exp(-1j * t / eps)
+    phase2 = np.exp(1j * t / eps)
 
-    if setting.conjugated:
-        mu = (1j * a2 / eps) * np.exp(-2j * w.t / eps)
-        nw = multiply([w.w1, w.w1, w.w1])
-    elif setting.law is PressureLaw.P0:
-        mu = (-1j * a2 / eps) * np.exp(2j * w.t / eps)
-        nw = multiply([w.w1, w.w1, w.w1])
+    if setting.law is PressureLaw.P0:
+        mu = (-1j * a2 / eps) * np.exp(2j * t / eps)
+        nw = multiply([w.u1, w.u1, w.u1])
     elif setting.law is PressureLaw.P1:
         mu = -1j * a2 / eps
-        nw = multiply([w.w1, conjugate(w.w1), w.w1])
+        nw = multiply([w.u1, conjugate(w.u1), w.u1])
     else:
-        mu = (-1j * a2 / eps) * np.exp(-4j * w.t / eps)
-        nw = multiply([conjugate(w.w1), conjugate(w.w1), conjugate(w.w1)])
+        mu = (-1j * a2 / eps) * np.exp(-4j * t / eps)
+        nw = multiply([conjugate(w.u1), conjugate(w.u1), conjugate(w.u1)])
 
     dw1 = mu * remove_mean(nw) - phase1 * rv.u1
     coupling = ev.u2 - 1j * v.u2
     dw2 = (
-        -1j * cd * derivative(w.w2, order=2)
+        -1j * cd * derivative(w.u2, order=2)
         - ct * phase2 * f1
         - (1.0 / eps) * phase2 * coupling
         - phase2 * rv.u2

@@ -243,10 +243,10 @@ def _energy_balance(system, trajectory):
 
 def _rate_oracle_gap(system, state, h=1e-4):
     """Relative gap between the closed-form rate and a centred difference
-    of energy(..., conjugated=True) along rhs_full."""
+    of the P0 energy along rhs_full."""
     direction = rhs_full(system, PressureLaw.P0, state)
-    plus = energy(PressureLaw.P0, state + h * direction, conjugated=True)
-    minus = energy(PressureLaw.P0, state - h * direction, conjugated=True)
+    plus = energy(PressureLaw.P0, state + h * direction)
+    minus = energy(PressureLaw.P0, state - h * direction)
     centred = (plus.value - minus.value) / (2.0 * h)
     closed = _modified_energy_rate(system, state)
     return abs(closed - centred) / abs(centred)

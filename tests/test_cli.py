@@ -280,6 +280,20 @@ class TestSweep:
         assert rc == 1
         assert "at most one" in capsys.readouterr().err
 
+    def test_lambda_rejected_on_regularized(self, capsys, tmp_path):
+        rc = main(["sweep", "--system", "regularized", "--lambda", "0.3",
+                   "--epsilons", "0.2,0.1", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "use --alpha" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_alpha_rejected_on_modified(self, capsys, tmp_path):
+        rc = main(["sweep", "--system", "modified", "--alpha", "0.5",
+                   "--epsilons", "0.2,0.1", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "use --lambda" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_bad_epsilon_in_list(self, capsys, tmp_path):
         rc = main(["sweep", "--epsilons", "0.2,1.1,0.05",
                    "--output-dir", str(tmp_path)])

@@ -77,7 +77,7 @@ class TestMakeDatum:
         assert abs(state.u1.coeff(0)) == 0.0
         assert abs(state.u2.coeff(0)) == 0.0
         # independent certificate evaluation, not trusting the constructor
-        assert energy(law, state, conjugated=conjugated).value < 0.0
+        assert energy(law, state).value < 0.0
 
     def test_profiles_are_real_valued(self):
         grid = Grid(16)

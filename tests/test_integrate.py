@@ -1,11 +1,12 @@
 """Integrator tests.
 
-The linear propagators are checked against scipy's dense matrix exponential
+The linear propagator is checked against scipy's dense matrix exponential
 mode by mode (including the degenerate-spectrum modes where the closed-form
-eigen-expression is 0/0), and the modified 4x4 blocks additionally against a
-gauge-assembled oracle: conjugating the first component of the state turns
-the modified linear flow into the regularized one, so the two independently
-coded propagators must agree through that map.  Convergence orders are
+eigen-expression is 0/0).  The modified step, which the integrator takes as
+the mirrored plain p0 step, is checked at tiny amplitude against the dense
+exponential of its own 4x4 symbol on (u1_k, u2_k, conj u1_{-k},
+conj u2_{-k}), written here from rhs_full's modified formula, and against
+the gauge-assembled plain flow.  Convergence orders are
 measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
@@ -18,9 +19,8 @@ from wavereg.integrate import (
     IntegratorConfig,
     PicardReport,
     Trajectory,
+    _PROPAGATOR_CACHE_SIZE,
     _apply_linear,
-    _mode_matrix_modified,
-    _modified_propagator,
     _plain_propagator,
     picard_solve,
     solve,
@@ -56,6 +56,46 @@ def plain_mode_matrix(k, ct, cd):
     return np.array(
         [[0.0, -1j * k * ct], [1j * k * ct, 1j * cd * k * k]], dtype=complex
     )
+
+
+def modified_mode_matrix(k, ct, cd):
+    """Linear symbol of the modified system on (u1_k, u2_k, conj u1_{-k},
+    conj u2_{-k}); the conjugated transport couples k with -k."""
+    return np.array(
+        [
+            [0.0, 0.0, 0.0, -1j * k * ct],
+            [0.0, 1j * k * k * cd, 1j * k * ct, 0.0],
+            [0.0, -1j * k * ct, 0.0, 0.0],
+            [1j * k * ct, 0.0, 0.0, -1j * k * k * cd],
+        ],
+        dtype=complex,
+    )
+
+
+def modified_linear_flow(spec, state, t):
+    """exp(t L) of the modified linear part, applied mode pair by mode pair
+    with the dense exponential of modified_mode_matrix."""
+    ct, cd = spec.coefficients
+    grid = state.grid
+    c1, c2 = state.u1.coeffs.copy(), state.u2.coeffs.copy()
+    for k in range(1, grid.n_modes + 1):
+        ip, im = grid.index(k), grid.index(-k)
+        z = np.array([c1[ip], c2[ip], np.conj(c1[im]), np.conj(c2[im])])
+        z = expm(t * modified_mode_matrix(k, ct, cd)) @ z
+        c1[ip], c2[ip] = z[0], z[1]
+        c1[im], c2[im] = np.conj(z[2]), np.conj(z[3])
+    return State(SpectralField(grid, c1), SpectralField(grid, c2))
+
+
+def plain_linear_flow(spec, state, t):
+    """exp(t L) of the regularized linear part, mode by mode, by expm."""
+    ct, cd = spec.coefficients
+    grid = state.grid
+    c1, c2 = state.u1.coeffs.copy(), state.u2.coeffs.copy()
+    for k in range(-grid.n_modes, grid.n_modes + 1):
+        i = grid.index(k)
+        c1[i], c2[i] = expm(t * plain_mode_matrix(k, ct, cd)) @ np.array([c1[i], c2[i]])
+    return State(SpectralField(grid, c1), SpectralField(grid, c2))
 
 
 class TestConfig:
@@ -120,15 +160,17 @@ class TestPlainPropagator:
 
 
 class TestModifiedPropagator:
-    def test_matches_dense_exponential(self):
+    # at amplitude 1e-9 the cubic forcing is 1e-18 of the state, far below
+    # rounding, so one step of the full stepper is the linear flow itself.
+
+    def test_matches_dense_exponential(self, rng):
         grid = Grid(6)
         spec = SystemSpec("modified", 0.2, rescaled=True)
-        ct, cd = spec.coefficients
         dt = 3.7e-4
-        blocks = _modified_propagator(grid, ct, cd, dt)
-        for k in range(1, grid.n_modes + 1):
-            ref = expm(dt * _mode_matrix_modified(k, ct, cd))
-            assert np.max(np.abs(blocks[k - 1] - ref)) < 1e-12 * np.abs(ref).max()
+        state = random_state(grid, rng, scale=1e-9, band=(1, 6))
+        got = step_full(spec, PressureLaw.P0, state, 0.0, dt)
+        ref = modified_linear_flow(spec, state, dt)
+        assert pair_distance((got.u1, got.u2), (ref.u1, ref.u2)) < 1e-12 * 1e-9
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_gauge_oracle_against_plain_flow(self, rng, rescaled):
@@ -139,14 +181,14 @@ class TestModifiedPropagator:
         plain = SystemSpec("regularized", eps, rescaled=rescaled)
         modified = SystemSpec("modified", eps, rescaled=rescaled)
         dt = 4.3e-3
-        state = random_state(grid, rng, scale=0.7)
-        via_modified = _apply_linear(modified, state, dt)
+        state = random_state(grid, rng, scale=0.7e-9)
+        via_modified = step_full(modified, PressureLaw.P0, state, 0.0, dt)
         gauged = State(conjugate(state.u1), state.u2)
-        via_plain = _apply_linear(plain, gauged, dt)
+        via_plain = plain_linear_flow(plain, gauged, dt)
         expected = State(conjugate(via_plain.u1), via_plain.u2)
         assert pair_distance(
             (via_modified.u1, via_modified.u2), (expected.u1, expected.u2)
-        ) < 1e-12
+        ) < 1e-12 * 1e-9
 
 
 class TestStepFull:
@@ -215,7 +257,9 @@ class TestStepFull:
     def test_full_rhs_splits_into_linear_plus_forcing(self, rng, kind):
         # rhs_full must equal the mode-matrix linear part plus the cubic
         # forcing the stepper integrates; this pins the splitting the
-        # exponential integrator relies on.
+        # exponential integrator relies on.  The modified forcing is read
+        # back from one exponential Euler step, P(dt)(s + dt N(s)), by
+        # undoing P(dt) with the dense exponential of the 4x4 symbol.
         from wavereg.integrate import _nonlinear_full
 
         grid = Grid(9)
@@ -228,11 +272,15 @@ class TestStepFull:
         if kind == "modified":
             d1 = -1j * k * ct * np.conj(c2[::-1])
             d2 = 1j * k * ct * np.conj(c1[::-1]) + 1j * cd * k * k * c2
+            dt = 1e-2
+            stepped = step_full(spec, law, state, 0.0, dt, "exp_euler")
+            forcing = (modified_linear_flow(spec, stepped, -dt) - state) / dt
         else:
             d1 = -1j * k * ct * c2
             d2 = 1j * k * ct * c1 + 1j * cd * k * k * c2
+            forcing = _nonlinear_full(spec, law, state)
         linear = State(SpectralField(grid, d1), SpectralField(grid, d2))
-        expected = linear + _nonlinear_full(spec, law, state)
+        expected = linear + forcing
         got = rhs_full(spec, law, state)
         assert pair_distance((got.u1, got.u2), (expected.u1, expected.u2)) < 1e-11
 
@@ -509,6 +557,44 @@ class TestSolve:
             solve(setting, PressureLaw.P0, st, cfg)
         with pytest.raises(TypeError):
             solve("neither", PressureLaw.P0, st, cfg)
+
+    def test_modified_solve_requires_p0(self, rng):
+        grid = Grid(8)
+        spec = SystemSpec("modified", 0.3)
+        datum = random_state(grid, rng, scale=0.01)
+        # the second threshold is crossed by the datum itself, before any step
+        for rho in (1.0, 1e-9):
+            cfg = IntegratorConfig(dt=1e-3, t_end=0.01, blowup_threshold=rho)
+            for law in (PressureLaw.P1, PressureLaw.P2):
+                with pytest.raises(ValueError, match="P0"):
+                    solve(spec, law, datum, cfg)
+
+    @pytest.mark.parametrize("kind", ["regularized", "modified"])
+    def test_non_finite_datum_reports_diverged(self, rng, kind):
+        grid = Grid(8)
+        spec = SystemSpec(kind, 0.3, rescaled=True)
+        datum = random_state(grid, rng, scale=0.01)
+        c2 = datum.u2.coeffs.copy()
+        c2[grid.index(2)] = np.nan
+        datum = State(datum.u1, SpectralField(grid, c2))
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        with np.errstate(invalid="ignore"):
+            traj = solve(spec, PressureLaw.P0, datum, cfg)
+        assert traj.terminal_status == "diverged"
+        assert traj.blowup_time is None
+
+    def test_propagator_cache_stays_bounded(self, rng):
+        # every bisection probe asks for a fresh step length; six crossing
+        # runs with different steps ask for far more than the cache holds.
+        _plain_propagator.cache_clear()
+        grid = Grid(32)
+        spec = SystemSpec("modified", 0.3, rescaled=False)
+        datum = random_state(grid, rng, scale=0.02, band=(1, 2), real=True)
+        for j, rho in enumerate((0.2, 0.25, 0.3, 0.35, 0.4, 0.45)):
+            cfg = IntegratorConfig(dt=(5 + j) * 1e-3, t_end=10.0, blowup_threshold=rho)
+            assert solve(spec, PressureLaw.P0, datum, cfg).terminal_status == "blowup"
+            assert _plain_propagator.cache_info().currsize <= _PROPAGATOR_CACHE_SIZE
+        assert _plain_propagator.cache_info().misses > 2 * _PROPAGATOR_CACHE_SIZE
 
 
 class TestPicard:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavereg.model import (
     EnergyReport,
@@ -20,6 +22,7 @@ from wavereg.spectral import (
     Grid,
     SpectralField,
     conjugate,
+    derivative,
     from_modes,
     multiply,
     norm,
@@ -182,17 +185,10 @@ class TestEnergy:
         e2 = energy(PressureLaw.P2, s).value
         assert abs(e1 - e2) < 1e-12
 
-    def test_conjugated_flag_requires_p0(self, rng):
-        grid = Grid(8)
-        s = random_state(grid, rng)
-        for law in (PressureLaw.P1, PressureLaw.P2):
-            with pytest.raises(ValueError):
-                energy(law, s, conjugated=True)
-
     def test_conjugated_energy_coincides_with_plain_laws_on_real_data(self, rng):
         grid = Grid(16)
         s = random_state(grid, rng, real_valued=True)
-        e0 = energy(PressureLaw.P0, s, conjugated=True).value
+        e0 = energy(PressureLaw.P0, s).value
         assert abs(e0 - energy(PressureLaw.P1, s).value) < 1e-12
         assert abs(e0 - energy(PressureLaw.P2, s).value) < 1e-12
 
@@ -276,6 +272,37 @@ class TestRhsFull:
         d_pla = rhs_full(pla, PressureLaw.P0, State(conjugate(s.u1), s.u2))
         assert norm(d_mod.u1 - conjugate(d_pla.u1), "L2") < 1e-12
         assert norm(d_mod.u2 - d_pla.u2, "L2") < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mirror_property(self, data):
+        # rhs_full(modified, s) = G(rhs_full(regularized, p0, G s)) with
+        # G(u1, u2) = (conj u1, u2), for every grid, eps and scaling.
+        n_modes = data.draw(st.integers(1, 16), label="K")
+        eps = data.draw(st.floats(0.01, 0.99), label="eps")
+        rescaled = data.draw(st.booleans(), label="rescaled")
+        coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                   allow_infinity=False)
+        grid = Grid(n_modes)
+
+        def zero_mean_field(label):
+            c = np.array(data.draw(st.lists(coeff, min_size=grid.n_coeffs,
+                                            max_size=grid.n_coeffs), label=label))
+            c[grid.index(0)] = 0.0
+            return SpectralField(grid, c)
+
+        s = State(zero_mean_field("u1"), zero_mean_field("u2"))
+        mod = SystemSpec("modified", epsilon=eps, rescaled=rescaled)
+        pla = SystemSpec("regularized", epsilon=eps, rescaled=rescaled)
+        d_mod = rhs_full(mod, PressureLaw.P0, s)
+        d_pla = rhs_full(pla, PressureLaw.P0, State(conjugate(s.u1), s.u2))
+        # relative to the sizes of the terms, which may cancel in the sum
+        ct, cd = mod.coefficients
+        scale = ct * (norm(derivative(pressure(PressureLaw.P0, s.u1)), "L2")
+                      + norm(derivative(s.u2), "L2"))
+        scale += cd * norm(derivative(s.u2, order=2), "L2")
+        assert norm(d_mod.u1 - conjugate(d_pla.u1), "L2") <= 1e-12 * scale
+        assert norm(d_mod.u2 - d_pla.u2, "L2") <= 1e-12 * scale
 
     def test_modified_rejects_other_laws(self, rng):
         grid = Grid(8)
@@ -410,9 +437,9 @@ class TestShortTrajectories:
         grid = Grid(8)
         spec = SystemSpec("modified", epsilon=0.3)
         s0 = random_state(grid, rng, amp1=0.5, amp2=0.5, band=(1, 4))
-        e0 = energy(PressureLaw.P0, s0, conjugated=True).value
+        e0 = energy(PressureLaw.P0, s0).value
         s1 = rk4(spec, PressureLaw.P0, s0, dt=2e-4, n_steps=500)
-        e1 = energy(PressureLaw.P0, s1, conjugated=True).value
+        e1 = energy(PressureLaw.P0, s1).value
         assert abs(e1 - e0) > 1e-7
 
     def test_energy_report_type(self):

@@ -216,12 +216,16 @@ class TestCoordinateMaps:
             it = u_tilde - setting.epsilon * apply_M(setting, it)
         assert norm(it.u1 - v.u1, "L2") + norm(it.u2 - v.u2, "L2") < 1e-13
 
-    def test_conjugated_inversion_reports_exhausted_budget(self, rng):
+    def test_conjugated_closed_form_matches_fixed_point_iteration(self, rng):
+        # the mirrored closed form against the contraction v <- u~ - eps*M v
         grid = Grid(16)
-        setting = NormalFormSetting(0.9, conjugated=True)
+        setting = NormalFormSetting(0.5, conjugated=True)
         u_tilde = random_pair(grid, rng)
-        with pytest.raises(RuntimeError):
-            to_normal_coords(setting, u_tilde, max_iterations=2)
+        v = to_normal_coords(setting, u_tilde)
+        it = u_tilde
+        for _ in range(200):
+            it = u_tilde - setting.epsilon * apply_M(setting, it)
+        assert norm(it.u1 - v.u1, "L2") + norm(it.u2 - v.u2, "L2") < 1e-13
 
 
 class TestCancellation:
