@@ -1,11 +1,19 @@
 """Run, sweep, and verification commands behind one entry point.
 
 Configuration is an optional flat key=value file plus command-line flags,
-and flags win.  Every output file is written atomically (temp file in the
-destination directory, then rename) with floats at 17 significant digits,
-so a fixed configuration and seed reproduce each table byte for byte.  The
-default output directory comes from WAVEREG_OUTPUT_DIR when set, else the
-working directory.
+and flags win.  The option table is the one place an option is declared:
+`_OPTIONS` gives each key its converter and help, each command's defaults
+dict names the keys it reads (in flag order, `_REQUIRED` marking a key
+without a default), and `_COMMANDS` ties a command to its handler and
+defaults.  The parser, the config-file keys and the defaults are generated
+from it, so a command accepts a flag exactly when it reads the key.  Flags
+are never abbreviated.
+
+Every output file is written atomically (temp file in the destination
+directory, then rename) with floats at 17 significant digits, so a fixed
+configuration and seed reproduce each table byte for byte.  The default
+output directory comes from WAVEREG_OUTPUT_DIR when set, else the working
+directory.
 
 Exit codes: 0 success, 1 bad configuration / unknown flags / I/O trouble,
 2 a verification that ran and failed.
@@ -142,14 +150,28 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(path: str, command: str, config: dict, extras: dict) -> None:
+def _write_outputs(cfg: dict, command: str, extras: dict, table=None):
+    """Write <tag>.csv from table = (header, rows[, meta]) when given, then
+    the <tag>.json manifest; the tag defaults to the command name.  Returns
+    (csv_path or None, json_path)."""
+    out = cfg["output_dir"] or os.environ.get("WAVEREG_OUTPUT_DIR", ".")
+    tag = cfg["tag"] or command
+    csv_path = None
+    outputs = []
+    if table is not None:
+        csv_path = os.path.join(out, f"{tag}.csv")
+        _atomic_write(csv_path, _csv_text(*table))
+        outputs = [os.path.basename(csv_path)]
+    json_path = os.path.join(out, f"{tag}.json")
     payload = {
         "command": command,
-        "config": {key: _jsonable(val) for key, val in config.items()},
+        "config": {key: _jsonable(val) for key, val in cfg.items()},
         "version": __version__,
     }
     payload.update({key: _jsonable(val) for key, val in extras.items()})
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload["outputs"] = outputs
+    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return csv_path, json_path
 
 
 # --------------------------------------------------------------------------
@@ -209,44 +231,75 @@ def _int_list(text: str):
     return values
 
 
-_CONVERTERS = {
-    "system": _one_of("regularized", "modified"),
-    "pressure": _one_of("p0", "p1", "p2"),
-    "epsilon": _to_float,
-    "alpha": _to_float,
-    "lam": _to_float,
-    "n_modes": _to_int,
-    "n_points": _to_int,
-    "seed": _to_int,
-    "target_norm": _to_float,
-    "band": _band,
-    "theorem_scaling": _to_bool,
-    "dt": _to_float,
-    "t_end": _to_float,
-    "rho_max": _to_float,
-    "store_every": _to_int,
-    "epsilons": _float_list,
-    "time_scale": _one_of("fixed", "eps_squared"),
-    "jobs": _to_int,
-    "u_star": _to_float,
-    "wavenumbers": _int_list,
-    "n_samples": _to_int,
-    "rho": _to_float,
-    "growth_constant": _to_float,
-    "step_constant": _to_float,
-    "t_horizon": _to_float,
-    "max_iter": _to_int,
-    "n_nodes": _to_int,
-    "fields": _to_int,
-    "output_dir": str,
-    "tag": str,
+# Every option, key -> (converter, help).  A command's defaults dict (next
+# to its handler) picks the keys it reads, in flag order; its --help lists
+# them with these strings unless _HELP overrides one for that command.
+_OPTIONS = {
+    "system": (_one_of("regularized", "modified"), "regularized or modified"),
+    "pressure": (_one_of("p0", "p1", "p2"), "p0, p1, or p2"),
+    "epsilon": (_to_float, "dispersion parameter in (0,1)"),
+    "alpha": (_to_float, "datum amplitude exponent (regularized)"),
+    "lam": (_to_float, "fixed datum amplitude (modified system)"),
+    "n_modes": (_to_int, "retained band half-width"),
+    "n_points": (_to_int, "collocation points (0 = alias-free default)"),
+    "seed": (_to_int, "datum random seed"),
+    "target_norm": (_to_float, "datum norm target, below 1/6"),
+    "band": (_band, "datum mode band 'lo,hi'"),
+    "theorem_scaling": (
+        _to_bool, "pin alpha to the boundedness-statement value for the law"),
+    "epsilons": (_float_list, "comma-separated epsilon list"),
+    "dt": (_to_float, "time step"),
+    "t_end": (_to_float, "integration horizon"),
+    "rho_max": (_to_float, "blow-up threshold in profile units"),
+    "store_every": (_to_int, "sample stride for stored rows"),
+    "time_scale": (_one_of("fixed", "eps_squared"), "'fixed' or 'eps_squared'"),
+    "jobs": (_to_int, "parallel worker processes"),
+    "u_star": (_to_float, "base state"),
+    "wavenumbers": (_int_list, "comma-separated integer list"),
+    "n_samples": (_to_int, "time samples for the rate fit"),
+    "rho": (_to_float, "initial norm budget"),
+    "growth_constant": (_to_float, "per-step growth constant"),
+    "step_constant": (_to_float, "step-length constant"),
+    "t_horizon": (_to_float, "iteration horizon (default 0.1 * eps^2)"),
+    "max_iter": (_to_int, "iteration cap"),
+    "n_nodes": (_to_int, "quadrature nodes"),
+    "fields": (_to_int, "random fields per suite"),
+    # the file itself: a flag of every command, a key of none
+    "config": (str, "flat key=value configuration file"),
+    "output_dir": (str, "where files go (default $WAVEREG_OUTPUT_DIR or .)"),
+    "tag": (str, "basename for output files"),
 }
+
+# help strings that mean something else in one command
+_HELP = {
+    ("verify", "n_modes"): "band half-width",
+    ("verify", "seed"): "random seed",
+    ("sweep", "dt"): "time step (scaled by eps^2 if requested)",
+    ("sweep", "t_end"): "horizon per run",
+    ("sweep", "store_every"): "sample stride",
+    ("growth", "epsilon"): "dispersion strength, >= 0",
+    ("continue", "alpha"): "amplitude exponent in the step grain",
+}
+
+# marks a defaults entry that has no default: the key must be given
+_REQUIRED = object()
+
+_IO_DEFAULTS = {"output_dir": None, "tag": None}
+
+
+def _flag(key: str) -> str:
+    """The command-line spelling of a key: dashes, and 'lam' -> '--lambda'."""
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+_KEY_OF_NAME = {_flag(key)[2:].replace("-", "_"): key for key in _OPTIONS}
 
 
 def _load_config_file(path: str) -> dict:
     """Flat key=value lines; '#' comments and blank lines ignored.
 
-    Keys use underscores or dashes interchangeably ('t-end' == 't_end').
+    Keys use underscores or dashes interchangeably ('t-end' == 't_end'),
+    and a key may be spelled as its flag ('lambda' == 'lam').
     """
     values = {}
     try:
@@ -261,40 +314,39 @@ def _load_config_file(path: str) -> dict:
                     )
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key == "lambda":  # the flag name; 'lam' internally (keyword)
-                    key = "lam"
-                values[key] = value.strip()
+                values[_KEY_OF_NAME.get(key, key)] = value.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _resolve(args, keys, defaults) -> dict:
-    """Merge flag values over config-file values over hard defaults.
+def _resolve(args, defaults: dict) -> dict:
+    """Merge flag values over config-file values over the command's defaults.
 
-    A key present in none of the three is an error unless defaults carries
-    it (possibly as None, meaning 'optional, decided later').
+    A key present in none of the three is an error when its default is
+    _REQUIRED; a default of None means 'optional, decided later'.
     """
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(keys)
+        unknown = set(file_values) - set(defaults)
         if unknown:
             names = ", ".join(sorted(unknown))
             raise CliError(f"unknown config key(s) for this command: {names}")
     resolved = {}
-    for key in keys:
-        convert = _CONVERTERS[key]
-        flag = getattr(args, key, None)
+    for key, default in defaults.items():
+        convert = _OPTIONS[key][0]
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = convert(flag) if isinstance(flag, str) else flag
         elif key in file_values:
             resolved[key] = convert(file_values[key])
-        elif key in defaults:
-            resolved[key] = defaults[key]
+        elif default is not _REQUIRED:
+            resolved[key] = default
         else:
-            flag_name = "--" + key.replace("_", "-")
-            raise CliError(f"{key} is required (give {flag_name} or set it in a config file)")
+            raise CliError(
+                f"{key} is required (give {_flag(key)} or set it in a config file)"
+            )
     return resolved
 
 
@@ -308,10 +360,9 @@ def _check_target_norm(value: float) -> None:
         raise CliError(f"target_norm must lie strictly between 0 and 1/6, got {value}")
 
 
-def _output_dir(cfg: dict) -> str:
-    if cfg.get("output_dir"):
-        return cfg["output_dir"]
-    return os.environ.get("WAVEREG_OUTPUT_DIR", ".")
+def _check_rho_max(value: float) -> None:
+    if value <= 0.0:
+        raise CliError(f"rho_max must be positive, got {value}")
 
 
 def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
@@ -322,7 +373,7 @@ def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
     conjugated = cfg["system"] == "modified"
     if conjugated and cfg["pressure"] != "p0":
         raise CliError("the modified system requires pressure law p0")
-    alpha, lam = cfg.get("alpha"), cfg.get("lam")
+    alpha, lam = cfg["alpha"], cfg["lam"]
     if (alpha if conjugated else lam) is not None:
         hint = ("alpha does not apply to the modified system; use --lambda"
                 if conjugated else
@@ -332,7 +383,7 @@ def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
         raise CliError(hint)
     if conjugated:
         return None, 0.2 if lam is None else lam
-    if cfg.get("theorem_scaling"):
+    if cfg["theorem_scaling"]:
         pinned = _THEOREM_ALPHA[cfg["pressure"]]
         if alpha is not None and alpha != pinned:
             raise CliError(
@@ -369,15 +420,11 @@ _TRAJECTORY_COLUMNS = (
     "status",
 )
 
-_SIMULATE_KEYS = (
-    "system", "pressure", "epsilon", "alpha", "lam", "n_modes", "n_points",
-    "seed", "target_norm", "band", "theorem_scaling", "dt", "t_end",
-    "rho_max", "store_every", "output_dir", "tag",
-)
-
-_SIMULATE_DEFAULTS = {
+# the system, amplitude and datum keys of simulate, sweep and picard
+_MODEL_DEFAULTS = {
     "system": "regularized",
     "pressure": "p0",
+    "epsilon": _REQUIRED,
     "alpha": None,
     "lam": None,
     "n_modes": 32,
@@ -386,21 +433,27 @@ _SIMULATE_DEFAULTS = {
     "target_norm": 0.15,
     "band": (1, 8),
     "theorem_scaling": False,
+}
+
+
+def _without(defaults: dict, *keys: str) -> dict:
+    return {key: value for key, value in defaults.items() if key not in keys}
+
+
+_SIMULATE_DEFAULTS = {
+    **_MODEL_DEFAULTS,
     "dt": 1e-3,
     "t_end": 0.5,
     "rho_max": 1.0,
     "store_every": 1,
-    "output_dir": None,
-    "tag": None,
+    **_IO_DEFAULTS,
 }
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _resolve(args, _SIMULATE_KEYS, _SIMULATE_DEFAULTS)
+def _cmd_simulate(cfg: dict) -> int:
     _check_epsilon(cfg["epsilon"])
     _check_target_norm(cfg["target_norm"])
-    if cfg["rho_max"] <= 0.0:
-        raise CliError(f"rho_max must be positive, got {cfg['rho_max']}")
+    _check_rho_max(cfg["rho_max"])
     law = _LAWS[cfg["pressure"]]
     conjugated = cfg["system"] == "modified"
     amp = _amplitude(cfg)
@@ -440,19 +493,13 @@ def _cmd_simulate(args) -> int:
         ))
     elapsed = time.perf_counter() - started
 
-    out = _output_dir(cfg)
-    tag = cfg["tag"] or "simulate"
-    csv_path = os.path.join(out, f"{tag}.csv")
-    json_path = os.path.join(out, f"{tag}.json")
-    _atomic_write(csv_path, _csv_text(_TRAJECTORY_COLUMNS, rows))
-    _write_manifest(json_path, "simulate", cfg, {
+    csv_path, json_path = _write_outputs(cfg, "simulate", {
         "amplitude": amp,
         "terminal_status": trajectory.terminal_status,
         "blowup_time": trajectory.blowup_time,
         "samples": len(rows),
         "wall_time_seconds": elapsed,
-        "outputs": [os.path.basename(csv_path)],
-    })
+    }, (_TRAJECTORY_COLUMNS, rows))
     print(
         f"simulate: status={trajectory.terminal_status} samples={len(rows)} "
         f"wrote {csv_path} and {json_path}"
@@ -460,38 +507,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = (
-    "system", "pressure", "epsilons", "alpha", "lam", "n_modes", "seed",
-    "target_norm", "band", "theorem_scaling", "dt", "t_end", "rho_max",
-    "store_every", "time_scale", "jobs", "output_dir", "tag",
-)
-
 _SWEEP_DEFAULTS = {
-    "system": "regularized",
-    "pressure": "p0",
-    "alpha": None,
-    "lam": None,
-    "n_modes": 32,
-    "seed": 1,
-    "target_norm": 0.15,
-    "band": (1, 8),
-    "theorem_scaling": False,
+    **_without(_MODEL_DEFAULTS, "epsilon", "n_points"),
+    "epsilons": _REQUIRED,
     "dt": 1e-3,
     "t_end": 0.5,
     "rho_max": 1.0,
     "store_every": 16,
     "time_scale": "fixed",
     "jobs": None,
-    "output_dir": None,
-    "tag": None,
+    **_IO_DEFAULTS,
 }
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _resolve(args, _SWEEP_KEYS, _SWEEP_DEFAULTS)
+def _cmd_sweep(cfg: dict) -> int:
     for eps in cfg["epsilons"]:
         _check_epsilon(eps)
     _check_target_norm(cfg["target_norm"])
+    _check_rho_max(cfg["rho_max"])
     law = _LAWS[cfg["pressure"]]
     conjugated = cfg["system"] == "modified"
     exponent, fixed = _amplitude_rule(cfg)
@@ -525,32 +558,18 @@ def _cmd_sweep(args) -> int:
         "residual": result.residual,
         "message": result.message,
     }
-    out = _output_dir(cfg)
-    tag = cfg["tag"] or "sweep"
-    csv_path = os.path.join(out, f"{tag}.csv")
-    json_path = os.path.join(out, f"{tag}.json")
     header = ("epsilon", "time", "status", "final_norm1", "final_norm2")
-    _atomic_write(csv_path, _csv_text(header, rows, meta))
-    _write_manifest(json_path, "sweep", cfg, {
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "residual": result.residual,
-        "message": result.message,
+    csv_path, _ = _write_outputs(cfg, "sweep", {
+        **meta,
         "runs": len(rows),
         "statuses": [row.status for row in result.rows],
         "wall_time_seconds": elapsed,
-        "outputs": [os.path.basename(csv_path)],
-    })
+    }, (header, rows, meta))
     slope_text = "none" if result.slope is None else f"{result.slope:.4f}"
     suffix = f" ({result.message})" if result.message else ""
     print(f"sweep: {len(rows)} runs, slope={slope_text}{suffix}, wrote {csv_path}")
     return 0
 
-
-_GROWTH_KEYS = (
-    "pressure", "u_star", "wavenumbers", "epsilon", "n_samples",
-    "output_dir", "tag",
-)
 
 _GROWTH_DEFAULTS = {
     "pressure": "p0",
@@ -558,13 +577,11 @@ _GROWTH_DEFAULTS = {
     "wavenumbers": (1, 2, 4, 8),
     "epsilon": 0.0,
     "n_samples": 20001,
-    "output_dir": None,
-    "tag": None,
+    **_IO_DEFAULTS,
 }
 
 
-def _cmd_growth(args) -> int:
-    cfg = _resolve(args, _GROWTH_KEYS, _GROWTH_DEFAULTS)
+def _cmd_growth(cfg: dict) -> int:
     if cfg["epsilon"] < 0.0:
         raise CliError(f"epsilon must be nonnegative here, got {cfg['epsilon']}")
     law = _LAWS[cfg["pressure"]]
@@ -578,35 +595,23 @@ def _cmd_growth(args) -> int:
     )
     elapsed = time.perf_counter() - started
     rows = [(m.wavenumber, m.measured, m.predicted) for m in measurements]
-    out = _output_dir(cfg)
-    tag = cfg["tag"] or "growth"
-    csv_path = os.path.join(out, f"{tag}.csv")
-    json_path = os.path.join(out, f"{tag}.json")
-    _atomic_write(csv_path, _csv_text(("wavenumber", "measured", "predicted"), rows))
-    _write_manifest(json_path, "growth", cfg, {
-        "wall_time_seconds": elapsed,
-        "outputs": [os.path.basename(csv_path)],
-    })
+    csv_path, _ = _write_outputs(cfg, "growth", {"wall_time_seconds": elapsed},
+                                 (("wavenumber", "measured", "predicted"), rows))
     print(f"growth: {len(rows)} wavenumbers, wrote {csv_path}")
     return 0
 
 
-_CONTINUE_KEYS = (
-    "rho", "epsilon", "alpha", "growth_constant", "step_constant",
-    "output_dir", "tag",
-)
-
 _CONTINUE_DEFAULTS = {
+    "rho": _REQUIRED,
+    "epsilon": _REQUIRED,
     "alpha": 0.5,
     "growth_constant": 1.0,
     "step_constant": 1.0,
-    "output_dir": None,
-    "tag": None,
+    **_IO_DEFAULTS,
 }
 
 
-def _cmd_continue(args) -> int:
-    cfg = _resolve(args, _CONTINUE_KEYS, _CONTINUE_DEFAULTS)
+def _cmd_continue(cfg: dict) -> int:
     _check_epsilon(cfg["epsilon"])
     started = time.perf_counter()
     try:
@@ -620,17 +625,13 @@ def _cmd_continue(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     elapsed = time.perf_counter() - started
-    out = _output_dir(cfg)
-    tag = cfg["tag"] or "continue"
-    json_path = os.path.join(out, f"{tag}.json")
-    _write_manifest(json_path, "continue", cfg, {
+    _, json_path = _write_outputs(cfg, "continue", {
         "rho_sequence": list(schedule.rho_sequence),
         "time_sequence": list(schedule.time_sequence),
         "j_formula": schedule.j_formula,
         "j_star": schedule.j_star,
         "t_star": schedule.t_star,
         "wall_time_seconds": elapsed,
-        "outputs": [],
     })
     print(
         f"continue: j_formula={schedule.j_formula} j_star={schedule.j_star} "
@@ -639,33 +640,20 @@ def _cmd_continue(args) -> int:
     return 0
 
 
-_PICARD_KEYS = (
-    "system", "pressure", "epsilon", "alpha", "lam", "n_modes", "seed",
-    "target_norm", "band", "t_horizon", "max_iter", "n_nodes",
-    "output_dir", "tag",
-)
-
 _PICARD_DEFAULTS = {
-    "system": "regularized",
-    "pressure": "p0",
-    "alpha": None,
-    "lam": None,
+    **_without(_MODEL_DEFAULTS, "n_points"),
     "n_modes": 16,
-    "seed": 1,
     # smaller than the simulate default: the fixed-point guard needs the
     # slow-frame datum below 1/6 after the near-identity map inflates it
     "target_norm": 0.12,
-    "band": (1, 8),
     "t_horizon": None,
     "max_iter": 50,
     "n_nodes": 257,
-    "output_dir": None,
-    "tag": None,
+    **_IO_DEFAULTS,
 }
 
 
-def _cmd_picard(args) -> int:
-    cfg = _resolve(args, _PICARD_KEYS, _PICARD_DEFAULTS)
+def _cmd_picard(cfg: dict) -> int:
     _check_epsilon(cfg["epsilon"])
     _check_target_norm(cfg["target_norm"])
     law = _LAWS[cfg["pressure"]]
@@ -692,17 +680,13 @@ def _cmd_picard(args) -> int:
         raise CliError(str(exc)) from exc
     elapsed = time.perf_counter() - started
 
-    out = _output_dir(cfg)
-    tag = cfg["tag"] or "picard"
-    json_path = os.path.join(out, f"{tag}.json")
-    _write_manifest(json_path, "picard", cfg, {
+    _, json_path = _write_outputs(cfg, "picard", {
         "t_horizon": horizon,
         "iterates": report.iterates,
         "final_residual": report.final_residual,
         "contraction_ratios": list(report.contraction_ratios),
         "converged": report.converged,
         "wall_time_seconds": elapsed,
-        "outputs": [],
     })
     worst = max(report.contraction_ratios) if report.contraction_ratios else None
     print(
@@ -713,8 +697,6 @@ def _cmd_picard(args) -> int:
     )
     return 0 if report.converged else 2
 
-
-_VERIFY_KEYS = ("n_modes", "seed", "fields")
 
 _VERIFY_DEFAULTS = {"n_modes": 64, "seed": 1, "fields": 100}
 
@@ -798,8 +780,7 @@ def _verify_legs(n_modes: int, seed: int, fields: int):
     return legs
 
 
-def _cmd_verify(args) -> int:
-    cfg = _resolve(args, _VERIFY_KEYS, _VERIFY_DEFAULTS)
+def _cmd_verify(cfg: dict) -> int:
     if cfg["n_modes"] < 8:
         raise CliError(f"verify needs n_modes >= 8, got {cfg['n_modes']}")
     if cfg["fields"] < 1:
@@ -819,107 +800,35 @@ def _cmd_verify(args) -> int:
 # Parser assembly.
 
 
-def _add_io_flags(sub) -> None:
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--output-dir", dest="output_dir",
-                     help="where files go (default $WAVEREG_OUTPUT_DIR or .)")
-    sub.add_argument("--tag", help="basename for output files")
-
-
-def _add_model_flags(sub, with_points: bool = True) -> None:
-    sub.add_argument("--system", help="regularized or modified")
-    sub.add_argument("--pressure", help="p0, p1, or p2")
-    sub.add_argument("--epsilon", help="dispersion parameter in (0,1)")
-    sub.add_argument("--alpha", help="datum amplitude exponent (regularized)")
-    sub.add_argument("--lambda", dest="lam",
-                     help="fixed datum amplitude (modified system)")
-    sub.add_argument("--n-modes", dest="n_modes", help="retained band half-width")
-    if with_points:
-        sub.add_argument("--n-points", dest="n_points",
-                         help="collocation points (0 = alias-free default)")
-    sub.add_argument("--seed", help="datum random seed")
-    sub.add_argument("--target-norm", dest="target_norm",
-                     help="datum norm target, below 1/6")
-    sub.add_argument("--band", help="datum mode band 'lo,hi'")
-    sub.add_argument("--theorem-scaling", dest="theorem_scaling",
-                     action="store_const", const=True,
-                     help="pin alpha to the boundedness-statement value for the law")
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "one trajectory -> CSV + manifest", _SIMULATE_DEFAULTS),
+    "verify": (_cmd_verify, "identity suites -> pass/fail report", _VERIFY_DEFAULTS),
+    "sweep": (_cmd_sweep, "existence times across epsilon -> CSV", _SWEEP_DEFAULTS),
+    "growth": (_cmd_growth, "linearized growth rates -> CSV", _GROWTH_DEFAULTS),
+    "continue": (_cmd_continue, "norm-budget schedule -> JSON", _CONTINUE_DEFAULTS),
+    "picard": (_cmd_picard, "fixed-point iteration -> report", _PICARD_DEFAULTS),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavereg",
         description="Dispersive-regularization simulations, sweeps, and checks.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    simulate = sub.add_parser("simulate", help="one trajectory -> CSV + manifest")
-    _add_model_flags(simulate)
-    simulate.add_argument("--dt", help="time step")
-    simulate.add_argument("--t-end", dest="t_end", help="integration horizon")
-    simulate.add_argument("--rho-max", dest="rho_max",
-                          help="blow-up threshold in profile units")
-    simulate.add_argument("--store-every", dest="store_every",
-                          help="sample stride for stored rows")
-    _add_io_flags(simulate)
-
-    verify = sub.add_parser("verify", help="identity suites -> pass/fail report")
-    verify.add_argument("--n-modes", dest="n_modes", help="band half-width")
-    verify.add_argument("--seed", help="random seed")
-    verify.add_argument("--fields", help="random fields per suite")
-    verify.add_argument("--config", help="flat key=value configuration file")
-
-    sweep = sub.add_parser("sweep", help="existence times across epsilon -> CSV")
-    _add_model_flags(sweep, with_points=False)
-    sweep.add_argument("--epsilons", help="comma-separated epsilon list")
-    sweep.add_argument("--dt", help="time step (scaled by eps^2 if requested)")
-    sweep.add_argument("--t-end", dest="t_end", help="horizon per run")
-    sweep.add_argument("--rho-max", dest="rho_max",
-                       help="blow-up threshold in profile units")
-    sweep.add_argument("--store-every", dest="store_every", help="sample stride")
-    sweep.add_argument("--time-scale", dest="time_scale",
-                       help="'fixed' or 'eps_squared'")
-    sweep.add_argument("--jobs", help="parallel worker processes")
-    _add_io_flags(sweep)
-
-    growth = sub.add_parser("growth", help="linearized growth rates -> CSV")
-    growth.add_argument("--pressure", help="p0, p1, or p2")
-    growth.add_argument("--u-star", dest="u_star", help="base state")
-    growth.add_argument("--wavenumbers", help="comma-separated integer list")
-    growth.add_argument("--epsilon", help="dispersion strength, >= 0")
-    growth.add_argument("--n-samples", dest="n_samples",
-                        help="time samples for the rate fit")
-    _add_io_flags(growth)
-
-    cont = sub.add_parser("continue", help="norm-budget schedule -> JSON")
-    cont.add_argument("--rho", help="initial norm budget")
-    cont.add_argument("--epsilon", help="dispersion parameter in (0,1)")
-    cont.add_argument("--alpha", help="amplitude exponent in the step grain")
-    cont.add_argument("--growth-constant", dest="growth_constant",
-                      help="per-step growth constant")
-    cont.add_argument("--step-constant", dest="step_constant",
-                      help="step-length constant")
-    _add_io_flags(cont)
-
-    picard = sub.add_parser("picard", help="fixed-point iteration -> report")
-    _add_model_flags(picard, with_points=False)
-    picard.add_argument("--t-horizon", dest="t_horizon",
-                        help="iteration horizon (default 0.1 * eps^2)")
-    picard.add_argument("--max-iter", dest="max_iter", help="iteration cap")
-    picard.add_argument("--n-nodes", dest="n_nodes", help="quadrature nodes")
-    _add_io_flags(picard)
-
+    for name, (_, summary, defaults) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        # --config goes just before the output keys, which close a defaults dict
+        keys = [key for key in defaults if key not in _IO_DEFAULTS]
+        keys += ["config", *(key for key in _IO_DEFAULTS if key in defaults)]
+        for key in keys:
+            switch = key == "theorem_scaling"
+            command.add_argument(
+                _flag(key), dest=key, help=_HELP.get((name, key), _OPTIONS[key][1]),
+                **({"action": "store_const", "const": True} if switch else {}),
+            )
     return parser
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "growth": _cmd_growth,
-    "continue": _cmd_continue,
-    "picard": _cmd_picard,
-}
 
 
 def main(argv=None) -> int:
@@ -931,7 +840,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        handler, _, defaults = _COMMANDS[args.command]
+        return handler(_resolve(args, defaults))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

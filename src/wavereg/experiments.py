@@ -211,9 +211,10 @@ def scaling_sweep(
     both dt and t_end are multiplied by eps**2, matching the natural time
     of the fast transport; "fixed" uses them as given.
 
-    Runs are independent, so jobs > 1 dispatches them to a process pool;
-    rows come back merged in the order of `epsilons` either way, and the
-    result is bitwise reproducible for a fixed spec.
+    Runs are independent, so jobs > 1 dispatches them to a process pool of
+    min(jobs, len(epsilons)) workers; rows come back merged in the order of
+    `epsilons` either way, and the result is bitwise reproducible for a
+    fixed spec.
     """
     if len(epsilons) < 3:
         raise ValueError("need at least three epsilon values")
@@ -230,6 +231,8 @@ def scaling_sweep(
         raise ValueError("amplitude must be positive")
     if time_scale not in ("fixed", "eps_squared"):
         raise ValueError(f"unknown time_scale {time_scale!r}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     tasks = []
     for eps in epsilons:
@@ -241,7 +244,7 @@ def scaling_sweep(
         )
 
     if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = tuple(pool.map(_sweep_single, tasks))
     else:
         rows = tuple(_sweep_single(task) for task in tasks)

@@ -134,16 +134,20 @@ class EnergyReport:
     quadratic_u2_part: float
 
 
+def _cubic(law: PressureLaw, u: SpectralField) -> SpectralField:
+    """The cubic part p(u) + u of a pressure law: u u u, u conj(u) u or
+    conj(u)^3 for p0, p1, p2, alias-free."""
+    if law is PressureLaw.P0:
+        return multiply([u, u, u])
+    if law is PressureLaw.P1:
+        return multiply([u, conjugate(u), u])
+    cu = conjugate(u)
+    return multiply([cu, cu, cu])
+
+
 def pressure(law: PressureLaw, u: SpectralField) -> SpectralField:
     """Apply the selected pressure law, alias-free."""
-    if law is PressureLaw.P0:
-        cubic = multiply([u, u, u])
-    elif law is PressureLaw.P1:
-        cubic = multiply([u, conjugate(u), u])
-    else:
-        cu = conjugate(u)
-        cubic = multiply([cu, cu, cu])
-    return cubic - u
+    return _cubic(law, u) - u
 
 
 def q_apply(law: PressureLaw, u: SpectralField, v: SpectralField) -> SpectralField:

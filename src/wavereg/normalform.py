@@ -48,7 +48,7 @@ from functools import wraps
 
 import numpy as np
 
-from .model import PressureLaw, State, _mirror, q_apply
+from .model import PressureLaw, State, _cubic, _mirror, q_apply
 from .spectral import (
     SpectralField,
     apply_m,
@@ -203,15 +203,6 @@ def oscillate(
     return State(phase1 * v.u1, phase2 * v.u2)
 
 
-def _cubic_by_law(law: PressureLaw, f: SpectralField) -> SpectralField:
-    # p(u) + u, i.e. the cubic part of the pressure, evaluated at f.
-    if law is PressureLaw.P0:
-        return multiply([f, f, f])
-    if law is PressureLaw.P1:
-        return multiply([f, conjugate(f), f])
-    return multiply([conjugate(f), conjugate(f), conjugate(f)])
-
-
 @_folded
 def operator_E(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
     """The order-one interaction operator of the v-equation.
@@ -224,7 +215,7 @@ def operator_E(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
     the q slot in (E v)2: for the laws p1 and p2 the operator q(c) is only
     real-linear, so scalar phases may not be pulled out."""
     a2 = setting.amplitude**2
-    e1 = -1j * v.u1 + 1j * a2 * remove_mean(_cubic_by_law(setting.law, v.u1))
+    e1 = -1j * v.u1 + 1j * a2 * remove_mean(_cubic(setting.law, v.u1))
     e2 = 1j * v.u2 + q_apply(
         setting.law, setting.amplitude * u_tilde.u1, (-1j) * v.u2
     )
@@ -326,15 +317,12 @@ def _reduced_rhs(setting: NormalFormSetting, w: State, t: float) -> State:
 
     if setting.law is PressureLaw.P0:
         mu = (-1j * a2 / eps) * np.exp(2j * t / eps)
-        nw = multiply([w.u1, w.u1, w.u1])
     elif setting.law is PressureLaw.P1:
         mu = -1j * a2 / eps
-        nw = multiply([w.u1, conjugate(w.u1), w.u1])
     else:
         mu = (-1j * a2 / eps) * np.exp(-4j * t / eps)
-        nw = multiply([conjugate(w.u1), conjugate(w.u1), conjugate(w.u1)])
 
-    dw1 = mu * remove_mean(nw) - phase1 * rv.u1
+    dw1 = mu * remove_mean(_cubic(setting.law, w.u1)) - phase1 * rv.u1
     coupling = ev.u2 - 1j * v.u2
     dw2 = (
         -1j * cd * derivative(w.u2, order=2)

@@ -8,12 +8,13 @@ serializes at 17 significant digits, which round-trips float64.
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavereg import __version__
+from wavereg import __version__, cli
 from wavereg.cli import CliError, main, read_table
 from wavereg.experiments import (
     DatumSpec,
@@ -427,3 +428,156 @@ class TestReadTable:
         )
         _, rows, _ = read_table(str(path))
         assert [float(r["x"]) for r in rows] == list(values)
+
+
+class TestOptionTable:
+    """The flags and config keys each command takes, held against literal
+    lists rather than against the table that generates them."""
+
+    FLAGS = {
+        "simulate": [
+            "--system", "--pressure", "--epsilon", "--alpha", "--lambda",
+            "--n-modes", "--n-points", "--seed", "--target-norm", "--band",
+            "--theorem-scaling", "--dt", "--t-end", "--rho-max",
+            "--store-every", "--config", "--output-dir", "--tag",
+        ],
+        "verify": ["--n-modes", "--seed", "--fields", "--config"],
+        "sweep": [
+            "--system", "--pressure", "--alpha", "--lambda", "--n-modes",
+            "--seed", "--target-norm", "--band", "--theorem-scaling",
+            "--epsilons", "--dt", "--t-end", "--rho-max", "--store-every",
+            "--time-scale", "--jobs", "--config", "--output-dir", "--tag",
+        ],
+        "growth": [
+            "--pressure", "--u-star", "--wavenumbers", "--epsilon",
+            "--n-samples", "--config", "--output-dir", "--tag",
+        ],
+        "continue": [
+            "--rho", "--epsilon", "--alpha", "--growth-constant",
+            "--step-constant", "--config", "--output-dir", "--tag",
+        ],
+        "picard": [
+            "--system", "--pressure", "--epsilon", "--alpha", "--lambda",
+            "--n-modes", "--seed", "--target-norm", "--band",
+            "--theorem-scaling", "--t-horizon", "--max-iter", "--n-nodes",
+            "--config", "--output-dir", "--tag",
+        ],
+    }
+
+    @pytest.fixture(autouse=True)
+    def wide_help(self, monkeypatch):
+        # one line per flag, however narrow the terminal running the tests
+        monkeypatch.setenv("COLUMNS", "200")
+
+    @staticmethod
+    def help_text(capsys, command):
+        assert main([command, "--help"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_the_flags_in_order(self, capsys, command):
+        listed = re.findall(r"^  (--[\w-]+)", self.help_text(capsys, command), re.M)
+        assert listed == self.FLAGS[command]
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("growth", "--epsilon", "dispersion strength, >= 0"),
+        ("continue", "--alpha", "amplitude exponent in the step grain"),
+        ("sweep", "--dt", "time step (scaled by eps^2 if requested)"),
+    ])
+    def test_command_specific_help(self, capsys, command, flag, text):
+        line = re.search(rf"^  {flag} \S+\s+(.*)$", self.help_text(capsys, command), re.M)
+        assert line.group(1) == text
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_config_keys_are_the_flags(self, capsys, tmp_path, command):
+        # every key of the command is known, so the loader gets past the
+        # unknown-key check and fails on the first value it converts
+        conf = tmp_path / "all.conf"
+        keys = [flag[2:] for flag in self.FLAGS[command] if flag != "--config"]
+        conf.write_text("".join(f"{key} = bogus\n" for key in keys))
+        assert main([command, "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected")
+        assert "unknown config key" not in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("sweep", "epsilon"), ("verify", "tag"), ("growth", "alpha"),
+        ("continue", "system"), ("picard", "n_points"), ("simulate", "jobs"),
+    ])
+    def test_config_key_of_another_command_rejected(self, capsys, tmp_path,
+                                                    command, key):
+        conf = tmp_path / "one.conf"
+        conf.write_text(f"{key} = 1\n")
+        assert main([command, "--config", str(conf)]) == 1
+        assert f"unknown config key(s) for this command: {key}" in capsys.readouterr().err
+
+    def test_sweep_takes_no_epsilon_flag(self, capsys, tmp_path):
+        rc = main(TestSweep.ARGS + ["--epsilon", "0.5", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "unrecognized arguments: --epsilon 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_flags_are_not_abbreviated(self, capsys, tmp_path):
+        rc = main(["simulate", "--eps", "0.1", "--t-end", "0.01",
+                   "--n-modes", "8", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "unrecognized arguments: --eps 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.csv").exists()
+
+    def test_shipped_example_documents_exactly_the_keys(self, tmp_path):
+        # active and commented-out `key = value` lines alike, read through
+        # the loader so 'lambda' and dashed spellings map as for a user
+        lines = [
+            match.group(1)
+            for line in (REPO_ROOT / "run.conf.example").read_text().splitlines()
+            if (match := re.match(r"^(?:#\s*)?([A-Za-z_][\w-]*\s*=.*)$", line))
+        ]
+        conf = tmp_path / "uncommented.conf"
+        conf.write_text("\n".join(lines) + "\n")
+        keys = set(cli._load_config_file(str(conf)))
+        known = set().union(*(defaults for _, _, defaults in cli._COMMANDS.values()))
+        assert keys <= known  # every key named there is a key of some command
+        assert known <= keys  # and every key of every command is named
+
+
+class TestPicardTheoremScaling:
+    ARGS = ["picard", "--pressure", "p1", "--epsilon", "0.2"]
+
+    def final_residual(self, outdir, *extra):
+        assert main(self.ARGS + ["--output-dir", str(outdir), *extra]) == 0
+        manifest = json.loads((outdir / "picard.json").read_text())
+        return manifest["final_residual"], manifest["config"]
+
+    def test_flag_pins_alpha_for_the_law(self, tmp_path):
+        pinned, config = self.final_residual(tmp_path / "flag", "--theorem-scaling")
+        explicit, _ = self.final_residual(tmp_path / "alpha", "--alpha", "0.5")
+        plain, plain_config = self.final_residual(tmp_path / "plain")
+        assert config["theorem_scaling"] is True
+        assert plain_config["theorem_scaling"] is False
+        assert pinned == explicit
+        assert pinned != plain
+
+    def test_config_file_form(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("theorem_scaling = true\n")
+        from_file, config = self.final_residual(tmp_path / "file", "--config", str(conf))
+        explicit, _ = self.final_residual(tmp_path / "alpha", "--alpha", "0.5")
+        assert config["theorem_scaling"] is True
+        assert from_file == explicit
+
+
+class TestSweepInputRules:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one(self, capsys, tmp_path, jobs):
+        rc = main(TestSweep.ARGS + ["--jobs", jobs, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_rho_max_rule_is_shared(self, capsys, tmp_path, command):
+        argv = (["simulate", "--epsilon", "0.1"] if command == "simulate"
+                else ["sweep", "--epsilons", "0.2,0.1,0.05"])
+        rc = main(argv + ["--rho-max", "0", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rho_max must be positive, got 0.0\n"

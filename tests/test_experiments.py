@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from wavereg import experiments
 from wavereg.experiments import (
     ContinuationSchedule,
     DatumSpec,
@@ -233,6 +234,34 @@ class TestScalingSweep:
         )
         assert serial == pooled
 
+    @pytest.mark.parametrize("jobs,workers", [(1, None), (2, 2), (3, 3), (64, 3)])
+    def test_pool_capped_at_run_count(self, monkeypatch, jobs, workers):
+        # a stand-in pool that records its size and maps serially, so no
+        # worker process is ever started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
+        result = scaling_sweep(
+            PressureLaw.P1, "regularized", (0.2, 0.1, 0.05), spec,
+            amplitude_exponent=0.5, t_end=0.01, dt=5e-3, n_modes=8, jobs=jobs,
+        )
+        assert sizes == ([] if workers is None else [workers])
+        assert len(result.rows) == 3
+
     def test_fixed_amplitude_modified_runs(self):
         spec = DatumSpec(
             seed=11, target_norm=0.15, law=PressureLaw.P0, conjugated=True
@@ -259,6 +288,8 @@ class TestScalingSweep:
             (dict(amplitude_exponent=None), "exactly one"),
             (dict(amplitude_exponent=-1.0), "nonnegative"),
             (dict(time_scale="cubic"), "time_scale"),
+            (dict(jobs=0), "jobs must be at least 1, got 0"),
+            (dict(jobs=-3), "jobs must be at least 1, got -3"),
         ],
     )
     def test_validation(self, kwargs, match):
