@@ -826,7 +826,7 @@ def _build_parser() -> argparse.ArgumentParser:
             switch = key == "theorem_scaling"
             command.add_argument(
                 _flag(key), dest=key, help=_HELP.get((name, key), _OPTIONS[key][1]),
-                **({"action": "store_const", "const": True} if switch else {}),
+                **({"action": argparse.BooleanOptionalAction} if switch else {}),
             )
     return parser
 

@@ -1,12 +1,14 @@
 """Time integration, blow-up detection, and the Duhamel fixed-point solver.
 
-The stiff linear parts are never discretized.  For the full system the
-linear symbol of each Fourier mode is a 2x2 complex matrix, and its
-exponential is applied exactly once per step.  For the reduced system the
-only stiff piece is the free Schroedinger factor on w2, a unimodular
-per-mode phase.  The nonlinear remainder is advanced by a Lawson-type
-exponential scheme: midpoint Runge-Kutta (order 2, the default) or Euler
-(order 1).
+The stiff linear parts are never discretized.  One Lawson core, _lawson,
+advances both systems by midpoint Runge-Kutta (exp_rk2, order 2, the
+default) or Euler (exp_euler, order 1) on the nonlinear remainder; each
+system only supplies its linear flow and its forcing.  For the full system
+the linear symbol of each Fourier mode is a 2x2 complex matrix whose
+exponential is applied exactly.  For the reduced system the only stiff
+piece is the free Schroedinger factor on w2, a unimodular per-mode phase,
+and the flow is the identity on w1.  solve drives either system through the
+same loop, monitor and diagnostics.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
@@ -35,6 +37,7 @@ from .model import PressureLaw, State, SystemSpec, _mirror, _require_law, energy
 from .normalform import (
     NormalFormSetting,
     ReducedState,
+    _require_zero_mean,
     from_normal_coords,
     oscillate,
     reduced_rhs,
@@ -142,18 +145,26 @@ def _nonlinear_full(spec: SystemSpec, law: PressureLaw, state: State) -> State:
     return State(zeros(state.grid), (-ct) * f)
 
 
+def _lawson(linear, nonlinear, y, dt: float, scheme: str):
+    """One Lawson step of y' = L y + N(y, t) in the State y.
+
+    linear(y, h) applies exp(hL); nonlinear(y, s) evaluates the forcing at
+    the stage that starts s after the step."""
+    if scheme == "exp_euler":
+        return linear(y + dt * nonlinear(y, 0.0), dt)
+    if scheme != "exp_rk2":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    k1 = nonlinear(y, 0.0)
+    mid = linear(y + (0.5 * dt) * k1, 0.5 * dt)
+    k2 = nonlinear(mid, 0.5 * dt)
+    return linear(y, dt) + dt * linear(k2, 0.5 * dt)
+
+
 def _step_full(
     spec: SystemSpec, law: PressureLaw, state: State, dt: float, scheme: str
 ) -> State:
-    if scheme == "exp_euler":
-        k1 = _nonlinear_full(spec, law, state)
-        return _apply_linear(spec, state + dt * k1, dt)
-    if scheme != "exp_rk2":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    k1 = _nonlinear_full(spec, law, state)
-    mid = _apply_linear(spec, state + (0.5 * dt) * k1, 0.5 * dt)
-    k2 = _nonlinear_full(spec, law, mid)
-    return _apply_linear(spec, state, dt) + dt * _apply_linear(spec, k2, 0.5 * dt)
+    linear = lambda y, h: _apply_linear(spec, y, h)
+    return _lawson(linear, lambda y, s: _nonlinear_full(spec, law, y), state, dt, scheme)
 
 
 def step_full(
@@ -203,82 +214,37 @@ def step_reduced(
         )
     _, cd = setting.coefficients
     grid = w.grid
-    if scheme == "exp_euler":
-        k1 = _nonlinear_reduced(setting, w)
-        phase = _w2_phase(grid, cd, dt)
-        return ReducedState(
-            w.w1 + dt * k1.u1,
-            SpectralField(grid, phase * (w.w2 + dt * k1.u2).coeffs),
-            w.t + dt,
-        )
-    if scheme != "exp_rk2":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    k1 = _nonlinear_reduced(setting, w)
-    phase_half = _w2_phase(grid, cd, 0.5 * dt)
-    mid = ReducedState(
-        w.w1 + (0.5 * dt) * k1.u1,
-        SpectralField(grid, phase_half * (w.w2 + (0.5 * dt) * k1.u2).coeffs),
-        w.t + 0.5 * dt,
-    )
-    k2 = _nonlinear_reduced(setting, mid)
-    phase_full = _w2_phase(grid, cd, dt)
-    return ReducedState(
-        w.w1 + dt * k2.u1,
-        SpectralField(
-            grid, phase_full * w.w2.coeffs + dt * phase_half * k2.u2.coeffs
-        ),
-        w.t + dt,
-    )
+
+    def linear(y: State, h: float) -> State:
+        return State(y.u1, SpectralField(grid, _w2_phase(grid, cd, h) * y.u2.coeffs))
+
+    def nonlinear(y: State, s: float) -> State:
+        return _nonlinear_reduced(setting, ReducedState(y.u1, y.u2, w.t + s))
+
+    out = _lawson(linear, nonlinear, State(w.w1, w.w2), dt, scheme)
+    return ReducedState(out.u1, out.u2, w.t + dt)
 
 
 # --------------------------------------------------------------------------
 # Driving loop with blow-up detection.
 
 
-def _monitor_full(state: State) -> float:
-    return max(norm(state.u1, "Hs", s=1), norm(state.u2, "L2"))
+def _monitor(first: SpectralField, second: SpectralField) -> float:
+    return max(norm(first, "Hs", s=1), norm(second, "L2"))
 
 
-def _monitor_reduced(w: ReducedState) -> float:
-    return max(norm(w.w1, "Hs", s=1), norm(w.w2, "L2"))
+def _finite(first: SpectralField, second: SpectralField) -> bool:
+    return bool(np.all(np.isfinite(first.coeffs)) and np.all(np.isfinite(second.coeffs)))
 
 
-def _finite(coeff_holder) -> bool:
-    a = coeff_holder[0].coeffs
-    b = coeff_holder[1].coeffs
-    return bool(np.all(np.isfinite(a)) and np.all(np.isfinite(b)))
-
-
-def _diagnostics_full(law: PressureLaw, state: State) -> dict:
-    report = energy(law, state)
+def _diagnostics(first: SpectralField, second: SpectralField, energy_report) -> dict:
     return {
-        "norm1_h1": norm(state.u1, "Hs", s=1),
-        "norm2_l2": norm(state.u2, "L2"),
-        "energy": report.value,
-        "mean_abs_1": abs(state.u1.coeff(0)),
-        "mean_abs_2": abs(state.u2.coeff(0)),
+        "norm1_h1": norm(first, "Hs", s=1),
+        "norm2_l2": norm(second, "L2"),
+        "energy": energy_report.value,
+        "mean_abs_1": abs(first.coeff(0)),
+        "mean_abs_2": abs(second.coeff(0)),
     }
-
-
-def _diagnostics_reduced(setting: NormalFormSetting, w: ReducedState) -> dict:
-    v = oscillate(
-        State(w.w1, w.w2), w.t, setting.epsilon, "backward", conjugated=setting.conjugated
-    )
-    physical = setting.amplitude * from_normal_coords(setting, v)
-    report = energy(setting.law, physical)
-    return {
-        "norm1_h1": norm(w.w1, "Hs", s=1),
-        "norm2_l2": norm(w.w2, "L2"),
-        "energy": report.value,
-        "mean_abs_1": abs(w.w1.coeff(0)),
-        "mean_abs_2": abs(w.w2.coeff(0)),
-    }
-
-
-def _require_zero_mean_state(state: State) -> None:
-    for name, f in (("u1", state.u1), ("u2", state.u2)):
-        if abs(f.coeff(0)) > 1e-12 * max(1.0, norm(f, "L2")):
-            raise ValueError(f"solve requires a zero-mean datum; {name} has a mean")
 
 
 def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajectory:
@@ -286,7 +252,8 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
 
     `system` selects the path: a SystemSpec integrates the full system from a
     State datum; a NormalFormSetting integrates the reduced system from a
-    ReducedState datum (whose law must match).  The blow-up proxy is
+    ReducedState datum (whose law must match and whose time must lie
+    before t_end).  The blow-up proxy is
     max(H1 of the first component, L2 of the second) against
     config.blowup_threshold; a crossing is refined by bisecting the final
     step until the bracket is below 1e-3 of the crossing time."""
@@ -294,28 +261,32 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         if not isinstance(datum, State):
             raise TypeError("full-system solve expects a State datum")
         _require_law(system, law)
-        _require_zero_mean_state(datum)
+        _require_zero_mean(u1=datum.u1, u2=datum.u2)
         stepper = lambda st, t, dt: step_full(system, law, st, t, dt, config.scheme)
-        monitor = _monitor_full
-        diags = lambda st: _diagnostics_full(law, st)
-        unpack = lambda st: (st.u1, st.u2)
+        pair = lambda st: (st.u1, st.u2)
+        physical = lambda st: st
         t0 = 0.0
-        current = datum
     elif isinstance(system, NormalFormSetting):
         if not isinstance(datum, ReducedState):
             raise TypeError("reduced-system solve expects a ReducedState datum")
         if law is not system.law:
             raise ValueError("law argument disagrees with the setting's law")
+        if config.t_end <= datum.t:
+            raise ValueError(
+                f"t_end = {config.t_end} must exceed the datum time t = {datum.t}"
+            )
         stepper = lambda st, t, dt: step_reduced(system, st, dt, config.scheme)
-        monitor = _monitor_reduced
-        diags = lambda st: _diagnostics_reduced(system, st)
-        unpack = lambda st: (st.w1, st.w2)
+        pair = lambda st: (st.w1, st.w2)
+        physical = lambda st: system.amplitude * from_normal_coords(system, oscillate(
+            State(st.w1, st.w2), st.t, system.epsilon, "backward", system.conjugated))
         t0 = datum.t
-        current = datum
     else:
         raise TypeError(f"cannot integrate a {type(system).__name__}")
+    monitor = lambda st: _monitor(*pair(st))
+    diags = lambda st: _diagnostics(*pair(st), energy(law, physical(st)))
 
     rho = config.blowup_threshold
+    current = datum
     times = [t0]
     states = [current]
     diagnostics = [diags(current)]
@@ -331,7 +302,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         dt = min(config.dt, config.t_end - t)
         nxt = stepper(current, t, dt)
         step_index += 1
-        if not _finite(unpack(nxt)):
+        if not _finite(*pair(nxt)):
             status = "diverged"
             break
         if monitor(nxt) > rho:
@@ -352,12 +323,13 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
             break
         current = nxt
         t += dt
-        if step_index % config.store_every == 0 or t >= config.t_end - 1e-12:
+        if step_index % config.store_every == 0:
             times.append(t)
             states.append(current)
             diagnostics.append(diags(current))
 
-    if status != "blowup" and (not times or times[-1] != t):
+    # the final sample: the end of the run, or the last finite state
+    if status != "blowup" and times[-1] != t:
         times.append(t)
         states.append(current)
         diagnostics.append(diags(current))
@@ -397,7 +369,11 @@ def picard_solve(
         raise ValueError("law argument disagrees with the setting's law")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    if max(norm(w1_0, "Hs", s=1), norm(w2_0, "L2")) >= 1.0 / 6.0:
+    if n_nodes < 3:
+        raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if _monitor(w1_0, w2_0) >= 1.0 / 6.0:
         raise ValueError("datum norms must be below 1/6 in H1 x L2")
     grid = w1_0.grid
     _, cd = setting.coefficients

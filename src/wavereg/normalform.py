@@ -98,6 +98,14 @@ class NormalFormSetting:
         return 1.0 / self.epsilon**2, 1.0 / self.epsilon**3
 
 
+def _require_zero_mean(**fields: SpectralField) -> None:
+    """Reject a field whose mean exceeds _MEAN_TOL relative to its L2 norm."""
+    for name, field in fields.items():
+        mean = abs(field.coeff(0))
+        if mean > _MEAN_TOL * max(1.0, norm(field, "L2")):
+            raise ValueError(f"{name} must be zero-mean, |mean| = {mean:.3e}")
+
+
 @dataclass(frozen=True)
 class ReducedState:
     """Oscillating-frame state (w1, w2) at time t.  Fields must be zero-mean."""
@@ -109,10 +117,7 @@ class ReducedState:
     def __post_init__(self) -> None:
         if self.w1.grid != self.w2.grid:
             raise ValueError("w1 and w2 live on different grids")
-        for name, field in (("w1", self.w1), ("w2", self.w2)):
-            mean = abs(field.coeff(0))
-            if mean > _MEAN_TOL * max(1.0, norm(field, "L2")):
-                raise ValueError(f"{name} must be zero-mean, |mean| = {mean:.3e}")
+        _require_zero_mean(w1=self.w1, w2=self.w2)
 
     @property
     def grid(self):

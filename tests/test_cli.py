@@ -581,3 +581,37 @@ class TestSweepInputRules:
         rc = main(argv + ["--rho-max", "0", "--output-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == "error: rho_max must be positive, got 0.0\n"
+
+
+class TestPicardInputRules:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-nodes", "1", "n_nodes must be at least 3, got 1"),
+        ("--n-nodes", "0", "n_nodes must be at least 3, got 0"),
+        ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+        ("--max-iter", "-2", "max_iter must be at least 1, got -2"),
+    ])
+    def test_rejected_with_one_line_and_no_manifest(self, capsys, tmp_path,
+                                                    flag, value, message):
+        rc = main(["picard", "--epsilon", "0.2", flag, value,
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "picard.json").exists()
+
+
+class TestTheoremScalingOffSwitch:
+    def test_flag_overrides_a_true_config_file(self, tmp_path):
+        conf = tmp_path / "t.conf"
+        conf.write_text("theorem_scaling = true\n")
+        rc = run_simulate(tmp_path, "--config", str(conf),
+                          "--no-theorem-scaling", "--alpha", "0")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "simulate.json").read_text())
+        assert manifest["config"]["theorem_scaling"] is False
+        assert manifest["amplitude"] == 1.0
+
+    def test_config_file_alone_still_pins(self, capsys, tmp_path):
+        conf = tmp_path / "t.conf"
+        conf.write_text("theorem_scaling = true\n")
+        assert run_simulate(tmp_path, "--config", str(conf), "--alpha", "0") == 1
+        assert "pins alpha = 0.5" in capsys.readouterr().err

@@ -380,6 +380,32 @@ class TestStepReduced:
         slope = np.log2(e[0] / e[1])
         assert 1.6 <= slope <= 2.4
 
+    def test_reduced_euler_order(self, rng):
+        grid = Grid(8)
+        eps = 0.2
+        setting = NormalFormSetting(eps, amplitude=1.0)
+        datum = self.make_w(grid, rng, eps, scale=0.08)
+        t_end = 0.04
+
+        def run(n, scheme):
+            w = datum
+            for _ in range(n):
+                w = step_reduced(setting, w, t_end / n, scheme)
+            return w
+
+        # the exp_rk2 reference at 1024 steps sits three orders below the
+        # exp_euler errors measured here; the slopes agree with a 4096-step
+        # reference to four digits
+        ref = run(1024, "exp_rk2")
+        e = []
+        for n in (128, 256, 512):
+            out = run(n, "exp_euler")
+            e.append(
+                max(norm(out.w1 - ref.w1, "Hs", s=1), norm(out.w2 - ref.w2, "L2"))
+            )
+        for coarse, fine in zip(e, e[1:]):
+            assert 0.8 <= np.log2(coarse / fine) <= 1.2
+
 
 class TestSolve:
     def test_zero_datum_completes_flat(self):
@@ -536,6 +562,15 @@ class TestSolve:
             assert abs(w.w1.coeff(0)) < 1e-12
         assert traj.times[-1] == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("t_end", [3.5e-3, 0.5])
+    def test_reduced_path_rejects_t_end_not_after_the_datum(self, t_end):
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, amplitude=1.0)
+        datum = ReducedState(zeros(grid), zeros(grid), 0.5)
+        cfg = IntegratorConfig(dt=1e-3, t_end=t_end)
+        with pytest.raises(ValueError, match="t_end"):
+            solve(setting, PressureLaw.P0, datum, cfg)
+
     def test_reduced_path_rejects_mismatched_law(self, rng):
         grid = Grid(8)
         setting = NormalFormSetting(0.2, amplitude=1.0)
@@ -595,6 +630,59 @@ class TestSolve:
             assert solve(spec, PressureLaw.P0, datum, cfg).terminal_status == "blowup"
             assert _plain_propagator.cache_info().currsize <= _PROPAGATOR_CACHE_SIZE
         assert _plain_propagator.cache_info().misses > 2 * _PROPAGATOR_CACHE_SIZE
+
+
+def edge_problem(path, grid, rng):
+    """(system, law, datum) for the full or the reduced solve path on `grid`:
+    a small zero-mean datum on the lowest modes, zero when K = 0."""
+    if grid.n_modes == 0:
+        w1 = w2 = zeros(grid)
+    else:
+        band = (1, min(3, grid.n_modes))
+        w1 = 0.05 * random_field(grid, rng, band=band)
+        w2 = 0.05 * random_field(grid, rng, band=band)
+    if path == "full":
+        return SystemSpec("regularized", 0.2, rescaled=True), PressureLaw.P1, State(w1, w2)
+    setting = NormalFormSetting(0.2, law=PressureLaw.P1, amplitude=1.0)
+    return setting, PressureLaw.P1, ReducedState(w1, w2, 0.0)
+
+
+@pytest.mark.parametrize("path", ["full", "reduced"])
+class TestSolveEdges:
+    """Pinned edge inputs of solve, for both the full and the reduced path."""
+
+    def test_t_end_not_a_multiple_of_dt(self, rng, path):
+        system, law, datum = edge_problem(path, Grid(8), rng)
+        traj = solve(system, law, datum, IntegratorConfig(dt=1e-2, t_end=0.035))
+        assert traj.terminal_status == "completed"
+        assert traj.times[:-1] == pytest.approx([0.0, 0.01, 0.02, 0.03], abs=1e-15)
+        assert traj.times[-1] == 0.035  # the short last step lands on t_end
+        assert np.diff(traj.times)[-1] == pytest.approx(0.005)
+        assert len(traj.states) == len(traj.diagnostics) == 5
+
+    def test_store_every_beyond_the_step_count(self, rng, path):
+        system, law, datum = edge_problem(path, Grid(8), rng)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.05, store_every=100)
+        traj = solve(system, law, datum, cfg)
+        assert traj.terminal_status == "completed"
+        assert traj.times == [0.0, pytest.approx(0.05)]
+        assert traj.states[0] is datum
+        assert len(traj.states) == len(traj.diagnostics) == 2
+
+    @pytest.mark.parametrize("n_modes", [0, 1])
+    def test_degenerate_grids(self, rng, path, n_modes):
+        grid = Grid(n_modes)
+        system, law, datum = edge_problem(path, grid, rng)
+        traj = solve(system, law, datum, IntegratorConfig(dt=1e-2, t_end=0.05))
+        assert traj.terminal_status == "completed"
+        assert traj.times[-1] == pytest.approx(0.05)
+        for state in traj.states:
+            for field in (state.u1, state.u2) if path == "full" else (state.w1, state.w2):
+                assert np.all(np.isfinite(field.coeffs))
+                assert abs(field.coeff(0)) < 1e-14
+                if n_modes == 0:
+                    assert norm(field, "L2") == 0.0
+        assert all(np.isfinite(d["energy"]) for d in traj.diagnostics)
 
 
 class TestPicard:

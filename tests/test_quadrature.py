@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from wavereg.quadrature import (
     cumulative_simpson_uniform,
@@ -129,3 +132,49 @@ class TestWeightedSimpson:
         for j, w in enumerate(omegas):
             single = cumulative_weighted_simpson(y[:, j], w, dx)
             assert np.max(np.abs(full[:, j] - single)) < 1e-13
+
+
+_COEFFICIENT = st.floats(-3.0, 3.0)
+
+
+def quad_weighted(poly, omega, t):
+    """int_0^t e^{i omega s} poly(s) ds by scipy's QUADPACK (cos/sin weights)."""
+    re, _ = quad(poly, 0.0, t, weight="cos", wvar=omega)
+    im, _ = quad(poly, 0.0, t, weight="sin", wvar=omega)
+    return re + 1j * im
+
+
+class TestSimpsonExactnessProperty:
+    """Both rules integrate quadratics exactly at every node, for odd and
+    even node counts, against scipy.integrate.quad as the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT),
+        n=st.integers(3, 24),
+        T=st.floats(0.1, 3.0),
+    )
+    def test_plain_rule(self, c, n, T):
+        poly = lambda s: c[0] + c[1] * s + c[2] * s * s
+        t = np.linspace(0.0, T, n)
+        got = cumulative_simpson_uniform(poly(t), t[1] - t[0])
+        want = np.array([quad(poly, 0.0, ti)[0] for ti in t])
+        scale = 1.0 + abs(c[0]) * T + abs(c[1]) * T**2 + abs(c[2]) * T**3
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert simpson_uniform(poly(t), t[1] - t[0]) == got[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT),
+        n=st.integers(3, 24),
+        T=st.floats(0.1, 3.0),
+        omega=st.floats(-60.0, 60.0),
+    )
+    def test_weighted_rule(self, c, n, T, omega):
+        poly = lambda s: c[0] + c[1] * s + c[2] * s * s
+        t = np.linspace(0.0, T, n)
+        got = cumulative_weighted_simpson(poly(t), omega, t[1] - t[0])
+        want = np.array([quad_weighted(poly, omega, ti) for ti in t])
+        scale = 1.0 + abs(c[0]) * T + abs(c[1]) * T**2 + abs(c[2]) * T**3
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert weighted_simpson(poly(t), omega, t[1] - t[0]) == got[-1]

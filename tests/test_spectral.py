@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavereg import spectral as sp
 from wavereg.quadrature import cumulative_simpson_uniform
@@ -149,6 +151,26 @@ class TestNormsAndProducts:
             mid = (acc.size - 1) // 2
             expected = acc[mid - K : mid + K + 1]
             assert np.max(np.abs(got.coeffs - expected)) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_multiply_matches_truncated_convolution_down_to_the_alias_limit(self, data):
+        # products are padded to at least twice the band whatever the grid's
+        # own n_points, so even the minimal grid 2K + 1 multiplies exactly
+        K = data.draw(st.integers(0, 16), label="K")
+        n_points = data.draw(st.integers(2 * K + 1, 4 * K + 4), label="n_points")
+        n_factors = data.draw(st.sampled_from([2, 3]), label="n_factors")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = sp.Grid(K, n_points)
+        fields = [random_full_band(g, rng) for _ in range(n_factors)]
+        acc = fields[0].coeffs
+        for f in fields[1:]:
+            acc = np.convolve(acc, f.coeffs)
+        mid = (acc.size - 1) // 2
+        expected = acc[mid - K : mid + K + 1]
+        scale = np.prod([np.sum(np.abs(f.coeffs)) for f in fields])
+        got = sp.multiply(fields)
+        assert np.max(np.abs(got.coeffs - expected)) <= 1e-13 * scale
 
     def test_multiply_rejects_wrong_arity(self, rng):
         g = sp.Grid(4)
