@@ -11,6 +11,8 @@ epsilon values before any integrator exists.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavereg.model import PressureLaw, State, SystemSpec, q_apply, rhs_full
 from wavereg.normalform import (
@@ -27,6 +29,7 @@ from wavereg.normalform import (
 )
 from wavereg.spectral import (
     Grid,
+    SpectralField,
     apply_m,
     conjugate,
     derivative,
@@ -51,6 +54,19 @@ def pair_norm(s: State, kind="L2", sobolev=None) -> float:
 
 def conj_first(s: State) -> State:
     return State(conjugate(s.u1), s.u2)
+
+
+def draw_pair(data, grid, zero_mean=True) -> State:
+    """A State of complex coefficients of modulus at most 1, drawn by hypothesis."""
+    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    fields = []
+    for label in ("u1", "u2"):
+        c = np.array(data.draw(st.lists(coeff, min_size=grid.n_coeffs,
+                                        max_size=grid.n_coeffs), label=label))
+        if zero_mean:
+            c[grid.index(0)] = 0.0
+        fields.append(SpectralField(grid, c))
+    return State(*fields)
 
 
 def all_settings(eps, amplitude=0.3):
@@ -206,6 +222,23 @@ class TestCoordinateMaps:
                 nu = pair_norm(u_tilde, kind, s)
                 assert (1.0 - eps) * nv - 1e-12 <= nu <= (1.0 + eps) * nv + 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        # to_normal_coords o from_normal_coords = Id for every eps in (0, 1),
+        # both settings.  The inverse divides by 1 - (eps/k)^2 >= 1 - eps^2,
+        # so the rounding of the forward map is amplified by at most
+        # 1 / (1 - eps^2).
+        grid = Grid(data.draw(st.integers(0, 16), label="K"))
+        eps = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        label="eps")
+        conjugated = data.draw(st.booleans(), label="conjugated")
+        setting = NormalFormSetting(eps, conjugated=conjugated)
+        v = draw_pair(data, grid)
+        back = to_normal_coords(setting, from_normal_coords(setting, v))
+        err = pair_norm(back - v)
+        assert err <= 1e-14 * (1.0 + pair_norm(v)) / (1.0 - eps * eps)
+
     def test_plain_closed_form_matches_fixed_point_iteration(self, rng):
         grid = Grid(16)
         setting = NormalFormSetting(0.5)
@@ -280,6 +313,25 @@ class TestOscillate:
         assert pair_norm(w, "Hs", 1) == pytest.approx(pair_norm(v, "Hs", 1))
         back = oscillate(w, 0.7, 0.2, "backward", conjugated=conjugated)
         assert norm(back.u1 - v.u1, "L2") + norm(back.u2 - v.u2, "L2") < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_isometry_and_inverse_property(self, data):
+        # forward preserves the L2 and H1 norm of each component, and
+        # backward o forward is the identity, for any time, eps and setting
+        # (eps >= 1e-6 keeps the phase t/eps finite)
+        grid = Grid(data.draw(st.integers(0, 16), label="K"))
+        t = data.draw(st.floats(-50.0, 50.0), label="t")
+        eps = data.draw(st.floats(1e-6, 1.0, exclude_max=True), label="eps")
+        conjugated = data.draw(st.booleans(), label="conjugated")
+        v = draw_pair(data, grid, zero_mean=False)
+        w = oscillate(v, t, eps, "forward", conjugated=conjugated)
+        for got, want in ((w.u1, v.u1), (w.u2, v.u2)):
+            for kind, s in (("L2", None), ("Hs", 1)):
+                assert norm(got, kind, s=s) == pytest.approx(norm(want, kind, s=s),
+                                                             rel=1e-14, abs=1e-300)
+        back = oscillate(w, t, eps, "backward", conjugated=conjugated)
+        assert pair_norm(back - v) <= 1e-15 * (1.0 + pair_norm(v))
 
     def test_direction_validated(self):
         grid = Grid(8)
