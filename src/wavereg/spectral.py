@@ -50,7 +50,6 @@ __all__ = [
     "conjugate",
     "norm",
     "multiply",
-    "full_convolution",
     "pair_mean",
     "quartic_mean",
 ]
@@ -291,15 +290,6 @@ def multiply(fields: Sequence[SpectralField]) -> SpectralField:
     for g in fields[1:]:
         prod = prod * to_physical(g, n_big)
     return to_spectral(grid, prod)
-
-
-def full_convolution(a: SpectralField, b: SpectralField) -> np.ndarray:
-    """Exact product coefficients on the extended band |k| <= Ka + Kb.
-
-    Returns the dense coefficient vector of a*b without any truncation,
-    indexed by k = -(Ka+Kb) .. Ka+Kb.
-    """
-    return np.convolve(a.coeffs, b.coeffs)
 
 
 def pair_mean(a: SpectralField, b: SpectralField) -> complex:
