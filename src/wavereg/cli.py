@@ -150,6 +150,9 @@ def _jsonable(value):
     return value
 
 
+_WALL_SLOT = "@wall_time_seconds@"
+
+
 def _write_outputs(cfg: dict, command: str, extras: dict, table=None):
     """Write <tag>.csv from table = (header, rows[, meta]) when given, then
     the <tag>.json manifest; the tag defaults to the command name.  Returns
@@ -170,7 +173,14 @@ def _write_outputs(cfg: dict, command: str, extras: dict, table=None):
     }
     payload.update({key: _jsonable(val) for key, val in extras.items()})
     payload["outputs"] = outputs
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # every manifest's wall time is a fixed-width number, so a manifest's
+    # size does not vary with the clock
+    wall = payload["wall_time_seconds"]
+    payload["wall_time_seconds"] = _WALL_SLOT
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = text.replace(f'"wall_time_seconds": "{_WALL_SLOT}"',
+                        f'"wall_time_seconds": {wall:.6e}', 1)
+    _atomic_write(json_path, text)
     return csv_path, json_path
 
 

@@ -211,6 +211,18 @@ class TestSimulate:
         assert manifest["config"]["epsilon"] == 0.1
         assert manifest["config"]["band"] == [1, 8]
 
+    def test_manifest_size_repeats(self, tmp_path):
+        # the wall time is written at a fixed width, as a JSON number, so two
+        # runs of one config write manifests of one size
+        sizes = []
+        for _ in range(2):
+            assert run_simulate(tmp_path) == 0
+            text = (tmp_path / "simulate.json").read_text()
+            assert re.search(r'"wall_time_seconds": \d\.\d{6}e[+-]\d\d\n', text)
+            assert isinstance(json.loads(text)["wall_time_seconds"], float)
+            sizes.append(len(text.encode()))
+        assert sizes[0] == sizes[1]
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WAVEREG_OUTPUT_DIR", str(tmp_path))
         rc = main([
