@@ -103,14 +103,16 @@ def cumulative_weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:
     mom_2h = _phase_moments(omega, 2 * h)   # int_0^{2h}
     mom_back = mom_2h - mom_h               # int_h^{2h}
     out = np.zeros(y.shape, dtype=complex)
-    acc = np.zeros(y.shape[1:], dtype=complex)
-    # e^{i*omega*t_j} carried explicitly per panel start.
-    for j in range(0, n - 2, 2):
-        phase = np.exp(1j * omega * (j * h))
-        c0, c1, c2 = _panel_coeffs(y[j], y[j + 1], y[j + 2], h)
-        out[j + 1] = acc + phase * (c0 * mom_h[0] + c1 * mom_h[1] + c2 * mom_h[2])
-        acc = acc + phase * (c0 * mom_2h[0] + c1 * mom_2h[1] + c2 * mom_2h[2])
-        out[j + 2] = acc
+    # all panels at once, with e^{i*omega*t_j} carried explicitly per panel
+    # start; cumsum adds the panels in order, as a running sum would
+    starts = np.arange(0, n - 2, 2)
+    phase = np.exp(1j * omega * (starts * h).reshape((-1,) + (1,) * omega.ndim))
+    c0, c1, c2 = _panel_coeffs(y[starts], y[starts + 1], y[starts + 2], h)
+    whole = phase * (c0 * mom_2h[0] + c1 * mom_2h[1] + c2 * mom_2h[2])
+    out[starts + 2] = np.cumsum(whole, axis=0)
+    out[starts + 1] = out[starts] + phase * (
+        c0 * mom_h[0] + c1 * mom_h[1] + c2 * mom_h[2]
+    )
     if n % 2 == 0:
         # Odd final interval: quadratic through the last three nodes,
         # integrated over its second half.

@@ -133,6 +133,27 @@ class TestWeightedSimpson:
             single = cumulative_weighted_simpson(y[:, j], w, dx)
             assert np.max(np.abs(full[:, j] - single)) < 1e-13
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64, 65])
+    def test_panels_summed_as_by_a_running_loop(self, rng, n):
+        # the panel-by-panel loop the rule was first written as; the
+        # vectorized rule adds the same terms in the same order
+        from wavereg.quadrature import _panel_coeffs, _phase_moments
+
+        y = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        omega, h = np.array([0.0, 1.5, -40.0, 3e3]), 0.013
+        mom_h, mom_2h = _phase_moments(omega, h), _phase_moments(omega, 2 * h)
+        want = np.zeros(y.shape, dtype=complex)
+        acc = np.zeros(4, dtype=complex)
+        for j in range(0, n - 2, 2):
+            phase = np.exp(1j * omega * (j * h))
+            c0, c1, c2 = _panel_coeffs(y[j], y[j + 1], y[j + 2], h)
+            want[j + 1] = acc + phase * (c0 * mom_h[0] + c1 * mom_h[1] + c2 * mom_h[2])
+            acc = acc + phase * (c0 * mom_2h[0] + c1 * mom_2h[1] + c2 * mom_2h[2])
+            want[j + 2] = acc
+        got = cumulative_weighted_simpson(y, omega, h)
+        last = n - 1 if n % 2 == 0 else n
+        np.testing.assert_array_equal(got[:last], want[:last])
+
 
 _COEFFICIENT = st.floats(-3.0, 3.0)
 
