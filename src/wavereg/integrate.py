@@ -7,8 +7,9 @@ system only supplies its linear flow and its forcing.  For the full system
 the linear symbol of each Fourier mode is a 2x2 complex matrix whose
 exponential is applied exactly.  For the reduced system the only stiff
 piece is the free Schroedinger factor on w2, a unimodular per-mode phase,
-and the flow is the identity on w1.  solve drives either system through the
-same loop, monitor and diagnostics.
+and the flow is the identity on w1; its step runs on the stacked (w1, w2)
+coefficient array, with the forcing from the array kernel of normalform.py.
+solve drives either system through the same loop, monitor and diagnostics.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
@@ -23,7 +24,8 @@ The Picard solver iterates the integral maps whose fixed point is the
 reduced solution: the w1 map accumulates the cubic/remainder integrand by
 cumulative Simpson, and the w2 map is a Duhamel integral against the free
 Schroedinger kernel, evaluated with the oscillatory-weight Simpson rule so
-that arbitrarily fast phases cost no accuracy.
+that arbitrarily fast phases cost no accuracy.  Each iterate evaluates the
+forcing at all quadrature nodes in one batched kernel call.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .model import PressureLaw, State, SystemSpec, _mirror, _require_law, energy
 from .normalform import (
     NormalFormSetting,
     ReducedState,
+    _reduced_forcing,
     _require_zero_mean,
     from_normal_coords,
     oscillate,
-    reduced_rhs,
 )
 from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
 from .spectral import Grid, SpectralField, derivative, norm, zeros
@@ -146,7 +148,7 @@ def _nonlinear_full(spec: SystemSpec, law: PressureLaw, state: State) -> State:
 
 
 def _lawson(linear, nonlinear, y, dt: float, scheme: str):
-    """One Lawson step of y' = L y + N(y, t) in the State y.
+    """One Lawson step of y' = L y + N(y, t) in y, a State or an array.
 
     linear(y, h) applies exp(hL); nonlinear(y, s) evaluates the forcing at
     the stage that starts s after the step."""
@@ -191,13 +193,6 @@ def _w2_phase(grid: Grid, cd: float, dt: float) -> np.ndarray:
     return np.exp(1j * dt * cd * k * k)
 
 
-def _nonlinear_reduced(setting: NormalFormSetting, w: ReducedState) -> State:
-    full = reduced_rhs(setting, w)
-    _, cd = setting.coefficients
-    n2 = full.u2 + 1j * cd * derivative(w.w2, order=2)
-    return State(full.u1, n2)
-
-
 def step_reduced(
     setting: NormalFormSetting, w: ReducedState, dt: float, scheme: str = "exp_rk2"
 ) -> ReducedState:
@@ -214,15 +209,20 @@ def step_reduced(
         )
     _, cd = setting.coefficients
     grid = w.grid
+    flows = {}  # stacked (identity, w2 phase) per step length
 
-    def linear(y: State, h: float) -> State:
-        return State(y.u1, SpectralField(grid, _w2_phase(grid, cd, h) * y.u2.coeffs))
+    def linear(y: np.ndarray, h: float) -> np.ndarray:
+        if h not in flows:
+            flows[h] = np.stack([np.ones(grid.n_coeffs), _w2_phase(grid, cd, h)])
+        return flows[h] * y
 
-    def nonlinear(y: State, s: float) -> State:
-        return _nonlinear_reduced(setting, ReducedState(y.u1, y.u2, w.t + s))
+    def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
+        g1, n2 = _reduced_forcing(setting, grid, y[:1], y[1:], np.array([w.t + s]))
+        return np.concatenate([g1, n2])
 
-    out = _lawson(linear, nonlinear, State(w.w1, w.w2), dt, scheme)
-    return ReducedState(out.u1, out.u2, w.t + dt)
+    y = np.stack([w.w1.coeffs, w.w2.coeffs])
+    out = _lawson(linear, nonlinear, y, dt, scheme)
+    return ReducedState(SpectralField(grid, out[0]), SpectralField(grid, out[1]), w.t + dt)
 
 
 # --------------------------------------------------------------------------
@@ -373,6 +373,7 @@ def picard_solve(
         raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    ReducedState(w1_0, w2_0, 0.0)  # one grid, zero-mean
     if _monitor(w1_0, w2_0) >= 1.0 / 6.0:
         raise ValueError("datum norms must be below 1/6 in H1 x L2")
     grid = w1_0.grid
@@ -381,6 +382,7 @@ def picard_solve(
     omega = -cd * k * k  # Duhamel kernel phase on w2
     times = np.linspace(0.0, T, n_nodes)
     dx = times[1] - times[0]
+    forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])
 
     w1_flat = np.tile(w1_0.coeffs, (n_nodes, 1))
     w2_flat = np.tile(w2_0.coeffs, (n_nodes, 1))
@@ -391,20 +393,9 @@ def picard_solve(
     stalls = 0
 
     for _ in range(max_iter):
-        g1 = np.empty_like(w1_flat)
-        n2 = np.empty_like(w2_flat)
-        for j, tj in enumerate(times):
-            w = ReducedState(
-                SpectralField(grid, w1_flat[j].copy()),
-                SpectralField(grid, w2_flat[j].copy()),
-                float(tj),
-            )
-            nl = _nonlinear_reduced(setting, w)
-            g1[j] = nl.u1.coeffs
-            n2[j] = nl.u2.coeffs
+        g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
         new_w1 = w1_0.coeffs[None, :] + cumulative_simpson_uniform(g1, dx)
         duhamel = cumulative_weighted_simpson(n2, omega, dx)
-        forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])
         new_w2 = forward * (w2_0.coeffs[None, :] + duhamel)
         diff = _trajectory_distance(grid, new_w1, new_w2, w1_flat, w2_flat)
         w1_flat, w2_flat = new_w1, new_w2

@@ -39,6 +39,14 @@ a state result; the formulas below are the plain ones only.  The symbol 1/k
 of m is real and odd, so conj(m f) = -m conj(f) and the mirrored corrector
 is G M G (u1, u2) = (+m conj u2, -m conj u1); the mirrored frame phase on w1
 is exp(+i t/eps).
+
+The operators above act on validated States, one at a time.  The reduced
+system itself is evaluated by one array kernel, _reduced_forcing: it takes
+raw coefficient arrays with a leading batch axis, one member per row at its
+own time, and assembles the same formula with two FFT calls per batch.
+reduced_rhs is that kernel on a batch of one; the reduced stepper and the
+Picard solver of integrate.py call it directly, Picard on all its nodes at
+once.
 """
 
 from __future__ import annotations
@@ -302,37 +310,92 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
     phase1, phase2 are the frame phases of oscillate.  Everything is built
     from the slow-frame state v = oscillate(w, backward) and the
     reconstructed u_tilde = (Id + eps M) v, so the result agrees with the
-    full system's right-hand side to rounding."""
-    return _reduced_rhs(setting, State(w.w1, w.w2), w.t)
-
-
-@_folded
-def _reduced_rhs(setting: NormalFormSetting, w: State, t: float) -> State:
-    eps = setting.epsilon
-    ct, cd = setting.coefficients
-    a2 = setting.amplitude**2
-    v = oscillate(w, t, eps, "backward")
-    u_tilde = from_normal_coords(setting, v)
-    ev = operator_E(setting, v, u_tilde)
-    rv = remainder_R(setting, v, u_tilde)
-    f1 = q_apply(setting.law, setting.amplitude * u_tilde.u1, derivative(v.u1))
-
-    phase1 = np.exp(-1j * t / eps)
-    phase2 = np.exp(1j * t / eps)
-
-    if setting.law is PressureLaw.P0:
-        mu = (-1j * a2 / eps) * np.exp(2j * t / eps)
-    elif setting.law is PressureLaw.P1:
-        mu = -1j * a2 / eps
-    else:
-        mu = (-1j * a2 / eps) * np.exp(-4j * t / eps)
-
-    dw1 = mu * remove_mean(_cubic(setting.law, w.u1)) - phase1 * rv.u1
-    coupling = ev.u2 - 1j * v.u2
-    dw2 = (
-        -1j * cd * derivative(w.u2, order=2)
-        - ct * phase2 * f1
-        - (1.0 / eps) * phase2 * coupling
-        - phase2 * rv.u2
+    full system's right-hand side to rounding.  This is _reduced_forcing on
+    a batch of one, with the free Schroedinger term added back."""
+    grid = w.grid
+    g1, n2 = _reduced_forcing(
+        setting, grid, w.w1.coeffs[None], w.w2.coeffs[None], np.array([w.t])
     )
-    return State(dw1, dw2)
+    _, cd = setting.coefficients
+    k = grid.wavenumbers.astype(float)
+    dw2 = n2[0] + (1j * cd) * (k * k) * w.w2.coeffs
+    return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
+
+
+def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
+    """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
+
+    w1 and w2 have shape (B, 2K+1) and t has shape (B,): B members, each at
+    its own time.  g1 is dt w1; n2 is dt w2 without the free Schroedinger
+    term -i c_d dx^2 w2, which the stepper's exact phase carries.  The
+    arrays are not validated.
+
+    The formula is reduced_rhs's, rearranged so that every piece is built
+    once.  With v1 = exp(it/eps) w1, v2 = exp(-it/eps) w2, delta = (M v)1
+    and u~1 = v1 + eps delta:
+
+      * v1, v2, delta and dx v1 are synthesized on the padded grid of
+        `multiply` (size max(2(2K+1), n_points)) in one inverse FFT, every
+        cubic product is formed pointwise there, conjugates included, and
+        one forward FFT brings all of them back;
+      * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
+        cubic term of E v gives the w1 nonlinearity by a scalar phase;
+      * E v is formed once and R v = (Id + eps M)^{-1}((r1, 0) - M E v)
+        by per-mode arithmetic, with r1 the factored form of _r1_field.
+
+    The conjugated setting is the plain p0 one with w1 and g1 mirrored."""
+    if setting.conjugated:
+        plain = replace(setting, conjugated=False)
+        g1, n2 = _reduced_forcing(plain, grid, np.conj(w1[..., ::-1]), w2, t)
+        return np.conj(g1[..., ::-1]), n2
+    eps = setting.epsilon
+    ct, _ = setting.coefficients
+    a2 = setting.amplitude**2
+    k = grid.wavenumbers.astype(float)
+    inv_k = np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k))  # symbol of m
+    rot = np.exp(1j * np.asarray(t, dtype=float)[:, None] / eps)
+    v1 = rot * w1
+    v2 = w2 / rot
+
+    n_big = max(2 * grid.n_coeffs, grid.n_points)
+    slots = np.mod(grid.wavenumbers, n_big)
+    padded = np.zeros((4,) + v1.shape[:-1] + (n_big,), dtype=complex)
+    padded[..., slots] = (v1, v2, -inv_k * v2, (1j * k) * v1)
+    # physical values of v1, v2, delta = (M v)1 = -m v2 and dx v1
+    x1, x2, xd, xdv1 = np.fft.ifft(padded) * n_big
+    xu = x1 + eps * xd  # u~1
+    arg = -1j * x2  # the argument of q(a u~1) in (E v)2
+    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1, and the factored r1 product
+    if setting.law is PressureLaw.P1:
+        mod2, sq = 2.0 * a2 * xu * np.conj(xu), a2 * xu * xu
+        cdv1 = np.conj(xdv1)
+        products = np.stack([
+            x1 * np.conj(x1) * x1,
+            mod2 * arg + sq * np.conj(arg),
+            mod2 * xdv1 + sq * cdv1,
+            a2 * (2.0 * xu * np.conj(xd) * xdv1 + 2.0 * xd * np.conj(x1) * xdv1
+                  + (xu + x1) * xd * cdv1),
+        ])
+    else:
+        sq = 3.0 * a2 * xu * xu
+        products = np.stack(
+            [x1 * x1 * x1, sq * arg, sq * xdv1, 3.0 * a2 * (xu + x1) * xd * xdv1]
+        )
+        if setting.law is PressureLaw.P2:
+            # q2, the p2 cubic and their r1 product conjugate every p0 factor
+            products = np.conj(products)
+    cubic, coupling, kept, diff = (np.fft.fft(products) / n_big)[..., slots]
+
+    cubic[..., grid.n_modes] = 0.0  # P, the mean projection
+    nonlin = (1j * a2) * cubic  # (E v)1 + i v1
+    e1 = nonlin - 1j * v1
+    e2 = 1j * v2 + coupling
+    # (r1, 0) - M E v = (m diff + m e2, m e1), then (Id + eps M)^{-1}
+    y1, y2 = inv_k * (diff + e2), inv_k * e1
+    fac = eps * inv_k
+    det = 1.0 - fac * fac
+    r1 = (y1 + fac * y2) / det
+    r2 = (fac * y1 + y2) / det
+    g1 = (-(1.0 / eps) * nonlin - r1) / rot
+    n2 = -rot * (ct * kept + (1.0 / eps) * coupling + r2)
+    return g1, n2

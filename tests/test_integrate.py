@@ -11,10 +11,13 @@ measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from wavereg import DatumSpec, make_datum
 from wavereg.integrate import (
     IntegratorConfig,
     PicardReport,
@@ -27,12 +30,22 @@ from wavereg.integrate import (
     step_full,
     step_reduced,
 )
-from wavereg.model import PressureLaw, State, SystemSpec, energy, rhs_full
-from wavereg.normalform import NormalFormSetting, ReducedState
+from wavereg.model import PressureLaw, State, SystemSpec, energy, q_apply, rhs_full
+from wavereg.normalform import (
+    NormalFormSetting,
+    ReducedState,
+    from_normal_coords,
+    operator_E,
+    oscillate,
+    remainder_R,
+    to_normal_coords,
+)
 from wavereg.spectral import (
     Grid,
     SpectralField,
     conjugate,
+    derivative,
+    multiply,
     norm,
     random_field,
     remove_mean,
@@ -319,6 +332,65 @@ class TestConvergenceOrder:
         assert 0.8 <= slope <= 1.2
 
 
+def object_reduced_forcing(setting, w):
+    """The reduced forcing as the per-member object code assembled it before
+    the array kernel: the formula of reduced_rhs from the public operators,
+    with the free Schroedinger term -i c_d dx^2 w2 added and taken off again,
+    and the conjugated setting as the mirrored plain p0 one."""
+    if setting.conjugated:
+        plain = replace(setting, conjugated=False)
+        f = object_reduced_forcing(plain, ReducedState(conjugate(w.w1), w.w2, w.t))
+        return State(conjugate(f.u1), f.u2)
+    eps, t, law = setting.epsilon, w.t, setting.law
+    ct, cd = setting.coefficients
+    a2 = setting.amplitude**2
+    v = oscillate(State(w.w1, w.w2), t, eps, "backward")
+    u_tilde = from_normal_coords(setting, v)
+    ev = operator_E(setting, v, u_tilde)
+    rv = remainder_R(setting, v, u_tilde)
+    f1 = q_apply(law, setting.amplitude * u_tilde.u1, derivative(v.u1))
+    phase1, phase2 = np.exp(-1j * t / eps), np.exp(1j * t / eps)
+    if law is PressureLaw.P0:
+        mu = (-1j * a2 / eps) * np.exp(2j * t / eps)
+        cubic = multiply([w.w1, w.w1, w.w1])
+    elif law is PressureLaw.P1:
+        mu = -1j * a2 / eps
+        cubic = multiply([w.w1, conjugate(w.w1), w.w1])
+    else:
+        mu = (-1j * a2 / eps) * np.exp(-4j * t / eps)
+        cubic = multiply([conjugate(w.w1)] * 3)
+    dw1 = mu * remove_mean(cubic) - phase1 * rv.u1
+    dispersion = -1j * cd * derivative(w.w2, order=2)
+    dw2 = (
+        dispersion
+        - ct * phase2 * f1
+        - (1.0 / eps) * phase2 * (ev.u2 - 1j * v.u2)
+        - phase2 * rv.u2
+    )
+    return State(dw1, dw2 - dispersion)
+
+
+def object_step_reduced(setting, w, dt):
+    """The exp_rk2 step as the object code took it: three ReducedStates and a
+    fresh w2 phase for every linear flow."""
+    from wavereg.integrate import _w2_phase
+
+    _, cd = setting.coefficients
+    grid = w.grid
+
+    def linear(y, h):
+        return State(y.u1, SpectralField(grid, _w2_phase(grid, cd, h) * y.u2.coeffs))
+
+    def nonlinear(y, s):
+        return object_reduced_forcing(setting, ReducedState(y.u1, y.u2, w.t + s))
+
+    y = State(w.w1, w.w2)
+    k1 = nonlinear(y, 0.0)
+    k2 = nonlinear(linear(y + (0.5 * dt) * k1, 0.5 * dt), 0.5 * dt)
+    out = linear(y, dt) + dt * linear(k2, 0.5 * dt)
+    return ReducedState(out.u1, out.u2, w.t + dt)
+
+
 class TestStepReduced:
     def make_w(self, grid, rng, eps, scale=0.05):
         w1 = scale * random_field(grid, rng, band=(1, 3))
@@ -354,6 +426,25 @@ class TestStepReduced:
         assert norm(out.w1, "L2") == 0.0
         assert norm(out.w2, "L2") == 0.0
         assert out.t == pytest.approx(0.301)
+
+    @pytest.mark.parametrize(
+        "law, conjugated",
+        [(PressureLaw.P0, False), (PressureLaw.P1, False), (PressureLaw.P2, False),
+         (PressureLaw.P0, True)],
+    )
+    def test_matches_the_object_level_step(self, law, conjugated):
+        # one seed per setting; the array step agrees with the per-member
+        # object step it replaced to rounding
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, conjugated, law, amplitude=0.3)
+        w = self.make_w(grid, np.random.default_rng(11), 0.2, scale=0.08)
+        w = ReducedState(w.w1, w.w2, 0.37)
+        got = step_reduced(setting, w, 0.01)
+        want = object_step_reduced(setting, w, 0.01)
+        size = max(np.max(np.abs(want.w1.coeffs)), np.max(np.abs(want.w2.coeffs)))
+        for a, b in ((got.w1, want.w1), (got.w2, want.w2)):
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * size
+        assert got.t == want.t
 
     def test_reduced_rk2_order(self, rng):
         grid = Grid(8)
@@ -739,6 +830,32 @@ class TestPicard:
         )
         assert err < max(5.0 * dt, 1e-7)
         assert final.t == pytest.approx(T)
+
+    @pytest.mark.parametrize(
+        "seed, law, conjugated, epsilon, amplitude, residual, ratios",
+        [
+            # `wavereg picard --system modified --epsilon 0.2 --seed 3`
+            (3, PressureLaw.P0, True, 0.2, 0.2, 1.4066810458009618e-11,
+             [0.002275165112213268, 0.00013110902379367942, 0.0010495258457683392]),
+            # `wavereg picard --pressure p1 --epsilon 0.2 --alpha 0.5 --seed 5`
+            (5, PressureLaw.P1, False, 0.2, 0.2**0.5, 1.1035060733168153e-11,
+             [0.0024181976912776675, 8.935512036252069e-05, 0.0011393249342093168]),
+        ],
+    )
+    def test_pinned_cli_runs(self, seed, law, conjugated, epsilon, amplitude,
+                             residual, ratios):
+        # values recorded from the per-node object-level evaluation; the
+        # batched kernel sums in another order, so they agree to 2e-3
+        setting = NormalFormSetting(epsilon, conjugated, law, amplitude)
+        datum = DatumSpec(seed, 0.12, law, (1, 8), conjugated)
+        v0 = to_normal_coords(setting, make_datum(Grid(16), datum))
+        traj, report = picard_solve(
+            v0.u1, v0.u2, law, setting, 0.1 * epsilon**2, n_nodes=257
+        )
+        assert report.iterates == 4
+        assert report.final_residual == pytest.approx(residual, rel=2e-3)
+        assert report.contraction_ratios == pytest.approx(ratios, rel=2e-3)
+        assert len(traj) == 257
 
     def test_contraction_ratios_shrink_the_residual(self, rng):
         grid = Grid(8)

@@ -480,6 +480,37 @@ class TestReducedRhs:
             err = norm(got.u1 - want.u1, "L2") + norm(got.u2 - want.u2, "L2")
             assert err < 1e-10, (setting.system_kind, setting.law, err)
 
+    @pytest.mark.parametrize(
+        "grid", [Grid(0), Grid(1), Grid(6), Grid(6, n_points=40)],
+        ids=["K0", "K1", "K6", "K6-n40"],
+    )
+    def test_batch_rows_equal_serial_calls(self, rng, grid):
+        # each row of one batched kernel call is the forcing of its own
+        # member at its own time: reduced_rhs minus its dispersion term
+        from wavereg.normalform import _reduced_forcing
+
+        members, n, K = 6, grid.n_coeffs, grid.n_modes
+        times = np.linspace(0.0, 1.5, members) + rng.uniform(0.0, 0.1, members)
+        k = grid.wavenumbers.astype(float)
+        for setting in all_settings(0.2):
+            _, cd = setting.coefficients
+            w1, w2 = 0.1 * (rng.standard_normal((2, members, n))
+                            + 1j * rng.standard_normal((2, members, n)))
+            w1[:, K] = w2[:, K] = 0.0
+            g1, n2 = _reduced_forcing(setting, grid, w1, w2, times)
+            assert g1.shape == n2.shape == (members, n)
+            for b in range(members):
+                w = ReducedState(SpectralField(grid, w1[b]), SpectralField(grid, w2[b]),
+                                 float(times[b]))
+                full = reduced_rhs(setting, w)
+                want1 = full.u1.coeffs
+                want2 = full.u2.coeffs - 1j * cd * k * k * w2[b]
+                size = max(np.max(np.abs(full.u1.coeffs)), np.max(np.abs(full.u2.coeffs)))
+                assert np.max(np.abs(g1[b] - want1)) <= 1e-12 * size
+                assert np.max(np.abs(n2[b] - want2)) <= 1e-12 * size
+                if K == 0:
+                    assert size == 0.0
+
     def test_zero_state_is_stationary(self):
         grid = Grid(8)
         w = ReducedState(zeros(grid), zeros(grid), 0.2)
