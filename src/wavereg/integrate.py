@@ -209,11 +209,11 @@ def step_reduced(
         )
     _, cd = setting.coefficients
     grid = w.grid
-    flows = {}  # stacked (identity, w2 phase) per step length
+    # the linear flow on the stacked (w1, w2): identity on w1, phase on w2
+    flows = {h: np.stack([np.ones(grid.n_coeffs), _w2_phase(grid, cd, h)])
+             for h in (0.5 * dt, dt)}
 
     def linear(y: np.ndarray, h: float) -> np.ndarray:
-        if h not in flows:
-            flows[h] = np.stack([np.ones(grid.n_coeffs), _w2_phase(grid, cd, h)])
         return flows[h] * y
 
     def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
