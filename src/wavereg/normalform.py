@@ -322,6 +322,12 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
     return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
 
 
+# complex points (members x padded grid size) per block of _reduced_forcing:
+# a block holds about two dozen arrays of that size at once, so this bounds
+# the kernel's working memory for any batch size and band
+_BLOCK_POINTS = 1024
+
+
 def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
 
@@ -335,18 +341,33 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     and u~1 = v1 + eps delta:
 
       * v1, v2, delta and dx v1 are synthesized on the padded grid of
-        `multiply` (size max(2(2K+1), n_points)) in one inverse FFT, every
-        cubic product is formed pointwise there, conjugates included, and
-        one forward FFT brings all of them back;
+        `multiply` (size n_big = max(2(2K+1), n_points)) in one inverse
+        FFT, every cubic product is formed pointwise there, conjugates
+        included, and one forward FFT brings all of them back;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
         cubic term of E v gives the w1 nonlinearity by a scalar phase;
       * E v is formed once and R v = (Id + eps M)^{-1}((r1, 0) - M E v)
         by per-mode arithmetic, with r1 the factored form of _r1_field.
 
-    The conjugated setting is the plain p0 one with w1 and g1 mirrored."""
+    The conjugated setting is the plain p0 one with w1 and g1 mirrored.
+    The members go through in blocks of _BLOCK_POINTS // n_big (at least
+    one), two FFT calls per block."""
+    n_big = max(2 * grid.n_coeffs, grid.n_points)
+    size = max(1, _BLOCK_POINTS // n_big)
+    g1 = np.empty(np.shape(w1), dtype=complex)
+    n2 = np.empty(np.shape(w2), dtype=complex)
+    for i in range(0, len(t), size):
+        block = slice(i, i + size)
+        g1[block], n2[block] = _forcing_block(
+            setting, grid, n_big, w1[block], w2[block], t[block]
+        )
+    return g1, n2
+
+
+def _forcing_block(setting: NormalFormSetting, grid, n_big, w1, w2, t):
     if setting.conjugated:
         plain = replace(setting, conjugated=False)
-        g1, n2 = _reduced_forcing(plain, grid, np.conj(w1[..., ::-1]), w2, t)
+        g1, n2 = _forcing_block(plain, grid, n_big, np.conj(w1[..., ::-1]), w2, t)
         return np.conj(g1[..., ::-1]), n2
     eps = setting.epsilon
     ct, _ = setting.coefficients
@@ -357,34 +378,35 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     v1 = rot * w1
     v2 = w2 / rot
 
-    n_big = max(2 * grid.n_coeffs, grid.n_points)
     slots = np.mod(grid.wavenumbers, n_big)
     padded = np.zeros((4,) + v1.shape[:-1] + (n_big,), dtype=complex)
     padded[..., slots] = (v1, v2, -inv_k * v2, (1j * k) * v1)
     # physical values of v1, v2, delta = (M v)1 = -m v2 and dx v1
-    x1, x2, xd, xdv1 = np.fft.ifft(padded) * n_big
+    x1, x2, xd, xdv1 = np.fft.ifft(padded, norm="forward")
     xu = x1 + eps * xd  # u~1
     arg = -1j * x2  # the argument of q(a u~1) in (E v)2
-    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1, and the factored r1 product
+    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1 and the factored r1
+    # product, written over the spent operands
+    products = padded
     if setting.law is PressureLaw.P1:
         mod2, sq = 2.0 * a2 * xu * np.conj(xu), a2 * xu * xu
         cdv1 = np.conj(xdv1)
-        products = np.stack([
-            x1 * np.conj(x1) * x1,
-            mod2 * arg + sq * np.conj(arg),
-            mod2 * xdv1 + sq * cdv1,
-            a2 * (2.0 * xu * np.conj(xd) * xdv1 + 2.0 * xd * np.conj(x1) * xdv1
-                  + (xu + x1) * xd * cdv1),
-        ])
+        products[0] = x1 * np.conj(x1) * x1
+        products[1] = mod2 * arg + sq * np.conj(arg)
+        products[2] = mod2 * xdv1 + sq * cdv1
+        products[3] = a2 * (2.0 * xu * np.conj(xd) * xdv1
+                            + 2.0 * xd * np.conj(x1) * xdv1
+                            + (xu + x1) * xd * cdv1)
     else:
         sq = 3.0 * a2 * xu * xu
-        products = np.stack(
-            [x1 * x1 * x1, sq * arg, sq * xdv1, 3.0 * a2 * (xu + x1) * xd * xdv1]
-        )
+        products[0] = x1 * x1 * x1
+        products[1] = sq * arg
+        products[2] = sq * xdv1
+        products[3] = 3.0 * a2 * (xu + x1) * xd * xdv1
         if setting.law is PressureLaw.P2:
             # q2, the p2 cubic and their r1 product conjugate every p0 factor
-            products = np.conj(products)
-    cubic, coupling, kept, diff = (np.fft.fft(products) / n_big)[..., slots]
+            np.conj(products, out=products)
+    cubic, coupling, kept, diff = np.fft.fft(products, norm="forward")[..., slots]
 
     cubic[..., grid.n_modes] = 0.0  # P, the mean projection
     nonlin = (1j * a2) * cubic  # (E v)1 + i v1

@@ -77,6 +77,12 @@ def _panel_coeffs(y0, y1, y2, h: float):
     return c0, c1, c2
 
 
+def _panel_integrals(phase, c0, c1, c2, mom):
+    """int e^{i*omega*t} (c0 + c1 s + c2 s^2) over a panel whose start phase
+    is `phase`, from the moments `mom` of its span."""
+    return phase * (c0 * mom[0] + c1 * mom[1] + c2 * mom[2])
+
+
 def cumulative_weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:
     """Cumulative int_0^{t_j} e^{i*omega*t} g(t) dt for sampled g.
 
@@ -105,23 +111,18 @@ def cumulative_weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:
     out = np.zeros(y.shape, dtype=complex)
     # all panels at once, with e^{i*omega*t_j} carried explicitly per panel
     # start; cumsum adds the panels in order, as a running sum would
-    starts = np.arange(0, n - 2, 2)
-    phase = np.exp(1j * omega * (starts * h).reshape((-1,) + (1,) * omega.ndim))
-    c0, c1, c2 = _panel_coeffs(y[starts], y[starts + 1], y[starts + 2], h)
-    whole = phase * (c0 * mom_2h[0] + c1 * mom_2h[1] + c2 * mom_2h[2])
-    out[starts + 2] = np.cumsum(whole, axis=0)
-    out[starts + 1] = out[starts] + phase * (
-        c0 * mom_h[0] + c1 * mom_h[1] + c2 * mom_h[2]
-    )
+    starts = np.arange(0, n - 2, 2) * h
+    phase = np.exp(1j * omega * starts.reshape((-1,) + (1,) * omega.ndim))
+    c0, c1, c2 = _panel_coeffs(y[0:-2:2], y[1:-1:2], y[2::2], h)
+    out[2::2] = np.cumsum(_panel_integrals(phase, c0, c1, c2, mom_2h), axis=0)
+    out[1:-1:2] = out[0:-2:2] + _panel_integrals(phase, c0, c1, c2, mom_h)
     if n % 2 == 0:
         # Odd final interval: quadratic through the last three nodes,
         # integrated over its second half.
         j = n - 3
         phase = np.exp(1j * omega * (j * h))
         c0, c1, c2 = _panel_coeffs(y[j], y[j + 1], y[j + 2], h)
-        out[n - 1] = out[n - 2] + phase * (
-            c0 * mom_back[0] + c1 * mom_back[1] + c2 * mom_back[2]
-        )
+        out[n - 1] = out[n - 2] + _panel_integrals(phase, c0, c1, c2, mom_back)
     return out
 
 

@@ -481,15 +481,18 @@ class TestReducedRhs:
             assert err < 1e-10, (setting.system_kind, setting.law, err)
 
     @pytest.mark.parametrize(
-        "grid", [Grid(0), Grid(1), Grid(6), Grid(6, n_points=40)],
-        ids=["K0", "K1", "K6", "K6-n40"],
+        "grid", [Grid(0), Grid(1), Grid(6), Grid(6, n_points=300)],
+        ids=["K0", "K1", "K6", "K6-n300"],
     )
     def test_batch_rows_equal_serial_calls(self, rng, grid):
         # each row of one batched kernel call is the forcing of its own
-        # member at its own time: reduced_rhs minus its dispersion term
-        from wavereg.normalform import _reduced_forcing
+        # member at its own time: reduced_rhs minus its dispersion term.
+        # On the 300-point grid the kernel takes the members three at a time.
+        from wavereg.normalform import _BLOCK_POINTS, _reduced_forcing
 
-        members, n, K = 6, grid.n_coeffs, grid.n_modes
+        members, n, K = 7, grid.n_coeffs, grid.n_modes
+        if grid.n_points == 300:
+            assert _BLOCK_POINTS // 300 == 3
         times = np.linspace(0.0, 1.5, members) + rng.uniform(0.0, 0.1, members)
         k = grid.wavenumbers.astype(float)
         for setting in all_settings(0.2):
