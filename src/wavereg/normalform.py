@@ -43,10 +43,10 @@ is exp(+i t/eps).
 The operators above act on validated States, one at a time.  The reduced
 system itself is evaluated by one array kernel, _reduced_forcing: it takes
 raw coefficient arrays with a leading batch axis, one member per row at its
-own time, and assembles the same formula with two FFT calls per batch.
-reduced_rhs is that kernel on a batch of one; the reduced stepper and the
-Picard solver of integrate.py call it directly, Picard on all its nodes at
-once.
+own time, and assembles the same formula with two FFT calls per block of
+members.  reduced_rhs is that kernel on a batch of one; the reduced stepper
+and the Picard solver of integrate.py call it directly, Picard once per
+iterate on all its nodes.
 """
 
 from __future__ import annotations
@@ -365,6 +365,7 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
 
 
 def _forcing_block(setting: NormalFormSetting, grid, n_big, w1, w2, t):
+    """_reduced_forcing on one block of members."""
     if setting.conjugated:
         plain = replace(setting, conjugated=False)
         g1, n2 = _forcing_block(plain, grid, n_big, np.conj(w1[..., ::-1]), w2, t)

@@ -78,8 +78,8 @@ def _panel_coeffs(y0, y1, y2, h: float):
 
 
 def _panel_integrals(phase, c0, c1, c2, mom):
-    """int e^{i*omega*t} (c0 + c1 s + c2 s^2) over a panel whose start phase
-    is `phase`, from the moments `mom` of its span."""
+    """int e^{i*omega*(t_j + s)} (c0 + c1 s + c2 s^2) ds over a panel from
+    t_j, given phase = e^{i*omega*t_j} and the moments `mom` of its span."""
     return phase * (c0 * mom[0] + c1 * mom[1] + c2 * mom[2])
 
 
