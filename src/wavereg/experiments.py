@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .integrate import IntegratorConfig, Trajectory, solve
+from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from .model import PressureLaw, State, energy, linear_growth_rate
 from .normalform import NormalFormSetting, to_normal_coords
 from .spectral import (
@@ -337,13 +336,13 @@ def continuation_schedule(
 
     rhos: list[float] = []
     times: list[float] = []
-    for j in range(j_formula + 1):
-        if j == 0:
-            rho_j = rho
-        else:
-            rho_j = 1.2 * rho + 12.0 * growth_constant * rho * sum(times)
+    elapsed = 0.0  # the running sum of times, so the loop is linear in steps
+    rho_j = rho
+    for _ in range(j_formula + 1):
         rhos.append(rho_j)
         times.append(grain / (2.0 * step_constant * rho_j**2))
+        elapsed += times[-1]
+        rho_j = 1.2 * rho + 12.0 * growth_constant * rho * elapsed
 
     j_star = j_formula
     for j, rho_j in enumerate(rhos):
@@ -355,7 +354,7 @@ def continuation_schedule(
         time_sequence=tuple(times),
         j_formula=j_formula,
         j_star=j_star,
-        t_star=float(sum(times)),
+        t_star=elapsed,
     )
 
 
@@ -380,41 +379,38 @@ def growth_experiment(
     """Measure per-mode growth of the linearization about (u_star, 0).
 
     For each wavenumber the exact 2x2 mode system (transport coupling plus
-    optional dispersion epsilon * k^2 on the second component) is advanced by
-    its exponential, and the growth rate is read off the running maximum of
-    the solution magnitude: rate = log(M(T)/M(T/2)) / (T/2).  On bounded
-    orbits the running maximum saturates within the first revolution, so
-    neutral and hyperbolic points measure as zero instead of as sampling
-    noise.  The prediction column is the dispersionless symbol rate
+    optional dispersion epsilon * k^2 on the second component) is solved by
+    its closed-form exponential at every sample time, and the growth rate is
+    read off the running maximum M of the solution magnitude:
+    rate = log(M(T)/M(T/2)) / (T/2).  On bounded orbits M saturates within
+    the first revolution, so neutral and hyperbolic points measure as zero.
+    The prediction column is the dispersionless symbol rate
     |k| sqrt(-p'(u_star)); with epsilon > 0 the measured rate falls below it.
 
-    Exponential fit only: polynomially growing (Jordan-block) points read as
-    near zero.
+    Exponential fit only: polynomially growing (Jordan-block) points, which
+    take the closed form's limit branch, read as near zero.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not np.isfinite(u_star):
+        raise ValueError(f"u_star must be finite, got {u_star}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if n_samples < 101:
         raise ValueError("need at least 101 samples")
+    z = np.array([1.0 + 0.0j, 0.5 + 0.5j])
+    z /= np.linalg.norm(z)
     results = []
     for k in wavenumbers:
         predicted = linear_growth_rate(law, u_star, k)
         dp = -1.0 + 3.0 * float(u_star) ** 2
-        matrix = np.array(
-            [[0.0, -1j * k], [-1j * k * dp, 1j * epsilon * k**2]], dtype=complex
-        )
+        mode = (-1j * k, -1j * k * dp, 1j * epsilon * k**2)  # (l12, l21, l22)
         if predicted > 0.0:
             horizon = 16.0 / predicted
         else:
-            omega = float(np.max(np.abs(np.linalg.eigvals(matrix).imag)))
+            omega = float(np.max(np.abs(np.imag(_mode_exponential(*mode, 0.0)[1]))))
             horizon = 15.0 * math.pi / max(omega, 1e-3)
         dt = horizon / (n_samples - 1)
-        propagator = expm(matrix * dt)
-        z = np.array([1.0 + 0.0j, 0.5 + 0.5j])
-        z /= np.linalg.norm(z)
-        magnitudes = np.empty(n_samples)
-        for i in range(n_samples):
-            magnitudes[i] = np.linalg.norm(z)
-            z = propagator @ z
+        (e11, e12, e21, e22), _ = _mode_exponential(*mode, dt * np.arange(n_samples))
+        magnitudes = np.hypot(abs(e11 * z[0] + e12 * z[1]), abs(e21 * z[0] + e22 * z[1]))
         running = np.maximum.accumulate(magnitudes)
         half = (n_samples - 1) // 2
         measured = (math.log(running[-1]) - math.log(running[half])) / (

@@ -5,7 +5,8 @@ advances both systems by midpoint Runge-Kutta (exp_rk2, order 2, the
 default) or Euler (exp_euler, order 1) on the nonlinear remainder; each
 system only supplies its linear flow and its forcing.  For the full system
 the linear symbol of each Fourier mode is a 2x2 complex matrix whose
-exponential is applied exactly.  For the reduced system the only stiff
+exponential _mode_exponential applies exactly, in the one closed form that
+growth_experiment shares.  For the reduced system the only stiff
 piece is the free Schroedinger factor on w2, a unimodular per-mode phase,
 and the flow is the identity on w1; its step runs on the stacked (w1, w2)
 coefficient array, with the forcing from the array kernel of normalform.py.
@@ -59,13 +60,14 @@ class IntegratorConfig:
     store_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.blowup_threshold <= 0.0:
+        # an infinite threshold is allowed: it disables blow-up detection
+        if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
@@ -99,35 +101,38 @@ class PicardReport:
 _PROPAGATOR_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE)
-def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
-    """Entrywise arrays (p11, p12, p21, p22) of exp(dt * L_k) over all modes,
-    where L_k = [[0, -ik ct], [ik ct, i cd k^2]].
+def _mode_exponential(l12, l21, l22, t):
+    """Entries (e11, e12, e21, e22) of exp(t L) for L = [[0, l12], [l21, l22]],
+    and the eigenvalues (lam_p, lam_m) of L; broadcasts over the entries and t.
 
-    Generic modes use the closed-form eigen-decomposition; when the two
+    Generic matrices use the closed-form eigen-decomposition; when the two
     eigenvalues collide within 1e-8 (discriminant zero, e.g. the unrescaled
-    system at eps|k| = 2) the Cayley-Hamilton limit exp(lam dt)(I + dt(L -
+    system at eps|k| = 2) the Cayley-Hamilton limit exp(lam t)(I + t(L -
     lam I)) replaces it, avoiding the 0/0 in the spectral formula."""
-    k = grid.wavenumbers.astype(float)
-    l12 = -1j * k * ct
-    l21 = 1j * k * ct
-    l22 = 1j * cd * k * k
     half = 0.5 * l22
-    s = np.sqrt(half * half + (k * ct) ** 2)  # half-gap of the spectrum
+    s = np.sqrt(half * half + l12 * l21)  # half-gap of the spectrum
     lam_p, lam_m = half + s, half - s
     degenerate = np.abs(2.0 * s) < 1e-8 * np.maximum(1.0, np.abs(l22))
     gap = np.where(degenerate, 1.0, 2.0 * s)
-    ep, em = np.exp(lam_p * dt), np.exp(lam_m * dt)
-    p11 = (-lam_m * ep + lam_p * em) / gap
-    p12 = l12 * (ep - em) / gap
-    p21 = l21 * (ep - em) / gap
-    p22 = ((l22 - lam_m) * ep - (l22 - lam_p) * em) / gap
-    el = np.exp(half * dt)
-    p11 = np.where(degenerate, el * (1.0 - half * dt), p11)
-    p12 = np.where(degenerate, el * dt * l12, p12)
-    p21 = np.where(degenerate, el * dt * l21, p21)
-    p22 = np.where(degenerate, el * (1.0 + dt * (l22 - half)), p22)
-    return p11, p12, p21, p22
+    ep, em = np.exp(lam_p * t), np.exp(lam_m * t)
+    e11 = (-lam_m * ep + lam_p * em) / gap
+    e12 = l12 * (ep - em) / gap
+    e21 = l21 * (ep - em) / gap
+    e22 = ((l22 - lam_m) * ep - (l22 - lam_p) * em) / gap
+    el = np.exp(half * t)
+    e11 = np.where(degenerate, el * (1.0 - half * t), e11)
+    e12 = np.where(degenerate, el * t * l12, e12)
+    e21 = np.where(degenerate, el * t * l21, e21)
+    e22 = np.where(degenerate, el * (1.0 + t * (l22 - half)), e22)
+    return (e11, e12, e21, e22), (lam_p, lam_m)
+
+
+@lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE)
+def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
+    """Entrywise arrays (p11, p12, p21, p22) of exp(dt * L_k) over all modes,
+    where L_k = [[0, -ik ct], [ik ct, i cd k^2]]."""
+    k = grid.wavenumbers.astype(float)
+    return _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
 
 
 def _apply_linear(spec: SystemSpec, state: State, dt: float) -> State:

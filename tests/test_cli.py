@@ -9,6 +9,8 @@ serializes at 17 significant digits, which round-trips float64.
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -627,3 +629,58 @@ class TestTheoremScalingOffSwitch:
         conf.write_text("theorem_scaling = true\n")
         assert run_simulate(tmp_path, "--config", str(conf), "--alpha", "0") == 1
         assert "pins alpha = 0.5" in capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    """Every float flag, list entry and config value goes through one
+    converter, which rejects NaN and the infinities before any command runs."""
+
+    @pytest.mark.parametrize("argv,token", [
+        pytest.param(["simulate", "--epsilon", "0.1", "--dt", "nan"], "nan",
+                     id="simulate-dt"),
+        pytest.param(["simulate", "--epsilon", "0.1", "--t-end", "inf", "--dt", "0.1"],
+                     "inf", id="simulate-t-end"),
+        pytest.param(["simulate", "--epsilon", "0.1", "--rho-max", "nan"], "nan",
+                     id="simulate-rho-max"),
+        pytest.param(["simulate", "--epsilon", "0.1", "--alpha", "nan"], "nan",
+                     id="simulate-alpha"),
+        pytest.param(["sweep", "--epsilons", "0.2,0.1,0.05", "--dt", "nan"], "nan",
+                     id="sweep-dt"),
+        pytest.param(["sweep", "--epsilons", "0.2,nan,0.05"], "nan",
+                     id="sweep-epsilons-entry"),
+        pytest.param(["growth", "--epsilon", "nan"], "nan", id="growth-epsilon"),
+        pytest.param(["picard", "--epsilon", "0.2", "--t-horizon", "nan"], "nan",
+                     id="picard-t-horizon"),
+        pytest.param(["continue", "--epsilon", "0.01", "--rho", "inf"], "inf",
+                     id="continue-rho"),
+        pytest.param(["continue", "--epsilon", "0.01", "--rho=-inf"], "-inf",
+                     id="continue-rho-negative"),
+    ])
+    def test_flag_rejected_with_one_line_and_no_output(self, capsys, tmp_path,
+                                                       argv, token):
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected a finite number, got {token!r}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_config_file_value_rejected(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("dt = nan\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--epsilon", "0.1", "--config", str(conf),
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: expected a finite number, got 'nan'\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy serves the tests only; the program must not pay for its import."""
+    code = ("import sys, wavereg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

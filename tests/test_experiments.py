@@ -1,7 +1,8 @@
 """Tests for the experiment drivers.
 
 The continuation worked values are hand-derived from the recurrence; the
-growth worked values come from the exact 2x2 mode eigenvalues; sweep fits
+growth worked values come from the exact 2x2 mode eigenvalues, and its
+Jordan point from scipy's dense exponential at every sample time; sweep fits
 are exercised on synthetic rows because the physical rescaled runs below
 stay bounded (that fact itself is asserted where it matters).
 """
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from wavereg import experiments
 from wavereg.experiments import (
@@ -351,6 +353,18 @@ class TestContinuationSchedule:
         ]
         assert counts == sorted(counts) and counts[0] < counts[-1]
 
+    def test_matches_the_literal_recurrence(self):
+        # 1249 steps; the oracle re-sums the earlier step lengths each step
+        s = continuation_schedule(0.5, 0.01, 0.0, 1.0, 1.0)
+        assert s.j_formula == 1249
+        times = []
+        for j, rho_j in enumerate(s.rho_sequence):
+            expected = 0.5 if j == 0 else 1.2 * 0.5 + 12.0 * 0.5 * sum(times)
+            assert math.isclose(rho_j, expected, rel_tol=1e-13)
+            times.append(0.01**2 / (2.0 * rho_j**2))
+        assert list(s.time_sequence) == times
+        assert math.isclose(s.t_star, sum(times), rel_tol=1e-13)
+
     def test_alpha_zero_grain(self):
         s = continuation_schedule(0.5, 0.05, 0.0, 1.0, 1.0)
         assert math.isclose(s.time_sequence[0], 0.05**2 / 0.5, rel_tol=1e-14)
@@ -408,6 +422,30 @@ class TestGrowthExperiment:
             growth_experiment(PressureLaw.P0, 0.0, [4], epsilon=-0.1)
         with pytest.raises(ValueError, match="samples"):
             growth_experiment(PressureLaw.P0, 0.0, [4], n_samples=50)
+
+    @pytest.mark.parametrize("u_star,epsilon,match", [
+        (float("nan"), 0.0, "u_star"),
+        (float("inf"), 0.0, "u_star"),
+        (0.0, float("nan"), "epsilon"),
+        (0.0, float("inf"), "epsilon"),
+    ])
+    def test_rejects_non_finite(self, u_star, epsilon, match):
+        with pytest.raises(ValueError, match=match):
+            growth_experiment(PressureLaw.P0, u_star, [4], epsilon=epsilon)
+
+    def test_jordan_point_matches_dense_exponential(self):
+        # u* = 0.5, eps = 0.5, k = 2: the discriminant is exactly zero, both
+        # eigenvalues are i, and |z(t)| grows linearly, not exponentially.
+        (row,) = growth_experiment(PressureLaw.P0, 0.5, [2], epsilon=0.5)
+        matrix = np.array([[0.0, -2j], [0.5j, 2j]])
+        times = np.linspace(0.0, 16.0 / row.predicted, 20001)
+        z = np.array([1.0 + 0.0j, 0.5 + 0.5j]) / math.sqrt(1.5)
+        running = np.maximum.accumulate(
+            [np.linalg.norm(expm(t * matrix) @ z) for t in times])
+        half = times.size // 2
+        oracle = math.log(running[-1] / running[half]) / (times[-1] - times[half])
+        assert abs(row.measured - oracle) < 1e-12 * oracle
+        assert abs(row.measured - 0.0849716224687) < 1e-12
 
 
 class TestLemmaMSuite:

@@ -11,6 +11,7 @@ measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from wavereg.integrate import (
     Trajectory,
     _PROPAGATOR_CACHE_SIZE,
     _apply_linear,
+    _mode_exponential,
     _plain_propagator,
     picard_solve,
     solve,
@@ -132,6 +134,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(dt=float("nan"), t_end=1.0),
+            dict(dt=float("inf"), t_end=1.0),
+            dict(dt=1e-3, t_end=float("nan")),
+            dict(dt=1e-3, t_end=float("inf")),
+            dict(dt=1e-3, t_end=1.0, blowup_threshold=float("nan")),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        # an infinite blowup_threshold stays allowed: it switches detection off
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kwargs)
+
 
 class TestPlainPropagator:
     @pytest.mark.parametrize("rescaled", [False, True])
@@ -170,6 +187,48 @@ class TestPlainPropagator:
         p11, p12, p21, p22 = _plain_propagator(grid, 1.0, 0.3, 0.05)
         i = grid.index(0)
         assert (p11[i], p12[i], p21[i], p22[i]) == (1.0, 0.0, 0.0, 1.0)
+
+
+class TestModeExponential:
+    """The closed form against the dense exponential over growth_experiment's
+    mode family L = [[0, -ik], [-ik p'(u*), i eps k^2]], p'(u) = -1 + 3u^2."""
+
+    @pytest.mark.parametrize(
+        "u_star,eps,k",
+        [
+            (0.0, 0.0, 4),  # elliptic
+            (0.3, 0.1, 2),  # elliptic, dispersive
+            (0.0, 0.5, 16),  # elliptic, stabilized by dispersion
+            (1.0, 0.05, 8),  # hyperbolic
+            (2.0, 0.0, 3),  # hyperbolic
+            (0.5, 0.5, 2),  # discriminant exactly 0: double eigenvalue i
+            (1.0 / math.sqrt(3.0), 0.0, 4),  # p'(u*) = 0 to rounding
+        ],
+    )
+    def test_matches_dense_exponential(self, u_star, eps, k):
+        dp = -1.0 + 3.0 * u_star**2
+        l12, l21, l22 = -1j * k, -1j * k * dp, 1j * eps * k**2
+        matrix = np.array([[0.0, l12], [l21, l22]])
+        times = np.array([0.0, 1e-3, 0.3, 1.7, 8.0, 16.0])
+        (e11, e12, e21, e22), (lam_p, lam_m) = _mode_exponential(l12, l21, l22, times)
+        for j, t in enumerate(times):
+            ref = expm(t * matrix)
+            got = np.array([[e11[j], e12[j]], [e21[j], e22[j]]])
+            assert np.max(np.abs(got - ref)) < 1e-11 * max(1.0, np.abs(ref).max())
+        # the eigenvalues solve lam^2 - l22 lam - l12 l21 = 0
+        assert abs(lam_p + lam_m - l22) < 1e-13 * max(1.0, abs(l22))
+        assert abs(lam_p * lam_m + l12 * l21) < 1e-12 * max(1.0, abs(l12 * l21))
+
+    def test_jordan_point_takes_the_limit_branch(self):
+        # u* = 0.5, eps = 0.5, k = 2: L = [[0, -2i], [0.5i, 2i]] = i I + N
+        # with N nilpotent, so exp(tL) = exp(it) (I + t N) exactly.
+        (e11, e12, e21, e22), (lam_p, lam_m) = _mode_exponential(-2j, 0.5j, 2j, 3.0)
+        assert lam_p == lam_m == 1j
+        phase = np.exp(3j)
+        assert abs(e11 - phase * (1.0 - 3j)) < 1e-14
+        assert abs(e12 - phase * 3.0 * -2j) < 1e-14
+        assert abs(e21 - phase * 3.0 * 0.5j) < 1e-14
+        assert abs(e22 - phase * (1.0 + 3j)) < 1e-14
 
 
 class TestModifiedPropagator:
