@@ -1,8 +1,9 @@
 """Integrator tests.
 
-The linear propagator is checked against scipy's dense matrix exponential
-mode by mode (including the degenerate-spectrum modes where the closed-form
-eigen-expression is 0/0).  The modified step, which the integrator takes as
+The linear propagator, and the 2x2 mode exponential behind it over the
+growth experiment's matrices too, are checked against scipy's dense matrix
+exponential mode by mode (including the degenerate-spectrum modes where the
+closed-form eigen-expression is 0/0).  The modified step, which the integrator takes as
 the mirrored plain p0 step, is checked at tiny amplitude against the dense
 exponential of its own 4x4 symbol on (u1_k, u2_k, conj u1_{-k},
 conj u2_{-k}), written here from rhs_full's modified formula, and against
@@ -218,17 +219,6 @@ class TestModeExponential:
         # the eigenvalues solve lam^2 - l22 lam - l12 l21 = 0
         assert abs(lam_p + lam_m - l22) < 1e-13 * max(1.0, abs(l22))
         assert abs(lam_p * lam_m + l12 * l21) < 1e-12 * max(1.0, abs(l12 * l21))
-
-    def test_jordan_point_takes_the_limit_branch(self):
-        # u* = 0.5, eps = 0.5, k = 2: L = [[0, -2i], [0.5i, 2i]] = i I + N
-        # with N nilpotent, so exp(tL) = exp(it) (I + t N) exactly.
-        (e11, e12, e21, e22), (lam_p, lam_m) = _mode_exponential(-2j, 0.5j, 2j, 3.0)
-        assert lam_p == lam_m == 1j
-        phase = np.exp(3j)
-        assert abs(e11 - phase * (1.0 - 3j)) < 1e-14
-        assert abs(e12 - phase * 3.0 * -2j) < 1e-14
-        assert abs(e21 - phase * 3.0 * 0.5j) < 1e-14
-        assert abs(e22 - phase * (1.0 + 3j)) < 1e-14
 
 
 class TestModifiedPropagator:
