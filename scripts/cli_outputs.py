@@ -1,0 +1,121 @@
+"""Write the CLI's outputs on a fixed list of cases, for a byte-level diff.
+
+    python3 scripts/cli_outputs.py OUT_DIR
+
+OUT_DIR must not exist yet.  Runs each case in this process through
+`wavereg.cli.main`, taking `wavereg` from the `src/` next to this script.
+For a case NAME it writes OUT_DIR/NAME/exit, stdout and stderr, with the
+run's output directory written as <output-dir>, and the files the run
+wrote under OUT_DIR/NAME/files/.  Manifests (*.json) are rewritten without
+`wall_time_seconds` and `config.output_dir`, the two entries that vary from
+run to run and from place to place; every other byte is the CLI's own.
+
+To check that a change keeps the CLI's outputs, run the script from a
+checkout of each commit (copy it into a checkout that predates it) and
+compare:
+
+    diff -r OUT_PARENT OUT_CHANGE
+
+The cases take about 3 s (Python 3.11, numpy 2.4, one 2-core host).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+
+from wavereg.cli import main as cli_main  # noqa: E402
+
+_MODIFIED_SWEEP = [
+    "sweep", "--system", "modified", "--pressure", "p0", "--lambda", "0.2",
+    "--n-modes", "64", "--epsilons", "0.2,0.1,0.05", "--time-scale", "eps_squared",
+    "--dt", "0.02", "--t-end", "3.0", "--rho-max", "0.152", "--seed", "3",
+]
+_P1_SWEEP = [
+    "sweep", "--pressure", "p1", "--alpha", "0.5", "--epsilons", "0.2,0.1,0.05",
+    "--n-modes", "16", "--dt", "0.005", "--t-end", "0.05", "--seed", "11",
+]
+
+# name -> argv; cases that write files get --output-dir appended
+CASES = {
+    "simulate-p1-alpha": ["simulate", "--pressure", "p1", "--epsilon", "0.1",
+                          "--alpha", "0.5"],
+    "simulate-modified": ["simulate", "--system", "modified", "--epsilon", "0.1"],
+    "simulate-p2-theorem": ["simulate", "--pressure", "p2", "--epsilon", "0.1",
+                            "--theorem-scaling"],
+    "simulate-modified-crossing": [
+        "simulate", "--system", "modified", "--epsilon", "0.2", "--seed", "3",
+        "--rho-max", "0.152", "--dt", "0.0008", "--t-end", "0.12"],
+    "sweep-modified-k64": _MODIFIED_SWEEP,
+    "sweep-p1": _P1_SWEEP,
+    "sweep-p1-jobs2": _P1_SWEEP + ["--jobs", "2"],
+    "picard-modified": ["picard", "--system", "modified", "--epsilon", "0.2"],
+    "picard-p1": ["picard", "--pressure", "p1", "--epsilon", "0.2", "--seed", "5"],
+    "growth-defaults": ["growth"],
+    "continue": ["continue", "--rho", "0.5", "--epsilon", "0.003", "--alpha", "0"],
+    "verify": ["verify"],
+    "error-simulate-rho-max": ["simulate", "--epsilon", "0.1", "--rho-max", "0"],
+    "error-sweep-rho-max": ["sweep", "--epsilons", "0.2,0.1,0.05", "--rho-max", "0"],
+    "error-simulate-target-norm": ["simulate", "--epsilon", "0.1",
+                                   "--target-norm", "0.2"],
+    "error-sweep-target-norm": ["sweep", "--epsilons", "0.2,0.1,0.05",
+                                "--target-norm", "0.2"],
+    "error-picard-target-norm": ["picard", "--epsilon", "0.2", "--target-norm", "0.2"],
+    "error-modified-p1": ["simulate", "--system", "modified", "--pressure", "p1",
+                          "--epsilon", "0.1"],
+}
+
+_TOKEN = "<output-dir>"
+
+
+def _strip_manifest(path: str) -> None:
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest.pop("wall_time_seconds", None)
+    manifest.get("config", {}).pop("output_dir", None)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def run_case(name: str, argv: list, out_dir: str) -> int:
+    case_dir = os.path.join(out_dir, name)
+    files = os.path.join(case_dir, "files")
+    os.makedirs(files)
+    if argv[0] != "verify":
+        argv = argv + ["--output-dir", files]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+        with open(os.path.join(case_dir, stream), "w", encoding="utf-8") as handle:
+            handle.write(text.replace(files, _TOKEN))
+    with open(os.path.join(case_dir, "exit"), "w", encoding="utf-8") as handle:
+        handle.write(f"{code}\n")
+    for entry in os.listdir(files):
+        if entry.endswith(".json"):
+            _strip_manifest(os.path.join(files, entry))
+    return code
+
+
+def main(args: list) -> int:
+    if len(args) != 1:
+        print("usage: python3 scripts/cli_outputs.py OUT_DIR", file=sys.stderr)
+        return 1
+    out_dir = os.path.abspath(args[0])
+    if os.path.exists(out_dir):
+        print(f"{out_dir} exists; give a new directory", file=sys.stderr)
+        return 1
+    for name, argv in CASES.items():
+        code = run_case(name, argv, out_dir)
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -35,6 +35,7 @@ from . import __version__
 from .experiments import (
     DatumSpec,
     continuation_schedule,
+    existence_run,
     growth_experiment,
     lemma_m_suite,
     make_datum,
@@ -368,16 +369,6 @@ def _check_epsilon(eps: float) -> None:
         raise CliError(f"epsilon must lie strictly between 0 and 1, got {eps}")
 
 
-def _check_target_norm(value: float) -> None:
-    if not 0.0 < value < 1.0 / 6.0:
-        raise CliError(f"target_norm must lie strictly between 0 and 1/6, got {value}")
-
-
-def _check_rho_max(value: float) -> None:
-    if value <= 0.0:
-        raise CliError(f"rho_max must be positive, got {value}")
-
-
 def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
     """The datum prefactor as (exponent, fixed): eps**alpha for the
     regularized system (exponent = alpha), a fixed lambda for the modified
@@ -415,6 +406,15 @@ def _amplitude(cfg: dict) -> float:
     """The datum prefactor of _amplitude_rule at the run's epsilon."""
     exponent, fixed = _amplitude_rule(cfg)
     return fixed if exponent is None else cfg["epsilon"] ** exponent
+
+
+def _datum_spec(cfg: dict) -> tuple[PressureLaw, DatumSpec]:
+    """The pressure law and the datum recipe of simulate, sweep and picard.
+    Call it after _amplitude_rule, whose message for a modified system with
+    a law other than p0 is the one to print."""
+    law = _LAWS[cfg["pressure"]]
+    conjugated = cfg["system"] == "modified"
+    return law, DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)
 
 
 # --------------------------------------------------------------------------
@@ -465,25 +465,17 @@ _SIMULATE_DEFAULTS = {
 
 def _cmd_simulate(cfg: dict) -> int:
     _check_epsilon(cfg["epsilon"])
-    _check_target_norm(cfg["target_norm"])
-    _check_rho_max(cfg["rho_max"])
-    law = _LAWS[cfg["pressure"]]
-    conjugated = cfg["system"] == "modified"
     amp = _amplitude(cfg)
+    law, spec = _datum_spec(cfg)
 
     started = time.perf_counter()
-    grid = Grid(cfg["n_modes"], cfg["n_points"])
-    spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)
-    profile = make_datum(grid, spec)
+    profile = make_datum(Grid(cfg["n_modes"], cfg["n_points"]), spec)
     system = SystemSpec(cfg["system"], cfg["epsilon"], rescaled=True, amplitude=amp)
-    setting = NormalFormSetting(cfg["epsilon"], conjugated, law, amp)
+    setting = NormalFormSetting(cfg["epsilon"], spec.conjugated, law, amp)
     run_config = IntegratorConfig(
-        dt=cfg["dt"],
-        t_end=cfg["t_end"],
-        blowup_threshold=cfg["rho_max"] * amp,
-        store_every=cfg["store_every"],
+        dt=cfg["dt"], t_end=cfg["t_end"], store_every=cfg["store_every"]
     )
-    trajectory = solve(system, law, amp * profile, run_config)
+    trajectory = existence_run(system, law, amp * profile, run_config, cfg["rho_max"])
 
     rows = []
     for t, state, diag in zip(
@@ -536,14 +528,10 @@ _SWEEP_DEFAULTS = {
 def _cmd_sweep(cfg: dict) -> int:
     for eps in cfg["epsilons"]:
         _check_epsilon(eps)
-    _check_target_norm(cfg["target_norm"])
-    _check_rho_max(cfg["rho_max"])
-    law = _LAWS[cfg["pressure"]]
-    conjugated = cfg["system"] == "modified"
     exponent, fixed = _amplitude_rule(cfg)
+    law, spec = _datum_spec(cfg)
 
     started = time.perf_counter()
-    spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)
     result = scaling_sweep(
         law,
         cfg["system"],
@@ -663,10 +651,8 @@ _PICARD_DEFAULTS = {
 
 def _cmd_picard(cfg: dict) -> int:
     _check_epsilon(cfg["epsilon"])
-    _check_target_norm(cfg["target_norm"])
-    law = _LAWS[cfg["pressure"]]
-    conjugated = cfg["system"] == "modified"
     amp = _amplitude(cfg)
+    law, spec = _datum_spec(cfg)
     horizon = cfg["t_horizon"]
     if horizon is None:
         horizon = 0.1 * cfg["epsilon"] ** 2
@@ -674,18 +660,13 @@ def _cmd_picard(cfg: dict) -> int:
         raise CliError(f"t_horizon must be positive, got {horizon}")
 
     started = time.perf_counter()
-    grid = Grid(cfg["n_modes"])
-    spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)
-    profile = make_datum(grid, spec)
-    setting = NormalFormSetting(cfg["epsilon"], conjugated, law, amp)
+    profile = make_datum(Grid(cfg["n_modes"]), spec)
+    setting = NormalFormSetting(cfg["epsilon"], spec.conjugated, law, amp)
     v0 = to_normal_coords(setting, profile)
-    try:
-        _, report = picard_solve(
-            v0.u1, v0.u2, law, setting, horizon,
-            max_iter=cfg["max_iter"], n_nodes=cfg["n_nodes"],
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    _, report = picard_solve(
+        v0.u1, v0.u2, law, setting, horizon,
+        max_iter=cfg["max_iter"], n_nodes=cfg["n_nodes"],
+    )
     elapsed = time.perf_counter() - started
 
     _, json_path = _write_outputs(cfg, "picard", {
@@ -850,11 +831,8 @@ def main(argv=None) -> int:
     try:
         handler, _, defaults = _COMMANDS[args.command]
         return handler(_resolve(args, defaults))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # validation raised by the library layer, same contract as CliError
+    except (CliError, ValueError) as exc:
+        # a ValueError is validation raised by the library layer
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
-from .model import PressureLaw, State, energy, linear_growth_rate
+from .model import PressureLaw, State, SystemSpec, energy, linear_growth_rate
 from .normalform import NormalFormSetting, to_normal_coords
 from .spectral import (
     Grid,
@@ -40,6 +41,8 @@ from .spectral import (
 )
 
 _MAX_PROFILE_NORM = 1.0 / 6.0
+
+_GROWTH_BLOCK = 16384  # sample times per closed-form call in growth_experiment
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +119,18 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
 # Existence times and amplitude sweeps.
 
 
+def existence_run(system, law: PressureLaw, datum: State, config: IntegratorConfig,
+                  rho_max: float = 1.0) -> Trajectory:
+    """The one existence run: `solve` with the blow-up threshold
+    rho_max * system.amplitude, so rho_max is stated on the scale of the
+    profile returned by make_datum regardless of the datum prefactor.
+    simulate, the sweep and existence_time all run through here."""
+    if not rho_max > 0.0:
+        raise ValueError(f"rho_max must be positive, got {rho_max}")
+    run_config = replace(config, blowup_threshold=rho_max * system.amplitude)
+    return solve(system, law, datum, run_config)
+
+
 def existence_time(
     system,
     law: PressureLaw,
@@ -125,17 +140,11 @@ def existence_time(
 ) -> tuple[float | None, str]:
     """First crossing of rho_max, in units of the normalized profile.
 
-    The threshold handed to the integrator is rho_max * system.amplitude, so
-    callers state rho_max on the same scale as the profile returned by
-    make_datum regardless of the datum prefactor.  Returns (time, status)
-    where time is the bisection-refined crossing time for status "blowup"
-    and None otherwise; "diverged" (non-finite state) is kept distinct from
-    "completed".
+    Returns (time, status) of existence_run: time is the bisection-refined
+    crossing time for status "blowup" and None otherwise; "diverged"
+    (non-finite state) is kept distinct from "completed".
     """
-    if rho_max <= 0.0:
-        raise ValueError("rho_max must be positive")
-    run_config = replace(config, blowup_threshold=rho_max * system.amplitude)
-    trajectory = solve(system, law, datum, run_config)
+    trajectory = existence_run(system, law, datum, config, rho_max)
     return trajectory.blowup_time, trajectory.terminal_status
 
 
@@ -165,17 +174,17 @@ class SweepResult:
     message: str
 
 
-def _sweep_single(args) -> SweepRow:
-    (kind, law, eps, amp, spec, n_modes, dt, t_end, rho_max, store_every) = args
-    from .model import SystemSpec  # local import keeps worker pickling trivial
-
-    grid = Grid(n_modes)
-    profile = make_datum(grid, spec)
+def _sweep_single(eps, *, kind, law, profile, amplitude_exponent, amplitude,
+                  time_scale, dt, t_end, rho_max, store_every) -> SweepRow:
+    """The sweep's run at eps: the shared profile times the run's amplitude,
+    with dt and t_end on the run's time scale."""
+    amp = eps**amplitude_exponent if amplitude_exponent is not None else amplitude
+    factor = eps**2 if time_scale == "eps_squared" else 1.0
     system = SystemSpec(kind, eps, rescaled=True, amplitude=amp)
     config = IntegratorConfig(
-        dt=dt, t_end=t_end, blowup_threshold=rho_max * amp, store_every=store_every
+        dt=dt * factor, t_end=t_end * factor, store_every=store_every
     )
-    trajectory = solve(system, law, amp * profile, config)
+    trajectory = existence_run(system, law, amp * profile, config, rho_max)
     last = trajectory.states[-1]
     return SweepRow(
         epsilon=eps,
@@ -204,16 +213,18 @@ def scaling_sweep(
 ) -> SweepResult:
     """Existence times of one datum family across a list of epsilon.
 
-    The datum is the same normalized profile for every run, multiplied by
-    eps**amplitude_exponent (theorem scaling) or by a fixed amplitude
-    (exactly one of the two must be given).  With time_scale="eps_squared"
-    both dt and t_end are multiplied by eps**2, matching the natural time
-    of the fast transport; "fixed" uses them as given.
+    The datum is one normalized profile, built once here and handed to
+    every run, multiplied by eps**amplitude_exponent (theorem scaling) or
+    by a fixed amplitude (exactly one of the two must be given).  With
+    time_scale="eps_squared" both dt and t_end are multiplied by eps**2,
+    matching the natural time of the fast transport; "fixed" uses them as
+    given.
 
-    Runs are independent, so jobs > 1 dispatches them to a process pool of
-    min(jobs, len(epsilons)) workers; rows come back merged in the order of
-    `epsilons` either way, and the result is bitwise reproducible for a
-    fixed spec.
+    Each run goes through existence_run.  Runs are independent, so jobs > 1
+    dispatches them to a process pool of min(jobs, len(epsilons)) workers,
+    each task carrying the profile and its epsilon; rows come back merged in
+    the order of `epsilons` either way, and the result is bitwise
+    reproducible for a fixed spec.
     """
     if len(epsilons) < 3:
         raise ValueError("need at least three epsilon values")
@@ -233,20 +244,17 @@ def scaling_sweep(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    tasks = []
-    for eps in epsilons:
-        amp = eps**amplitude_exponent if amplitude_exponent is not None else amplitude
-        factor = eps**2 if time_scale == "eps_squared" else 1.0
-        tasks.append(
-            (kind, law, eps, amp, spec, n_modes, dt * factor, t_end * factor,
-             rho_max, store_every)
-        )
-
+    run = partial(
+        _sweep_single, kind=kind, law=law, profile=make_datum(Grid(n_modes), spec),
+        amplitude_exponent=amplitude_exponent, amplitude=amplitude,
+        time_scale=time_scale, dt=dt, t_end=t_end, rho_max=rho_max,
+        store_every=store_every,
+    )
     if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = tuple(pool.map(_sweep_single, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(epsilons))) as pool:
+            rows = tuple(pool.map(run, epsilons))
     else:
-        rows = tuple(_sweep_single(task) for task in tasks)
+        rows = tuple(map(run, epsilons))
     return SweepResult(rows, *fit_existence_times(rows))
 
 
@@ -382,10 +390,15 @@ def growth_experiment(
     optional dispersion epsilon * k^2 on the second component) is solved by
     its closed-form exponential at every sample time, and the growth rate is
     read off the running maximum M of the solution magnitude:
-    rate = log(M(T)/M(T/2)) / (T/2).  On bounded orbits M saturates within
-    the first revolution, so neutral and hyperbolic points measure as zero.
-    The prediction column is the dispersionless symbol rate
-    |k| sqrt(-p'(u_star)); with epsilon > 0 the measured rate falls below it.
+    rate = log(M(T)/M(T/2)) / (T/2).  The times are evaluated in blocks of
+    _GROWTH_BLOCK samples, so memory does not grow with n_samples.
+    Hyperbolic points (p'(u_star) > 0, epsilon = 0) read 0.0, or rounding
+    below 1e-14: their orbit has one frequency, so M saturates within the
+    first revolution.  Stable dispersive points (epsilon > 0) read sampling
+    noise of up to a few 1e-7 instead: their orbit carries two frequencies,
+    so M keeps creeping past the first revolution.  The prediction column
+    is the dispersionless symbol rate |k| sqrt(-p'(u_star)); with
+    epsilon > 0 the measured rate falls below it.
 
     Exponential fit only: polynomially growing (Jordan-block) points, which
     take the closed form's limit branch, read as near zero.
@@ -409,11 +422,16 @@ def growth_experiment(
             omega = float(np.max(np.abs(np.imag(_mode_exponential(*mode, 0.0)[1]))))
             horizon = 15.0 * math.pi / max(omega, 1e-3)
         dt = horizon / (n_samples - 1)
-        (e11, e12, e21, e22), _ = _mode_exponential(*mode, dt * np.arange(n_samples))
-        magnitudes = np.hypot(abs(e11 * z[0] + e12 * z[1]), abs(e21 * z[0] + e22 * z[1]))
-        running = np.maximum.accumulate(magnitudes)
         half = (n_samples - 1) // 2
-        measured = (math.log(running[-1]) - math.log(running[half])) / (
+        peak_half = peak = 0.0  # the running maximum at sample half and at the end
+        for start in range(0, n_samples, _GROWTH_BLOCK):
+            t = dt * np.arange(start, min(start + _GROWTH_BLOCK, n_samples))
+            (e11, e12, e21, e22), _ = _mode_exponential(*mode, t)
+            m = np.hypot(abs(e11 * z[0] + e12 * z[1]), abs(e21 * z[0] + e22 * z[1]))
+            peak = np.maximum(peak, m.max())
+            if start <= half:
+                peak_half = np.maximum(peak_half, m[: half + 1 - start].max())
+        measured = (math.log(peak) - math.log(peak_half)) / (
             dt * (n_samples - 1 - half)
         )
         results.append(GrowthMeasurement(int(k), float(measured), float(predicted)))

@@ -597,6 +597,69 @@ class TestSweepInputRules:
         assert capsys.readouterr().err == "error: rho_max must be positive, got 0.0\n"
 
 
+class TestDatumRules:
+    """simulate, sweep and picard build their datum through one recipe, so
+    each prints the library's own message for a bad datum."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--epsilon", "0.1"],
+        ["sweep", "--epsilons", "0.2,0.1,0.05"],
+        ["picard", "--epsilon", "0.2"],
+    ], ids=["simulate", "sweep", "picard"])
+    def test_target_norm_message_is_the_datum_s(self, capsys, tmp_path, argv):
+        rc = main(argv + ["--target-norm", "0.2", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: target_norm must lie in (0, 1/6), got 0.2\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "picard"])
+    def test_law_rule_comes_before_the_datum(self, capsys, tmp_path, command):
+        eps = (["--epsilons", "0.2,0.1,0.05"] if command == "sweep"
+               else ["--epsilon", "0.2"])
+        rc = main([command, *eps, "--system", "modified", "--pressure", "p1",
+                   "--target-norm", "0.2", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the modified system requires pressure law p0\n")
+
+
+class TestCliOutputsScript:
+    """scripts/cli_outputs.py, the byte-level record of the CLI's outputs."""
+
+    @pytest.fixture
+    def script(self):
+        import importlib.util
+
+        path = REPO_ROOT / "scripts" / "cli_outputs.py"
+        spec = importlib.util.spec_from_file_location("cli_outputs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_writes_streams_and_stripped_manifests(self, script, tmp_path):
+        code = script.run_case("continue", script.CASES["continue"], str(tmp_path))
+        assert code == 0
+        case = tmp_path / "continue"
+        assert (case / "exit").read_text() == "0\n"
+        assert (case / "stderr").read_text() == ""
+        assert (case / "stdout").read_text().endswith(
+            "wrote <output-dir>/continue.json\n")
+        manifest = json.loads((case / "files" / "continue.json").read_text())
+        assert "wall_time_seconds" not in manifest
+        assert "output_dir" not in manifest["config"]
+        assert manifest["j_formula"] == 13887
+
+    def test_error_case_and_existing_directory(self, script, tmp_path, capsys):
+        code = script.run_case(
+            "error-modified-p1", script.CASES["error-modified-p1"], str(tmp_path))
+        assert code == 1
+        assert (tmp_path / "error-modified-p1" / "stderr").read_text() == (
+            "error: the modified system requires pressure law p0\n")
+        assert script.main([str(tmp_path)]) == 1
+        assert "exists" in capsys.readouterr().err
+
+
 class TestPicardInputRules:
     @pytest.mark.parametrize("flag,value,message", [
         ("--n-nodes", "1", "n_nodes must be at least 3, got 1"),

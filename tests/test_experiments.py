@@ -1,13 +1,17 @@
 """Tests for the experiment drivers.
 
 The continuation worked values are hand-derived from the recurrence; the
-growth worked values come from the exact 2x2 mode eigenvalues, and its
-Jordan point from scipy's dense exponential at every sample time; sweep fits
-are exercised on synthetic rows because the physical rescaled runs below
-stay bounded (that fact itself is asserted where it matters).
+growth worked values come from the exact 2x2 mode eigenvalues, its Jordan
+point from scipy's dense exponential at every sample time, and its blocked
+running maxima from one unblocked pass; existence runs are checked against
+`solve` at the scaled threshold; sweep fits are exercised on synthetic rows
+because the physical rescaled runs below stay bounded (that fact itself is
+asserted where it matters).
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from wavereg.experiments import (
     DatumSpec,
     SweepRow,
     continuation_schedule,
+    existence_run,
     existence_time,
     fit_existence_times,
     growth_experiment,
@@ -29,7 +34,7 @@ from wavereg.experiments import (
     scaling_sweep,
     sobolev_constant,
 )
-from wavereg.integrate import IntegratorConfig, solve
+from wavereg.integrate import IntegratorConfig, _mode_exponential, solve
 from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import NormalFormSetting, from_normal_coords
 from wavereg.spectral import Grid, SpectralField, apply_m, from_modes, norm, random_field
@@ -164,6 +169,45 @@ class TestExistenceTime:
             existence_time(self._system(), PressureLaw.P0, zero, config, rho_max=0.0)
 
 
+class TestExistenceRun:
+    """The one recipe behind simulate, the sweep and existence_time."""
+
+    @pytest.mark.parametrize("rho_max,status", [(0.12, "blowup"), (2.0, "completed")])
+    def test_is_solve_at_the_scaled_threshold(self, rho_max, status):
+        amp = 0.5
+        profile = make_datum(
+            Grid(16), DatumSpec(seed=2, target_norm=0.15, law=PressureLaw.P0)
+        )
+        system = SystemSpec("regularized", 0.2, rescaled=True, amplitude=amp)
+        config = IntegratorConfig(dt=1e-3, t_end=0.05, store_every=5)
+        run = existence_run(system, PressureLaw.P0, amp * profile, config, rho_max)
+        oracle = solve(
+            system, PressureLaw.P0, amp * profile,
+            IntegratorConfig(dt=1e-3, t_end=0.05, blowup_threshold=rho_max * amp,
+                             store_every=5),
+        )
+        assert run.terminal_status == oracle.terminal_status == status
+        assert run.blowup_time == oracle.blowup_time
+        assert run.times == oracle.times
+        assert run.diagnostics == oracle.diagnostics
+        for a, b in zip(run.states, oracle.states, strict=True):
+            assert np.array_equal(a.u1.coeffs, b.u1.coeffs)
+            assert np.array_equal(a.u2.coeffs, b.u2.coeffs)
+        assert existence_time(
+            system, PressureLaw.P0, amp * profile, config, rho_max
+        ) == (run.blowup_time, run.terminal_status)
+
+    @pytest.mark.parametrize("rho_max", [0.0, -1.0, float("nan")])
+    def test_rejects_a_threshold_that_is_not_positive(self, rho_max):
+        grid = Grid(8)
+        zero = State(from_modes(grid, {}), from_modes(grid, {}))
+        system = SystemSpec("regularized", 0.2, rescaled=True)
+        message = f"rho_max must be positive, got {rho_max}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            existence_run(system, PressureLaw.P0, zero,
+                          IntegratorConfig(dt=1e-3, t_end=0.01), rho_max)
+
+
 class TestFitExistenceTimes:
     def _row(self, eps, time, status="blowup"):
         return SweepRow(eps, time, status, 1.0, 1.0)
@@ -263,6 +307,30 @@ class TestScalingSweep:
         )
         assert sizes == ([] if workers is None else [workers])
         assert len(result.rows) == 3
+
+    def test_builds_the_datum_once(self, monkeypatch):
+        calls = []
+
+        def counting_make_datum(grid, spec):
+            calls.append(spec)
+            return make_datum(grid, spec)
+
+        monkeypatch.setattr(experiments, "make_datum", counting_make_datum)
+        spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
+        result = scaling_sweep(
+            PressureLaw.P1, "regularized", (0.2, 0.1, 0.05), spec,
+            amplitude_exponent=0.5, t_end=0.01, dt=5e-3, n_modes=8,
+        )
+        assert calls == [spec]
+        assert len(result.rows) == 3
+
+    def test_rho_max_rule_is_the_recipe_s(self):
+        spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
+        with pytest.raises(ValueError, match=r"^rho_max must be positive, got 0\.0$"):
+            scaling_sweep(
+                PressureLaw.P1, "regularized", (0.2, 0.1, 0.05), spec,
+                amplitude_exponent=0.5, t_end=0.01, dt=5e-3, n_modes=8, rho_max=0.0,
+            )
 
     def test_fixed_amplitude_modified_runs(self):
         spec = DatumSpec(
@@ -432,6 +500,73 @@ class TestGrowthExperiment:
     def test_rejects_non_finite(self, u_star, epsilon, match):
         with pytest.raises(ValueError, match=match):
             growth_experiment(PressureLaw.P0, u_star, [4], epsilon=epsilon)
+
+    @staticmethod
+    def _unblocked_rate(u_star, k, epsilon, n_samples):
+        """The rate from one closed-form call at all sample times and the
+        full running maximum, as growth_experiment computed it unblocked."""
+        predicted = k * math.sqrt(max(0.0, 1.0 - 3.0 * u_star**2))
+        mode = (-1j * k, -1j * k * (-1.0 + 3.0 * u_star**2), 1j * epsilon * k**2)
+        if predicted > 0.0:
+            horizon = 16.0 / predicted
+        else:
+            omega = float(np.max(np.abs(np.imag(_mode_exponential(*mode, 0.0)[1]))))
+            horizon = 15.0 * math.pi / max(omega, 1e-3)
+        dt = horizon / (n_samples - 1)
+        (e11, e12, e21, e22), _ = _mode_exponential(*mode, dt * np.arange(n_samples))
+        z = np.array([1.0 + 0.0j, 0.5 + 0.5j])
+        z /= np.linalg.norm(z)
+        running = np.maximum.accumulate(
+            np.hypot(abs(e11 * z[0] + e12 * z[1]), abs(e21 * z[0] + e22 * z[1])))
+        half = (n_samples - 1) // 2
+        return (math.log(running[-1]) - math.log(running[half])) / (
+            dt * (n_samples - 1 - half))
+
+    @pytest.mark.parametrize("u_star,k,epsilon", [
+        (0.0, 4, 0.0),  # elliptic
+        (0.0, 4, 0.1),  # elliptic, dispersion lowers the rate
+        (1.0, 8, 0.05),  # stable dispersive: two frequencies
+        (1.0, 4, 0.0),  # hyperbolic
+        (0.5, 2, 0.5),  # Jordan point
+    ])
+    def test_blocks_equal_one_unblocked_pass(self, u_star, k, epsilon):
+        block = experiments._GROWTH_BLOCK
+        n_samples = 3 * block + 1001
+        half = (n_samples - 1) // 2
+        # the half-way sample and the last one fall inside blocks, not on edges
+        assert 0 < half % block < block - 1 and 0 < (n_samples - 1) % block < block - 1
+        (row,) = growth_experiment(
+            PressureLaw.P0, u_star, [k], epsilon=epsilon, n_samples=n_samples
+        )
+        assert row.measured == self._unblocked_rate(u_star, k, epsilon, n_samples)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # unblocked, the ten complex temporaries took about 150 bytes per
+        # sample: a 76 MB peak here
+        tracemalloc.start()
+        try:
+            growth_experiment(PressureLaw.P0, 0.0, [4], n_samples=500001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_neutral_points_hyperbolic_zero_dispersive_noise(self):
+        # one frequency: the running maximum saturates in the first
+        # revolution, so hyperbolic rows read 0.0 or rounding
+        rows = growth_experiment(PressureLaw.P0, 1.0, [1, 2, 4, 8])
+        assert [row.measured for row in rows] == [0.0] * 4
+        hyperbolic = [
+            row.measured for u_star in (0.7, 1.5, 2.0, 3.0)
+            for row in growth_experiment(PressureLaw.P0, u_star, range(1, 17))
+        ]
+        assert max(abs(rate) for rate in hyperbolic) < 1e-14
+        # two frequencies: stable dispersive rows read sampling noise, well
+        # above rounding but far below any real rate
+        # (u* = 0, k = 16 is elliptic without dispersion, stable with it)
+        rows = growth_experiment(PressureLaw.P0, 1.0, [4, 8], epsilon=0.05)
+        rows += growth_experiment(PressureLaw.P0, 0.0, [16], epsilon=0.5)
+        assert all(1e-10 < row.measured < 1e-6 for row in rows)
 
     def test_jordan_point_matches_dense_exponential(self):
         # u* = 0.5, eps = 0.5, k = 2: the discriminant is exactly zero, both
