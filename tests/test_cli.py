@@ -606,7 +606,7 @@ class TestDatumRules:
         ["sweep", "--epsilons", "0.2,0.1,0.05"],
         ["picard", "--epsilon", "0.2"],
     ], ids=["simulate", "sweep", "picard"])
-    def test_target_norm_message_is_the_datum_s(self, capsys, tmp_path, argv):
+    def test_target_norm_message_comes_from_the_datum(self, capsys, tmp_path, argv):
         rc = main(argv + ["--target-norm", "0.2", "--output-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (

@@ -324,7 +324,7 @@ class TestScalingSweep:
         assert calls == [spec]
         assert len(result.rows) == 3
 
-    def test_rho_max_rule_is_the_recipe_s(self):
+    def test_rejects_rho_max_through_the_recipe(self):
         spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
         with pytest.raises(ValueError, match=r"^rho_max must be positive, got 0\.0$"):
             scaling_sweep(
