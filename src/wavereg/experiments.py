@@ -119,14 +119,18 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
 # Existence times and amplitude sweeps.
 
 
+def _check_rho_max(rho_max: float) -> None:
+    if not rho_max > 0.0:
+        raise ValueError(f"rho_max must be positive, got {rho_max}")
+
+
 def existence_run(system, law: PressureLaw, datum: State, config: IntegratorConfig,
                   rho_max: float = 1.0) -> Trajectory:
     """The one existence run: `solve` with the blow-up threshold
     rho_max * system.amplitude, so rho_max is stated on the scale of the
     profile returned by make_datum regardless of the datum prefactor.
     simulate, the sweep and existence_time all run through here."""
-    if not rho_max > 0.0:
-        raise ValueError(f"rho_max must be positive, got {rho_max}")
+    _check_rho_max(rho_max)
     run_config = replace(config, blowup_threshold=rho_max * system.amplitude)
     return solve(system, law, datum, run_config)
 
@@ -243,6 +247,7 @@ def scaling_sweep(
         raise ValueError(f"unknown time_scale {time_scale!r}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_rho_max(rho_max)
 
     run = partial(
         _sweep_single, kind=kind, law=law, profile=make_datum(Grid(n_modes), spec),

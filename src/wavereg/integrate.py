@@ -3,19 +3,20 @@
 The stiff linear parts are never discretized.  One Lawson core, _lawson,
 advances both systems by midpoint Runge-Kutta (exp_rk2, order 2, the
 default) or Euler (exp_euler, order 1) on the nonlinear remainder; each
-system only supplies its linear flow and its forcing.  For the full system
-the linear symbol of each Fourier mode is a 2x2 complex matrix whose
-exponential _mode_exponential applies exactly, in the one closed form that
-growth_experiment shares.  For the reduced system the only stiff
-piece is the free Schroedinger factor on w2, a unimodular per-mode phase,
-and the flow is the identity on w1; its step runs on the stacked (w1, w2)
-coefficient array, with the forcing from the array kernel of normalform.py.
-solve drives either system through the same loop, monitor and diagnostics.
+system only supplies its linear flow and its forcing, on the stacked
+coefficient array of its two components.  For the full system the symbol
+of each Fourier mode is a 2x2 matrix whose exponential _mode_exponential
+applies exactly, in the one closed form that growth_experiment shares, and
+the forcing q(u1) dx u1 is dx of the cubic part of p(u1) (_dx_cubic).  For
+the reduced system the only stiff piece is the free Schroedinger factor on
+w2, a unimodular per-mode phase, and the flow is the identity on w1; its
+forcing comes from the array kernel of normalform.py.  solve drives either
+system through the same loop, monitor and diagnostics.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
-G o (plain p0 step) o G with the same coefficients; nothing below has a
-modified branch of its own.
+G o (plain p0 step) o G, G acting on coefficients as u1 -> conj(u1[::-1]);
+nothing below has a modified branch of its own.
 
 Blow-up detection monitors max(H1 of the first component, L2 of the second)
 against a threshold; when a step crosses it, the crossing time is refined by
@@ -31,12 +32,12 @@ forcing at all quadrature nodes in one batched kernel call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import PressureLaw, State, SystemSpec, _mirror, _require_law, energy, q_apply
+from .model import PressureLaw, State, SystemSpec, _require_law, energy
 from .normalform import (
     NormalFormSetting,
     ReducedState,
@@ -46,7 +47,7 @@ from .normalform import (
     oscillate,
 )
 from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
-from .spectral import Grid, SpectralField, derivative, norm, zeros
+from .spectral import Grid, SpectralField, norm
 
 _SCHEMES = ("exp_rk2", "exp_euler")
 
@@ -135,25 +136,23 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
     return _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
 
 
-def _apply_linear(spec: SystemSpec, state: State, dt: float) -> State:
-    ct, cd = spec.coefficients
-    grid = state.grid
-    p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)
-    c1 = p11 * state.u1.coeffs + p12 * state.u2.coeffs
-    c2 = p21 * state.u1.coeffs + p22 * state.u2.coeffs
-    return State(SpectralField(grid, c1), SpectralField(grid, c2))
+def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
+    """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
+    `multiply` (two FFT calls): q_apply(law, u1, dx u1) in exact arithmetic,
+    as truncation commutes with dx, with an exactly zero k = 0 entry."""
+    n_big = max(2 * grid.n_coeffs, grid.n_points)
+    slots = np.mod(grid.wavenumbers, n_big)
+    padded = np.zeros(n_big, dtype=complex)
+    padded[slots] = u1
+    x = np.fft.ifft(padded, norm="forward")
+    cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
+    if law is PressureLaw.P2:
+        np.conj(cubic, out=cubic)  # conj(u)^3
+    return (1j * grid.wavenumbers) * np.fft.fft(cubic, norm="forward")[slots]
 
 
-def _nonlinear_full(spec: SystemSpec, law: PressureLaw, state: State) -> State:
-    """rhs_full minus its linear part: the cubic transport forcing in the
-    second component."""
-    ct, _ = spec.coefficients
-    f = q_apply(law, state.u1, derivative(state.u1))
-    return State(zeros(state.grid), (-ct) * f)
-
-
-def _lawson(linear, nonlinear, y, dt: float, scheme: str):
-    """One Lawson step of y' = L y + N(y, t) in y, a State or an array.
+def _lawson(linear, nonlinear, y: np.ndarray, dt: float, scheme: str) -> np.ndarray:
+    """One Lawson step of y' = L y + N(y, t) on a coefficient array y.
 
     linear(y, h) applies exp(hL); nonlinear(y, s) evaluates the forcing at
     the stage that starts s after the step."""
@@ -167,13 +166,6 @@ def _lawson(linear, nonlinear, y, dt: float, scheme: str):
     return linear(y, dt) + dt * linear(k2, 0.5 * dt)
 
 
-def _step_full(
-    spec: SystemSpec, law: PressureLaw, state: State, dt: float, scheme: str
-) -> State:
-    linear = lambda y, h: _apply_linear(spec, y, h)
-    return _lawson(linear, lambda y, s: _nonlinear_full(spec, law, y), state, dt, scheme)
-
-
 def step_full(
     spec: SystemSpec,
     law: PressureLaw,
@@ -182,14 +174,25 @@ def step_full(
     dt: float,
     scheme: str = "exp_rk2",
 ) -> State:
-    """One exponential-integrator step of the full system."""
+    """One exponential-integrator step of the full system, on the stacked
+    (u1, u2) coefficients with the forcing (0, -ct dx cubic(u1))."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     _require_law(spec, law)
-    if spec.kind == "modified":
-        plain = replace(spec, kind="regularized")
-        return _mirror(_step_full(plain, law, _mirror(state), dt, scheme))
-    return _step_full(spec, law, state, dt, scheme)
+    ct, cd = spec.coefficients
+    grid = state.grid
+    mirror = (lambda c: np.conj(c[::-1])) if spec.kind == "modified" else (lambda c: c)
+
+    def linear(y: np.ndarray, h: float) -> np.ndarray:
+        p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, h)
+        return np.stack([p11 * y[0] + p12 * y[1], p21 * y[0] + p22 * y[1]])
+
+    def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
+        return np.stack([np.zeros_like(y[0]), (-ct) * _dx_cubic(law, grid, y[0])])
+
+    y = np.stack([mirror(state.u1.coeffs), state.u2.coeffs])
+    u1, u2 = _lawson(linear, nonlinear, y, dt, scheme)
+    return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
 
 
 def _w2_phase(grid: Grid, cd: float, dt: float) -> np.ndarray:
@@ -291,9 +294,14 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
 
     rho = config.blowup_threshold
     current = datum
-    times = [t0]
-    states = [current]
-    diagnostics = [diags(current)]
+    times, states, diagnostics = [], [], []
+
+    def record(time: float, st) -> None:
+        times.append(time)
+        states.append(st)
+        diagnostics.append(diags(st))
+
+    record(t0, current)
 
     if monitor(current) > rho:
         return Trajectory(times, states, diagnostics, "blowup", blowup_time=t0)
@@ -321,22 +329,16 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
                     lo = mid
             status = "blowup"
             blowup_time = t + 0.5 * (lo + hi)
-            times.append(t + hi)
-            states.append(crossing)
-            diagnostics.append(diags(crossing))
+            record(t + hi, crossing)
             break
         current = nxt
         t += dt
         if step_index % config.store_every == 0:
-            times.append(t)
-            states.append(current)
-            diagnostics.append(diags(current))
+            record(t, current)
 
     # the final sample: the end of the run, or the last finite state
     if status != "blowup" and times[-1] != t:
-        times.append(t)
-        states.append(current)
-        diagnostics.append(diags(current))
+        record(t, current)
     return Trajectory(times, states, diagnostics, status, blowup_time=blowup_time)
 
 

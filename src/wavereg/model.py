@@ -87,12 +87,6 @@ class State:
         return State(self.u1 / scalar, self.u2 / scalar)
 
 
-def _mirror(state: State) -> State:
-    """G(u1, u2) = (conj u1, u2), which carries the modified system onto the
-    plain p0 system and back (G is its own inverse)."""
-    return State(conjugate(state.u1), state.u2)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Which system to drive: kind, dispersion strength, scaling, amplitude.

@@ -56,7 +56,7 @@ from functools import wraps
 
 import numpy as np
 
-from .model import PressureLaw, State, _cubic, _mirror, q_apply
+from .model import PressureLaw, State, _cubic, q_apply
 from .spectral import (
     SpectralField,
     apply_m,
@@ -141,9 +141,8 @@ def _folded(plain):
     def operator(setting: NormalFormSetting, *args):
         if not setting.conjugated:
             return plain(setting, *args)
-        twin = replace(setting, conjugated=False)
-        out = plain(twin, *(_mirror(a) if isinstance(a, State) else a for a in args))
-        return _mirror(out) if isinstance(out, State) else out
+        mirror = lambda a: State(conjugate(a.u1), a.u2) if isinstance(a, State) else a
+        return mirror(plain(replace(setting, conjugated=False), *map(mirror, args)))
 
     return operator
 

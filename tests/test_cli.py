@@ -660,6 +660,39 @@ class TestCliOutputsScript:
         assert "exists" in capsys.readouterr().err
 
 
+    def test_compare_outputs_reports_numbers_and_refuses_text(self, tmp_path, capsys):
+        import importlib.util
+
+        path = REPO_ROOT / "scripts" / "compare_outputs.py"
+        spec = importlib.util.spec_from_file_location("compare_outputs", path)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        old, new = tmp_path / "old", tmp_path / "new"
+        for root, value in ((old, "2.5e-3"), (new, "2.4e-3")):
+            (root / "case" / "files").mkdir(parents=True)
+            (root / "case" / "exit").write_text("0\n")
+            (root / "case" / "files" / "run.csv").write_text(
+                f"t,mean\n0.0,1e-23\n0.1,{value}\n")
+        (new / "case" / "files" / "run.csv").write_text("t,mean\n0.0,0\n0.1,2.4e-3\n")
+        assert compare.main([str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "largest absolute difference 1.000e-04 at line 3: 2.5e-3 -> 2.4e-3" in out
+        assert "largest relative difference 1.000e+00 at line 2: 1e-23 -> 0" in out
+        # an exit code is compared whole, not as a number
+        (new / "case" / "exit").write_text("1\n")
+        assert compare.main([str(old), str(new)]) == 1
+        assert "case/exit: differs" in capsys.readouterr().out
+        # so is a file on one side only, and any text between the numbers
+        (new / "case" / "exit").write_text("0\n")
+        (new / "case" / "stderr").write_text("")
+        assert compare.main([str(old), str(new)]) == 1
+        assert "case/stderr: only in NEW" in capsys.readouterr().out
+        (new / "case" / "stderr").unlink()
+        (new / "case" / "files" / "run.csv").write_text("t,status\n0.0,0\n0.1,2.4e-3\n")
+        assert compare.main([str(old), str(new)]) == 1
+        assert "text differs at line 1" in capsys.readouterr().out
+
+
 class TestPicardInputRules:
     @pytest.mark.parametrize("flag,value,message", [
         ("--n-nodes", "1", "n_nodes must be at least 3, got 1"),

@@ -324,6 +324,22 @@ class TestScalingSweep:
         assert calls == [spec]
         assert len(result.rows) == 3
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_rejects_rho_max_before_any_work(self, monkeypatch, jobs):
+        # the rule is checked with the other arguments, before the profile
+        # is built and before a process pool starts
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the argument checks")
+
+        monkeypatch.setattr(experiments, "make_datum", unreachable)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", unreachable)
+        spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
+        with pytest.raises(ValueError, match=r"^rho_max must be positive, got 0\.0$"):
+            scaling_sweep(
+                PressureLaw.P1, "regularized", (0.2, 0.1, 0.05), spec,
+                amplitude_exponent=0.5, n_modes=8, rho_max=0.0, jobs=jobs,
+            )
+
     def test_rejects_rho_max_through_the_recipe(self):
         spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
         with pytest.raises(ValueError, match=r"^rho_max must be positive, got 0\.0$"):

@@ -25,7 +25,7 @@ from wavereg.integrate import (
     PicardReport,
     Trajectory,
     _PROPAGATOR_CACHE_SIZE,
-    _apply_linear,
+    _dx_cubic,
     _mode_exponential,
     _plain_propagator,
     picard_solve,
@@ -101,6 +101,37 @@ def modified_linear_flow(spec, state, t):
         c1[ip], c2[ip] = z[0], z[1]
         c1[im], c2[im] = np.conj(z[2]), np.conj(z[3])
     return State(SpectralField(grid, c1), SpectralField(grid, c2))
+
+
+def propagate(spec, state, t):
+    """exp(t L) of the regularized linear part through the cached propagator."""
+    ct, cd = spec.coefficients
+    grid = state.grid
+    p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, t)
+    c1, c2 = state.u1.coeffs, state.u2.coeffs
+    return State(
+        SpectralField(grid, p11 * c1 + p12 * c2), SpectralField(grid, p21 * c1 + p22 * c2)
+    )
+
+
+def object_step_full(spec, law, state, dt, scheme="exp_rk2"):
+    """The full step as the object code took it before the array form: State
+    arithmetic, the forcing -ct q(u1) dx u1 through q_apply, and the modified
+    kind as the mirrored plain p0 step."""
+    if spec.kind == "modified":
+        plain = replace(spec, kind="regularized")
+        out = object_step_full(plain, law, State(conjugate(state.u1), state.u2), dt, scheme)
+        return State(conjugate(out.u1), out.u2)
+    ct, _ = spec.coefficients
+
+    def forcing(y):
+        return State(zeros(y.grid), (-ct) * q_apply(law, y.u1, derivative(y.u1)))
+
+    if scheme == "exp_euler":
+        return propagate(spec, state + dt * forcing(state), dt)
+    k1 = forcing(state)
+    k2 = forcing(propagate(spec, state + (0.5 * dt) * k1, 0.5 * dt))
+    return propagate(spec, state, dt) + dt * propagate(spec, k2, 0.5 * dt)
 
 
 def plain_linear_flow(spec, state, t):
@@ -275,7 +306,7 @@ class TestStepFull:
         c2[grid.index(k)] = 0.8 - 0.2j
         state = State(zeros(grid), SpectralField(grid, c2))
         for _ in range(n):
-            state = _apply_linear(spec, state, dt)
+            state = propagate(spec, state, dt)
         ref = expm(n * dt * plain_mode_matrix(k, ct, cd)) @ np.array([0.0, 0.8 - 0.2j])
         assert abs(state.u1.coeff(k) - ref[0]) < 1e-10
         assert abs(state.u2.coeff(k) - ref[1]) < 1e-10
@@ -302,18 +333,22 @@ class TestStepFull:
 
     @pytest.mark.parametrize("law", list(PressureLaw))
     def test_mean_is_frozen(self, rng, law):
-        # the cubic forcing is a perfect x-derivative for every law, so the
-        # means of both components never move.
+        # the cubic forcing is a perfect x-derivative for every law, and the
+        # stepper forms it as ik times the cubic's coefficients, so its k = 0
+        # entry is exactly zero and the means of both components never move,
+        # not even by rounding; the modified kind (law p0 only) as well.
         grid = Grid(10)
-        spec = SystemSpec("regularized", 0.4, rescaled=False)
         u1 = 0.2 * random_field(grid, rng, band=(0, 3))
         u2 = 0.2 * random_field(grid, rng, band=(0, 3))
-        state = State(u1, u2)
-        m1, m2 = state.u1.coeff(0), state.u2.coeff(0)
-        for j in range(100):
-            state = step_full(spec, law, state, j * 5e-3, 5e-3)
-        assert abs(state.u1.coeff(0) - m1) < 1e-13
-        assert abs(state.u2.coeff(0) - m2) < 1e-13
+        kinds = ["regularized", "modified"] if law is PressureLaw.P0 else ["regularized"]
+        for kind in kinds:
+            spec = SystemSpec(kind, 0.4, rescaled=False)
+            state = State(u1, u2)
+            m1, m2 = state.u1.coeff(0), state.u2.coeff(0)
+            for j in range(100):
+                state = step_full(spec, law, state, j * 5e-3, 5e-3)
+            assert state.u1.coeff(0) == m1
+            assert state.u2.coeff(0) == m2
 
     @pytest.mark.parametrize("kind", ["regularized", "modified"])
     def test_full_rhs_splits_into_linear_plus_forcing(self, rng, kind):
@@ -322,8 +357,6 @@ class TestStepFull:
         # exponential integrator relies on.  The modified forcing is read
         # back from one exponential Euler step, P(dt)(s + dt N(s)), by
         # undoing P(dt) with the dense exponential of the 4x4 symbol.
-        from wavereg.integrate import _nonlinear_full
-
         grid = Grid(9)
         spec = SystemSpec(kind, 0.25, rescaled=True)
         ct, cd = spec.coefficients
@@ -340,11 +373,93 @@ class TestStepFull:
         else:
             d1 = -1j * k * ct * c2
             d2 = 1j * k * ct * c1 + 1j * cd * k * k * c2
-            forcing = _nonlinear_full(spec, law, state)
+            dxp = _dx_cubic(law, grid, state.u1.coeffs)
+            forcing = State(zeros(grid), SpectralField(grid, -ct * dxp))
         linear = State(SpectralField(grid, d1), SpectralField(grid, d2))
         expected = linear + forcing
         got = rhs_full(spec, law, state)
         assert pair_distance((got.u1, got.u2), (expected.u1, expected.u2)) < 1e-11
+
+
+    @pytest.mark.parametrize("n_modes", [8, 32, 512])
+    def test_matches_the_object_level_step(self, n_modes):
+        # the array step agrees with the State-level step it replaced to
+        # rounding (measured: 3e-16 relative at most), for every law and
+        # kind, both schemes and both scalings
+        grid = Grid(n_modes)
+        cases = [("regularized", law) for law in PressureLaw]
+        cases.append(("modified", PressureLaw.P0))
+        for kind, law in cases:
+            for rescaled in (False, True):
+                spec = SystemSpec(kind, 0.2, rescaled=rescaled)
+                state = random_state(grid, np.random.default_rng(5), scale=0.05,
+                                     band=(1, min(n_modes, 16)))
+                for scheme in ("exp_rk2", "exp_euler"):
+                    got = step_full(spec, law, state, 0.0, 1e-3, scheme)
+                    want = object_step_full(spec, law, state, 1e-3, scheme)
+                    size = max(np.max(np.abs(want.u1.coeffs)),
+                               np.max(np.abs(want.u2.coeffs)))
+                    for a, b in ((got.u1, want.u1), (got.u2, want.u2)):
+                        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * size
+
+
+class TestDxCubic:
+    """The full system's forcing kernel against q_apply, its oracle."""
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(0), Grid(8), Grid(33), Grid(8, n_points=61)],
+        ids=["K0", "K8", "K33", "K8-n61"],
+    )
+    @pytest.mark.parametrize("law", list(PressureLaw))
+    def test_matches_q_apply(self, grid, law):
+        # dx commutes with the truncation to |k| <= K, so dx P_K(cubic(u))
+        # is q(u) dx u; the datum carries a mean, whose forcing is exactly 0
+        u = 0.5 * random_field(grid, np.random.default_rng(3),
+                               band=(0, min(grid.n_modes, 6)), zero_mean=False)
+        got = _dx_cubic(law, grid, u.coeffs)
+        want = q_apply(law, u, derivative(u)).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got[grid.n_modes] == 0.0
+
+
+class TestFftCalls:
+    """FFT calls per step, counted by wrapping np.fft.fft and np.fft.ifft."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind, law",
+        [("regularized", PressureLaw.P0), ("regularized", PressureLaw.P1),
+         ("regularized", PressureLaw.P2), ("modified", PressureLaw.P0)],
+    )
+    @pytest.mark.parametrize("scheme, expected", [("exp_rk2", 4), ("exp_euler", 2)])
+    def test_full_step(self, calls, kind, law, scheme, expected):
+        # two forcing evaluations per exp_rk2 step, one per exp_euler step,
+        # two FFT calls each
+        grid = Grid(16)
+        state = random_state(grid, np.random.default_rng(2), scale=0.1)
+        spec = SystemSpec(kind, 0.2, rescaled=True)
+        step_full(spec, law, state, 0.0, 1e-4, scheme)
+        assert len(calls) == expected
+
+    def test_reduced_step(self, calls):
+        grid = Grid(8)
+        w = ReducedState(remove_mean(0.05 * random_field(grid, np.random.default_rng(4))),
+                         remove_mean(0.05 * random_field(grid, np.random.default_rng(6))),
+                         0.0)
+        step_reduced(NormalFormSetting(0.2, amplitude=1.0), w, 1e-3)
+        assert len(calls) == 4
 
 
 class TestConvergenceOrder:
@@ -586,7 +701,7 @@ class TestSolve:
         assert traj.terminal_status == "completed"
         linear = datum
         for _ in range(500):
-            linear = _apply_linear(spec, linear, 2e-3)
+            linear = propagate(spec, linear, 2e-3)
         final = traj.states[-1]
         deviation = pair_distance((final.u1, final.u2), (linear.u1, linear.u2))
         scale = pair_distance(
