@@ -43,10 +43,6 @@ def _tokens(text: str) -> list:
     return _NUMBER.split(text)
 
 
-def _line_of(tokens: list, index: int) -> int:
-    return 1 + sum(token.count("\n") for token in tokens[:index])
-
-
 def compare_file(old_text: str, new_text: str):
     """(problem, largest absolute, largest relative) for one file.
 
@@ -57,23 +53,21 @@ def compare_file(old_text: str, new_text: str):
     if len(old) != len(new):
         counts = f"{len(old) // 2} vs {len(new) // 2} numbers"
         return f"token counts differ: {counts}", None, None
-    for i in range(0, len(old), 2):
-        if old[i] != new[i]:
-            return (f"text differs at line {_line_of(old, i)}: "
-                    f"{old[i]!r} vs {new[i]!r}"), None, None
     largest_abs = largest_rel = None
-    for i in range(1, len(old), 2):
-        if old[i] == new[i]:
-            continue
-        a, b = float(old[i]), float(new[i])
-        absolute = abs(a - b)
-        scale = max(abs(a), abs(b))
-        relative = absolute / scale if scale > 0.0 else 0.0
-        where = (_line_of(old, i), old[i], new[i])
-        if largest_abs is None or absolute > largest_abs[0]:
-            largest_abs = (absolute,) + where
-        if largest_rel is None or relative > largest_rel[0]:
-            largest_rel = (relative,) + where
+    line = 1
+    for i, (a, b) in enumerate(zip(old, new)):
+        if i % 2 == 0:  # text between numbers
+            if a != b:
+                return f"text differs at line {line}: {a!r} vs {b!r}", None, None
+            line += a.count("\n")
+        elif a != b:
+            absolute = abs(float(a) - float(b))
+            scale = max(abs(float(a)), abs(float(b)))
+            relative = absolute / scale if scale > 0.0 else 0.0
+            if largest_abs is None or absolute > largest_abs[0]:
+                largest_abs = (absolute, line, a, b)
+            if largest_rel is None or relative > largest_rel[0]:
+                largest_rel = (relative, line, a, b)
     return None, largest_abs, largest_rel
 
 

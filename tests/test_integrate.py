@@ -7,7 +7,10 @@ closed-form eigen-expression is 0/0).  The modified step, which the integrator t
 the mirrored plain p0 step, is checked at tiny amplitude against the dense
 exponential of its own 4x4 symbol on (u1_k, u2_k, conj u1_{-k},
 conj u2_{-k}), written here from rhs_full's modified formula, and against
-the gauge-assembled plain flow.  Convergence orders are
+the gauge-assembled plain flow.  The array-form full step is checked against
+the State-level step it replaced (object_step_full, kept here as the
+reference), its forcing kernel against q_apply, and the FFT calls of each
+step are counted.  Convergence orders are
 measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
