@@ -7,7 +7,8 @@ system only supplies its linear flow and its forcing, on the stacked
 coefficient array of its two components.  For the full system the symbol
 of each Fourier mode is a 2x2 matrix whose exponential _mode_exponential
 applies exactly, in the one closed form that growth_experiment shares, and
-the forcing q(u1) dx u1 is dx of the cubic part of p(u1) (_dx_cubic).  For
+the forcing q(u1) dx u1 is dx of the cubic part of p(u1), which _dx_cubic
+forms on the padded product grid of spectral.py (two FFT calls).  For
 the reduced system the only stiff piece is the free Schroedinger factor on
 w2, a unimodular per-mode phase, and the flow is the identity on w1; its
 forcing comes from the array kernel of normalform.py.  solve drives either
@@ -47,7 +48,7 @@ from .normalform import (
     oscillate,
 )
 from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
-from .spectral import Grid, SpectralField, norm
+from .spectral import Grid, SpectralField, _band_coeffs, _padded_values, norm
 
 _SCHEMES = ("exp_rk2", "exp_euler")
 
@@ -138,17 +139,13 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
 
 def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
     """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
-    `multiply` (two FFT calls): q_apply(law, u1, dx u1) in exact arithmetic,
+    `spectral` (two FFT calls): q_apply(law, u1, dx u1) in exact arithmetic,
     as truncation commutes with dx, with an exactly zero k = 0 entry."""
-    n_big = max(2 * grid.n_coeffs, grid.n_points)
-    slots = np.mod(grid.wavenumbers, n_big)
-    padded = np.zeros(n_big, dtype=complex)
-    padded[slots] = u1
-    x = np.fft.ifft(padded, norm="forward")
+    x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
-    return (1j * grid.wavenumbers) * np.fft.fft(cubic, norm="forward")[slots]
+    return (1j * grid.wavenumbers) * _band_coeffs(grid, cubic)
 
 
 def _lawson(linear, nonlinear, y: np.ndarray, dt: float, scheme: str) -> np.ndarray:

@@ -15,7 +15,11 @@ jet of that flow delivers the whole tower at once:
     f_n(u) = n! (n+1) u_{n+1},   (j+1) u_{j+1} = (Id - mean) sum_{a+b+c=j} u_a u_b u_c.
 
 Directional derivatives f_n'(u)[v] ride along as tangent jets of the same
-recurrence.  The residual evaluators at the bottom check the resulting
+recurrence.  One array recurrence, _jets, builds both on the padded product
+grid of spectral.py, one forward FFT per level; JetSequence re-checks every
+level of ode_jet against the literal sum of `multiply` products, an
+independent path.  ibp_once_p2 forms its rows for all samples at once on the
+same grid.  The residual evaluators at the bottom check the resulting
 implicit representations against sampled trajectories; they are the
 numerical arbiter for every sign in this file.
 """
@@ -30,7 +34,8 @@ import numpy as np
 from .quadrature import simpson_uniform
 from .spectral import (
     SpectralField,
-    conjugate,
+    _band_coeffs,
+    _padded_values,
     multiply,
     norm,
     remove_mean,
@@ -40,28 +45,10 @@ from .spectral import (
 _MAX_DEPTH = 16  # factorial growth of the coefficients overflows doubles near 20
 
 
-def _cubic_level(levels: list, j: int) -> SpectralField:
-    """sum_{a+b+c=j} u_a u_b u_c over ordered triples, computed over the
-    a <= b <= c representatives with multiplicities."""
-    grid = levels[0].grid
-    total = zeros(grid)
-    for a in range(j + 1):
-        for b in range(a, (j - a) // 2 + 1):
-            c = j - a - b
-            term = multiply([levels[a], levels[b], levels[c]])
-            if a == b == c:
-                weight = 1
-            elif a == b or b == c:
-                weight = 3
-            else:
-                weight = 6
-            total = total + weight * term
-    return total
-
-
 def _cubic_level_ordered(levels: list, j: int) -> SpectralField:
-    """Literal ordered-triple evaluation of the same sum; the independent
-    path used to verify a JetSequence on construction."""
+    """Literal ordered-triple evaluation of sum_{a+b+c=j} u_a u_b u_c through
+    `multiply`; the independent path used to verify a JetSequence on
+    construction."""
     grid = levels[0].grid
     total = zeros(grid)
     for a in range(j + 1):
@@ -99,16 +86,39 @@ class JetSequence:
         return len(self.coeffs) - 1
 
 
-def ode_jet(u: SpectralField, depth: int) -> JetSequence:
-    """Jet of the auxiliary cubic flow to the requested depth."""
+def _jets(u: SpectralField, depth: int, v: SpectralField | None = None):
+    """Coefficient arrays, shape (depth + 1, 2K+1), of the jet levels
+    u_0 = u, ..., u_depth and, with a direction v, also of the tangent levels
+    delta u_0 = v, ..., delta u_depth (returned as a pair):
+
+        (j+1) u_{j+1} = (Id - mean) C_j,    (j+1) delta u_{j+1} = (Id - mean) T_j.
+
+    The ordered triple sums are formed on the padded grid through the pair
+    sums S_j = sum_{a+b=j} u_a u_b: C_j = sum_c S_{j-c} u_c and T_j =
+    3 sum_c S_{j-c} delta u_c.  Each level but the last is synthesized once,
+    and C_j and T_j come back by one forward FFT: 2 depth FFT calls."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
-    levels = [u]
+    grid = u.grid
+    rows = [u.coeffs] if v is None else [u.coeffs, v.coeffs]
+    jet = np.zeros((depth + 1, len(rows), grid.n_coeffs), dtype=complex)
+    jet[0] = rows
+    values, pairs = [], []
     for j in range(depth):
-        s = remove_mean(_cubic_level(levels, j))
-        levels.append(s * (1.0 / (j + 1)))
+        values.append(_padded_values(grid, jet[j]))  # u_j and delta u_j
+        pairs.append(sum(values[a][0] * values[j - a][0] for a in range(j + 1)))
+        level = _band_coeffs(grid, sum(pairs[j - c] * values[c] for c in range(j + 1)))
+        level[:, grid.n_modes] = 0.0
+        level[1:] *= 3.0  # the tangent row: T_j
+        jet[j + 1] = level / (j + 1)
+    return jet[:, 0] if v is None else (jet[:, 0], jet[:, 1])
+
+
+def ode_jet(u: SpectralField, depth: int) -> JetSequence:
+    """Jet of the auxiliary cubic flow to the requested depth."""
+    levels = [SpectralField(u.grid, c) for c in _jets(u, depth)]
     return JetSequence(base=u, coeffs=levels)
 
 
@@ -118,30 +128,10 @@ def f_n(u: SpectralField, n: int) -> SpectralField:
     return (math.factorial(n) * (n + 1)) * jet.coeffs[n + 1]
 
 
-def _tangent_jet(u: SpectralField, v: SpectralField, depth: int) -> list:
-    """Tangent coefficients delta u_0 = v, ..., delta u_depth along the jet
-    of u: (j+1) delta u_{j+1} = (Id - mean) 3 sum_{a+b+c=j} u_a u_b delta u_c."""
-    if depth > _MAX_DEPTH:
-        raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
-    levels = [u]
-    deltas = [v]
-    grid = u.grid
-    for j in range(depth):
-        t = zeros(grid)
-        for c in range(j + 1):
-            for a in range(j + 1 - c):
-                b = j - c - a
-                t = t + multiply([levels[a], levels[b], deltas[c]])
-        deltas.append(remove_mean(3.0 * t) * (1.0 / (j + 1)))
-        s = remove_mean(_cubic_level(levels, j))
-        levels.append(s * (1.0 / (j + 1)))
-    return deltas
-
-
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
     """f_n'(u)[v] via the tangent jet."""
-    deltas = _tangent_jet(u, v, n + 1)
-    return (math.factorial(n) * (n + 1)) * deltas[n + 1]
+    _, deltas = _jets(u, n + 1, v)
+    return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])
 
 
 @dataclass(frozen=True)
@@ -203,13 +193,13 @@ def bold_R_n(
     """Transported remainder (1 + sum_{k<n} (-mu)^{k+1}/((2i)^{k+1}(k+1)!)
     f_k'(w1)[.]) applied to R1."""
     n = coeffs.n
-    deltas = _tangent_jet(w1, R1, n)
+    _, deltas = _jets(w1, n, R1)
     mu_t = coeffs.mu(t)
-    out = R1
+    out = R1.coeffs
     for k in range(n):
         dfk = (math.factorial(k) * (k + 1)) * deltas[k + 1]
         out = out + ((-mu_t) ** (k + 1) / coeffs.denominator(k)) * dfk
-    return out
+    return SpectralField(w1.grid, out)
 
 
 def _check_uniform_sampling(times: np.ndarray, count: int) -> float:
@@ -281,45 +271,28 @@ def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> 
     dx = _check_uniform_sampling(times, len(times))
     lam = epsilon**alpha
     grid = w1_samples[0].grid
-
-    def boundary_cube(w):
-        cw = conjugate(w)
-        return remove_mean(multiply([cw, cw, cw]))
-
-    phase_T = complex(np.exp(-4.0j * times[-1] / epsilon))
-    boundary = (lam**2 / 4.0) * (
-        phase_T * boundary_cube(w1_samples[-1]) - boundary_cube(w1_samples[0])
+    count = len(times)
+    w = np.stack([f.coeffs for f in w1_samples])
+    r = np.stack([f.coeffs for f in r1_samples])
+    x, xr = _padded_values(grid, np.stack([w, r]))
+    cx, ends = np.conj(x), np.conj(x[[0, -1]])
+    # rows P w1^3 and P(wbar1^2 Rbar1) at every sample, P wbar1^3 at 0 and T
+    rows = _band_coeffs(
+        grid, np.concatenate([x * x * x, cx * cx * np.conj(xr), ends * ends * ends])
     )
-
-    resonant_rows = []
-    forcing_rows = []
-    r1_rows = []
-    for t, w, r in zip(times, w1_samples, r1_samples):
-        cw = conjugate(w)
-        cube = remove_mean(multiply([w, w, w]))
-        resonant_rows.append(remove_mean(multiply([cw, cw, cube])).coeffs)
-        phase = complex(np.exp(-4.0j * t / epsilon))
-        forcing_rows.append(
-            phase * remove_mean(multiply([cw, cw, conjugate(r)])).coeffs
-        )
-        r1_rows.append(r.coeffs)
-
-    integral_resonant = (-3.0j * lam**4 / (4.0 * epsilon)) * simpson_uniform(
-        np.stack(resonant_rows), dx
-    )
-    integral_forcing = (-3.0 * lam**2 / 4.0) * simpson_uniform(
-        np.stack(forcing_rows), dx
-    )
-    integral_r1 = simpson_uniform(np.stack(r1_rows), dx)
-
+    rows[:, grid.n_modes] = 0.0
+    cube, forcing, boundary = rows[:count], rows[count:-2], rows[-2:]
+    resonant = _band_coeffs(grid, cx * cx * _padded_values(grid, cube))
+    resonant[:, grid.n_modes] = 0.0
+    phase = np.exp(-4.0j * times / epsilon)
     rep = (
-        w1_samples[0]
-        + boundary
-        + SpectralField(grid, integral_resonant)
-        + SpectralField(grid, integral_forcing)
-        + SpectralField(grid, integral_r1)
+        w[0]
+        + (lam**2 / 4.0) * (phase[-1] * boundary[1] - boundary[0])
+        + (-3.0j * lam**4 / (4.0 * epsilon)) * simpson_uniform(resonant, dx)
+        + (-3.0 * lam**2 / 4.0) * simpson_uniform(phase[:, None] * forcing, dx)
+        + simpson_uniform(r, dx)
     )
-    return norm(w1_samples[-1] - rep, "Hs", s=1)
+    return norm(SpectralField(grid, w[-1] - rep), "Hs", s=1)
 
 
 def choose_n(lam: float, epsilon: float, c_embed: float) -> int:

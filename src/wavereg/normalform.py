@@ -43,10 +43,10 @@ is exp(+i t/eps).
 The operators above act on validated States, one at a time.  The reduced
 system itself is evaluated by one array kernel, _reduced_forcing: it takes
 raw coefficient arrays with a leading batch axis, one member per row at its
-own time, and assembles the same formula with two FFT calls per block of
-members.  reduced_rhs is that kernel on a batch of one; the reduced stepper
-and the Picard solver of integrate.py call it directly, Picard once per
-iterate on all its nodes.
+own time, and assembles the same formula on spectral.py's padded product
+grid with two FFT calls per block of members.  reduced_rhs is that kernel
+on a batch of one; the reduced stepper and the Picard solver of integrate.py
+call it directly, Picard once per iterate on all its nodes.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ import numpy as np
 from .model import PressureLaw, State, _cubic, q_apply
 from .spectral import (
     SpectralField,
+    _band_coeffs,
+    _padded_values,
     apply_m,
     conjugate,
     derivative,
@@ -340,34 +342,33 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     and u~1 = v1 + eps delta:
 
       * v1, v2, delta and dx v1 are synthesized on the padded grid of
-        `multiply` (size n_big = max(2(2K+1), n_points)) in one inverse
-        FFT, every cubic product is formed pointwise there, conjugates
-        included, and one forward FFT brings all of them back;
+        spectral.py (size grid.n_padded = max(2(2K+1), n_points)) in one
+        inverse FFT, every cubic product is formed pointwise there,
+        conjugates included, and one forward FFT brings all of them back;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
         cubic term of E v gives the w1 nonlinearity by a scalar phase;
       * E v is formed once and R v = (Id + eps M)^{-1}((r1, 0) - M E v)
         by per-mode arithmetic, with r1 the factored form of _r1_field.
 
     The conjugated setting is the plain p0 one with w1 and g1 mirrored.
-    The members go through in blocks of _BLOCK_POINTS // n_big (at least
-    one), two FFT calls per block."""
-    n_big = max(2 * grid.n_coeffs, grid.n_points)
-    size = max(1, _BLOCK_POINTS // n_big)
+    The members go through in blocks of _BLOCK_POINTS // grid.n_padded (at
+    least one), two FFT calls per block."""
+    size = max(1, _BLOCK_POINTS // grid.n_padded)
     g1 = np.empty(np.shape(w1), dtype=complex)
     n2 = np.empty(np.shape(w2), dtype=complex)
     for i in range(0, len(t), size):
         block = slice(i, i + size)
         g1[block], n2[block] = _forcing_block(
-            setting, grid, n_big, w1[block], w2[block], t[block]
+            setting, grid, w1[block], w2[block], t[block]
         )
     return g1, n2
 
 
-def _forcing_block(setting: NormalFormSetting, grid, n_big, w1, w2, t):
+def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t):
     """_reduced_forcing on one block of members."""
     if setting.conjugated:
         plain = replace(setting, conjugated=False)
-        g1, n2 = _forcing_block(plain, grid, n_big, np.conj(w1[..., ::-1]), w2, t)
+        g1, n2 = _forcing_block(plain, grid, np.conj(w1[..., ::-1]), w2, t)
         return np.conj(g1[..., ::-1]), n2
     eps = setting.epsilon
     ct, _ = setting.coefficients
@@ -378,16 +379,15 @@ def _forcing_block(setting: NormalFormSetting, grid, n_big, w1, w2, t):
     v1 = rot * w1
     v2 = w2 / rot
 
-    slots = np.mod(grid.wavenumbers, n_big)
-    padded = np.zeros((4,) + v1.shape[:-1] + (n_big,), dtype=complex)
-    padded[..., slots] = (v1, v2, -inv_k * v2, (1j * k) * v1)
     # physical values of v1, v2, delta = (M v)1 = -m v2 and dx v1
-    x1, x2, xd, xdv1 = np.fft.ifft(padded, norm="forward")
+    x1, x2, xd, xdv1 = _padded_values(
+        grid, np.stack([v1, v2, -inv_k * v2, (1j * k) * v1])
+    )
     xu = x1 + eps * xd  # u~1
     arg = -1j * x2  # the argument of q(a u~1) in (E v)2
-    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1 and the factored r1
-    # product, written over the spent operands
-    products = padded
+    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1 and the factored r1 product;
+    # a buffer of their own, as the operands above are views of one array
+    products = np.empty((4,) + x1.shape, dtype=complex)
     if setting.law is PressureLaw.P1:
         mod2, sq = 2.0 * a2 * xu * np.conj(xu), a2 * xu * xu
         cdv1 = np.conj(xdv1)
@@ -406,7 +406,7 @@ def _forcing_block(setting: NormalFormSetting, grid, n_big, w1, w2, t):
         if setting.law is PressureLaw.P2:
             # q2, the p2 cubic and their r1 product conjugate every p0 factor
             np.conj(products, out=products)
-    cubic, coupling, kept, diff = np.fft.fft(products, norm="forward")[..., slots]
+    cubic, coupling, kept, diff = _band_coeffs(grid, products)
 
     cubic[..., grid.n_modes] = 0.0  # P, the mean projection
     nonlin = (1j * a2) * cubic  # (E v)1 + i v1

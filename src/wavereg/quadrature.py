@@ -47,14 +47,11 @@ def _phase_moments(omega: np.ndarray, b: float) -> np.ndarray:
     small = np.abs(om * b) < _SERIES_CUTOFF
     # Series: M_n = sum_m (i*omega)^m b^{n+m+1} / (m! (n+m+1))
     if np.any(small):
-        w = om[small]
-        for n in range(3):
-            acc = np.zeros(w.shape, dtype=complex)
-            term = np.ones(w.shape, dtype=complex)  # (i w)^m / m!
-            for m in range(_SERIES_TERMS):
-                acc = acc + term * (b ** (n + m + 1)) / (n + m + 1)
-                term = term * (1j * w) / (m + 1)
-            out[n, small] = acc
+        m = np.arange(1, _SERIES_TERMS)[:, None]
+        term = np.ones((_SERIES_TERMS, np.count_nonzero(small)), dtype=complex)
+        term[1:] = np.cumprod((1j * om[small]) / m, axis=0)  # (i w)^m / m!
+        power = np.arange(_SERIES_TERMS)[:, None, None] + np.arange(1, 4)[:, None]
+        out[:, small] = np.sum(term[:, None] * b**power / power, axis=0)
     big = ~small
     if np.any(big):
         w = om[big]

@@ -25,7 +25,9 @@ coefficients is (2pi)^{-1/2} times the physical root-mean-square integral.
 
 Products are formed on a zero-padded collocation grid at least twice the size
 of the retained band, so pair and triple products of band-limited fields are
-alias-free after truncation back to |k| <= K.
+alias-free after truncation back to |k| <= K (Orszag's padding rule).  The array
+kernels of other modules reach that grid, of size Grid.n_padded, only through
+_padded_values and _band_coeffs; `multiply` stays apart as their oracle.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ class Grid:
     @property
     def n_coeffs(self) -> int:
         return 2 * self.n_modes + 1
+
+    @property
+    def n_padded(self) -> int:
+        """Size of the padded product grid: max(2(2K+1), n_points)."""
+        return max(2 * self.n_coeffs, self.n_points)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -285,11 +292,28 @@ def multiply(fields: Sequence[SpectralField]) -> SpectralField:
     grid = fields[0].grid
     for g in fields[1:]:
         _check_same_grid(fields[0], g)
-    n_big = max(2 * grid.n_coeffs, grid.n_points)
-    prod = to_physical(fields[0], n_big)
+    prod = to_physical(fields[0], grid.n_padded)
     for g in fields[1:]:
-        prod = prod * to_physical(g, n_big)
+        prod = prod * to_physical(g, grid.n_padded)
     return to_spectral(grid, prod)
+
+
+def _padded_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Values on the padded grid of coefficient arrays of shape (..., 2K+1),
+    mode k in slot k mod n_padded: one unnormalized inverse FFT call."""
+    n, K = grid.n_padded, grid.n_modes
+    padded = np.zeros(np.shape(coeffs)[:-1] + (n,), dtype=complex)
+    padded[..., : K + 1] = coeffs[..., K:]  # k = 0..K
+    padded[..., n - K :] = coeffs[..., :K]  # k = -K..-1
+    return np.fft.ifft(padded, norm="forward")
+
+
+def _band_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Coefficients |k| <= K of values on the padded grid, shape (..., 2K+1):
+    one forward FFT call, the inverse of _padded_values on the band."""
+    n, K = grid.n_padded, grid.n_modes
+    hat = np.fft.fft(values, norm="forward")
+    return np.concatenate([hat[..., n - K :], hat[..., : K + 1]], axis=-1)
 
 
 def pair_mean(a: SpectralField, b: SpectralField) -> complex:

@@ -10,7 +10,8 @@ conj u2_{-k}), written here from rhs_full's modified formula, and against
 the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and the FFT calls of each
-step are counted.  Convergence orders are
+step and of the array kernels (the reduced forcing per block, the tangent
+jet, bold_R_n and ibp_once_p2) are counted.  Convergence orders are
 measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
@@ -36,10 +37,12 @@ from wavereg.integrate import (
     step_full,
     step_reduced,
 )
+from wavereg.jets_ibp import IbpCoefficients, bold_R_n, f_n_directional, ibp_once_p2
 from wavereg.model import PressureLaw, State, SystemSpec, energy, q_apply, rhs_full
 from wavereg.normalform import (
     NormalFormSetting,
     ReducedState,
+    _reduced_forcing,
     from_normal_coords,
     operator_E,
     oscillate,
@@ -426,7 +429,8 @@ class TestDxCubic:
 
 
 class TestFftCalls:
-    """FFT calls per step, counted by wrapping np.fft.fft and np.fft.ifft."""
+    """FFT calls per step and per array kernel, counted by wrapping
+    np.fft.fft and np.fft.ifft."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -462,6 +466,50 @@ class TestFftCalls:
                          remove_mean(0.05 * random_field(grid, np.random.default_rng(6))),
                          0.0)
         step_reduced(NormalFormSetting(0.2, amplitude=1.0), w, 1e-3)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "grid, members, blocks",
+        [(Grid(8), 1, 1), (Grid(8), 30, 1), (Grid(8), 31, 2),
+         (Grid(6, n_points=300), 7, 3), (Grid(600), 2, 2)],
+    )
+    def test_reduced_forcing_per_block(self, calls, grid, members, blocks):
+        # blocks of _BLOCK_POINTS // n_padded members (at least one), two
+        # FFT calls each: 1024 // 34 = 30, 1024 // 300 = 3, 1024 // 2402 = 0
+        rng = np.random.default_rng(5)
+        w1, w2 = 0.1 * (rng.standard_normal((2, members, grid.n_coeffs))
+                        + 1j * rng.standard_normal((2, members, grid.n_coeffs)))
+        times = np.linspace(0.0, 1.0, members)
+        _reduced_forcing(NormalFormSetting(0.2, amplitude=1.0), grid, w1, w2, times)
+        assert len(calls) == 2 * blocks
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_directional_tower_map(self, calls, n):
+        # the tangent jet to depth n + 1: one synthesis of each level but
+        # the last, one forward FFT per new level
+        grid = Grid(8)
+        rng = np.random.default_rng(7)
+        u, v = (0.3 * random_field(grid, rng, band=(1, 2)) for _ in range(2))
+        f_n_directional(u, n, v)
+        assert len(calls) == 2 * n + 2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_transported_remainder(self, calls, n):
+        grid = Grid(8)
+        rng = np.random.default_rng(8)
+        w, r = (0.3 * random_field(grid, rng, band=(1, 2)) for _ in range(2))
+        bold_R_n(w, r, 0.3, IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0))
+        assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize("samples", [5, 41])
+    def test_ibp_once_p2(self, calls, samples):
+        # all samples at once: synthesis of w1 and R1, the cubes and forcing
+        # rows back, the truncated cube out again, the resonant rows back
+        grid = Grid(8)
+        rng = np.random.default_rng(9)
+        w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
+        r = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
+        ibp_once_p2(np.linspace(0.0, 0.1, samples), w, r, 0.25, 0.05)
         assert len(calls) == 4
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavereg import spectral as sp
@@ -20,6 +20,9 @@ class TestGridAndTransforms:
         g = sp.Grid(8)
         assert g.n_points == 34
         assert g.n_coeffs == 17
+        assert g.n_padded == 34
+        assert sp.Grid(8, n_points=17).n_padded == 34
+        assert sp.Grid(8, n_points=61).n_padded == 61
         with pytest.raises(ValueError):
             sp.Grid(8, n_points=16)
         with pytest.raises(ValueError):
@@ -46,6 +49,31 @@ class TestGridAndTransforms:
         expected = np.zeros(g.n_coeffs, dtype=complex)
         expected[g.index(-K)] = 1.0
         assert np.max(np.abs(f.coeffs - expected)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(0, 16),
+        size=st.sampled_from(["minimal", "default", "wide"]),
+        batch=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(K=0, size="default", batch=1, seed=0)
+    @example(K=0, size="minimal", batch=2, seed=0)
+    @example(K=5, size="minimal", batch=3, seed=1)
+    @example(K=5, size="wide", batch=3, seed=2)
+    def test_band_coeffs_inverts_padded_values(self, K, size, batch, seed):
+        # the padded grid holds the band whatever the grid's own n_points:
+        # the minimal 2K + 1, the default 4K + 2, or more than 2(2K + 1)
+        n_points = {"minimal": 2 * K + 1, "default": 0, "wide": 4 * K + 3 + seed % 9}
+        g = sp.Grid(K, n_points[size])
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((batch, g.n_coeffs)) + 1j * rng.standard_normal(
+            (batch, g.n_coeffs)
+        )
+        values = sp._padded_values(g, c)
+        assert values.shape == (batch, g.n_padded)
+        back = sp._band_coeffs(g, values)
+        assert np.linalg.norm(back - c) <= 1e-15 * np.linalg.norm(c)
 
     def test_parseval(self, rng):
         g = sp.Grid(32)
