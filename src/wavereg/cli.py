@@ -105,42 +105,6 @@ def _csv_text(header, rows, meta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_table(path: str):
-    """Parse a table written by this module.
-
-    Returns (header, rows, meta) where rows hold the raw cell strings keyed
-    by column name and meta collects the trailing `# key = value` comment
-    lines.  Every emitted CSV round-trips through here.
-    """
-    header = None
-    rows = []
-    meta = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, value = body.split("=", 1)
-                        meta[key.strip()] = value.strip()
-                    continue
-                cells = line.split(",")
-                if header is None:
-                    header = cells
-                    continue
-                if len(cells) != len(header):
-                    raise CliError(f"malformed row in {path}: {line!r}")
-                rows.append(dict(zip(header, cells)))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise CliError(f"{path} has no header row")
-    return header, rows, meta
-
-
 def _jsonable(value):
     if isinstance(value, (tuple, list)):
         return [_jsonable(item) for item in value]

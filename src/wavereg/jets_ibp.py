@@ -15,13 +15,14 @@ jet of that flow delivers the whole tower at once:
     f_n(u) = n! (n+1) u_{n+1},   (j+1) u_{j+1} = (Id - mean) sum_{a+b+c=j} u_a u_b u_c.
 
 Directional derivatives f_n'(u)[v] ride along as tangent jets of the same
-recurrence.  One array recurrence, _jets, builds both on the padded product
-grid of spectral.py, one forward FFT per level; JetSequence re-checks every
-level of ode_jet against the literal sum of `multiply` products, an
-independent path.  ibp_once_p2 forms its rows for all samples at once on the
-same grid.  The residual evaluators at the bottom check the resulting
-implicit representations against sampled trajectories; they are the
-numerical arbiter for every sign in this file.
+recurrence.  One array recurrence, _jets, builds both for a stack of fields
+on the padded product grid of spectral.py, one forward FFT per level; the
+tower maps and implicit_residual (per block of samples) call it directly.
+Only a JetSequence (ode_jet's, or one built by hand) re-checks every level
+against the literal sum of `multiply` products, and the tests hold _jets to
+it.  The residual evaluators at the bottom check the resulting implicit
+representations against sampled trajectories; they are the numerical
+arbiter for every sign in this file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .quadrature import simpson_uniform
 from .spectral import (
     SpectralField,
     _band_coeffs,
+    _blocks,
+    _check_same_grid,
     _padded_values,
     multiply,
     norm,
@@ -86,10 +89,10 @@ class JetSequence:
         return len(self.coeffs) - 1
 
 
-def _jets(u: SpectralField, depth: int, v: SpectralField | None = None):
-    """Coefficient arrays, shape (depth + 1, 2K+1), of the jet levels
-    u_0 = u, ..., u_depth and, with a direction v, also of the tangent levels
-    delta u_0 = v, ..., delta u_depth (returned as a pair):
+def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
+    """Jet levels u_0 = u, ..., u_depth, shape (depth + 1, ..., 2K+1), of each
+    field in the coefficient stack u, shape (..., 2K+1), and with directions v
+    also the tangent levels delta u_0 = v, ..., delta u_depth (as a pair):
 
         (j+1) u_{j+1} = (Id - mean) C_j,    (j+1) delta u_{j+1} = (Id - mean) T_j.
 
@@ -101,36 +104,36 @@ def _jets(u: SpectralField, depth: int, v: SpectralField | None = None):
         raise ValueError("depth must be nonnegative")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
-    grid = u.grid
-    rows = [u.coeffs] if v is None else [u.coeffs, v.coeffs]
-    jet = np.zeros((depth + 1, len(rows), grid.n_coeffs), dtype=complex)
+    rows = np.stack([u] if v is None else [u, v])
+    jet = np.zeros((depth + 1,) + rows.shape, dtype=complex)
     jet[0] = rows
     values, pairs = [], []
     for j in range(depth):
         values.append(_padded_values(grid, jet[j]))  # u_j and delta u_j
         pairs.append(sum(values[a][0] * values[j - a][0] for a in range(j + 1)))
         level = _band_coeffs(grid, sum(pairs[j - c] * values[c] for c in range(j + 1)))
-        level[:, grid.n_modes] = 0.0
+        level[..., grid.n_modes] = 0.0
         level[1:] *= 3.0  # the tangent row: T_j
         jet[j + 1] = level / (j + 1)
     return jet[:, 0] if v is None else (jet[:, 0], jet[:, 1])
 
 
 def ode_jet(u: SpectralField, depth: int) -> JetSequence:
-    """Jet of the auxiliary cubic flow to the requested depth."""
-    levels = [SpectralField(u.grid, c) for c in _jets(u, depth)]
+    """Jet of the auxiliary cubic flow to the requested depth, fully checked."""
+    levels = [SpectralField(u.grid, c) for c in _jets(u.grid, u.coeffs, depth)]
     return JetSequence(base=u, coeffs=levels)
 
 
 def f_n(u: SpectralField, n: int) -> SpectralField:
     """n-th tower map: f_0(u) = (Id - mean) u^3, f_{k+1} = f_k'[f_0]."""
-    jet = ode_jet(u, n + 1)
-    return (math.factorial(n) * (n + 1)) * jet.coeffs[n + 1]
+    level = _jets(u.grid, u.coeffs, n + 1)[n + 1]
+    return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * level)
 
 
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
     """f_n'(u)[v] via the tangent jet."""
-    _, deltas = _jets(u, n + 1, v)
+    _check_same_grid(u, v)
+    _, deltas = _jets(u.grid, u.coeffs, n + 1, v.coeffs)
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])
 
 
@@ -173,18 +176,15 @@ def P_n_eval(
     """Boundary-term polynomial after n integrations by parts:
     w1_0 + sum_{k<n} (-1)^k / ((2i)^{k+1}(k+1)!) (mu(t)^{k+1} f_k(w1_t)
     - mu(0)^{k+1} f_k(w1_0))."""
-    n = coeffs.n
-    jet_t = ode_jet(w1_t, n)
-    jet_0 = ode_jet(w1_0, n)
+    _check_same_grid(w1_t, w1_0)
+    jet = _jets(w1_t.grid, np.stack([w1_t.coeffs, w1_0.coeffs]), coeffs.n)
     mu_t, mu_0 = coeffs.mu(t), coeffs.mu(0.0)
-    out = w1_0
-    for k in range(n):
-        fk_scale = math.factorial(k) * (k + 1)
-        fk_t = fk_scale * jet_t.coeffs[k + 1]
-        fk_0 = fk_scale * jet_0.coeffs[k + 1]
+    out = w1_0.coeffs
+    for k in range(coeffs.n):
+        fk_t, fk_0 = (math.factorial(k) * (k + 1)) * jet[k + 1]
         c_k = (-1.0) ** k / coeffs.denominator(k)
-        out = out + c_k * (mu_t ** (k + 1) * fk_t - mu_0 ** (k + 1) * fk_0)
-    return out
+        out = out + (fk_t * mu_t ** (k + 1) - fk_0 * mu_0 ** (k + 1)) * c_k
+    return SpectralField(w1_0.grid, out)
 
 
 def bold_R_n(
@@ -192,23 +192,36 @@ def bold_R_n(
 ) -> SpectralField:
     """Transported remainder (1 + sum_{k<n} (-mu)^{k+1}/((2i)^{k+1}(k+1)!)
     f_k'(w1)[.]) applied to R1."""
-    n = coeffs.n
-    _, deltas = _jets(w1, n, R1)
-    mu_t = coeffs.mu(t)
-    out = R1.coeffs
-    for k in range(n):
+    _check_same_grid(w1, R1)
+    _, deltas = _jets(w1.grid, w1.coeffs, coeffs.n, R1.coeffs)
+    return SpectralField(w1.grid, _transported(coeffs, R1.coeffs, deltas, coeffs.mu(t)))
+
+
+def _transported(coeffs: IbpCoefficients, r, deltas, mu):
+    """bold_R_n on arrays: r (shape (..., 2K+1)) plus its terms from the
+    tangent levels deltas along r, with mu a scalar or of shape (..., 1)."""
+    out = r
+    for k in range(coeffs.n):
         dfk = (math.factorial(k) * (k + 1)) * deltas[k + 1]
-        out = out + ((-mu_t) ** (k + 1) / coeffs.denominator(k)) * dfk
-    return SpectralField(w1.grid, out)
+        out = out + ((-mu) ** (k + 1) / coeffs.denominator(k)) * dfk
+    return out
 
 
-def _check_uniform_sampling(times: np.ndarray, count: int) -> float:
-    if count < 3:
+def _samples(times, w1_samples, r1_samples):
+    """The checked inputs of a sampled representation: the times, their
+    uniform step, the one grid, and the w1 and R1 rows, shape (S, 2K+1)."""
+    times = np.asarray(times, dtype=float)
+    if not (len(times) == len(w1_samples) == len(r1_samples)):
+        raise ValueError("times, w1 samples, and R1 samples must align")
+    if len(times) < 3:
         raise ValueError("insufficient sampling: need at least 3 samples")
     gaps = np.diff(times)
     if gaps[0] <= 0.0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
         raise ValueError("insufficient sampling: times must be uniform")
-    return float(gaps[0])
+    for f in (*w1_samples, *r1_samples):
+        _check_same_grid(w1_samples[0], f)
+    w, r = (np.stack([f.coeffs for f in fs]) for fs in (w1_samples, r1_samples))
+    return times, float(gaps[0]), w1_samples[0].grid, w, r
 
 
 def implicit_residual(
@@ -220,38 +233,23 @@ def implicit_residual(
               - int_0^T bold_R_n(w1, R1).
 
     Phases are evaluated analytically at the nodes; only the fields are
-    quadratured (composite Simpson on the uniform sample grid)."""
-    times = np.asarray(times, dtype=float)
-    if not (len(times) == len(w1_samples) == len(r1_samples)):
-        raise ValueError("times, w1 samples, and R1 samples must align")
-    dx = _check_uniform_sampling(times, len(times))
+    quadratured (composite Simpson on the uniform sample grid).  One jet
+    with tangent of depth n + 1 per block of samples gives the f_n and
+    bold_R_n rows: tangent levels up to n do not depend on the depth."""
+    times, dx, grid, w, r = _samples(times, w1_samples, r1_samples)
     n, eps = coeffs.n, coeffs.epsilon
-
-    fn_rows = np.stack(
-        [
-            coeffs.mu(t) ** (n + 1) * f_n(w, n).coeffs
-            for t, w in zip(times, w1_samples)
-        ]
-    )
+    mu = np.array([coeffs.mu(t) for t in times])[:, None]
+    fn_rows, rn_rows = np.empty_like(w), np.empty_like(w)
+    for block in _blocks(grid, len(times)):
+        jet, deltas = _jets(grid, w[block], n + 1, r[block])
+        fn_rows[block] = jet[n + 1]
+        rn_rows[block] = _transported(coeffs, r[block], deltas, mu[block])
+    fn_rows = mu ** (n + 1) * ((math.factorial(n) * (n + 1)) * fn_rows)
     prefactor = (-1.0) ** n / (eps * (2.0j) ** n * math.factorial(n))
-    integral_fn = prefactor * simpson_uniform(fn_rows, dx)
-
-    rn_rows = np.stack(
-        [
-            bold_R_n(w, r, t, coeffs).coeffs
-            for t, w, r in zip(times, w1_samples, r1_samples)
-        ]
-    )
-    integral_rn = simpson_uniform(rn_rows, dx)
-
-    grid = w1_samples[0].grid
-    defect = (
-        w1_samples[-1]
-        - P_n_eval(w1_samples[-1], w1_samples[0], float(times[-1]), coeffs)
-        - SpectralField(grid, integral_fn)
-        - SpectralField(grid, integral_rn)
-    )
-    return norm(defect, "Hs", s=1)
+    boundary = P_n_eval(w1_samples[-1], w1_samples[0], float(times[-1]), coeffs)
+    defect = (w[-1] - boundary.coeffs - prefactor * simpson_uniform(fn_rows, dx)
+              - simpson_uniform(rn_rows, dx))
+    return norm(SpectralField(grid, defect), "Hs", s=1)
 
 
 def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> float:
@@ -265,15 +263,9 @@ def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> 
               - (3 lam^2 / 4) int e^{-4it/eps} P(wbar1^2 Rbar1)
               + int R1,        lam = eps^alpha,  P = Id - mean.
     """
-    times = np.asarray(times, dtype=float)
-    if not (len(times) == len(w1_samples) == len(r1_samples)):
-        raise ValueError("times, w1 samples, and R1 samples must align")
-    dx = _check_uniform_sampling(times, len(times))
+    times, dx, grid, w, r = _samples(times, w1_samples, r1_samples)
     lam = epsilon**alpha
-    grid = w1_samples[0].grid
     count = len(times)
-    w = np.stack([f.coeffs for f in w1_samples])
-    r = np.stack([f.coeffs for f in r1_samples])
     x, xr = _padded_values(grid, np.stack([w, r]))
     cx, ends = np.conj(x), np.conj(x[[0, -1]])
     # rows P w1^3 and P(wbar1^2 Rbar1) at every sample, P wbar1^3 at 0 and T

@@ -60,6 +60,7 @@ from .model import PressureLaw, State, _cubic, q_apply
 from .spectral import (
     SpectralField,
     _band_coeffs,
+    _blocks,
     _padded_values,
     apply_m,
     conjugate,
@@ -323,12 +324,6 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
     return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
 
 
-# complex points (members x padded grid size) per block of _reduced_forcing:
-# a block holds about two dozen arrays of that size at once, so this bounds
-# the kernel's working memory for any batch size and band
-_BLOCK_POINTS = 1024
-
-
 def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
 
@@ -351,13 +346,11 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
         by per-mode arithmetic, with r1 the factored form of _r1_field.
 
     The conjugated setting is the plain p0 one with w1 and g1 mirrored.
-    The members go through in blocks of _BLOCK_POINTS // grid.n_padded (at
-    least one), two FFT calls per block."""
-    size = max(1, _BLOCK_POINTS // grid.n_padded)
+    The members go through in the row blocks of spectral._blocks, two FFT
+    calls per block."""
     g1 = np.empty(np.shape(w1), dtype=complex)
     n2 = np.empty(np.shape(w2), dtype=complex)
-    for i in range(0, len(t), size):
-        block = slice(i, i + size)
+    for block in _blocks(grid, len(t)):
         g1[block], n2[block] = _forcing_block(
             setting, grid, w1[block], w2[block], t[block]
         )

@@ -27,7 +27,7 @@ Products are formed on a zero-padded collocation grid at least twice the size
 of the retained band, so pair and triple products of band-limited fields are
 alias-free after truncation back to |k| <= K (Orszag's padding rule).  The array
 kernels of other modules reach that grid, of size Grid.n_padded, only through
-_padded_values and _band_coeffs; `multiply` stays apart as their oracle.
+_padded_values and _band_coeffs, in _blocks of rows; `multiply` is the oracle.
 """
 
 from __future__ import annotations
@@ -296,6 +296,17 @@ def multiply(fields: Sequence[SpectralField]) -> SpectralField:
     for g in fields[1:]:
         prod = prod * to_physical(g, grid.n_padded)
     return to_spectral(grid, prod)
+
+
+# complex points (rows x padded size) per block of a batched kernel, which
+# holds a few dozen such arrays: a bound on working memory for any batch
+_BLOCK_POINTS = 1024
+
+
+def _blocks(grid: Grid, count: int):
+    """Slices of max(1, _BLOCK_POINTS // n_padded) rows covering 0..count-1."""
+    size = max(1, _BLOCK_POINTS // grid.n_padded)
+    return (slice(i, i + size) for i in range(0, count, size))
 
 
 def _padded_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

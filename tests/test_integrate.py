@@ -10,8 +10,9 @@ conj u2_{-k}), written here from rhs_full's modified formula, and against
 the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and the FFT calls of each
-step and of the array kernels (the reduced forcing per block, the tangent
-jet, bold_R_n and ibp_once_p2) are counted.  Convergence orders are
+step and of the array kernels (the reduced forcing per block, the tower map
+and its tangent, P_n_eval, bold_R_n, implicit_residual per block of samples
+and ibp_once_p2) are counted.  Convergence orders are
 measured against a fine-step reference, and the Picard fixed point is
 compared against the time stepper on the same reduced problem.
 """
@@ -37,7 +38,15 @@ from wavereg.integrate import (
     step_full,
     step_reduced,
 )
-from wavereg.jets_ibp import IbpCoefficients, bold_R_n, f_n_directional, ibp_once_p2
+from wavereg.jets_ibp import (
+    IbpCoefficients,
+    P_n_eval,
+    bold_R_n,
+    f_n,
+    f_n_directional,
+    ibp_once_p2,
+    implicit_residual,
+)
 from wavereg.model import PressureLaw, State, SystemSpec, energy, q_apply, rhs_full
 from wavereg.normalform import (
     NormalFormSetting,
@@ -482,6 +491,37 @@ class TestFftCalls:
         times = np.linspace(0.0, 1.0, members)
         _reduced_forcing(NormalFormSetting(0.2, amplitude=1.0), grid, w1, w2, times)
         assert len(calls) == 2 * blocks
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_tower_map(self, calls, n):
+        # the jet to depth n + 1, with no re-check of its levels
+        grid = Grid(8)
+        f_n(0.3 * random_field(grid, np.random.default_rng(7), band=(1, 2)), n)
+        assert len(calls) == 2 * n + 2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_boundary_polynomial(self, calls, n):
+        # one jet to depth n for both end fields
+        grid = Grid(8)
+        rng = np.random.default_rng(8)
+        w_t, w_0 = (0.3 * random_field(grid, rng, band=(1, 2)) for _ in range(2))
+        P_n_eval(w_t, w_0, 0.3, IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0))
+        assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize(
+        "grid, samples, blocks",
+        [(Grid(8), 5, 1), (Grid(8), 30, 1), (Grid(8), 31, 2), (Grid(6, n_points=300), 7, 3)],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_implicit_residual(self, calls, grid, samples, blocks, n):
+        # one jet with tangent to depth n + 1 per block of
+        # _BLOCK_POINTS // n_padded samples, then P_n_eval's jet to depth n
+        rng = np.random.default_rng(9)
+        w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
+        r = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
+        coeffs = IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0)
+        implicit_residual(np.linspace(0.0, 0.1, samples), w, r, coeffs)
+        assert len(calls) == 2 * (n + 1) * blocks + 2 * n
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_directional_tower_map(self, calls, n):

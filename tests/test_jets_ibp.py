@@ -4,15 +4,22 @@ The brute-force oracle for the tower maps avoids jets entirely: every f_n is
 a polynomial in the field, so f_{n+1}(u) = f_n'(u)[f(u)] can be evaluated by
 sampling f_n(u + s f(u)) at enough scalar values of s and differentiating
 the interpolating polynomial at s = 0 exactly.  Agreement between that
-recursion and the jet formula is the module's load-bearing check; the
-residual evaluators are then cross-validated against trajectories produced
-by the independent time stepper.
+recursion and the jet formula is the module's load-bearing check.  The
+literal ordered-triple sum of `multiply` products, which JetSequence runs on
+construction, is the second oracle: the array recurrence _jets behind every
+tower map is held to it on truncating grids up to the depth cap, and its
+stacked form to row-by-row calls.  implicit_residual is held to its
+per-sample form (loop_implicit_residual), and every evaluator rejects fields
+on different grids.  The residual evaluators are then cross-validated
+against trajectories produced by the independent time stepper.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavereg.integrate import IntegratorConfig, solve
 from wavereg.jets_ibp import (
@@ -20,6 +27,7 @@ from wavereg.jets_ibp import (
     IbpCoefficients,
     JetSequence,
     P_n_eval,
+    _jets,
     bold_R_n,
     choose_n,
     f_n,
@@ -130,6 +138,40 @@ class TestOdeJet:
             JetSequence(base=u, coeffs=bad)
 
 
+class TestArrayJets:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([Grid(8), Grid(8, n_points=17), Grid(8, n_points=61)]),
+        amplitude=st.floats(0.05, 0.5),
+        n=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(grid=Grid(8, n_points=17), amplitude=0.5, n=15, seed=0)
+    @example(grid=Grid(8, n_points=61), amplitude=0.05, n=15, seed=1)
+    def test_tower_map_is_the_checked_jet_level(self, grid, amplitude, n, seed):
+        # ode_jet(u, n + 1) re-forms every level through the literal
+        # ordered-triple sum of `multiply` products on construction; on the
+        # 17- and 61-point grids both paths truncate every product
+        u = amplitude * random_field(grid, np.random.default_rng(seed), band=(1, 3))
+        want = (math.factorial(n) * (n + 1)) * ode_jet(u, n + 1).coeffs[n + 1]
+        got = f_n(u, n)
+        assert norm(got - want, "L2") <= 1e-14 * norm(want, "L2")
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(0), Grid(8), Grid(8, n_points=17), Grid(8, n_points=61)]
+    )
+    def test_stacked_rows_equal_row_by_row_calls(self, rng, grid):
+        u, v = 0.3 * (rng.standard_normal((2, 2, 3, grid.n_coeffs))
+                      + 1j * rng.standard_normal((2, 2, 3, grid.n_coeffs)))
+        jet = _jets(grid, u, 5)
+        with_tangent, tangent = _jets(grid, u, 5, v)
+        assert jet.shape == tangent.shape == (6, 2, 3, grid.n_coeffs)
+        assert np.array_equal(with_tangent, jet)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(jet[:, i, j], _jets(grid, u[i, j], 5))
+            assert np.array_equal(tangent[:, i, j], _jets(grid, u[i, j], 5, v[i, j])[1])
+
+
 class TestTowerMaps:
     def test_worked_single_mode_values(self):
         grid = Grid(8)
@@ -169,6 +211,12 @@ class TestTowerMaps:
         c = got.coeffs.copy()
         c[grid.index(7)] = 0.0
         assert np.max(np.abs(c)) < 1e-13
+
+    @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
+    def test_directional_rejects_a_direction_on_another_grid(self, rng, other):
+        u = 0.3 * random_field(Grid(8), rng, band=(1, 2))
+        with pytest.raises(ValueError, match="different grids"):
+            f_n_directional(u, 1, 0.3 * random_field(other, rng, band=(1, 2)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_central_differences_converge_at_second_order(self, rng, n):
@@ -251,6 +299,14 @@ class TestPnEval:
             out = P_n_eval(w_t, w_0, 0.7, coeffs)
             assert norm(out - w_0, "L2") == 0.0
 
+    @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
+    def test_rejects_end_fields_on_different_grids(self, rng, other):
+        w_t = 0.3 * random_field(Grid(8), rng, band=(1, 2))
+        w_0 = 0.3 * random_field(other, rng, band=(1, 2))
+        coeffs = IbpCoefficients(n=2, lam=0.4, epsilon=0.2, c_embed=2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            P_n_eval(w_t, w_0, 0.7, coeffs)
+
 
 class TestBoldRn:
     def test_zero_remainder_maps_to_zero(self, rng):
@@ -279,6 +335,14 @@ class TestBoldRn:
         expected = r - (mu / 2.0j) * remove_mean(3.0 * multiply([w, w, r]))
         assert norm(got - expected, "L2") < 1e-12
 
+    @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
+    def test_rejects_a_remainder_on_another_grid(self, rng, other):
+        w = 0.3 * random_field(Grid(8), rng, band=(1, 2))
+        r = 0.2 * random_field(other, rng, band=(1, 2))
+        coeffs = IbpCoefficients(n=2, lam=0.4, epsilon=0.2, c_embed=2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            bold_R_n(w, r, 0.3, coeffs)
+
 
 def reduced_p0_trajectory(rng, eps, lam, dt, n_steps, grid_size=10):
     """Sampled w1 trajectory of the slow component with its R1 samples,
@@ -301,7 +365,67 @@ def reduced_p0_trajectory(rng, eps, lam, dt, n_steps, grid_size=10):
     return times, w1_samples, r1_samples
 
 
+def loop_implicit_residual(times, w1_samples, r1_samples, coeffs):
+    """implicit_residual with its f_n and bold_R_n rows formed one sample at
+    a time through the public maps; the reference for the blocked form."""
+    dx = times[1] - times[0]
+    n, eps = coeffs.n, coeffs.epsilon
+    fn_rows = np.stack(
+        [coeffs.mu(t) ** (n + 1) * f_n(w, n).coeffs for t, w in zip(times, w1_samples)]
+    )
+    rn_rows = np.stack(
+        [bold_R_n(w, r, t, coeffs).coeffs
+         for t, w, r in zip(times, w1_samples, r1_samples)]
+    )
+    prefactor = (-1.0) ** n / (eps * (2.0j) ** n * math.factorial(n))
+    grid = w1_samples[0].grid
+    defect = (
+        w1_samples[-1]
+        - P_n_eval(w1_samples[-1], w1_samples[0], float(times[-1]), coeffs)
+        - SpectralField(grid, prefactor * simpson_uniform(fn_rows, dx))
+        - SpectralField(grid, simpson_uniform(rn_rows, dx))
+    )
+    return norm(defect, "Hs", s=1)
+
+
+def full_band_samples(rng, grid, count):
+    return [SpectralField(grid, 0.3 * (rng.standard_normal(grid.n_coeffs)
+                                       + 1j * rng.standard_normal(grid.n_coeffs)))
+            for _ in range(count)]
+
+
 class TestImplicitResidual:
+    # blocks of 1024 // n_padded samples: 30 on Grid(8) and Grid(8, n_points=17),
+    # 16 on Grid(8, n_points=61), 6 on Grid(40)
+    @pytest.mark.parametrize(
+        "grid, count",
+        [(Grid(0), 5), (Grid(8), 61), (Grid(8, n_points=17), 31),
+         (Grid(8, n_points=61), 33), (Grid(40), 13)],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_the_per_sample_form(self, rng, grid, count, n):
+        # full-band samples with nonzero means, so every projection and
+        # every phase shows in the defect
+        times = np.linspace(0.0, 0.3, count)
+        w, r = full_band_samples(rng, grid, count), full_band_samples(rng, grid, count)
+        coeffs = IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0)
+        got = implicit_residual(times, w, r, coeffs)
+        want = loop_implicit_residual(times, w, r, coeffs)
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("which", ["w1", "r1"])
+    @pytest.mark.parametrize("index", [0, 3, 34])
+    @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
+    def test_rejects_a_sample_on_another_grid(self, rng, which, index, other):
+        # 35 samples on Grid(8) span two blocks; one sample elsewhere
+        times = np.linspace(0.0, 0.1, 35)
+        samples = {"w1": full_band_samples(rng, Grid(8), 35),
+                   "r1": full_band_samples(rng, Grid(8), 35)}
+        samples[which][index] = full_band_samples(rng, other, 1)[0]
+        coeffs = IbpCoefficients(n=1, lam=0.4, epsilon=0.2, c_embed=2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            implicit_residual(times, samples["w1"], samples["r1"], coeffs)
+
     def test_zero_amplitude_synthetic_trajectory(self):
         # with lam = 0 the representation degenerates to
         # w1(t) = w1(0) + int R1, checked on an analytic trajectory.
@@ -421,6 +545,17 @@ class TestIbpOnceP2:
         times = np.linspace(0.0, 0.1, 11)
         zs = [zeros(grid)] * 11
         assert ibp_once_p2(times, zs, zs, 0.25, 0.05) == 0.0
+
+    @pytest.mark.parametrize("which", ["w1", "r1"])
+    @pytest.mark.parametrize("index", [0, 2, -1])
+    @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
+    def test_rejects_a_sample_on_another_grid(self, rng, which, index, other):
+        times = np.linspace(0.0, 0.1, 5)
+        samples = {"w1": full_band_samples(rng, Grid(8), 5),
+                   "r1": full_band_samples(rng, Grid(8), 5)}
+        samples[which][index] = full_band_samples(rng, other, 1)[0]
+        with pytest.raises(ValueError, match="different grids"):
+            ibp_once_p2(times, samples["w1"], samples["r1"], 0.25, 0.05)
 
     def test_cross_validates_against_the_stepper(self, rng):
         eps, alpha, dt = 0.05, 0.25, 0.002

@@ -488,7 +488,8 @@ class TestReducedRhs:
         # each row of one batched kernel call is the forcing of its own
         # member at its own time: reduced_rhs minus its dispersion term.
         # On the 300-point grid the kernel takes the members three at a time.
-        from wavereg.normalform import _BLOCK_POINTS, _reduced_forcing
+        from wavereg.normalform import _reduced_forcing
+        from wavereg.spectral import _BLOCK_POINTS
 
         members, n, K = 7, grid.n_coeffs, grid.n_modes
         if grid.n_points == 300:
