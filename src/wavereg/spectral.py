@@ -27,7 +27,7 @@ Products are formed on a zero-padded collocation grid at least twice the size
 of the retained band, so pair and triple products of band-limited fields are
 alias-free after truncation back to |k| <= K (Orszag's padding rule).  The array
 kernels of other modules reach that grid, of size Grid.n_padded, only through
-_padded_values and _band_coeffs, in _blocks of rows; `multiply` is the oracle.
+_padded_values and _band_coeffs; `multiply` stays apart as their oracle.
 """
 
 from __future__ import annotations

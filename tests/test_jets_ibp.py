@@ -299,6 +299,21 @@ class TestPnEval:
             out = P_n_eval(w_t, w_0, 0.7, coeffs)
             assert norm(out - w_0, "L2") == 0.0
 
+    @pytest.mark.parametrize("grid", [Grid(8), Grid(8, n_points=17)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_the_sum_over_each_end(self, rng, grid, n):
+        # distinct end fields at a nonzero phase, each end's f_k on its own
+        w_t, w_0 = (0.3 * random_field(grid, rng, band=(1, 3)) for _ in range(2))
+        coeffs = IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0)
+        mu_t, mu_0 = coeffs.mu(0.7), coeffs.mu(0.0)
+        want = w_0
+        for k in range(n):
+            want = want + ((-1.0) ** k / coeffs.denominator(k)) * (
+                mu_t ** (k + 1) * f_n(w_t, k) - mu_0 ** (k + 1) * f_n(w_0, k)
+            )
+        got = P_n_eval(w_t, w_0, 0.7, coeffs)
+        assert norm(got - want, "L2") <= 1e-14 * norm(want, "L2")
+
     @pytest.mark.parametrize("other", [Grid(8, n_points=61), Grid(6)])
     def test_rejects_end_fields_on_different_grids(self, rng, other):
         w_t = 0.3 * random_field(Grid(8), rng, band=(1, 2))
