@@ -49,6 +49,8 @@ CASES = {
     "simulate-modified": ["simulate", "--system", "modified", "--epsilon", "0.1"],
     "simulate-p2-theorem": ["simulate", "--pressure", "p2", "--epsilon", "0.1",
                             "--theorem-scaling"],
+    "simulate-store-every-ragged": ["simulate", "--epsilon", "0.1", "--store-every",
+                                    "7", "--t-end", "0.1234"],
     "simulate-modified-crossing": [
         "simulate", "--system", "modified", "--epsilon", "0.2", "--seed", "3",
         "--rho-max", "0.152", "--dt", "0.0008", "--t-end", "0.12"],

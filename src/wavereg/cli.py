@@ -47,11 +47,23 @@ from .model import PressureLaw, State, SystemSpec
 from .normalform import (
     NormalFormSetting,
     ReducedState,
+    _cancellation_residuals,
+    _normal_coords,
+    _reduced_forcing,
     cancellation_residual,
-    reduced_rhs,
     to_normal_coords,
 )
-from .spectral import Grid, SpectralField, multiply, norm, random_field, remove_mean
+from .spectral import (
+    Grid,
+    SpectralField,
+    _band_coeffs,
+    _blocks,
+    _hs_norms,
+    _padded_values,
+    norm,
+    random_field,
+    remove_mean,
+)
 
 _LAWS = {"p0": PressureLaw.P0, "p1": PressureLaw.P1, "p2": PressureLaw.P2}
 
@@ -441,25 +453,24 @@ def _cmd_simulate(cfg: dict) -> int:
     )
     trajectory = existence_run(system, law, amp * profile, run_config, cfg["rho_max"])
 
-    rows = []
-    for t, state, diag in zip(
-        trajectory.times, trajectory.states, trajectory.diagnostics
-    ):
+    grid = profile.grid
+    columns = []
+    for block in _blocks(grid, len(trajectory.states)):
+        u1, u2 = (np.stack([f.coeffs for f in fields]) for fields in
+                  zip(*((state.u1, state.u2) for state in trajectory.states[block])))
         # normalized slow-frame coordinates; the oscillation phases are
         # unimodular scalars, so these equal the oscillating-frame norms
-        v = to_normal_coords(setting, state / amp)
-        rows.append((
-            t,
-            norm(v.u1, "Hs", s=1.0),
-            norm(v.u2, "L2"),
-            diag["norm1_h1"],
-            diag["norm2_l2"],
-            diag["energy"],
-            diag["mean_abs_1"],
-            diag["mean_abs_2"],
-            cancellation_residual(setting, state),
-            trajectory.terminal_status,
-        ))
+        v1, v2 = _normal_coords(setting, grid, u1 / amp, u2 / amp, inverse=True)
+        columns.append(np.stack([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
+                                 _cancellation_residuals(setting, grid, u1, u2)]))
+    norms_v1, norms_v2, residuals = np.concatenate(columns, axis=1).tolist()
+    rows = [
+        (t, norm_v1, norm_v2, diag["norm1_h1"], diag["norm2_l2"], diag["energy"],
+         diag["mean_abs_1"], diag["mean_abs_2"], residual, trajectory.terminal_status)
+        for t, norm_v1, norm_v2, diag, residual in zip(
+            trajectory.times, norms_v1, norms_v2, trajectory.diagnostics, residuals
+        )
+    ]
     elapsed = time.perf_counter() - started
 
     csv_path, json_path = _write_outputs(cfg, "simulate", {
@@ -719,11 +730,15 @@ def _verify_legs(n_modes: int, seed: int, fields: int):
     )
     times = np.array(trajectory.times)
     w1_samples = [w.w1 for w in trajectory.states]
-    r1_samples = []
-    for w in trajectory.states:
-        mu_over_eps = -1j * lam**2 / eps * np.exp(2.0j * w.t / eps)
-        cubic = remove_mean(multiply([w.w1, w.w1, w.w1]))
-        r1_samples.append(reduced_rhs(setting, w).u1 - complex(mu_over_eps) * cubic)
+    # R1 = dt w1 - mu P(w1^3), mu = -i lam^2/eps exp(2it/eps), on all samples
+    w1 = np.stack([w.coeffs for w in w1_samples])
+    w2 = np.stack([w.w2.coeffs for w in trajectory.states])
+    dw1, _ = _reduced_forcing(setting, imp_grid, w1, w2, times)
+    x = _padded_values(imp_grid, w1)
+    cubic = _band_coeffs(imp_grid, x * x * x)
+    cubic[:, imp_grid.n_modes] = 0.0
+    mu = -1j * lam**2 / eps * np.exp(2.0j * times / eps)
+    r1_samples = [SpectralField(imp_grid, row) for row in dw1 - mu[:, None] * cubic]
     coeffs = IbpCoefficients(n=1, lam=lam, epsilon=eps, c_embed=1.0)
     residual = implicit_residual(times, w1_samples, r1_samples, coeffs)
     threshold = 5.0 * dt + 1e-8

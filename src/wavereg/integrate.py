@@ -33,22 +33,32 @@ forcing at all quadrature nodes in one batched kernel call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import PressureLaw, State, SystemSpec, _require_law, energy
+from .model import PressureLaw, State, SystemSpec, _energies, _require_law
 from .normalform import (
     NormalFormSetting,
     ReducedState,
+    _normal_coords,
+    _phases,
     _reduced_forcing,
     _require_zero_mean,
-    from_normal_coords,
-    oscillate,
 )
 from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
-from .spectral import Grid, SpectralField, _band_coeffs, _padded_values, norm
+from .spectral import (
+    Grid,
+    SpectralField,
+    _band_coeffs,
+    _blocks,
+    _hs_norms,
+    _mirror,
+    _padded_values,
+    norm,
+)
 
 _SCHEMES = ("exp_rk2", "exp_euler")
 
@@ -178,7 +188,7 @@ def step_full(
     _require_law(spec, law)
     ct, cd = spec.coefficients
     grid = state.grid
-    mirror = (lambda c: np.conj(c[::-1])) if spec.kind == "modified" else (lambda c: c)
+    mirror = _mirror if spec.kind == "modified" else (lambda c: c)
 
     def linear(y: np.ndarray, h: float) -> np.ndarray:
         p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, h)
@@ -241,14 +251,21 @@ def _finite(first: SpectralField, second: SpectralField) -> bool:
     return bool(np.all(np.isfinite(first.coeffs)) and np.all(np.isfinite(second.coeffs)))
 
 
-def _diagnostics(first: SpectralField, second: SpectralField, energy_report) -> dict:
-    return {
-        "norm1_h1": norm(first, "Hs", s=1),
-        "norm2_l2": norm(second, "L2"),
-        "energy": energy_report.value,
-        "mean_abs_1": abs(first.coeff(0)),
-        "mean_abs_2": abs(second.coeff(0)),
-    }
+_DIAGNOSTIC_KEYS = ("norm1_h1", "norm2_l2", "energy", "mean_abs_1", "mean_abs_2")
+
+
+def _diagnostics(law: PressureLaw, grid: Grid, first, second, physical) -> list:
+    """One diagnostics dict per row of the sample arrays first and second
+    (N, 2K+1): their H1 and L2 norms and means, and the energy of the
+    physical arrays (u1, u2) of the same samples."""
+    columns = np.stack([
+        _hs_norms(grid, first, 1.0),
+        _hs_norms(grid, second),
+        _energies(law, *physical)[0],
+        np.abs(first[:, grid.n_modes]),
+        np.abs(second[:, grid.n_modes]),
+    ], axis=1)
+    return [dict(zip(_DIAGNOSTIC_KEYS, row)) for row in columns.tolist()]
 
 
 def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajectory:
@@ -259,8 +276,16 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
     ReducedState datum (whose law must match and whose time must lie
     before t_end).  The blow-up proxy is
     max(H1 of the first component, L2 of the second) against
-    config.blowup_threshold; a crossing is refined by bisecting the final
-    step until the bracket is below 1e-3 of the crossing time."""
+    config.blowup_threshold, checked after every step; a crossing is
+    refined by bisecting the final step until the bracket is below 1e-3 of
+    the crossing time.
+
+    The diagnostics of the stored samples (norms, means and the energy of
+    the physical state) are formed when the run returns, in one pass over
+    the stacked samples in the row blocks of spectral._blocks; for the
+    reduced system that pass maps each sample back to physical variables
+    by the backward frame phases, (Id + eps M) and the amplitude, on
+    arrays."""
     if isinstance(system, SystemSpec):
         if not isinstance(datum, State):
             raise TypeError("full-system solve expects a State datum")
@@ -268,7 +293,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         _require_zero_mean(u1=datum.u1, u2=datum.u2)
         stepper = lambda st, t, dt: step_full(system, law, st, t, dt, config.scheme)
         pair = lambda st: (st.u1, st.u2)
-        physical = lambda st: st
+        physical = lambda times, first, second: (first, second)
         t0 = 0.0
     elif isinstance(system, NormalFormSetting):
         if not isinstance(datum, ReducedState):
@@ -281,33 +306,27 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
             )
         stepper = lambda st, t, dt: step_reduced(system, st, dt, config.scheme)
         pair = lambda st: (st.w1, st.w2)
-        physical = lambda st: system.amplitude * from_normal_coords(system, oscillate(
-            State(st.w1, st.w2), st.t, system.epsilon, "backward", system.conjugated))
+
+        def physical(times, first, second):
+            t = np.array(times)[:, None]
+            phase1, phase2 = _phases(t, system.epsilon, "backward", system.conjugated)
+            u1, u2 = _normal_coords(system, datum.grid, phase1 * first, phase2 * second)
+            return system.amplitude * u1, system.amplitude * u2
+
         t0 = datum.t
     else:
         raise TypeError(f"cannot integrate a {type(system).__name__}")
     monitor = lambda st: _monitor(*pair(st))
-    diags = lambda st: _diagnostics(*pair(st), energy(law, physical(st)))
 
     rho = config.blowup_threshold
     current = datum
-    times, states, diagnostics = [], [], []
-
-    def record(time: float, st) -> None:
-        times.append(time)
-        states.append(st)
-        diagnostics.append(diags(st))
-
-    record(t0, current)
-
-    if monitor(current) > rho:
-        return Trajectory(times, states, diagnostics, "blowup", blowup_time=t0)
+    times, states = [t0], [datum]
+    status = "blowup" if monitor(current) > rho else "completed"
+    blowup_time = t0 if status == "blowup" else None
 
     t = t0
     step_index = 0
-    status = "completed"
-    blowup_time = None
-    while t < config.t_end - 1e-12 * max(1.0, config.t_end):
+    while status == "completed" and t < config.t_end - 1e-12 * max(1.0, config.t_end):
         dt = min(config.dt, config.t_end - t)
         nxt = stepper(current, t, dt)
         step_index += 1
@@ -326,21 +345,49 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
                     lo = mid
             status = "blowup"
             blowup_time = t + 0.5 * (lo + hi)
-            record(t + hi, crossing)
+            times.append(t + hi)
+            states.append(crossing)
             break
         current = nxt
         t += dt
         if step_index % config.store_every == 0:
-            record(t, current)
+            times.append(t)
+            states.append(current)
 
     # the final sample: the end of the run, or the last finite state
     if status != "blowup" and times[-1] != t:
-        record(t, current)
+        times.append(t)
+        states.append(current)
+    diagnostics = []
+    for block in _blocks(datum.grid, len(states)):
+        first, second = (np.stack([f.coeffs for f in fields])
+                         for fields in zip(*map(pair, states[block])))
+        diagnostics += _diagnostics(law, datum.grid, first, second,
+                                    physical(times[block], first, second))
     return Trajectory(times, states, diagnostics, status, blowup_time=blowup_time)
 
 
 # --------------------------------------------------------------------------
 # Picard iteration of the Duhamel maps.
+
+
+class _ReducedSamples(Sequence):
+    """Read-only sequence of ReducedState over coefficient rows w1[j], w2[j]
+    at times[j]; a sample is built, and validated, when it is read."""
+
+    def __init__(self, grid: Grid, w1: np.ndarray, w2: np.ndarray, times: np.ndarray):
+        self._grid, self._w1, self._w2, self._times = grid, w1, w2, times
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        j = range(len(self))[index]  # negative indices; IndexError past the end
+        return ReducedState(SpectralField(self._grid, self._w1[j]),
+                            SpectralField(self._grid, self._w2[j]),
+                            float(self._times[j]))
 
 
 def _trajectory_distance(grid: Grid, a1, a2, b1, b2) -> float:
@@ -363,8 +410,9 @@ def picard_solve(
 ):
     """Iterate the integral maps of the reduced system to their fixed point.
 
-    Returns (trajectory, report) where trajectory is a list of ReducedState
-    at n_nodes uniform times on [0, T].  Successive iterates must approach
+    Returns (trajectory, report) where trajectory is a read-only sequence of
+    the ReducedState at n_nodes uniform times on [0, T], each built when it
+    is read.  Successive iterates must approach
     each other in the sampled sup of max(H1, L2); three consecutive
     non-contracting ratios abort the iteration (the report carries the
     measured ratios either way)."""
@@ -414,14 +462,7 @@ def picard_solve(
         if stalls >= 3:
             break
 
-    trajectory = [
-        ReducedState(
-            SpectralField(grid, w1_flat[j].copy()),
-            SpectralField(grid, w2_flat[j].copy()),
-            float(times[j]),
-        )
-        for j in range(n_nodes)
-    ]
+    trajectory = _ReducedSamples(grid, w1_flat, w2_flat, times)
     report = PicardReport(
         iterates=iterates, final_residual=float(residual), contraction_ratios=ratios
     )

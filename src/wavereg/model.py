@@ -25,9 +25,12 @@ real coefficients.  The integrator and the normal form implement the
 modified kind through G; rhs_full below keeps its own modified formula as
 the independent oracle for that fold.
 
-Energies are physical torus integrals (2*pi times the mean value),
-evaluated through exact coefficient convolutions rather than sampled
-quadrature, so quartic terms carry no aliasing error at all.
+Energies are physical torus integrals (2*pi times the mean value).  The
+quadratic terms are exact sums over the coefficients; the quartic term is
+the average of u1^4 over the padded grid of 4K+2 points, which no mode of
+the product's band |k| <= 4K aliases onto the mean, so it carries no
+aliasing error at all.  _energies evaluates them on stacks of samples;
+energy is its one-row call.
 """
 
 from __future__ import annotations
@@ -36,13 +39,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .spectral import (
+    Grid,
     SpectralField,
+    _blocks,
+    _mirror,
+    _padded_values,
     conjugate,
     derivative,
     multiply,
-    pair_mean,
-    quartic_mean,
 )
 
 
@@ -171,22 +178,38 @@ def energy(law: PressureLaw, state: State) -> EnergyReport:
     P1 and P2 are the conserved energies of the regularized p1 and p2 flows.
     The P0 form is the quartic functional monitored for the law p0 and for
     the modified system; it does not change under u1 -> conj(u1), so a state
-    and its mirror have the same P0 energy.
+    and its mirror have the same P0 energy.  This is _energies on one row.
     """
-    u1, u2 = state.u1, state.u2
+    rows = _energies(law, state.u1.coeffs[None], state.u2.coeffs[None])
+    return EnergyReport(*rows[:, 0].tolist())
+
+
+def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """energy of N samples, given as coefficient arrays u1, u2 of shape
+    (N, 2K+1): an array (4, N) whose rows are EnergyReport's value,
+    quartic_part, quadratic_u1_part and quadratic_u2_part.
+
+    A pair mean is the exact coefficient sum mean(a b) = sum_k a_k b_{-k}.
+    The quartic mean is the average of u1^4 (|u1|^4 for P1) over one
+    synthesis on the padded grid of Grid(K): its n_padded >= 4K+2 > 4K
+    points leave the band |k| <= 4K of the product no alias on mode 0, so
+    the average is the exact mean.  The rows go through in the blocks of
+    spectral._blocks, one FFT call per block."""
+    grid = Grid((np.shape(u1)[-1] - 1) // 2)
     two_pi = 2.0 * math.pi
-    cu1 = conjugate(u1)
-    if law is PressureLaw.P1:
-        quart = 0.25 * two_pi * quartic_mean(u1, cu1, u1, cu1).real
-        quad1 = -0.5 * two_pi * pair_mean(u1, cu1).real
-    elif law is PressureLaw.P2:
-        quart = 0.25 * two_pi * quartic_mean(u1, u1, u1, u1).real
-        quad1 = -0.5 * two_pi * pair_mean(u1, cu1).real
-    else:
-        quart = 0.25 * two_pi * quartic_mean(u1, u1, u1, u1).real
-        quad1 = -0.5 * two_pi * pair_mean(u1, u1).real
-    quad2 = 0.5 * two_pi * pair_mean(u2, conjugate(u2)).real
-    return EnergyReport(quart + quad1 + quad2, quart, quad1, quad2)
+
+    def pair(a, b):
+        return np.sum(a * b[..., ::-1], axis=-1).real
+
+    quart = np.empty(len(u1))
+    for block in _blocks(grid, len(u1)):
+        x = _padded_values(grid, u1[block])
+        x2 = x * np.conj(x) if law is PressureLaw.P1 else x * x
+        quart[block] = np.mean((x2 * x2).real, axis=-1)
+    quart *= 0.25 * two_pi
+    quad1 = -0.5 * two_pi * pair(u1, u1 if law is PressureLaw.P0 else _mirror(u1))
+    quad2 = 0.5 * two_pi * pair(u2, _mirror(u2))
+    return np.stack([quart + quad1 + quad2, quart, quad1, quad2])
 
 
 def _require_law(spec: SystemSpec, law: PressureLaw) -> None:

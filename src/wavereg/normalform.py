@@ -40,7 +40,11 @@ of m is real and odd, so conj(m f) = -m conj(f) and the mirrored corrector
 is G M G (u1, u2) = (+m conj u2, -m conj u1); the mirrored frame phase on w1
 is exp(+i t/eps).
 
-The operators above act on validated States, one at a time.  The reduced
+The operators above act on validated States, one at a time.  The change
+of coordinates both ways (_normal_coords, which from_normal_coords and
+to_normal_coords wrap) and the cancellation residual
+(_cancellation_residuals, with cancellation_residual its oracle) also run
+on coefficient arrays with a leading sample axis.  The reduced
 system itself is evaluated by one array kernel, _reduced_forcing: it takes
 raw coefficient arrays with a leading batch axis, one member per row at its
 own time, and assembles the same formula on spectral.py's padded product
@@ -61,6 +65,8 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
+    _hs_norms,
+    _mirror,
     _padded_values,
     apply_m,
     conjugate,
@@ -159,23 +165,39 @@ def apply_M(setting: NormalFormSetting, u: State) -> State:
 
 
 def from_normal_coords(setting: NormalFormSetting, v: State) -> State:
-    """u_tilde = (Id + eps*M) v."""
-    return v + setting.epsilon * apply_M(setting, v)
+    """u_tilde = (Id + eps*M) v, by _normal_coords."""
+    u1, u2 = _normal_coords(setting, v.grid, v.u1.coeffs, v.u2.coeffs)
+    return State(SpectralField(v.grid, u1), SpectralField(v.grid, u2))
 
 
-@_folded
 def to_normal_coords(setting: NormalFormSetting, u_tilde: State) -> State:
-    """Invert (Id + eps*M).
+    """Invert (Id + eps*M), by the closed form of _normal_coords."""
+    grid = u_tilde.grid
+    v1, v2 = _normal_coords(
+        setting, grid, u_tilde.u1.coeffs, u_tilde.u2.coeffs, inverse=True
+    )
+    return State(SpectralField(grid, v1), SpectralField(grid, v2))
 
-    M is complex-linear and block-diagonal per wavenumber, with 2x2 blocks
-    [[1, -eps/k], [-eps/k, 1]]; the inverse is closed-form and the
-    determinant 1 - (eps/k)^2 >= 1 - eps^2 never degenerates for eps < 1."""
-    k = u_tilde.grid.wavenumbers.astype(float)
+
+def _normal_coords(setting: NormalFormSetting, grid, a1, a2, inverse=False):
+    """(Id + eps*M) applied to coefficient arrays a1, a2 of shape
+    (..., 2K+1), or with inverse=True its inverse.
+
+    M is complex-linear and block-diagonal per wavenumber, so Id + eps*M
+    has 2x2 blocks [[1, -eps/k], [-eps/k, 1]] (the identity at k = 0); the
+    inverse is closed-form and the determinant 1 - (eps/k)^2 >= 1 - eps^2
+    never degenerates for eps < 1.  The conjugated setting mirrors the first
+    component in and out.  The arrays are not validated."""
+    if setting.conjugated:
+        plain = replace(setting, conjugated=False)
+        b1, b2 = _normal_coords(plain, grid, _mirror(a1), a2, inverse)
+        return _mirror(b1), b2
+    k = grid.wavenumbers.astype(float)
     fac = np.where(k == 0.0, 0.0, setting.epsilon / np.where(k == 0.0, 1.0, k))
+    if not inverse:
+        return a1 - fac * a2, a2 - fac * a1
     det = 1.0 - fac * fac
-    v1 = (u_tilde.u1.coeffs + fac * u_tilde.u2.coeffs) / det
-    v2 = (fac * u_tilde.u1.coeffs + u_tilde.u2.coeffs) / det
-    return State(SpectralField(u_tilde.grid, v1), SpectralField(u_tilde.grid, v2))
+    return (a1 + fac * a2) / det, (fac * a1 + a2) / det
 
 
 @_folded
@@ -183,7 +205,8 @@ def cancellation_residual(setting: NormalFormSetting, u: State) -> float:
     """L2 size of ([i D dx^2, M] + A dx) u; zero for the correct M.
 
     Returns the root of the summed squared L2 norms of the two components
-    (the mirror preserves both norms)."""
+    (the mirror preserves both norms).  _cancellation_residuals evaluates
+    the same terms on stacks of states."""
     mu = apply_M(setting, u)
     disp_m = State(zeros(u.grid), 1j * derivative(mu.u2, order=2))
     m_disp = apply_M(
@@ -194,6 +217,41 @@ def cancellation_residual(setting: NormalFormSetting, u: State) -> float:
     return float(
         np.sqrt(norm(res.u1, "L2") ** 2 + norm(res.u2, "L2") ** 2)
     )
+
+
+def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
+    """cancellation_residual of every row of coefficient arrays u1, u2 of
+    shape (N, 2K+1), from the same three operator terms, formed per mode:
+    the commutator's two terms and the transport.  The conjugated setting
+    mirrors u1, which keeps both norms."""
+    if setting.conjugated:
+        u1 = _mirror(u1)
+    k = grid.wavenumbers
+    inv_k = _m_symbol(grid)
+    d1, d2 = 1j * k, (1j * k) ** 2  # symbols of dx and dx^2
+    corrector = lambda a1, a2: (-inv_k * a2, -inv_k * a1)  # M
+    zero = np.zeros_like(u2)
+    disp_m = (zero, 1j * (d2 * corrector(u1, u2)[1]))
+    m_disp = corrector(zero, 1j * (d2 * u2))
+    transport = (d1 * u2, -(d1 * u1))
+    res1, res2 = (a - b + c for a, b, c in zip(disp_m, m_disp, transport))
+    return np.sqrt(_hs_norms(grid, res1) ** 2 + _hs_norms(grid, res2) ** 2)
+
+
+def _m_symbol(grid) -> np.ndarray:
+    """The symbol of m per mode: 1/k, and 0 at k = 0."""
+    k = grid.wavenumbers.astype(float)
+    return np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k))
+
+
+def _phases(t, epsilon: float, direction: str, conjugated: bool = False):
+    """The frame phases (phase1, phase2) of oscillate at a time or an array
+    of times t."""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    s1 = 1.0 if conjugated else -1.0
+    sgn = 1.0 if direction == "forward" else -1.0
+    return np.exp(sgn * s1 * 1j * t / epsilon), np.exp(sgn * 1j * t / epsilon)
 
 
 def oscillate(
@@ -209,12 +267,7 @@ def oscillate(
     with s1 = -1 for the regularized system and s1 = +1 for the modified one.
     direction = "backward" applies the inverse phases.  The map is a
     componentwise unimodular scalar, so every norm is preserved."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    s1 = 1.0 if conjugated else -1.0
-    sgn = 1.0 if direction == "forward" else -1.0
-    phase1 = np.exp(sgn * s1 * 1j * t / epsilon)
-    phase2 = np.exp(sgn * 1j * t / epsilon)
+    phase1, phase2 = _phases(t, epsilon, direction, conjugated)
     return State(phase1 * v.u1, phase2 * v.u2)
 
 
@@ -361,13 +414,13 @@ def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t):
     """_reduced_forcing on one block of members."""
     if setting.conjugated:
         plain = replace(setting, conjugated=False)
-        g1, n2 = _forcing_block(plain, grid, np.conj(w1[..., ::-1]), w2, t)
-        return np.conj(g1[..., ::-1]), n2
+        g1, n2 = _forcing_block(plain, grid, _mirror(w1), w2, t)
+        return _mirror(g1), n2
     eps = setting.epsilon
     ct, _ = setting.coefficients
     a2 = setting.amplitude**2
     k = grid.wavenumbers.astype(float)
-    inv_k = np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k))  # symbol of m
+    inv_k = _m_symbol(grid)
     rot = np.exp(1j * np.asarray(t, dtype=float)[:, None] / eps)
     v1 = rot * w1
     v2 = w2 / rot

@@ -254,9 +254,14 @@ def derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * (1j * f.grid.wavenumbers) ** order)
 
 
+def _mirror(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 2K+1) of the complex conjugate: conj(u)_k = conj(u_{-k})."""
+    return np.conj(coeffs[..., ::-1])
+
+
 def conjugate(f: SpectralField) -> SpectralField:
-    """Coefficients of the complex conjugate field: conj(u)_k = conj(u_{-k})."""
-    return SpectralField(f.grid, np.conj(f.coeffs[::-1]))
+    """The complex conjugate field, by _mirror."""
+    return SpectralField(f.grid, _mirror(f.coeffs))
 
 
 def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
@@ -277,6 +282,13 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
         vals = to_physical(f, 4 * f.grid.n_points)
         return float(np.max(np.abs(vals)))
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
+    """norm(f, "Hs", s) of every row f of a coefficient array (..., 2K+1);
+    s = 0 gives the L2 norms."""
+    w = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s)
+    return np.linalg.norm(w * coeffs, axis=-1)
 
 
 def multiply(fields: Sequence[SpectralField]) -> SpectralField:

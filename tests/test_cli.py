@@ -423,6 +423,13 @@ class TestVerify:
         assert "FAIL" not in out
         assert "verify: 6/6 checks passed" in out
 
+    def test_implicit_representation_residual_is_pinned(self, capsys):
+        # the leg's R1 rows come from one batched forcing call on the whole
+        # trajectory; the value printed by the per-state form it replaced
+        assert main(["verify", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "implicit_representation: 2.356e-04 (threshold 5.000e-03) PASS" in out
+
     def test_small_field_count(self, capsys):
         assert main(["verify", "--fields", "5"]) == 0
         assert "6/6" in capsys.readouterr().out

@@ -18,6 +18,7 @@ compared against the time stepper on the same reduced problem.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -552,6 +553,20 @@ class TestFftCalls:
         ibp_once_p2(np.linspace(0.0, 0.1, samples), w, r, 0.25, 0.05)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize(
+        "path, grid, steps, blocks",
+        [("full", Grid(8), 10, 1), ("full", Grid(8), 30, 2), ("full", Grid(32), 7, 2),
+         ("full", Grid(6, n_points=300), 10, 4), ("reduced", Grid(8), 30, 2)],
+    )
+    def test_solve_diagnostics_per_block(self, calls, path, grid, steps, blocks):
+        # four calls per exp_rk2 step and none for the monitor, then the
+        # diagnostics pass: one call per block of 1024 // n_padded samples
+        # (30 at K = 8, 7 at K = 32, 3 for 300 points)
+        system, law, datum = edge_problem(path, grid, np.random.default_rng(10))
+        traj = solve(system, law, datum, IntegratorConfig(dt=1e-3, t_end=steps * 1e-3))
+        assert len(traj.states) == steps + 1
+        assert len(calls) == 4 * steps + blocks
+
 
 class TestConvergenceOrder:
     def reference_and_errors(self, scheme, rng):
@@ -978,6 +993,94 @@ class TestSolve:
         assert _plain_propagator.cache_info().misses > 2 * _PROPAGATOR_CACHE_SIZE
 
 
+def sample_diagnostics(first, second, report):
+    """The diagnostics of one sample, field by field: the per-sample form
+    that solve's batched pass replaced."""
+    return {
+        "norm1_h1": norm(first, "Hs", s=1),
+        "norm2_l2": norm(second, "L2"),
+        "energy": report.value,
+        "mean_abs_1": abs(first.coeff(0)),
+        "mean_abs_2": abs(second.coeff(0)),
+    }
+
+
+def physical_state(system, sample):
+    """The physical State behind a stored sample of either solve path."""
+    if isinstance(system, SystemSpec):
+        return sample
+    v = oscillate(State(sample.w1, sample.w2), sample.t, system.epsilon, "backward",
+                  system.conjugated)
+    return system.amplitude * from_normal_coords(system, v)
+
+
+class TestSolveDiagnostics:
+    """solve's one diagnostics pass over the stored samples, row by row
+    against sample_diagnostics with energy of the physical state."""
+
+    def check(self, system, law, traj):
+        assert len(traj.diagnostics) == len(traj.states) == len(traj.times)
+        for sample, got in zip(traj.states, traj.diagnostics):
+            first, second = ((sample.u1, sample.u2) if isinstance(sample, State)
+                             else (sample.w1, sample.w2))
+            want = sample_diagnostics(first, second,
+                                      energy(law, physical_state(system, sample)))
+            assert list(got) == list(want)
+            assert all(type(value) is float for value in got.values())
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-13, abs=1e-17)
+
+    @staticmethod
+    def datum(grid, rng, reduced, scale=0.05):
+        w1, w2 = (remove_mean(scale * random_field(grid, rng, band=(1, 3)))
+                  for _ in range(2))
+        return ReducedState(w1, w2, 0.01) if reduced else State(w1, w2)
+
+    SYSTEMS = [
+        (SystemSpec("regularized", 0.2, rescaled=True, amplitude=0.5), PressureLaw.P1),
+        (SystemSpec("regularized", 0.2, rescaled=True, amplitude=0.5), PressureLaw.P2),
+        (SystemSpec("modified", 0.2, rescaled=True, amplitude=0.2), PressureLaw.P0),
+        (NormalFormSetting(0.2, law=PressureLaw.P1, amplitude=0.5), PressureLaw.P1),
+        (NormalFormSetting(0.2, conjugated=True, amplitude=0.2), PressureLaw.P0),
+    ]
+
+    @pytest.mark.parametrize("system, law", SYSTEMS)
+    def test_ragged_store_every(self, rng, system, law):
+        # the datum, every 3rd of 23 whole steps, then the appended end
+        # after a step of 4e-4
+        grid = Grid(8)
+        reduced = isinstance(system, NormalFormSetting)
+        t0 = 0.01 if reduced else 0.0
+        traj = solve(system, law, self.datum(grid, rng, reduced),
+                     IntegratorConfig(dt=1e-3, t_end=t0 + 0.0234, store_every=3))
+        assert traj.terminal_status == "completed"
+        assert len(traj.states) == 9
+        assert traj.times[-1] == pytest.approx(t0 + 0.0234)
+        self.check(system, law, traj)
+
+    def test_crossing_sample(self, rng):
+        grid = Grid(8)
+        spec = SystemSpec("regularized", 0.3, rescaled=False)
+        datum = random_state(grid, rng, scale=0.02, band=(1, 2), real=True)
+        cfg = IntegratorConfig(dt=5e-3, t_end=10.0, blowup_threshold=0.3, store_every=7)
+        traj = solve(spec, PressureLaw.P0, datum, cfg)
+        assert traj.terminal_status == "blowup"
+        last = traj.diagnostics[-1]
+        assert max(last["norm1_h1"], last["norm2_l2"]) > 0.3
+        self.check(spec, PressureLaw.P0, traj)
+
+    @pytest.mark.parametrize("system, law", SYSTEMS)
+    def test_blowup_at_the_datum(self, rng, system, law):
+        grid = Grid(8)
+        reduced = isinstance(system, NormalFormSetting)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.1, blowup_threshold=1e-3)
+        traj = solve(system, law, self.datum(grid, rng, reduced), cfg)
+        assert traj.terminal_status == "blowup"
+        assert len(traj.states) == 1
+        assert traj.blowup_time == traj.times[0]
+        self.check(system, law, traj)
+
+
 def edge_problem(path, grid, rng):
     """(system, law, datum) for the full or the reduced solve path on `grid`:
     a small zero-mean datum on the lowest modes, zero when K = 0."""
@@ -1043,6 +1146,34 @@ class TestPicard:
         assert report.converged
         assert len(traj) == 65
         assert all(norm(w.w1, "L2") == 0.0 for w in traj)
+
+    def test_trajectory_is_a_read_only_sequence_of_states(self, rng):
+        grid = Grid(8)
+        setting = NormalFormSetting(0.25, law=PressureLaw.P1, amplitude=0.5)
+        w1 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        w2 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        traj, _ = picard_solve(w1, w2, PressureLaw.P1, setting, T=0.005, n_nodes=9)
+        assert isinstance(traj, Sequence)
+        assert len(traj) == 9
+        states = list(traj)
+        assert len(states) == 9 and all(isinstance(w, ReducedState) for w in states)
+        assert [w.t for w in states] == pytest.approx(np.linspace(0.0, 0.005, 9))
+        assert np.array_equal(states[0].w1.coeffs, w1.coeffs)
+        assert np.array_equal(states[0].w2.coeffs, w2.coeffs)
+
+        def same(a, b):
+            return (a.t == b.t and np.array_equal(a.w1.coeffs, b.w1.coeffs)
+                    and np.array_equal(a.w2.coeffs, b.w2.coeffs))
+
+        assert same(traj[-1], states[-1]) and same(traj[-9], states[0])
+        for part in (slice(2, 5), slice(None, None, -4)):
+            assert len(traj[part]) == len(states[part])
+            assert all(map(same, traj[part], states[part]))
+        for index in (9, -10):
+            with pytest.raises(IndexError):
+                traj[index]
+        with pytest.raises(TypeError):
+            traj[0] = states[1]
 
     def test_validates_inputs(self, rng):
         grid = Grid(8)

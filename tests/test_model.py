@@ -1,4 +1,8 @@
-"""Model layer: pressure laws, q maps, energies, right-hand sides."""
+"""Model layer: pressure laws, q maps, energies, right-hand sides.
+
+The stacked energy kernel, whose quartic term is an average over the padded
+grid, is checked against the exact coefficient convolutions of quartic_mean
+(convolution_energy below)."""
 
 import math
 
@@ -12,6 +16,7 @@ from wavereg.model import (
     PressureLaw,
     State,
     SystemSpec,
+    _energies,
     energy,
     linear_growth_rate,
     pressure,
@@ -27,6 +32,7 @@ from wavereg.spectral import (
     multiply,
     norm,
     pair_mean,
+    quartic_mean,
     random_field,
     to_physical,
     zeros,
@@ -198,6 +204,60 @@ class TestEnergy:
         n = 8 * grid.n_modes + 9
         for law in ALL_LAWS:
             assert abs(energy(law, s).value - sampled_energy(law, s, n)) < 1e-12
+
+
+def convolution_energy(law, s):
+    """The energy's (value, quartic, quadratic u1, quadratic u2), with the
+    quartic mean from quartic_mean's exact coefficient convolutions."""
+    u1, u2 = s.u1, s.u2
+    cu1 = conjugate(u1)
+    if law is PressureLaw.P1:
+        quart = 0.25 * TWO_PI * quartic_mean(u1, cu1, u1, cu1).real
+    else:
+        quart = 0.25 * TWO_PI * quartic_mean(u1, u1, u1, u1).real
+    second = u1 if law is PressureLaw.P0 else cu1
+    quad1 = -0.5 * TWO_PI * pair_mean(u1, second).real
+    quad2 = 0.5 * TWO_PI * pair_mean(u2, conjugate(u2)).real
+    return quart + quad1 + quad2, quart, quad1, quad2
+
+
+class TestStackedEnergies:
+    # Grid(K) holds 1024 // (4K + 2) rows per block: 512, 170, 30 and 7 here,
+    # so each count runs one row past a block boundary
+    @pytest.mark.parametrize(
+        "grid, samples",
+        [(Grid(0), 513), (Grid(1), 171), (Grid(8, n_points=17), 31), (Grid(32), 8)],
+    )
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_rows_match_quartic_mean(self, rng, grid, samples, law):
+        # complex data with a mean, up to amplitude 2: every term is live
+        states = [
+            State(*(scale * random_field(grid, rng, band=(0, grid.n_modes),
+                                         zero_mean=False)
+                    for _ in range(2)))
+            for scale in np.linspace(0.01, 2.0, samples)
+        ]
+        rows = _energies(law, np.stack([s.u1.coeffs for s in states]),
+                         np.stack([s.u2.coeffs for s in states]))
+        assert rows.shape == (4, samples)
+        for j, s in enumerate(states):
+            want = convolution_energy(law, s)
+            # rounding is relative to mean |u1|^4, the P1 quartic mean, which
+            # bounds the cancelling sum Re mean(u1^4) of P0 and P2
+            modulus = abs(convolution_energy(PressureLaw.P1, s)[1])
+            scale = modulus + abs(want[2]) + abs(want[3])
+            assert np.allclose(rows[:, j], want, rtol=0.0, atol=1e-14 * scale)
+            assert energy(law, s) == EnergyReport(*rows[:, j].tolist())
+
+    def test_band_edge_quartic_is_exact(self):
+        # u1 = e^{iKx} + e^{-iKx}: u1^4 reaches |k| = 4K, the last band that
+        # 4K + 2 points keep off the mean; the mean of (2 cos Kx)^4 is 6
+        for grid in (Grid(1), Grid(8, n_points=17), Grid(32)):
+            K = grid.n_modes
+            s = State(from_modes(grid, {K: 1.0, -K: 1.0}), zeros(grid))
+            for law in ALL_LAWS:
+                quart = _energies(law, s.u1.coeffs[None], s.u2.coeffs[None])[1, 0]
+                assert quart == pytest.approx(0.25 * TWO_PI * 6.0, rel=1e-14)
 
 
 class TestRhsFull:

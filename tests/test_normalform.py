@@ -18,6 +18,8 @@ from wavereg.model import PressureLaw, State, SystemSpec, q_apply, rhs_full
 from wavereg.normalform import (
     NormalFormSetting,
     ReducedState,
+    _cancellation_residuals,
+    _normal_coords,
     apply_M,
     cancellation_residual,
     from_normal_coords,
@@ -286,6 +288,76 @@ class TestCancellation:
         res = disp_m - m_disp + transport
         size = np.sqrt(norm(res.u1, "L2") ** 2 + norm(res.u2, "L2") ** 2)
         assert size > 0.1
+
+
+def stacked(states):
+    """(u1, u2) coefficient arrays of shape (N, 2K+1) of a list of States."""
+    return (np.stack([s.u1.coeffs for s in states]),
+            np.stack([s.u2.coeffs for s in states]))
+
+
+class TestArrayKernels:
+    """The stacked kernels behind solve's diagnostics and the simulate rows,
+    row by row against the State-level operators."""
+
+    GRIDS = (Grid(0), Grid(1), Grid(8, n_points=17), Grid(32))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_normal_coords_rows_match_the_state_maps(self, rng, grid, conjugated):
+        setting = NormalFormSetting(0.3, conjugated=conjugated)
+        band = (min(1, grid.n_modes), grid.n_modes)
+        states = [random_pair(grid, rng, band=band) if grid.n_modes else
+                  State(zeros(grid), zeros(grid)) for _ in range(5)]
+        u1, u2 = stacked(states)
+        v1, v2 = _normal_coords(setting, grid, u1, u2, inverse=True)
+        f1, f2 = _normal_coords(setting, grid, v1, v2)
+        for j, u in enumerate(states):
+            v = to_normal_coords(setting, u)
+            assert np.array_equal(v1[j], v.u1.coeffs)
+            assert np.array_equal(v2[j], v.u2.coeffs)
+            # round trip, through from_normal_coords and through its
+            # definition u~ = v + eps M v with the State-level M
+            back = from_normal_coords(setting, v)
+            assert np.array_equal(f1[j], back.u1.coeffs)
+            assert np.array_equal(f2[j], back.u2.coeffs)
+            direct = v + setting.epsilon * apply_M(setting, v)
+            assert pair_norm(direct - u) <= 1e-15 * (1.0 + pair_norm(u))
+            assert pair_norm(back - u) <= 1e-15 * (1.0 + pair_norm(u))
+
+    def test_conjugated_kernel_mirrors_the_first_component(self, rng):
+        # G o (plain map) o G with G = (conj u1, u2), read off the States
+        grid = Grid(8)
+        u = random_pair(grid, rng)
+        for inverse in (False, True):
+            got = _normal_coords(NormalFormSetting(0.3, conjugated=True), grid,
+                                 u.u1.coeffs, u.u2.coeffs, inverse)
+            m = conj_first(u)
+            p1, p2 = _normal_coords(NormalFormSetting(0.3), grid,
+                                    m.u1.coeffs, m.u2.coeffs, inverse)
+            want = conj_first(State(SpectralField(grid, p1), SpectralField(grid, p2)))
+            assert np.array_equal(got[0], want.u1.coeffs)
+            assert np.array_equal(got[1], want.u2.coeffs)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_cancellation_rows_match_the_state_residual(self, rng, grid, conjugated):
+        # both sides sit at the rounding floor of the three cancelling
+        # terms, whose size is that of dx u; the kernel forms the same terms
+        # per mode, so the floors themselves agree up to the summation order
+        # of the norms
+        setting = NormalFormSetting(0.2, conjugated=conjugated)
+        band = (min(1, grid.n_modes), grid.n_modes)
+        states = [random_pair(grid, rng, scale1=amp, scale2=amp, band=band)
+                  if grid.n_modes else State(zeros(grid), zeros(grid))
+                  for amp in (0.01, 0.4, 30.0)]
+        got = _cancellation_residuals(setting, grid, *stacked(states))
+        assert got.shape == (len(states),)
+        for residual, u in zip(got, states):
+            size = pair_norm(State(derivative(u.u1), derivative(u.u2)))
+            want = cancellation_residual(setting, u)
+            assert residual <= 1e-15 * size
+            assert residual == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestOscillate:
