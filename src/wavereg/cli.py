@@ -456,8 +456,9 @@ def _cmd_simulate(cfg: dict) -> int:
     grid = profile.grid
     columns = []
     for block in _blocks(grid, len(trajectory.states)):
-        u1, u2 = (np.stack([f.coeffs for f in fields]) for fields in
-                  zip(*((state.u1, state.u2) for state in trajectory.states[block])))
+        states = trajectory.states[block]
+        u1 = np.stack([state.u1.coeffs for state in states])
+        u2 = np.stack([state.u2.coeffs for state in states])
         # normalized slow-frame coordinates; the oscillation phases are
         # unimodular scalars, so these equal the oscillating-frame norms
         v1, v2 = _normal_coords(setting, grid, u1 / amp, u2 / amp, inverse=True)

@@ -12,9 +12,12 @@ the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and the FFT calls of each
 step and of the array kernels (the reduced forcing per block, the tower map
 and its tangent, P_n_eval, bold_R_n, implicit_residual per block of samples
-and ibp_once_p2) are counted.  Convergence orders are
-measured against a fine-step reference, and the Picard fixed point is
-compared against the time stepper on the same reduced problem.
+and ibp_once_p2, and solve's diagnostics pass per block of samples) are
+counted.  solve's diagnostics are checked row by row against the
+per-sample form they replaced (sample_diagnostics with energy).
+Convergence orders are measured against a fine-step reference, and the
+Picard fixed point is compared against the time stepper on the same
+reduced problem.
 """
 
 import math

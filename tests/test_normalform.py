@@ -6,7 +6,9 @@ closed remainder) must agree to rounding with the full system's right-hand
 side transported through the coordinate change and the oscillating frame.
 That identity is what makes the later transform-consistency integrations
 meaningful, so it is tested here per-evaluation at several times, laws, and
-epsilon values before any integrator exists.
+epsilon values before any integrator exists.  The array kernels of the
+coordinate change and of the cancellation residual are held row by row to
+the State-level operators.
 """
 
 import numpy as np
