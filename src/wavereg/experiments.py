@@ -19,7 +19,6 @@ Conventions shared with the rest of the package:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -28,10 +27,11 @@ import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from .model import PressureLaw, State, SystemSpec, energy, linear_growth_rate
-from .normalform import NormalFormSetting, to_normal_coords
+from .normalform import NormalFormSetting, _normal_coords
 from .spectral import (
     Grid,
     SpectralField,
+    _blocks,
     apply_m,
     conjugate,
     derivative,
@@ -256,7 +256,11 @@ def scaling_sweep(
         store_every=store_every,
     )
     if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(epsilons))) as pool:
+        # imported on use: at module level, the pool's import of logging and
+        # multiprocessing would slow every wavereg start
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(epsilons))) as pool:
             rows = tuple(pool.map(run, epsilons))
     else:
         rows = tuple(map(run, epsilons))
@@ -552,12 +556,19 @@ def normal_history(setting: NormalFormSetting, trajectory: Trajectory) -> list[S
 
     Divides each stored state by the datum amplitude and inverts the
     near-identity change of coordinates, returning the history in the frame
-    where the norm-domination certificates are stated.
+    where the norm-domination certificates are stated: the closed form of
+    to_normal_coords on the samples stacked in the blocks of spectral._blocks.
     """
-    return [
-        to_normal_coords(setting, state / setting.amplitude)
-        for state in trajectory.states
-    ]
+    states = trajectory.states
+    grid = states[0].grid
+    history = []
+    for block in _blocks(grid, len(states)):
+        u1 = np.stack([st.u1.coeffs for st in states[block]]) / setting.amplitude
+        u2 = np.stack([st.u2.coeffs for st in states[block]]) / setting.amplitude
+        v1, v2 = _normal_coords(setting, grid, u1, u2, inverse=True)
+        history += [State(SpectralField(grid, a), SpectralField(grid, b))
+                    for a, b in zip(v1, v2)]
+    return history
 
 
 def norm_domination_margin(

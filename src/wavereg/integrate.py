@@ -57,7 +57,6 @@ from .spectral import (
     _hs_norms,
     _mirror,
     _padded_values,
-    norm,
 )
 
 _SCHEMES = ("exp_rk2", "exp_euler")
@@ -140,11 +139,14 @@ def _mode_exponential(l12, l21, l22, t):
 
 
 @lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE)
-def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float):
-    """Entrywise arrays (p11, p12, p21, p22) of exp(dt * L_k) over all modes,
-    where L_k = [[0, -ik ct], [ik ct, i cd k^2]]."""
+def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray:
+    """Array (4, 2K+1) whose rows p11, p12, p21, p22 are the entries of
+    exp(dt * L_k) over all modes, where L_k = [[0, -ik ct], [ik ct, i cd k^2]];
+    rows 0::2 and 1::2 are the columns that act on (u1, u2)."""
     k = grid.wavenumbers.astype(float)
-    return _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
+    p = np.array(_mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0])
+    p.setflags(write=False)
+    return p
 
 
 def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
@@ -191,11 +193,13 @@ def step_full(
     mirror = _mirror if spec.kind == "modified" else (lambda c: c)
 
     def linear(y: np.ndarray, h: float) -> np.ndarray:
-        p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, h)
-        return np.stack([p11 * y[0] + p12 * y[1], p21 * y[0] + p22 * y[1]])
+        p = _plain_propagator(grid, ct, cd, h)
+        return p[0::2] * y[0] + p[1::2] * y[1]
 
     def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
-        return np.stack([np.zeros_like(y[0]), (-ct) * _dx_cubic(law, grid, y[0])])
+        out = np.zeros_like(y)
+        out[1] = (-ct) * _dx_cubic(law, grid, y[0])
+        return out
 
     y = np.stack([mirror(state.u1.coeffs), state.u2.coeffs])
     u1, u2 = _lawson(linear, nonlinear, y, dt, scheme)
@@ -243,12 +247,17 @@ def step_reduced(
 # Driving loop with blow-up detection.
 
 
-def _monitor(first: SpectralField, second: SpectralField) -> float:
-    return max(norm(first, "Hs", s=1), norm(second, "L2"))
+def _monitor(grid: Grid):
+    """The blow-up monitor on grid: max(H1 norm of the first, L2 norm of the
+    second) of two coefficient vectors, with the H1 weight built once; NaN
+    when either norm is NaN, so a finite value means finite coefficients."""
+    weight = np.maximum(1.0, np.abs(grid.wavenumbers))
+    return lambda first, second: np.maximum(np.linalg.norm(weight * first),
+                                            np.linalg.norm(second))
 
 
-def _finite(first: SpectralField, second: SpectralField) -> bool:
-    return bool(np.all(np.isfinite(first.coeffs)) and np.all(np.isfinite(second.coeffs)))
+def _finite(first: np.ndarray, second: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(first)) and np.all(np.isfinite(second)))
 
 
 _DIAGNOSTIC_KEYS = ("norm1_h1", "norm2_l2", "energy", "mean_abs_1", "mean_abs_2")
@@ -292,7 +301,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         _require_law(system, law)
         _require_zero_mean(u1=datum.u1, u2=datum.u2)
         stepper = lambda st, t, dt: step_full(system, law, st, t, dt, config.scheme)
-        pair = lambda st: (st.u1, st.u2)
+        pair = lambda st: (st.u1.coeffs, st.u2.coeffs)
         physical = lambda times, first, second: (first, second)
         t0 = 0.0
     elif isinstance(system, NormalFormSetting):
@@ -305,7 +314,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
                 f"t_end = {config.t_end} must exceed the datum time t = {datum.t}"
             )
         stepper = lambda st, t, dt: step_reduced(system, st, dt, config.scheme)
-        pair = lambda st: (st.w1, st.w2)
+        pair = lambda st: (st.w1.coeffs, st.w2.coeffs)
 
         def physical(times, first, second):
             t = np.array(times)[:, None]
@@ -316,7 +325,8 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         t0 = datum.t
     else:
         raise TypeError(f"cannot integrate a {type(system).__name__}")
-    monitor = lambda st: _monitor(*pair(st))
+    monitor_pair = _monitor(datum.grid)
+    monitor = lambda st: monitor_pair(*pair(st))
 
     rho = config.blowup_threshold
     current = datum
@@ -330,10 +340,13 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         dt = min(config.dt, config.t_end - t)
         nxt = stepper(current, t, dt)
         step_index += 1
-        if not _finite(*pair(nxt)):
+        value = monitor(nxt)
+        # a finite norm means finite coefficients; an infinite one may
+        # still come from finite coefficients, which take the blow-up path
+        if not np.isfinite(value) and not _finite(*pair(nxt)):
             status = "diverged"
             break
-        if monitor(nxt) > rho:
+        if value > rho:
             lo, hi = 0.0, dt
             crossing = nxt
             while (hi - lo) > 1e-3 * max(t + hi, 1e-12):
@@ -360,8 +373,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         states.append(current)
     diagnostics = []
     for block in _blocks(datum.grid, len(states)):
-        first, second = (np.stack([f.coeffs for f in fields])
-                         for fields in zip(*map(pair, states[block])))
+        first, second = map(np.stack, zip(*map(pair, states[block])))
         diagnostics += _diagnostics(law, datum.grid, first, second,
                                     physical(times[block], first, second))
     return Trajectory(times, states, diagnostics, status, blowup_time=blowup_time)
@@ -425,7 +437,7 @@ def picard_solve(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ReducedState(w1_0, w2_0, 0.0)  # one grid, zero-mean
-    if _monitor(w1_0, w2_0) >= 1.0 / 6.0:
+    if _monitor(w1_0.grid)(w1_0.coeffs, w2_0.coeffs) >= 1.0 / 6.0:
         raise ValueError("datum norms must be below 1/6 in H1 x L2")
     grid = w1_0.grid
     _, cd = setting.coefficients

@@ -38,6 +38,7 @@ from .spectral import (
     _band_coeffs,
     _blocks,
     _check_same_grid,
+    _mirror,
     _padded_values,
     multiply,
     norm,
@@ -265,24 +266,26 @@ def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> 
     """
     times, dx, grid, w, r = _samples(times, w1_samples, r1_samples)
     lam = epsilon**alpha
-    count = len(times)
-    x, xr = _padded_values(grid, np.stack([w, r]))
-    cx, ends = np.conj(x), np.conj(x[[0, -1]])
-    # rows P w1^3 and P(wbar1^2 Rbar1) at every sample, P wbar1^3 at 0 and T
-    rows = _band_coeffs(
-        grid, np.concatenate([x * x * x, cx * cx * np.conj(xr), ends * ends * ends])
-    )
-    rows[:, grid.n_modes] = 0.0
-    cube, forcing, boundary = rows[:count], rows[count:-2], rows[-2:]
-    resonant = _band_coeffs(grid, cx * cx * _padded_values(grid, cube))
-    resonant[:, grid.n_modes] = 0.0
     phase = np.exp(-4.0j * times / epsilon)
+    # one integrand row per sample from the rows P w1^3, P(wbar1^2 Rbar1) and
+    # P(wbar1^2 P w1^3), four FFT calls per block of samples
+    integrand = r.copy()
+    for block in _blocks(grid, len(times)):
+        x, xr = _padded_values(grid, np.stack([w[block], r[block]]))
+        cx = np.conj(x)
+        cube, forcing = _band_coeffs(grid, np.stack([x * x * x, cx * cx * np.conj(xr)]))
+        cube[:, grid.n_modes] = forcing[:, grid.n_modes] = 0.0
+        resonant = _band_coeffs(grid, cx * cx * _padded_values(grid, cube))
+        resonant[:, grid.n_modes] = 0.0
+        integrand[block] += ((-3.0j * lam**4 / (4.0 * epsilon)) * resonant
+                             + (-3.0 * lam**2 / 4.0) * phase[block, None] * forcing)
+        if block.start == 0:
+            first = cube[0]
+    boundary = _mirror(np.stack([first, cube[-1]]))  # P wbar1^3 at 0 and T
     rep = (
         w[0]
         + (lam**2 / 4.0) * (phase[-1] * boundary[1] - boundary[0])
-        + (-3.0j * lam**4 / (4.0 * epsilon)) * simpson_uniform(resonant, dx)
-        + (-3.0 * lam**2 / 4.0) * simpson_uniform(phase[:, None] * forcing, dx)
-        + simpson_uniform(r, dx)
+        + simpson_uniform(integrand, dx)
     )
     return norm(SpectralField(grid, w[-1] - rep), "Hs", s=1)
 

@@ -27,9 +27,9 @@ the independent oracle for that fold.
 
 Energies are physical torus integrals (2*pi times the mean value).  The
 quadratic terms are exact sums over the coefficients; the quartic term is
-the average of u1^4 over the padded grid of 4K+2 points, which no mode of
-the product's band |k| <= 4K aliases onto the mean, so it carries no
-aliasing error at all.  _energies evaluates them on stacks of samples;
+the average of u1^4 over the padded grid of at least 4K+2 points, which no
+mode of the product's band |k| <= 4K aliases onto the mean, so it carries
+no aliasing error at all.  _energies evaluates them on stacks of samples;
 energy is its one-row call.
 """
 
@@ -192,8 +192,9 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     A pair mean is the exact coefficient sum mean(a b) = sum_k a_k b_{-k}.
     The quartic mean is the average of u1^4 (|u1|^4 for P1) over one
     synthesis on the padded grid of Grid(K): its n_padded >= 4K+2 > 4K
-    points leave the band |k| <= 4K of the product no alias on mode 0, so
-    the average is the exact mean.  The rows go through in the blocks of
+    points (the smallest 11-smooth count from 4K+2 on, 35 for K = 8) leave
+    the band |k| <= 4K of the product no alias on mode 0, so the average is
+    the exact mean.  The rows go through in the blocks of
     spectral._blocks, one FFT call per block."""
     grid = Grid((np.shape(u1)[-1] - 1) // 2)
     two_pi = 2.0 * math.pi

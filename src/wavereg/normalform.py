@@ -390,9 +390,10 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     and u~1 = v1 + eps delta:
 
       * v1, v2, delta and dx v1 are synthesized on the padded grid of
-        spectral.py (size grid.n_padded = max(2(2K+1), n_points)) in one
-        inverse FFT, every cubic product is formed pointwise there,
-        conjugates included, and one forward FFT brings all of them back;
+        spectral.py (grid.n_padded, the smallest 11-smooth size >=
+        max(2(2K+1), n_points)) in one inverse FFT, every cubic product is
+        formed pointwise there, conjugates included, and one forward FFT
+        brings all of them back;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
         cubic term of E v gives the w1 nonlinearity by a scalar phase;
       * E v is formed once and R v = (Id + eps M)^{-1}((r1, 0) - M E v)

@@ -25,14 +25,17 @@ coefficients is (2pi)^{-1/2} times the physical root-mean-square integral.
 
 Products are formed on a zero-padded collocation grid at least twice the size
 of the retained band, so pair and triple products of band-limited fields are
-alias-free after truncation back to |k| <= K (Orszag's padding rule).  The array
-kernels of other modules reach that grid, of size Grid.n_padded, only through
+alias-free after truncation back to |k| <= K (Orszag's padding rule).  Its size
+Grid.n_padded is the smallest length at or above that bound (and the grid's
+own n_points) whose prime factors are all at most 11, the radices of numpy's
+FFT, so no transform falls back to a slow generic pass on a large prime
+factor.  The array kernels of other modules reach that grid only through
 _padded_values and _band_coeffs; `multiply` stays apart as their oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +60,19 @@ __all__ = [
 ]
 
 
+def _smooth_length(minimum: int) -> int:
+    """Smallest n >= minimum whose prime factors are all at most 11."""
+    n = max(1, minimum)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 @dataclass(frozen=True)
 class Grid:
     """Retained band |k| <= n_modes plus a collocation count.
@@ -66,10 +82,15 @@ class Grid:
     retained band). Any n_points >= 2*n_modes + 1 is accepted; smaller
     collocation grids alias, which `to_spectral` makes reproducible rather
     than hiding (k lands on k mod n_points).
+
+    n_padded, the size of the padded product grid, is derived once here: the
+    smallest 11-smooth length >= max(2(2K+1), n_points), e.g. 35 for K = 8
+    and 2058 for K = 512.
     """
 
     n_modes: int
     n_points: int = 0
+    n_padded: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_modes < 0:
@@ -81,15 +102,12 @@ class Grid:
                 f"n_points={self.n_points} cannot represent the band "
                 f"|k| <= {self.n_modes}; need at least {2 * self.n_modes + 1}"
             )
+        n_padded = _smooth_length(max(2 * self.n_coeffs, self.n_points))
+        object.__setattr__(self, "n_padded", n_padded)
 
     @property
     def n_coeffs(self) -> int:
         return 2 * self.n_modes + 1
-
-    @property
-    def n_padded(self) -> int:
-        """Size of the padded product grid: max(2(2K+1), n_points)."""
-        return max(2 * self.n_coeffs, self.n_points)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -294,9 +312,9 @@ def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
 def multiply(fields: Sequence[SpectralField]) -> SpectralField:
     """Pointwise product of 2 or 3 fields, dealiased by zero padding.
 
-    The product is formed on a collocation grid of at least twice the band
-    size (and at least the grid's own n_points), then truncated back to
-    |k| <= K. For the default grid (n_points = 4K+2) pair and triple products
+    The product is formed on the grid's padded collocation grid (n_padded
+    points: at least twice the band size and at least the grid's own
+    n_points), then truncated back to |k| <= K, so pair and triple products
     of band-limited inputs are exact on the retained band.
     """
     if not 2 <= len(fields) <= 3:

@@ -787,12 +787,25 @@ class TestNonFiniteNumbers:
         assert not out.exists() or not any(out.iterdir())
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """scipy serves the tests only; the program must not pay for its import."""
-    code = ("import sys, wavereg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def modules_loaded_by_importing_the_cli():
+    """The names in sys.modules of a fresh interpreter after `import wavereg.cli`."""
+    code = "import json, sys, wavereg.cli; print(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy serves the tests only; the program must not pay for its import."""
+    loaded = modules_loaded_by_importing_the_cli()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The sweep's process pool is imported only when --jobs > 1 starts one."""
+    loaded = modules_loaded_by_importing_the_cli()
+    assert "wavereg.experiments" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+    assert "concurrent.futures.process" not in loaded

@@ -6,9 +6,11 @@ point from scipy's dense exponential at every sample time, and its blocked
 running maxima from one unblocked pass; existence runs are checked against
 `solve` at the scaled threshold; sweep fits are exercised on synthetic rows
 because the physical rescaled runs below stay bounded (that fact itself is
-asserted where it matters).
+asserted where it matters); the blocked normal_history is checked against
+to_normal_coords per sample.
 """
 
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -34,9 +36,9 @@ from wavereg.experiments import (
     scaling_sweep,
     sobolev_constant,
 )
-from wavereg.integrate import IntegratorConfig, _mode_exponential, solve
+from wavereg.integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from wavereg.model import PressureLaw, State, SystemSpec, energy
-from wavereg.normalform import NormalFormSetting, from_normal_coords
+from wavereg.normalform import NormalFormSetting, from_normal_coords, to_normal_coords
 from wavereg.spectral import Grid, SpectralField, apply_m, from_modes, norm, random_field
 
 ALL_LAWS = [
@@ -299,7 +301,7 @@ class TestScalingSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
         result = scaling_sweep(
             PressureLaw.P1, "regularized", (0.2, 0.1, 0.05), spec,
@@ -332,7 +334,7 @@ class TestScalingSweep:
             raise AssertionError("reached past the argument checks")
 
         monkeypatch.setattr(experiments, "make_datum", unreachable)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", unreachable)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
         spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
         with pytest.raises(ValueError, match=r"^rho_max must be positive, got 0\.0$"):
             scaling_sweep(
@@ -731,3 +733,21 @@ class TestNormDomination:
             back = amp * from_normal_coords(setting, v)
             assert norm(back.u1 - raw.u1, "L2") < 1e-12
             assert norm(back.u2 - raw.u2, "L2") < 1e-12
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_normal_history_matches_the_per_sample_map(self, rng, conjugated):
+        # 40 samples span three blocks of 1024 // 66 = 15 rows on Grid(16)
+        grid = Grid(16)
+        amp = 0.4
+        setting = NormalFormSetting(epsilon=0.2, conjugated=conjugated, amplitude=amp)
+        states = [State(*(scale * random_field(grid, rng, band=(1, 16))
+                          for _ in range(2)))
+                  for scale in np.linspace(0.01, 0.5, 40)]
+        trajectory = Trajectory(list(np.linspace(0.0, 0.39, 40)), states, [], "completed")
+        history = normal_history(setting, trajectory)
+        assert len(history) == len(states)
+        for raw, got in zip(states, history):
+            want = to_normal_coords(setting, raw / amp)
+            assert got.grid == grid
+            for a, b in ((got.u1, want.u1), (got.u2, want.u2)):
+                assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15 * np.max(np.abs(b.coeffs))

@@ -11,10 +11,11 @@ the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and the FFT calls of each
 step and of the array kernels (the reduced forcing per block, the tower map
-and its tangent, P_n_eval, bold_R_n, implicit_residual per block of samples
-and ibp_once_p2, and solve's diagnostics pass per block of samples) are
+and its tangent, P_n_eval, bold_R_n, implicit_residual and ibp_once_p2 per
+block of samples, and solve's diagnostics pass per block of samples) are
 counted.  solve's diagnostics are checked row by row against the
-per-sample form they replaced (sample_diagnostics with energy).
+per-sample form they replaced (sample_diagnostics with energy), and its
+status against steps that return non-finite or overflowing coefficients.
 Convergence orders are measured against a fine-step reference, and the
 Picard fixed point is compared against the time stepper on the same
 reduced problem.
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wavereg import DatumSpec, make_datum
+from wavereg import DatumSpec, integrate, make_datum
 from wavereg.integrate import (
     IntegratorConfig,
     PicardReport,
@@ -483,12 +484,12 @@ class TestFftCalls:
 
     @pytest.mark.parametrize(
         "grid, members, blocks",
-        [(Grid(8), 1, 1), (Grid(8), 30, 1), (Grid(8), 31, 2),
-         (Grid(6, n_points=300), 7, 3), (Grid(600), 2, 2)],
+        [(Grid(8), 1, 1), (Grid(8), 29, 1), (Grid(8), 31, 2),
+         (Grid(6, n_points=300), 7, 3), (Grid(600), 2, 2), (Grid(8), 30, 2)],
     )
     def test_reduced_forcing_per_block(self, calls, grid, members, blocks):
         # blocks of _BLOCK_POINTS // n_padded members (at least one), two
-        # FFT calls each: 1024 // 34 = 30, 1024 // 300 = 3, 1024 // 2402 = 0
+        # FFT calls each: 1024 // 35 = 29, 1024 // 300 = 3, 1024 // 2420 = 0
         rng = np.random.default_rng(5)
         w1, w2 = 0.1 * (rng.standard_normal((2, members, grid.n_coeffs))
                         + 1j * rng.standard_normal((2, members, grid.n_coeffs)))
@@ -514,12 +515,14 @@ class TestFftCalls:
 
     @pytest.mark.parametrize(
         "grid, samples, blocks",
-        [(Grid(8), 5, 1), (Grid(8), 30, 1), (Grid(8), 31, 2), (Grid(6, n_points=300), 7, 3)],
+        [(Grid(8), 5, 1), (Grid(8), 29, 1), (Grid(8), 31, 2), (Grid(6, n_points=300), 7, 3),
+         (Grid(8), 30, 2)],
     )
     @pytest.mark.parametrize("n", [1, 2])
     def test_implicit_residual(self, calls, grid, samples, blocks, n):
         # one jet with tangent to depth n + 1 per block of
-        # _BLOCK_POINTS // n_padded samples, then P_n_eval's jet to depth n
+        # _BLOCK_POINTS // n_padded samples (1024 // 35 = 29 on Grid(8)),
+        # then P_n_eval's jet to depth n
         rng = np.random.default_rng(9)
         w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
         r = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
@@ -547,14 +550,16 @@ class TestFftCalls:
 
     @pytest.mark.parametrize("samples", [5, 41])
     def test_ibp_once_p2(self, calls, samples):
-        # all samples at once: synthesis of w1 and R1, the cubes and forcing
-        # rows back, the truncated cube out again, the resonant rows back
+        # per block of 1024 // 35 = 29 samples: synthesis of w1 and R1, the
+        # cubes and forcing rows back, the truncated cube out again, the
+        # resonant rows back
+        blocks = {5: 1, 41: 2}[samples]
         grid = Grid(8)
         rng = np.random.default_rng(9)
         w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
         r = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
         ibp_once_p2(np.linspace(0.0, 0.1, samples), w, r, 0.25, 0.05)
-        assert len(calls) == 4
+        assert len(calls) == 4 * blocks
 
     @pytest.mark.parametrize(
         "path, grid, steps, blocks",
@@ -1135,6 +1140,52 @@ class TestSolveEdges:
                 if n_modes == 0:
                     assert norm(field, "L2") == 0.0
         assert all(np.isfinite(d["energy"]) for d in traj.diagnostics)
+
+
+class TestSolveStatus:
+    """The status of a full-system run whose steps, from the third on, return
+    non-finite or overflowing coefficients, injected through the module
+    global step_full that solve calls."""
+
+    def run(self, monkeypatch, rng, spoil):
+        grid = Grid(8)
+        datum = random_state(grid, rng, scale=0.01)
+        calls = []
+
+        def spoiled_step(*args):
+            state = step_full(*args)
+            calls.append(args)
+            return spoil(state) if len(calls) >= 3 else state
+
+        monkeypatch.setattr(integrate, "step_full", spoiled_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(SystemSpec("regularized", 0.3, rescaled=True), PressureLaw.P0,
+                         datum, IntegratorConfig(dt=1e-3, t_end=0.01))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("component", ["u1", "u2"])
+    def test_non_finite_coefficient_diverges(self, monkeypatch, rng, component, value):
+        # one bad coefficient in either component, whatever the other's norm
+        def spoil(state):
+            c = getattr(state, component).coeffs.copy()
+            c[state.grid.index(2)] = value
+            return replace(state, **{component: SpectralField(state.grid, c)})
+
+        traj = self.run(monkeypatch, rng, spoil)
+        assert traj.terminal_status == "diverged"
+        assert traj.blowup_time is None
+        assert traj.times == pytest.approx([0.0, 1e-3, 2e-3], abs=1e-15)
+        assert len(traj.states) == len(traj.diagnostics) == 3
+
+    def test_overflowing_norm_of_finite_coefficients_is_a_blowup(self, monkeypatch, rng):
+        # coefficients near 1e198 are finite but their norm overflows; every
+        # bisection probe from t = 2e-3 crosses, so the bracket halves nine
+        # times, to 1e-3 / 512 <= 1e-3 (t + hi)
+        traj = self.run(monkeypatch, rng, lambda state: 1e200 * state)
+        assert traj.terminal_status == "blowup"
+        assert np.all(np.isfinite(traj.states[-1].u2.coeffs))
+        assert traj.blowup_time == pytest.approx(2e-3 + 0.5e-3 / 512, rel=1e-12)
+        assert traj.times[-1] == pytest.approx(2e-3 + 1e-3 / 512, rel=1e-12)
 
 
 class TestPicard:

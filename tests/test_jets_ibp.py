@@ -539,11 +539,13 @@ def loop_ibp_once_p2(times, w1_samples, r1_samples, alpha, epsilon):
 
 class TestIbpOnceP2:
     @pytest.mark.parametrize(
-        "grid", [Grid(0), Grid(6), Grid(8, n_points=17), Grid(8, n_points=61)]
+        "grid", [Grid(0), Grid(6), Grid(8, n_points=17), Grid(8, n_points=61),
+                 Grid(8, n_points=300)]
     )
     def test_matches_the_per_sample_loop(self, rng, grid):
         # full-band samples with nonzero means and alpha = 0, so every
-        # projection, conjugate and prefactor shows in the defect
+        # projection, conjugate and prefactor shows in the defect; on 300
+        # points the 7 samples span blocks of 1024 // 300 = 3
         times = np.linspace(0.0, 0.1, 7)
         w, r = (
             [SpectralField(grid, rng.standard_normal(grid.n_coeffs)

@@ -222,8 +222,8 @@ def convolution_energy(law, s):
 
 
 class TestStackedEnergies:
-    # Grid(K) holds 1024 // (4K + 2) rows per block: 512, 170, 30 and 7 here,
-    # so each count runs one row past a block boundary
+    # Grid(K) holds 1024 // n_padded rows per block: 512, 170, 29 and 7 here,
+    # so each count runs past a block boundary
     @pytest.mark.parametrize(
         "grid, samples",
         [(Grid(0), 513), (Grid(1), 171), (Grid(8, n_points=17), 31), (Grid(32), 8)],

@@ -20,9 +20,10 @@ class TestGridAndTransforms:
         g = sp.Grid(8)
         assert g.n_points == 34
         assert g.n_coeffs == 17
-        assert g.n_padded == 34
-        assert sp.Grid(8, n_points=17).n_padded == 34
-        assert sp.Grid(8, n_points=61).n_padded == 61
+        # n_padded: the smallest 11-smooth length >= max(2(2K+1), n_points)
+        assert g.n_padded == 35
+        assert sp.Grid(8, n_points=17).n_padded == 35
+        assert sp.Grid(8, n_points=61).n_padded == 63
         with pytest.raises(ValueError):
             sp.Grid(8, n_points=16)
         with pytest.raises(ValueError):
@@ -82,6 +83,70 @@ class TestGridAndTransforms:
         dx = 2 * np.pi / vals.size
         physical = np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
         assert abs(sp.norm(f, "L2") - physical / np.sqrt(2 * np.pi)) < 1e-10
+
+
+def largest_prime_factor(n):
+    factor, largest = 2, 1
+    while n > 1:
+        while n % factor == 0:
+            n //= factor
+            largest = factor
+        factor += 1
+    return largest
+
+
+def truncated_product(coeff_rows, K):
+    """Coefficients |k| <= K of the product, by exact np.convolve."""
+    acc = coeff_rows[0]
+    for c in coeff_rows[1:]:
+        acc = np.convolve(acc, c)
+    mid = (acc.size - 1) // 2
+    return acc[mid - K : mid + K + 1]
+
+
+class TestPaddedLength:
+    """n_padded is the smallest length >= max(2(2K+1), n_points) whose prime
+    factors are all at most 11 (numpy's FFT radices); products on it stay
+    exact."""
+
+    def test_smallest_smooth_length_above_the_bound(self):
+        for K in range(601):
+            for n_points in (0, 2 * K + 1, 4 * K + 3, 6 * K + 5):
+                g = sp.Grid(K, n_points)
+                bound = max(2 * (2 * K + 1), g.n_points)
+                assert g.n_padded >= bound
+                assert largest_prime_factor(g.n_padded) <= 11
+                assert all(largest_prime_factor(m) > 11 for m in range(bound, g.n_padded))
+
+    def test_pinned_lengths(self):
+        lengths = {8: 35, 16: 66, 32: 132, 64: 264, 128: 525, 512: 2058}
+        assert {K: sp.Grid(K).n_padded for K in lengths} == lengths
+
+    @pytest.mark.parametrize("K", [8, 128], ids=["n35", "n525"])
+    def test_products_match_convolution_oracles(self, rng, K):
+        from wavereg.integrate import _dx_cubic
+        from wavereg.model import PressureLaw, _energies
+
+        g = sp.Grid(K)
+        fields = [random_full_band(g, rng) for _ in range(3)]
+        c = [f.coeffs for f in fields]
+        scale = np.prod([np.sum(np.abs(row)) for row in c])
+        for n_factors in (2, 3):
+            want = truncated_product(c[:n_factors], K)
+            got = sp.multiply(fields[:n_factors]).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        u, mirror = c[0], np.conj(c[0][::-1])
+        cubes = {PressureLaw.P0: (u, u, u), PressureLaw.P1: (u, mirror, u),
+                 PressureLaw.P2: (mirror, mirror, mirror)}
+        for law, factors in cubes.items():
+            want = 1j * g.wavenumbers * truncated_product(factors, K)
+            got = _dx_cubic(law, g, u)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            # the quartic part is (2pi/4) mean(u1^4), |u1|^4 for P1
+            quartic = _energies(law, u[None], c[1][None])[1, 0]
+            second = sp.SpectralField(g, mirror if law is PressureLaw.P1 else u)
+            mean = sp.quartic_mean(fields[0], second, fields[0], second).real
+            assert abs(quartic - 0.5 * np.pi * mean) <= 1e-13 * np.sum(np.abs(u) ** 2) ** 2
 
 
 class TestMultiplier:
