@@ -37,6 +37,12 @@ _MODIFIED_SWEEP = [
     "--n-modes", "64", "--epsilons", "0.2,0.1,0.05", "--time-scale", "eps_squared",
     "--dt", "0.02", "--t-end", "3.0", "--rho-max", "0.152", "--seed", "3",
 ]
+# the benchmark's sweep-modified-k512 workload at its first datum seed
+_MODIFIED_SWEEP_K512 = [
+    "sweep", "--system", "modified", "--pressure", "p0", "--lambda", "0.2",
+    "--n-modes", "512", "--epsilons", "0.2,0.1,0.05", "--time-scale", "eps_squared",
+    "--dt", "0.02", "--t-end", "3.0", "--rho-max", "0.152", "--seed", "5",
+]
 _P1_SWEEP = [
     "sweep", "--pressure", "p1", "--alpha", "0.5", "--epsilons", "0.2,0.1,0.05",
     "--n-modes", "16", "--dt", "0.005", "--t-end", "0.05", "--seed", "11",
@@ -55,6 +61,7 @@ CASES = {
         "simulate", "--system", "modified", "--epsilon", "0.2", "--seed", "3",
         "--rho-max", "0.152", "--dt", "0.0008", "--t-end", "0.12"],
     "sweep-modified-k64": _MODIFIED_SWEEP,
+    "sweep-modified-k512": _MODIFIED_SWEEP_K512,
     "sweep-p1": _P1_SWEEP,
     "sweep-p1-jobs2": _P1_SWEEP + ["--jobs", "2"],
     "picard-modified": ["picard", "--system", "modified", "--epsilon", "0.2"],

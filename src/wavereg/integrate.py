@@ -3,15 +3,17 @@
 The stiff linear parts are never discretized.  One Lawson core, _lawson,
 advances both systems by midpoint Runge-Kutta (exp_rk2, order 2, the
 default) or Euler (exp_euler, order 1) on the nonlinear remainder; each
-system only supplies its linear flow and its forcing, on the stacked
-coefficient array of its two components.  For the full system the symbol
-of each Fourier mode is a 2x2 matrix whose exponential _mode_exponential
-applies exactly, in the one closed form that growth_experiment shares, and
-the forcing q(u1) dx u1 is dx of the cubic part of p(u1), which _dx_cubic
-forms on the padded product grid of spectral.py (two FFT calls).  For
+system supplies its forcing in its own compact layout, the linear flow of
+a state plus a multiple of a lifted forcing, and the flow of a lifted
+forcing alone.  For the full system the symbol of each Fourier mode is a
+2x2 matrix whose exponential _mode_exponential applies exactly, in the one
+closed form that growth_experiment shares; the forcing is the single u2
+row -ct dx cubic(u1), lifted as (0, f), where dx of the cubic part of p(u1)
+is formed on the padded product grid of spectral.py (two FFT calls).  For
 the reduced system the only stiff piece is the free Schroedinger factor on
 w2, a unimodular per-mode phase, and the flow is the identity on w1; its
-forcing comes from the array kernel of normalform.py.  solve drives either
+forcing (g1, n2) comes from the array kernel of normalform.py in the
+layout of the state, so its lift is the identity.  solve drives either
 system through the same loop, monitor and diagnostics.
 
 The modified system is the plain p0 system seen through the mirror
@@ -149,30 +151,34 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray
     return p
 
 
-def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
+def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray, ik=None) -> np.ndarray:
     """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
     `spectral` (two FFT calls): q_apply(law, u1, dx u1) in exact arithmetic,
-    as truncation commutes with dx, with an exactly zero k = 0 entry."""
+    as truncation commutes with dx, with an exactly zero k = 0 entry.  ik,
+    the symbol 1j * grid.wavenumbers of dx, may be formed once by the caller."""
     x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
-    return (1j * grid.wavenumbers) * _band_coeffs(grid, cubic)
+    return (1j * grid.wavenumbers if ik is None else ik) * _band_coeffs(grid, cubic)
 
 
-def _lawson(linear, nonlinear, y: np.ndarray, dt: float, scheme: str) -> np.ndarray:
-    """One Lawson step of y' = L y + N(y, t) on a coefficient array y.
+def _lawson(forcing, flow, push, y, dt: float, scheme: str):
+    """One Lawson step of y' = L y + lift N(y, t).
 
-    linear(y, h) applies exp(hL); nonlinear(y, s) evaluates the forcing at
-    the stage that starts s after the step."""
+    forcing(y, s) evaluates N, in the system's compact layout, at the stage
+    that starts s after the step; flow(h, y, f=None, c=0.0) applies
+    exp(hL)(y + c lift f), and push(h, f) applies exp(hL) lift f.  For the
+    full system lift f = (0, f) with f the u2 row; for the reduced system
+    the forcing has the state's layout and lift is the identity."""
     if scheme == "exp_euler":
-        return linear(y + dt * nonlinear(y, 0.0), dt)
+        return flow(dt, y, forcing(y, 0.0), dt)
     if scheme != "exp_rk2":
         raise ValueError(f"unknown scheme {scheme!r}")
-    k1 = nonlinear(y, 0.0)
-    mid = linear(y + (0.5 * dt) * k1, 0.5 * dt)
-    k2 = nonlinear(mid, 0.5 * dt)
-    return linear(y, dt) + dt * linear(k2, 0.5 * dt)
+    k1 = forcing(y, 0.0)
+    mid = flow(0.5 * dt, y, k1, 0.5 * dt)
+    k2 = forcing(mid, 0.5 * dt)
+    return flow(dt, y) + dt * push(0.5 * dt, k2)
 
 
 def step_full(
@@ -183,26 +189,29 @@ def step_full(
     dt: float,
     scheme: str = "exp_rk2",
 ) -> State:
-    """One exponential-integrator step of the full system, on the stacked
-    (u1, u2) coefficients with the forcing (0, -ct dx cubic(u1))."""
+    """One exponential-integrator step of the full system on the pair
+    (u1, u2) of coefficient rows, with the forcing -ct dx cubic(u1) on u2."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     _require_law(spec, law)
     ct, cd = spec.coefficients
     grid = state.grid
     mirror = _mirror if spec.kind == "modified" else (lambda c: c)
+    ik = 1j * grid.wavenumbers
 
-    def linear(y: np.ndarray, h: float) -> np.ndarray:
+    def forcing(y, s: float) -> np.ndarray:
+        return (-ct) * _dx_cubic(law, grid, y[0], ik)
+
+    def flow(h: float, y, f=None, c: float = 0.0) -> np.ndarray:
         p = _plain_propagator(grid, ct, cd, h)
-        return p[0::2] * y[0] + p[1::2] * y[1]
+        u1, u2 = y
+        return p[0::2] * u1 + p[1::2] * (u2 if f is None else u2 + c * f)
 
-    def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
-        out = np.zeros_like(y)
-        out[1] = (-ct) * _dx_cubic(law, grid, y[0])
-        return out
+    def push(h: float, f: np.ndarray) -> np.ndarray:
+        return _plain_propagator(grid, ct, cd, h)[1::2] * f
 
-    y = np.stack([mirror(state.u1.coeffs), state.u2.coeffs])
-    u1, u2 = _lawson(linear, nonlinear, y, dt, scheme)
+    u1, u2 = _lawson(forcing, flow, push, (mirror(state.u1.coeffs), state.u2.coeffs),
+                     dt, scheme)
     return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
 
 
@@ -217,6 +226,11 @@ def step_reduced(
 ) -> ReducedState:
     """One exponential-integrator step of the reduced system.
 
+    The state is the (2, 1, 2K+1) stack of (w1, w2), a batch of one member,
+    which is also the layout of _reduced_forcing's (g1, n2); the flow keeps
+    w1 and multiplies w2 by the phase of its step length, formed once per
+    length.
+
     dt is capped at epsilon/20: the oscillatory prefactors are evaluated
     analytically at stage times, but the amplitudes they multiply must stay
     resolved."""
@@ -228,18 +242,18 @@ def step_reduced(
         )
     _, cd = setting.coefficients
     grid = w.grid
-    # the linear flow on the stacked (w1, w2): identity on w1, phase on w2
-    flows = {h: np.stack([np.ones(grid.n_coeffs), _w2_phase(grid, cd, h)])
-             for h in (0.5 * dt, dt)}
+    phases = {h: _w2_phase(grid, cd, h) for h in (0.5 * dt, dt)}
 
-    def linear(y: np.ndarray, h: float) -> np.ndarray:
-        return flows[h] * y
+    def forcing(y: np.ndarray, s: float) -> np.ndarray:
+        return _reduced_forcing(setting, grid, y[0], y[1], np.array([w.t + s]))
 
-    def nonlinear(y: np.ndarray, s: float) -> np.ndarray:
-        g1, n2 = _reduced_forcing(setting, grid, y[:1], y[1:], np.array([w.t + s]))
-        return np.concatenate([g1, n2])
+    def flow(h: float, y: np.ndarray, f=None, c: float = 0.0) -> np.ndarray:
+        z = y.copy() if f is None else y + c * f
+        z[1] = phases[h] * z[1]
+        return z
 
-    w1, w2 = _lawson(linear, nonlinear, np.stack([w.w1.coeffs, w.w2.coeffs]), dt, scheme)
+    y = np.stack([w.w1.coeffs, w.w2.coeffs])[:, None]
+    w1, w2 = _lawson(forcing, flow, flow, y, dt, scheme)[:, 0]
     return ReducedState(SpectralField(grid, w1), SpectralField(grid, w2), w.t + dt)
 
 

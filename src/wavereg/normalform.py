@@ -381,9 +381,10 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
 
     w1 and w2 have shape (B, 2K+1) and t has shape (B,): B members, each at
-    its own time.  g1 is dt w1; n2 is dt w2 without the free Schroedinger
-    term -i c_d dx^2 w2, which the stepper's exact phase carries.  The
-    arrays are not validated.
+    its own time.  The result is one array (2, B, 2K+1), which unpacks as
+    g1, n2: g1 is dt w1; n2 is dt w2 without the free Schroedinger term
+    -i c_d dx^2 w2, which the stepper's exact phase carries.  The arrays
+    are not validated.
 
     The formula is reduced_rhs's, rearranged so that every piece is built
     once.  With v1 = exp(it/eps) w1, v2 = exp(-it/eps) w2, delta = (M v)1
@@ -402,13 +403,12 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     The conjugated setting is the plain p0 one with w1 and g1 mirrored.
     The members go through in the row blocks of spectral._blocks, two FFT
     calls per block."""
-    g1 = np.empty(np.shape(w1), dtype=complex)
-    n2 = np.empty(np.shape(w2), dtype=complex)
+    out = np.empty((2,) + np.shape(w1), dtype=complex)
     for block in _blocks(grid, len(t)):
-        g1[block], n2[block] = _forcing_block(
+        out[0, block], out[1, block] = _forcing_block(
             setting, grid, w1[block], w2[block], t[block]
         )
-    return g1, n2
+    return out
 
 
 def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t):

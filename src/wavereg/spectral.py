@@ -297,8 +297,7 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
         w = np.maximum(1.0, np.abs(f.grid.wavenumbers)) ** float(s)
         return float(np.linalg.norm(w * f.coeffs))
     if kind == "Linf":
-        vals = to_physical(f, 4 * f.grid.n_points)
-        return float(np.max(np.abs(vals)))
+        return float(_linf_norms(f.grid, f.coeffs))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -307,6 +306,15 @@ def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
     s = 0 gives the L2 norms."""
     w = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s)
     return np.linalg.norm(w * coeffs, axis=-1)
+
+
+def _linf_norms(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """norm(f, "Linf") of every row f of a coefficient array (..., 2K+1): the
+    maximum modulus on 4 n_points samples, from one inverse FFT call."""
+    n = 4 * grid.n_points
+    buf = np.zeros(np.shape(coeffs)[:-1] + (n,), dtype=complex)
+    buf[..., np.mod(grid.wavenumbers, n)] = coeffs
+    return np.max(np.abs(np.fft.ifft(buf) * n), axis=-1)
 
 
 def multiply(fields: Sequence[SpectralField]) -> SpectralField:
@@ -329,12 +337,18 @@ def multiply(fields: Sequence[SpectralField]) -> SpectralField:
 
 
 # complex points (rows x padded size) per block of a batched kernel, which
-# holds a few dozen such arrays: a bound on working memory for any batch
-_BLOCK_POINTS = 1024
+# holds a few dozen such arrays: a bound on working memory for any batch.
+# At 2048 simulate's two per-sample passes at K = 32 take 34 blocks of 15
+# rows instead of 72 of 7, about a tenth of its wall time; 4096 was no
+# faster there, slowed `wavereg picard` and raised the peak memory of
+# picard and verify by 0.6 MB.
+_BLOCK_POINTS = 2048
 
 
 def _blocks(grid: Grid, count: int):
-    """Slices of max(1, _BLOCK_POINTS // n_padded) rows covering 0..count-1."""
+    """Slices of max(1, _BLOCK_POINTS // n_padded) rows covering 0..count-1:
+    15 rows at K = 32 (n_padded 132), one row from n_padded > 2048 on, e.g.
+    at K = 512 (2058)."""
     size = max(1, _BLOCK_POINTS // grid.n_padded)
     return (slice(i, i + size) for i in range(0, count, size))
 

@@ -7,7 +7,8 @@ running maxima from one unblocked pass; existence runs are checked against
 `solve` at the scaled threshold; sweep fits are exercised on synthetic rows
 because the physical rescaled runs below stay bounded (that fact itself is
 asserted where it matters); the blocked normal_history is checked against
-to_normal_coords per sample.
+to_normal_coords per sample, and the blocked norm_domination_margin against
+the per-sample loop it replaced.
 """
 
 import concurrent.futures
@@ -39,7 +40,16 @@ from wavereg.experiments import (
 from wavereg.integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import NormalFormSetting, from_normal_coords, to_normal_coords
-from wavereg.spectral import Grid, SpectralField, apply_m, from_modes, norm, random_field
+from wavereg.spectral import (
+    _BLOCK_POINTS,
+    Grid,
+    SpectralField,
+    apply_m,
+    from_modes,
+    norm,
+    random_field,
+    to_physical,
+)
 
 ALL_LAWS = [
     (PressureLaw.P0, False),
@@ -669,6 +679,32 @@ class TestSobolevConstant:
             sobolev_constant(-1)
 
 
+def per_sample_margin(setting, states):
+    """The margins of norm_domination_margin as the per-sample loop formed
+    them, with the L2 norms of norm() and the Linf norm from one 4x
+    oversampled to_physical per sample; the oracle of the blocked form."""
+    eps = setting.epsilon
+    amp_sq = setting.amplitude**2
+    margins = []
+    for v in states:
+        n1 = norm(v.u1, "L2")
+        n2 = norm(v.u2, "L2")
+        if setting.law is PressureLaw.P1:
+            margins.append(n2 - (1.0 + eps) / (1.0 - eps) * n1)
+        else:
+            linf = np.max(np.abs(to_physical(v.u1, 4 * v.grid.n_points)))
+            amplification = 1.0 + amp_sq * (linf + eps * n2) ** 2
+            denominator = 1.0 - 4.0 * eps * amplification
+            if denominator <= 0.0:
+                raise ValueError(
+                    "second-component certificate is vacuous: denominator "
+                    f"{denominator:.3e} is not positive"
+                )
+            bound_sq = amplification / denominator * (1.0 + 5.0 * eps) * n1**2
+            margins.append(n2**2 - bound_sq)
+    return margins
+
+
 class TestNormDomination:
     def _state(self, grid, a1, a2):
         return State(from_modes(grid, {1: a1}), from_modes(grid, {1: a2}))
@@ -734,16 +770,59 @@ class TestNormDomination:
             assert norm(back.u1 - raw.u1, "L2") < 1e-12
             assert norm(back.u2 - raw.u2, "L2") < 1e-12
 
+    def _blocked_states(self, grid, rng, scales):
+        return [State(scale * random_field(grid, rng, band=(1, 16)),
+                      3.0 * scale * random_field(grid, rng, band=(1, 16)))
+                for scale in scales]
+
+    @pytest.mark.parametrize(
+        "law, conjugated",
+        [(PressureLaw.P1, False), (PressureLaw.P2, False), (PressureLaw.P0, True)],
+    )
+    def test_matches_the_per_sample_loop(self, rng, law, conjugated):
+        # the samples span two full blocks and part of a third on Grid(16);
+        # the margin grows with the scale, so the maximum lies in the last
+        # block, and in the first with the samples reversed
+        grid = Grid(16)
+        rows = _BLOCK_POINTS // grid.n_padded
+        setting = NormalFormSetting(0.05, conjugated, law, amplitude=0.5)
+        states = self._blocked_states(grid, rng, np.linspace(0.01, 0.05, 2 * rows + 10))
+        want = per_sample_margin(setting, states)
+        assert int(np.argmax(want)) >= 2 * rows
+        for samples in (states, states[::-1]):
+            got = norm_domination_margin(setting, samples)
+            assert abs(got - max(want)) <= 1e-14 * abs(max(want))
+
+    def test_vacuous_sample_past_the_first_block(self, rng):
+        # the message names the denominator of the first vacuous sample,
+        # which lies in the second block, not that of a later one
+        grid = Grid(16)
+        rows = _BLOCK_POINTS // grid.n_padded
+        scales = np.full(2 * rows + 10, 0.01)
+        scales[rows + 3], scales[rows + 5] = 0.6, 0.9
+        states = self._blocked_states(grid, rng, scales)
+        setting = NormalFormSetting(0.05, law=PressureLaw.P2, amplitude=2.0)
+        with pytest.raises(ValueError, match="vacuous") as want:
+            per_sample_margin(setting, states)
+        with pytest.raises(ValueError, match="vacuous") as got:
+            norm_domination_margin(setting, states)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="vacuous") as later:
+            per_sample_margin(setting, states[rows + 4:])
+        assert str(later.value) != str(want.value)
+
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_normal_history_matches_the_per_sample_map(self, rng, conjugated):
-        # 40 samples span three blocks of 1024 // 66 = 15 rows on Grid(16)
+        # the samples span two full blocks and part of a third on Grid(16)
         grid = Grid(16)
+        samples = 2 * (_BLOCK_POINTS // grid.n_padded) + 10
         amp = 0.4
         setting = NormalFormSetting(epsilon=0.2, conjugated=conjugated, amplitude=amp)
         states = [State(*(scale * random_field(grid, rng, band=(1, 16))
                           for _ in range(2)))
-                  for scale in np.linspace(0.01, 0.5, 40)]
-        trajectory = Trajectory(list(np.linspace(0.0, 0.39, 40)), states, [], "completed")
+                  for scale in np.linspace(0.01, 0.5, samples)]
+        trajectory = Trajectory(list(np.linspace(0.0, 0.39, samples)), states, [],
+                                "completed")
         history = normal_history(setting, trajectory)
         assert len(history) == len(states)
         for raw, got in zip(states, history):

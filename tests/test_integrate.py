@@ -9,16 +9,18 @@ exponential of its own 4x4 symbol on (u1_k, u2_k, conj u1_{-k},
 conj u2_{-k}), written here from rhs_full's modified formula, and against
 the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
-reference), its forcing kernel against q_apply, and the FFT calls of each
-step and of the array kernels (the reduced forcing per block, the tower map
-and its tangent, P_n_eval, bold_R_n, implicit_residual and ibp_once_p2 per
-block of samples, and solve's diagnostics pass per block of samples) are
-counted.  solve's diagnostics are checked row by row against the
-per-sample form they replaced (sample_diagnostics with energy), and its
-status against steps that return non-finite or overflowing coefficients.
-Convergence orders are measured against a fine-step reference, and the
-Picard fixed point is compared against the time stepper on the same
-reduced problem.
+reference), its forcing kernel against q_apply, and both steppers bit for
+bit against the stacked-array steps they replaced (stacked_step_full,
+stacked_step_reduced).  The FFT calls of each step and of the array kernels
+(the reduced forcing per block, the tower map and its tangent, P_n_eval,
+bold_R_n, implicit_residual and ibp_once_p2 per block of samples, and
+solve's diagnostics pass per block of samples) are counted, with the block
+cases derived from spectral._BLOCK_POINTS.  solve's diagnostics are checked
+row by row against the per-sample form they replaced (sample_diagnostics
+with energy), and its status against steps that return non-finite or
+overflowing coefficients.  Convergence orders are measured against a
+fine-step reference, and the Picard fixed point is compared against the
+time stepper on the same reduced problem.
 """
 
 import math
@@ -38,6 +40,7 @@ from wavereg.integrate import (
     _dx_cubic,
     _mode_exponential,
     _plain_propagator,
+    _w2_phase,
     picard_solve,
     solve,
     step_full,
@@ -64,8 +67,10 @@ from wavereg.normalform import (
     to_normal_coords,
 )
 from wavereg.spectral import (
+    _BLOCK_POINTS,
     Grid,
     SpectralField,
+    _mirror,
     conjugate,
     derivative,
     multiply,
@@ -74,6 +79,17 @@ from wavereg.spectral import (
     remove_mean,
     zeros,
 )
+
+
+def block_rows(grid):
+    """Rows per block of spectral._blocks on grid."""
+    return max(1, _BLOCK_POINTS // grid.n_padded)
+
+
+# rows per block of Grid(8), and of Grid(6) on 300 points, whose padded
+# grid is its own 300 points
+B8 = block_rows(Grid(8))
+B300 = block_rows(Grid(6, n_points=300))
 
 
 def random_state(grid, rng, scale=0.3, band=(1, 4), real=False):
@@ -152,6 +168,60 @@ def object_step_full(spec, law, state, dt, scheme="exp_rk2"):
     k1 = forcing(state)
     k2 = forcing(propagate(spec, state + (0.5 * dt) * k1, 0.5 * dt))
     return propagate(spec, state, dt) + dt * propagate(spec, k2, 0.5 * dt)
+
+
+def stacked_lawson(linear, nonlinear, y, dt, scheme):
+    """The Lawson core as it was before the compact forcings: linear(y, h)
+    applies exp(hL) to the stacked pair, nonlinear(y, s) returns the
+    forcing of both components, a zero row included."""
+    if scheme == "exp_euler":
+        return linear(y + dt * nonlinear(y, 0.0), dt)
+    k1 = nonlinear(y, 0.0)
+    mid = linear(y + (0.5 * dt) * k1, 0.5 * dt)
+    k2 = nonlinear(mid, 0.5 * dt)
+    return linear(y, dt) + dt * linear(k2, 0.5 * dt)
+
+
+def stacked_step_full(spec, law, state, dt, scheme="exp_rk2"):
+    """The full step on the stacked (u1, u2) array with the forcing
+    (0, -ct dx cubic(u1)), through stacked_lawson."""
+    ct, cd = spec.coefficients
+    grid = state.grid
+    mirror = _mirror if spec.kind == "modified" else (lambda c: c)
+
+    def linear(y, h):
+        p = _plain_propagator(grid, ct, cd, h)
+        return p[0::2] * y[0] + p[1::2] * y[1]
+
+    def nonlinear(y, s):
+        out = np.zeros_like(y)
+        out[1] = (-ct) * _dx_cubic(law, grid, y[0])
+        return out
+
+    y = np.stack([mirror(state.u1.coeffs), state.u2.coeffs])
+    u1, u2 = stacked_lawson(linear, nonlinear, y, dt, scheme)
+    return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
+
+
+def stacked_step_reduced(setting, w, dt, scheme="exp_rk2"):
+    """The reduced step on the stacked (w1, w2) array, with the flows built
+    as (ones, phase) rows and the forcing concatenated per stage, through
+    stacked_lawson."""
+    _, cd = setting.coefficients
+    grid = w.grid
+    flows = {h: np.stack([np.ones(grid.n_coeffs), _w2_phase(grid, cd, h)])
+             for h in (0.5 * dt, dt)}
+
+    def linear(y, h):
+        return flows[h] * y
+
+    def nonlinear(y, s):
+        g1, n2 = _reduced_forcing(setting, grid, y[:1], y[1:], np.array([w.t + s]))
+        return np.concatenate([g1, n2])
+
+    w1, w2 = stacked_lawson(linear, nonlinear, np.stack([w.w1.coeffs, w.w2.coeffs]),
+                            dt, scheme)
+    return ReducedState(SpectralField(grid, w1), SpectralField(grid, w2), w.t + dt)
 
 
 def plain_linear_flow(spec, state, t):
@@ -423,6 +493,47 @@ class TestStepFull:
                         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * size
 
 
+class TestStackedOracles:
+    """Both steppers give bit for bit the results of the stacked-array steps
+    they replaced (stacked_step_full, stacked_step_reduced)."""
+
+    @pytest.mark.parametrize("n_modes", [0, 8, 32, 512])
+    def test_full_step_is_bit_identical(self, n_modes):
+        grid = Grid(n_modes)
+        band = (min(1, n_modes), min(n_modes, 16))
+        cases = [("regularized", law) for law in PressureLaw]
+        cases.append(("modified", PressureLaw.P0))
+        for kind, law in cases:
+            for rescaled in (False, True):
+                spec = SystemSpec(kind, 0.2, rescaled=rescaled)
+                state = random_state(grid, np.random.default_rng(5), scale=0.3, band=band)
+                for scheme in ("exp_rk2", "exp_euler"):
+                    got = step_full(spec, law, state, 0.0, 1e-3, scheme)
+                    want = stacked_step_full(spec, law, state, 1e-3, scheme)
+                    assert np.array_equal(got.u1.coeffs, want.u1.coeffs)
+                    assert np.array_equal(got.u2.coeffs, want.u2.coeffs)
+
+    @pytest.mark.parametrize("n_modes", [0, 8, 32])
+    @pytest.mark.parametrize(
+        "law, conjugated",
+        [(PressureLaw.P0, False), (PressureLaw.P1, False), (PressureLaw.P2, False),
+         (PressureLaw.P0, True)],
+    )
+    def test_reduced_step_is_bit_identical(self, n_modes, law, conjugated):
+        grid = Grid(n_modes)
+        band = (min(1, n_modes), min(n_modes, 3))
+        rng = np.random.default_rng(11)
+        w = ReducedState(*(remove_mean(0.08 * random_field(grid, rng, band=band))
+                           for _ in range(2)), 0.37)
+        setting = NormalFormSetting(0.2, conjugated, law, amplitude=0.3)
+        for scheme in ("exp_rk2", "exp_euler"):
+            got = step_reduced(setting, w, 0.01, scheme)
+            want = stacked_step_reduced(setting, w, 0.01, scheme)
+            assert got.t == want.t
+            assert np.array_equal(got.w1.coeffs, want.w1.coeffs)
+            assert np.array_equal(got.w2.coeffs, want.w2.coeffs)
+
+
 class TestDxCubic:
     """The full system's forcing kernel against q_apply, its oracle."""
 
@@ -484,12 +595,14 @@ class TestFftCalls:
 
     @pytest.mark.parametrize(
         "grid, members, blocks",
-        [(Grid(8), 1, 1), (Grid(8), 29, 1), (Grid(8), 31, 2),
-         (Grid(6, n_points=300), 7, 3), (Grid(600), 2, 2), (Grid(8), 30, 2)],
+        [(Grid(8), 1, 1), (Grid(8), 29, 1), (Grid(8), B8 + 1, 2),
+         (Grid(6, n_points=300), 2 * B300 + 1, 3), (Grid(600), 2, 2), (Grid(8), B8, 1)],
     )
     def test_reduced_forcing_per_block(self, calls, grid, members, blocks):
-        # blocks of _BLOCK_POINTS // n_padded members (at least one), two
-        # FFT calls each: 1024 // 35 = 29, 1024 // 300 = 3, 1024 // 2420 = 0
+        # blocks of block_rows(grid) members, two FFT calls each: one block,
+        # a block exactly filled, one member past it, a third block of one
+        # member, and one member per block on Grid(600), padded to 2420
+        # points, more than a block holds
         rng = np.random.default_rng(5)
         w1, w2 = 0.1 * (rng.standard_normal((2, members, grid.n_coeffs))
                         + 1j * rng.standard_normal((2, members, grid.n_coeffs)))
@@ -515,14 +628,13 @@ class TestFftCalls:
 
     @pytest.mark.parametrize(
         "grid, samples, blocks",
-        [(Grid(8), 5, 1), (Grid(8), 29, 1), (Grid(8), 31, 2), (Grid(6, n_points=300), 7, 3),
-         (Grid(8), 30, 2)],
+        [(Grid(8), 5, 1), (Grid(8), 29, 1), (Grid(8), B8 + 1, 2),
+         (Grid(6, n_points=300), 2 * B300 + 1, 3), (Grid(8), B8, 1)],
     )
     @pytest.mark.parametrize("n", [1, 2])
     def test_implicit_residual(self, calls, grid, samples, blocks, n):
-        # one jet with tangent to depth n + 1 per block of
-        # _BLOCK_POINTS // n_padded samples (1024 // 35 = 29 on Grid(8)),
-        # then P_n_eval's jet to depth n
+        # one jet with tangent to depth n + 1 per block of block_rows(grid)
+        # samples, then P_n_eval's jet to depth n
         rng = np.random.default_rng(9)
         w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
         r = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
@@ -548,12 +660,12 @@ class TestFftCalls:
         bold_R_n(w, r, 0.3, IbpCoefficients(n=n, lam=0.4, epsilon=0.2, c_embed=2.0))
         assert len(calls) == 2 * n
 
-    @pytest.mark.parametrize("samples", [5, 41])
+    @pytest.mark.parametrize("samples", [5, B8 + 1, B8])
     def test_ibp_once_p2(self, calls, samples):
-        # per block of 1024 // 35 = 29 samples: synthesis of w1 and R1, the
-        # cubes and forcing rows back, the truncated cube out again, the
+        # per block of block_rows(Grid(8)) samples: synthesis of w1 and R1,
+        # the cubes and forcing rows back, the truncated cube out again, the
         # resonant rows back
-        blocks = {5: 1, 41: 2}[samples]
+        blocks = {5: 1, B8: 1, B8 + 1: 2}[samples]
         grid = Grid(8)
         rng = np.random.default_rng(9)
         w = [0.1 * random_field(grid, rng, band=(1, 3)) for _ in range(samples)]
@@ -563,13 +675,16 @@ class TestFftCalls:
 
     @pytest.mark.parametrize(
         "path, grid, steps, blocks",
-        [("full", Grid(8), 10, 1), ("full", Grid(8), 30, 2), ("full", Grid(32), 7, 2),
-         ("full", Grid(6, n_points=300), 10, 4), ("reduced", Grid(8), 30, 2)],
+        [("full", Grid(8), 10, 1), ("full", Grid(8), B8, 2),
+         ("full", Grid(32), block_rows(Grid(32)), 2),
+         ("full", Grid(6, n_points=300), 3 * B300 + 1, 4), ("reduced", Grid(8), B8, 2),
+         ("full", Grid(8), B8 - 1, 1)],
     )
     def test_solve_diagnostics_per_block(self, calls, path, grid, steps, blocks):
         # four calls per exp_rk2 step and none for the monitor, then the
-        # diagnostics pass: one call per block of 1024 // n_padded samples
-        # (30 at K = 8, 7 at K = 32, 3 for 300 points)
+        # diagnostics pass: one call per block of block_rows(grid) of the
+        # steps + 1 samples (one sample past a block, a fourth block of one
+        # sample, a block exactly filled)
         system, law, datum = edge_problem(path, grid, np.random.default_rng(10))
         traj = solve(system, law, datum, IntegratorConfig(dt=1e-3, t_end=steps * 1e-3))
         assert len(traj.states) == steps + 1

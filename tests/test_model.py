@@ -24,6 +24,7 @@ from wavereg.model import (
     rhs_full,
 )
 from wavereg.spectral import (
+    _BLOCK_POINTS,
     Grid,
     SpectralField,
     conjugate,
@@ -221,12 +222,19 @@ def convolution_energy(law, s):
     return quart + quad1 + quad2, quart, quad1, quad2
 
 
+def block_rows(grid):
+    """Rows per block of spectral._blocks on grid."""
+    return max(1, _BLOCK_POINTS // grid.n_padded)
+
+
 class TestStackedEnergies:
-    # Grid(K) holds 1024 // n_padded rows per block: 512, 170, 29 and 7 here,
-    # so each count runs past a block boundary
+    # the literal counts lie within one block of _energies; on Grid(1) and
+    # Grid(32) the derived counts fill a block exactly and run one row past it
     @pytest.mark.parametrize(
         "grid, samples",
-        [(Grid(0), 513), (Grid(1), 171), (Grid(8, n_points=17), 31), (Grid(32), 8)],
+        [(Grid(0), 513), (Grid(1), 171), (Grid(8, n_points=17), 31), (Grid(32), 8)]
+        + [(grid, rows) for grid in (Grid(1), Grid(32))
+           for rows in (block_rows(grid), block_rows(grid) + 1)],
     )
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_rows_match_quartic_mean(self, rng, grid, samples, law):

@@ -561,13 +561,15 @@ class TestReducedRhs:
     def test_batch_rows_equal_serial_calls(self, rng, grid):
         # each row of one batched kernel call is the forcing of its own
         # member at its own time: reduced_rhs minus its dispersion term.
-        # On the 300-point grid the kernel takes the members three at a time.
+        # On the 300-point grid, its own padded grid, the members fill two
+        # blocks and put one member in a third.
         from wavereg.normalform import _reduced_forcing
         from wavereg.spectral import _BLOCK_POINTS
 
         members, n, K = 7, grid.n_coeffs, grid.n_modes
         if grid.n_points == 300:
-            assert _BLOCK_POINTS // 300 == 3
+            assert grid.n_padded == 300
+            members = 2 * (_BLOCK_POINTS // 300) + 1
         times = np.linspace(0.0, 1.5, members) + rng.uniform(0.0, 0.1, members)
         k = grid.wavenumbers.astype(float)
         for setting in all_settings(0.2):
