@@ -249,7 +249,7 @@ def step_reduced(
 
     def flow(h: float, y: np.ndarray, f=None, c: float = 0.0) -> np.ndarray:
         z = y.copy() if f is None else y + c * f
-        z[1] = phases[h] * z[1]
+        z[1] = phases[h] * z[1]  # not *=: complex products round by operand order
         return z
 
     y = np.stack([w.w1.coeffs, w.w2.coeffs])[:, None]
