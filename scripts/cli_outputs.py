@@ -16,7 +16,7 @@ compare:
 
     diff -r OUT_PARENT OUT_CHANGE
 
-The cases take about 3 s (Python 3.11, numpy 2.4, one 2-core host).
+The cases take about 2 s (Python 3.11, numpy 2.4, one 2-core host).
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ CASES = {
     "growth-defaults": ["growth"],
     "continue": ["continue", "--rho", "0.5", "--epsilon", "0.003", "--alpha", "0"],
     "verify": ["verify"],
+    # K = 16 runs the cancellation legs in blocks of 31 rows: 31 + 9
+    "verify-k16-two-blocks": ["verify", "--seed", "2", "--n-modes", "16",
+                              "--fields", "40"],
+    # K = 64 blocks hold 7 rows, so 8 fields are one block and one row
+    "verify-fields8": ["verify", "--fields", "8"],
     "error-simulate-rho-max": ["simulate", "--epsilon", "0.1", "--rho-max", "0"],
     "error-sweep-rho-max": ["sweep", "--epsilons", "0.2,0.1,0.05", "--rho-max", "0"],
     "error-simulate-target-norm": ["simulate", "--epsilon", "0.1",

@@ -1,4 +1,6 @@
-"""Run, sweep, and verification commands behind one entry point.
+"""Run, sweep, and verification commands behind one entry point: an adapter
+that owns the options, the output files and the exit codes, while every
+number it prints comes from one library call.  It imports no private name.
 
 Configuration is an optional flat key=value file plus command-line flags,
 and flags win.  The option table is the one place an option is declared:
@@ -37,33 +39,15 @@ from .experiments import (
     continuation_schedule,
     existence_run,
     growth_experiment,
-    lemma_m_suite,
     make_datum,
+    normal_frame_columns,
     scaling_sweep,
+    verify_legs,
 )
-from .integrate import IntegratorConfig, picard_solve, solve
-from .jets_ibp import IbpCoefficients, f_n, implicit_residual, verify_fn_bound
-from .model import PressureLaw, State, SystemSpec
-from .normalform import (
-    NormalFormSetting,
-    ReducedState,
-    _cancellation_residuals,
-    _normal_coords,
-    _reduced_forcing,
-    cancellation_residual,
-    to_normal_coords,
-)
-from .spectral import (
-    Grid,
-    SpectralField,
-    _band_coeffs,
-    _blocks,
-    _hs_norms,
-    _padded_values,
-    norm,
-    random_field,
-    remove_mean,
-)
+from .integrate import IntegratorConfig, picard_solve
+from .model import PressureLaw, SystemSpec
+from .normalform import NormalFormSetting, to_normal_coords
+from .spectral import Grid
 
 _LAWS = {"p0": PressureLaw.P0, "p1": PressureLaw.P1, "p2": PressureLaw.P2}
 
@@ -453,18 +437,7 @@ def _cmd_simulate(cfg: dict) -> int:
     )
     trajectory = existence_run(system, law, amp * profile, run_config, cfg["rho_max"])
 
-    grid = profile.grid
-    columns = []
-    for block in _blocks(grid, len(trajectory.states)):
-        states = trajectory.states[block]
-        u1 = np.stack([state.u1.coeffs for state in states])
-        u2 = np.stack([state.u2.coeffs for state in states])
-        # normalized slow-frame coordinates; the oscillation phases are
-        # unimodular scalars, so these equal the oscillating-frame norms
-        v1, v2 = _normal_coords(setting, grid, u1 / amp, u2 / amp, inverse=True)
-        columns.append(np.stack([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
-                                 _cancellation_residuals(setting, grid, u1, u2)]))
-    norms_v1, norms_v2, residuals = np.concatenate(columns, axis=1).tolist()
+    norms_v1, norms_v2, residuals = normal_frame_columns(setting, trajectory)
     rows = [
         (t, norm_v1, norm_v2, diag["norm1_h1"], diag["norm2_l2"], diag["energy"],
          diag["mean_abs_1"], diag["mean_abs_2"], residual, trajectory.terminal_status)
@@ -666,95 +639,12 @@ def _cmd_picard(cfg: dict) -> int:
 _VERIFY_DEFAULTS = {"n_modes": 64, "seed": 1, "fields": 100}
 
 
-def _verify_legs(n_modes: int, seed: int, fields: int):
-    """Run the identity suites and yield (name, measured, threshold, ok)."""
-    legs = []
-
-    report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)
-    worst = max(report.residuals.values())
-    legs.append(("lemma_m", worst, report.tolerance, worst < report.tolerance))
-
-    # key cancellation, plain and conjugated, on random zero-mean states
-    grid = Grid(n_modes)
-    rng = np.random.default_rng(seed + 1)
-    for name, conjugated in (("cancellation_plain", False),
-                             ("cancellation_conjugated", True)):
-        setting = NormalFormSetting(0.1, conjugated, PressureLaw.P0, 1.0)
-        worst = 0.0
-        for _ in range(fields):
-            u = State(
-                remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))),
-                remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))),
-            )
-            worst = max(worst, cancellation_residual(setting, u))
-        legs.append((name, worst, 1e-12, worst < 1e-12))
-
-    # jet worked values: the cubic cascade on a single mode picks up the
-    # odd double factorial and shifts the mode by 2 each derivative
-    jet_grid = Grid(12)
-    single = np.zeros(jet_grid.n_coeffs, dtype=complex)
-    single[jet_grid.index(1)] = 1.0
-    u = SpectralField(jet_grid, single)
-    worst = 0.0
-    for order in range(4):
-        expected = np.zeros(jet_grid.n_coeffs, dtype=complex)
-        expected[jet_grid.index(2 * order + 3)] = math.prod(
-            range(1, 2 * order + 2, 2)
-        )
-        defect = f_n(u, order) - SpectralField(jet_grid, expected)
-        worst = max(worst, norm(defect, "Hs", s=1.0))
-    legs.append(("jet_worked_values", worst, 1e-10, worst < 1e-10))
-
-    # growth bound on the jets: measured/claimed ratio must never pass 1
-    bound_grid = Grid(16)
-    bound_rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for _ in range(10):
-        u = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
-        v = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
-        for order in range(5):
-            bound_report = verify_fn_bound(u, order, v)
-            worst = max(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
-    threshold = 1.0 + 1e-12
-    legs.append(("jet_bound_ratio", worst, threshold, worst <= threshold))
-
-    # implicit representation along a short reduced first-law trajectory
-    eps, lam, dt = 0.1, 0.2, 1e-3
-    imp_grid = Grid(10)
-    imp_rng = np.random.default_rng(seed + 3)
-    setting = NormalFormSetting(eps, law=PressureLaw.P0, amplitude=lam)
-    w1 = remove_mean(0.05 * random_field(imp_grid, imp_rng, band=(1, 3)))
-    w2 = remove_mean(0.05 * random_field(imp_grid, imp_rng, band=(1, 3)))
-    trajectory = solve(
-        setting, PressureLaw.P0, ReducedState(w1, w2, 0.0),
-        IntegratorConfig(dt=dt, t_end=100 * dt),
-    )
-    times = np.array(trajectory.times)
-    w1_samples = [w.w1 for w in trajectory.states]
-    # R1 = dt w1 - mu P(w1^3), mu = -i lam^2/eps exp(2it/eps), on all samples
-    w1 = np.stack([w.coeffs for w in w1_samples])
-    w2 = np.stack([w.w2.coeffs for w in trajectory.states])
-    dw1, _ = _reduced_forcing(setting, imp_grid, w1, w2, times)
-    x = _padded_values(imp_grid, w1)
-    cubic = _band_coeffs(imp_grid, x * x * x)
-    cubic[:, imp_grid.n_modes] = 0.0
-    mu = -1j * lam**2 / eps * np.exp(2.0j * times / eps)
-    r1_samples = [SpectralField(imp_grid, row) for row in dw1 - mu[:, None] * cubic]
-    coeffs = IbpCoefficients(n=1, lam=lam, epsilon=eps, c_embed=1.0)
-    residual = implicit_residual(times, w1_samples, r1_samples, coeffs)
-    threshold = 5.0 * dt + 1e-8
-    legs.append(("implicit_representation", residual, threshold,
-                 residual < threshold))
-
-    return legs
-
-
 def _cmd_verify(cfg: dict) -> int:
     if cfg["n_modes"] < 8:
         raise CliError(f"verify needs n_modes >= 8, got {cfg['n_modes']}")
     if cfg["fields"] < 1:
         raise CliError(f"fields must be positive, got {cfg['fields']}")
-    legs = _verify_legs(cfg["n_modes"], cfg["seed"], cfg["fields"])
+    legs = verify_legs(cfg["n_modes"], cfg["seed"], cfg["fields"])
     failures = 0
     for name, measured, threshold, ok in legs:
         verdict = "PASS" if ok else "FAIL"

@@ -1,9 +1,11 @@
 """Numerical studies: negative-energy data, existence-time sweeps, growth
-rates, continuation schedules, and identity suites.
+rates, continuation schedules, identity suites, and the normal frame of a
+run.
 
-Everything here drives the lower-level modules (spectral, model, normalform,
-integrate) and returns plain result records; nothing in this file integrates
-a PDE by itself except through `integrate.solve`.
+Everything here drives the lower-level modules and returns plain result
+records; nothing in this file integrates a PDE by itself except through
+`integrate.solve`.  The CLI's numbers come from here too: `verify_legs`
+and simulate's `normal_frame_columns`.
 
 Conventions shared with the rest of the package:
 
@@ -26,8 +28,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
+from .jets_ibp import IbpCoefficients, _jets, f_n, implicit_residual, verify_fn_bound
 from .model import PressureLaw, State, SystemSpec, energy, linear_growth_rate
-from .normalform import NormalFormSetting, _normal_coords
+from .normalform import (
+    NormalFormSetting,
+    ReducedState,
+    _cancellation_residuals,
+    _normal_coords,
+    _reduced_forcing,
+)
 from .spectral import (
     Grid,
     SpectralField,
@@ -37,6 +46,7 @@ from .spectral import (
     apply_m,
     conjugate,
     derivative,
+    from_modes,
     norm,
     random_field,
     remove_mean,
@@ -537,6 +547,82 @@ def lemma_m_suite(
     return IdentityReport(worst, tolerance, n_fields, n_modes)
 
 
+def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, float, bool]]:
+    """The identity suites of `wavereg verify` as (name, measured, threshold,
+    ok), in print order.  The cancellation legs draw their states per block
+    of spectral._blocks, in the order of one state at a time, and check
+    each block by one _cancellation_residuals call."""
+    legs = []
+
+    report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)
+    worst = max(report.residuals.values())
+    legs.append(("lemma_m", worst, report.tolerance, worst < report.tolerance))
+
+    # key cancellation, plain and conjugated, on random zero-mean states
+    grid = Grid(n_modes)
+    rng = np.random.default_rng(seed + 1)
+    draw = lambda: remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))).coeffs
+    for name, conjugated in (("cancellation_plain", False),
+                             ("cancellation_conjugated", True)):
+        setting = NormalFormSetting(0.1, conjugated, PressureLaw.P0, 1.0)
+        worst = 0.0
+        for block in _blocks(grid, fields):
+            pairs = [(draw(), draw()) for _ in range(fields)[block]]  # (u1, u2)
+            u1, u2 = (np.stack(rows) for rows in zip(*pairs))
+            residuals = _cancellation_residuals(setting, grid, u1, u2)
+            worst = max(worst, float(np.max(residuals)))
+        legs.append((name, worst, 1e-12, worst < 1e-12))
+
+    # jet worked values: the cubic cascade on a single mode picks up the
+    # odd double factorial and shifts the mode by 2 each derivative
+    jet_grid = Grid(12)
+    u = from_modes(jet_grid, {1: 1.0})
+    worst = 0.0
+    for order in range(4):
+        factor = math.prod(range(1, 2 * order + 2, 2))  # (2 order + 1)!!
+        defect = f_n(u, order) - from_modes(jet_grid, {2 * order + 3: factor})
+        worst = max(worst, norm(defect, "Hs", s=1.0))
+    legs.append(("jet_worked_values", worst, 1e-10, worst < 1e-10))
+
+    # growth bound on the jets: measured/claimed ratio must never pass 1
+    bound_grid = Grid(16)
+    bound_rng = np.random.default_rng(seed + 2)
+    worst = 0.0
+    for _ in range(10):
+        u = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
+        v = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
+        for order in range(5):
+            bound_report = verify_fn_bound(u, order, v)
+            worst = max(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
+    threshold = 1.0 + 1e-12
+    legs.append(("jet_bound_ratio", worst, threshold, worst <= threshold))
+
+    # implicit representation along a short reduced first-law trajectory
+    eps, lam, dt = 0.1, 0.2, 1e-3
+    imp_grid = Grid(10)
+    imp_rng = np.random.default_rng(seed + 3)
+    setting = NormalFormSetting(eps, law=PressureLaw.P0, amplitude=lam)
+    w1 = remove_mean(0.05 * random_field(imp_grid, imp_rng, band=(1, 3)))
+    w2 = remove_mean(0.05 * random_field(imp_grid, imp_rng, band=(1, 3)))
+    trajectory = solve(setting, PressureLaw.P0, ReducedState(w1, w2, 0.0),
+                       IntegratorConfig(dt=dt, t_end=100 * dt))
+    times = np.array(trajectory.times)
+    w1_samples = [w.w1 for w in trajectory.states]
+    # R1 = dt w1 - mu P(w1^3), mu = -i lam^2/eps exp(2it/eps), on all
+    # samples, with P(w1^3) the first jet level
+    w1 = np.stack([w.coeffs for w in w1_samples])
+    w2 = np.stack([w.w2.coeffs for w in trajectory.states])
+    dw1, _ = _reduced_forcing(setting, imp_grid, w1, w2, times)
+    mu = -1j * lam**2 / eps * np.exp(2.0j * times / eps)
+    r1 = dw1 - mu[:, None] * _jets(imp_grid, w1, 1)[1]
+    r1_samples = [SpectralField(imp_grid, row) for row in r1]
+    coeffs = IbpCoefficients(n=1, lam=lam, epsilon=eps, c_embed=1.0)
+    residual = implicit_residual(times, w1_samples, r1_samples, coeffs)
+    threshold = 5.0 * dt + 1e-8
+    legs.append(("implicit_representation", residual, threshold, residual < threshold))
+    return legs
+
+
 def sobolev_constant(max_wavenumber: int) -> float:
     """Best constant of |u(x)| <= c_K ||u||_{H^1} on the band |k| <= K.
 
@@ -553,24 +639,42 @@ def sobolev_constant(max_wavenumber: int) -> float:
 # Second-component control along negative-energy runs.
 
 
+def _normal_blocks(setting: NormalFormSetting, trajectory: Trajectory):
+    """Yield (u1, u2, v1, v2) per block of spectral._blocks: the stored
+    samples' coefficient stacks and their normalized-profile coordinates,
+    the closed form of to_normal_coords after division by the amplitude."""
+    states = trajectory.states
+    grid = states[0].grid
+    for block in _blocks(grid, len(states)):
+        u1 = np.stack([st.u1.coeffs for st in states[block]])
+        u2 = np.stack([st.u2.coeffs for st in states[block]])
+        v1, v2 = _normal_coords(setting, grid, u1 / setting.amplitude,
+                                u2 / setting.amplitude, inverse=True)
+        yield u1, u2, v1, v2
+
+
 def normal_history(setting: NormalFormSetting, trajectory: Trajectory) -> list[State]:
     """Normalized-profile coordinates of every stored sample.
 
     Divides each stored state by the datum amplitude and inverts the
     near-identity change of coordinates, returning the history in the frame
-    where the norm-domination certificates are stated: the closed form of
-    to_normal_coords on the samples stacked in the blocks of spectral._blocks.
+    where the norm-domination certificates are stated, by _normal_blocks.
     """
-    states = trajectory.states
-    grid = states[0].grid
-    history = []
-    for block in _blocks(grid, len(states)):
-        u1 = np.stack([st.u1.coeffs for st in states[block]]) / setting.amplitude
-        u2 = np.stack([st.u2.coeffs for st in states[block]]) / setting.amplitude
-        v1, v2 = _normal_coords(setting, grid, u1, u2, inverse=True)
-        history += [State(SpectralField(grid, a), SpectralField(grid, b))
-                    for a, b in zip(v1, v2)]
-    return history
+    grid = trajectory.states[0].grid
+    return [State(SpectralField(grid, a), SpectralField(grid, b))
+            for _, _, v1, v2 in _normal_blocks(setting, trajectory)
+            for a, b in zip(v1, v2)]
+
+
+def normal_frame_columns(setting: NormalFormSetting, trajectory: Trajectory):
+    """Simulate's columns per stored sample, as three lists: the H1 norm of
+    v1 and the L2 norm of v2 (v as in normal_history; the frame phases keep
+    both) and the cancellation residual of the stored state."""
+    grid = trajectory.states[0].grid
+    columns = [np.stack([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
+                         _cancellation_residuals(setting, grid, u1, u2)])
+               for u1, u2, v1, v2 in _normal_blocks(setting, trajectory)]
+    return np.concatenate(columns, axis=1).tolist()
 
 
 def norm_domination_margin(

@@ -459,6 +459,7 @@ def picard_solve(
     omega = -cd * k * k  # Duhamel kernel phase on w2
     times = np.linspace(0.0, T, n_nodes)
     dx = times[1] - times[0]
+    forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])  # free flow of w2
 
     w1_flat = np.tile(w1_0.coeffs, (n_nodes, 1))
     w2_flat = np.tile(w2_0.coeffs, (n_nodes, 1))
@@ -472,7 +473,6 @@ def picard_solve(
         g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
         new_w1 = w1_0.coeffs[None, :] + cumulative_simpson_uniform(g1, dx)
         duhamel = cumulative_weighted_simpson(n2, omega, dx)
-        forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])
         new_w2 = forward * (w2_0.coeffs[None, :] + duhamel)
         diff = _trajectory_distance(grid, new_w1, new_w2, w1_flat, w2_flat)
         w1_flat, w2_flat = new_w1, new_w2

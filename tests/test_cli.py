@@ -6,6 +6,7 @@ float comparisons against library calls are exact because the CSV writer
 serializes at 17 significant digits, which round-trips float64.
 """
 
+import ast
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from wavereg.experiments import (
     growth_experiment,
     make_datum,
     scaling_sweep,
+    verify_legs,
 )
 from wavereg.model import PressureLaw
 from wavereg.normalform import NormalFormSetting, to_normal_coords
@@ -430,6 +432,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "implicit_representation: 2.356e-04 (threshold 5.000e-03) PASS" in out
 
+    def test_prints_the_library_legs(self, capsys):
+        # two blocks of cancellation draws at K = 16: 31 + 9 fields
+        assert main(["verify", "--n-modes", "16", "--seed", "2", "--fields", "40"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == [
+            f"{name}: {measured:.3e} (threshold {threshold:.3e}) PASS"
+            for name, measured, threshold, _ in verify_legs(16, 2, 40)
+        ]
+        assert printed[-1] == "verify: 6/6 checks passed"
+
     def test_small_field_count(self, capsys):
         assert main(["verify", "--fields", "5"]) == 0
         assert "6/6" in capsys.readouterr().out
@@ -809,3 +821,15 @@ def test_importing_the_cli_loads_no_process_pool():
     assert "wavereg.experiments" in loaded
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
     assert "concurrent.futures.process" not in loaded
+
+
+def test_cli_imports_no_private_name():
+    """The CLI is an adapter over the library's public calls: no
+    `from .<module> import` in cli.py brings in a name starting with '_'."""
+    tree = ast.parse((REPO_ROOT / "src" / "wavereg" / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module]
+    assert {node.module for node in imports} >= {"experiments", "integrate"}
+    private = [f"{node.module}.{alias.name}" for node in imports
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -6,9 +6,11 @@ point from scipy's dense exponential at every sample time, and its blocked
 running maxima from one unblocked pass; existence runs are checked against
 `solve` at the scaled threshold; sweep fits are exercised on synthetic rows
 because the physical rescaled runs below stay bounded (that fact itself is
-asserted where it matters); the blocked normal_history is checked against
-to_normal_coords per sample, and the blocked norm_domination_margin against
-the per-sample loop it replaced.
+asserted where it matters); the blocked normal_history and
+normal_frame_columns are checked against to_normal_coords, norm and
+cancellation_residual per sample, the blocked norm_domination_margin against
+the per-sample loop it replaced, and verify_legs' cancellation maxima against
+the per-state cancellation_residual loop it replaced.
 """
 
 import concurrent.futures
@@ -33,21 +35,30 @@ from wavereg.experiments import (
     lemma_m_suite,
     make_datum,
     norm_domination_margin,
+    normal_frame_columns,
     normal_history,
     scaling_sweep,
     sobolev_constant,
+    verify_legs,
 )
 from wavereg.integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from wavereg.model import PressureLaw, State, SystemSpec, energy
-from wavereg.normalform import NormalFormSetting, from_normal_coords, to_normal_coords
+from wavereg.normalform import (
+    NormalFormSetting,
+    cancellation_residual,
+    from_normal_coords,
+    to_normal_coords,
+)
 from wavereg.spectral import (
     _BLOCK_POINTS,
     Grid,
     SpectralField,
+    _blocks,
     apply_m,
     from_modes,
     norm,
     random_field,
+    remove_mean,
     to_physical,
 )
 
@@ -645,6 +656,79 @@ class TestLemmaMSuite:
         assert report.residuals["first_derivative_right"] > 0.1
 
 
+def block_rows(grid):
+    """The rows of one block of spectral._blocks on this grid."""
+    return next(_blocks(grid, 1 << 20)).stop
+
+
+def spy_on_cancellation_rows(monkeypatch):
+    """Record the row count of every _cancellation_residuals call made
+    through experiments."""
+    rows = []
+    kernel = experiments._cancellation_residuals
+
+    def spy(setting, grid, u1, u2):
+        rows.append(len(u1))
+        return kernel(setting, grid, u1, u2)
+
+    monkeypatch.setattr(experiments, "_cancellation_residuals", spy)
+    return rows
+
+
+def per_state_cancellation_maxima(n_modes, seed, fields):
+    """The cancellation legs of verify as the per-state loop formed them:
+    cancellation_residual on one State at a time, plain then conjugated.
+    Returns the two maxima and the generator after its draws."""
+    grid = Grid(n_modes)
+    rng = np.random.default_rng(seed + 1)
+    maxima = []
+    for conjugated in (False, True):
+        setting = NormalFormSetting(0.1, conjugated, PressureLaw.P0, 1.0)
+        worst = 0.0
+        for _ in range(fields):
+            u = State(
+                remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))),
+                remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))),
+            )
+            worst = max(worst, cancellation_residual(setting, u))
+        maxima.append(worst)
+    return maxima, rng
+
+
+class TestVerifyLegs:
+    @pytest.mark.parametrize("past_block", [-1, 0, 1])
+    def test_cancellation_legs_equal_the_per_state_loop(self, monkeypatch, past_block):
+        # a block less one field, exactly one block, and one field past it
+        n_modes, seed = 8, 3
+        rows = block_rows(Grid(n_modes))
+        fields = rows + past_block
+        want, oracle_rng = per_state_cancellation_maxima(n_modes, seed, fields)
+
+        generators = {}
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed_value):
+            generators[seed_value] = default_rng(seed_value)
+            return generators[seed_value]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        calls = spy_on_cancellation_rows(monkeypatch)
+        legs = verify_legs(n_modes, seed, fields)
+        monkeypatch.undo()
+
+        names = [leg[0] for leg in legs]
+        assert names == ["lemma_m", "cancellation_plain", "cancellation_conjugated",
+                         "jet_worked_values", "jet_bound_ratio",
+                         "implicit_representation"]
+        assert all(ok for _, _, _, ok in legs)
+        assert [legs[1][1], legs[2][1]] == want
+        # the stacked draws leave the generator where the per-state loop did
+        assert (generators[seed + 1].bit_generator.state
+                == oracle_rng.bit_generator.state)
+        assert max(calls) <= rows and sum(calls) == 2 * fields
+        assert len(calls) == 2 * (2 if past_block > 0 else 1)
+
+
 class TestSobolevConstant:
     def test_mean_mode_only(self):
         assert sobolev_constant(0) == 1.0
@@ -810,6 +894,33 @@ class TestNormDomination:
         with pytest.raises(ValueError, match="vacuous") as later:
             per_sample_margin(setting, states[rows + 4:])
         assert str(later.value) != str(want.value)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_normal_frame_columns_match_the_per_sample_map(self, rng, monkeypatch,
+                                                           conjugated):
+        # the samples span two full blocks and part of a third on Grid(16)
+        grid = Grid(16)
+        rows = block_rows(grid)
+        samples = 2 * rows + 10
+        amp = 0.4
+        setting = NormalFormSetting(epsilon=0.2, conjugated=conjugated, amplitude=amp)
+        states = [State(*(scale * random_field(grid, rng, band=(1, 16))
+                          for _ in range(2)))
+                  for scale in np.linspace(0.01, 0.5, samples)]
+        trajectory = Trajectory(list(np.linspace(0.0, 0.39, samples)), states, [],
+                                "completed")
+        calls = spy_on_cancellation_rows(monkeypatch)
+        columns = normal_frame_columns(setting, trajectory)
+        assert calls == [rows, rows, 10]
+        assert [len(column) for column in columns] == [samples] * 3
+        for raw, norm_v1, norm_v2, residual in zip(states, *columns):
+            v = to_normal_coords(setting, raw / amp)
+            assert isinstance(norm_v1, float)
+            assert norm_v1 == pytest.approx(norm(v.u1, "Hs", s=1.0), rel=1e-14, abs=0.0)
+            assert norm_v2 == pytest.approx(norm(v.u2, "L2"), rel=1e-14, abs=0.0)
+            # both sides sit at the rounding floor of three cancelling terms
+            want = cancellation_residual(setting, raw)
+            assert residual == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_normal_history_matches_the_per_sample_map(self, rng, conjugated):
