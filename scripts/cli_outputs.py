@@ -74,6 +74,11 @@ CASES = {
                               "--fields", "40"],
     # K = 64 blocks hold 7 rows, so 8 fields are one block and one row
     "verify-fields8": ["verify", "--fields", "8"],
+    # seeds where a change in the order of a norm's reduction moves the
+    # printed lemma_m value
+    "verify-seed3": ["verify", "--seed", "3"],
+    "verify-seed10": ["verify", "--seed", "10"],
+    "verify-k8-seed3": ["verify", "--n-modes", "8", "--seed", "3"],
     "error-simulate-rho-max": ["simulate", "--epsilon", "0.1", "--rho-max", "0"],
     "error-sweep-rho-max": ["sweep", "--epsilons", "0.2,0.1,0.05", "--rho-max", "0"],
     "error-simulate-target-norm": ["simulate", "--epsilon", "0.1",

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
-from .jets_ibp import IbpCoefficients, _jets, f_n, implicit_residual, verify_fn_bound
+from .jets_ibp import IbpCoefficients, _fn_bounds, _jets, f_n, implicit_residual
 from .model import PressureLaw, State, SystemSpec, energy, linear_growth_rate
 from .normalform import (
     NormalFormSetting,
@@ -40,12 +40,13 @@ from .normalform import (
 from .spectral import (
     Grid,
     SpectralField,
+    _band_draw,
     _blocks,
     _hs_norms,
     _linf_norms,
-    apply_m,
-    conjugate,
-    derivative,
+    _m_coeffs,
+    _mirror,
+    _norms,
     from_modes,
     norm,
     random_field,
@@ -481,7 +482,7 @@ def lemma_m_suite(
     sobolev_indices: Sequence[float] = (0.0, 1.0, 2.0),
     n_fields: int = 100,
     tolerance: float = 1e-10,
-    multiplier: Callable[[SpectralField], SpectralField] | None = None,
+    multiplier: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IdentityReport:
     """Re-verify the antiderivative-multiplier identities on random fields.
 
@@ -495,15 +496,23 @@ def lemma_m_suite(
       * || m u ||_inf <= (pi / sqrt 3) || u - mean u ||_{L^2}.
 
     Returns the worst residual per identity over n_fields draws.  The
-    multiplier argument exists for fault injection in tests: a corrupted
-    version (say one that drops a mode) must break the first-derivative
-    identities at the size of the dropped coefficient.
+    fields are drawn and checked as coefficient stacks, one block of
+    spectral._blocks at a time: one standard_normal call per block gives
+    each field's random_field draw and then the two normals of its mean,
+    the stream of one field at a time, and the norms are norm's to the bit.
+    The multiplier argument exists for fault injection in tests: it takes
+    and returns (rows, 2K+1) coefficient arrays, and a corrupted version
+    (say one that drops a mode) must break the first-derivative identities
+    at the size of the dropped coefficient.
     """
-    if multiplier is None:
-        multiplier = apply_m
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     grid = Grid(n_modes)
+    if multiplier is None:
+        multiplier = partial(_m_coeffs, grid)
     rng = np.random.default_rng(seed)
     pointwise_constant = math.pi / math.sqrt(3.0)
+    dx, dxx = ((1j * grid.wavenumbers) ** order for order in (1, 2))  # as derivative forms them
     keys = (
         "first_derivative_left",
         "first_derivative_right",
@@ -514,61 +523,59 @@ def lemma_m_suite(
         "pointwise_bound",
     )
     worst = dict.fromkeys(keys, 0.0)
-    for _ in range(n_fields):
-        u = random_field(grid, rng, band=(1, n_modes))
-        coeffs = u.coeffs.copy()
-        coeffs[grid.index(0)] = complex(*rng.standard_normal(2))
-        u = SpectralField(grid, coeffs)
+    for block in _blocks(grid, n_fields):
+        normals = rng.standard_normal((len(range(n_fields)[block]), 4 * n_modes + 2))
+        u = _band_draw(grid, normals[:, :-2], (1, n_modes))
+        u.real[:, n_modes], u.imag[:, n_modes] = normals[:, -2], normals[:, -1]
         mu = multiplier(u)
-        projected = remove_mean(u)
+        projected = u.copy()
+        projected[:, n_modes] = 0.0
+        du = u * dx
 
         residuals = {
-            "first_derivative_left": norm(-1j * derivative(mu) - projected, "L2"),
-            "first_derivative_right": norm(
-                -1j * multiplier(derivative(u)) - projected, "L2"
-            ),
-            "second_derivative_left": norm(
-                -1j * derivative(mu, 2) - derivative(u), "L2"
-            ),
-            "second_derivative_right": norm(
-                -1j * multiplier(derivative(u, 2)) - derivative(u), "L2"
-            ),
-            "conjugation_parity": norm(conjugate(mu) + multiplier(conjugate(u)), "L2"),
-            "sobolev_shift": max(
-                abs(norm(mu, "Hs", s=s + 1.0) - norm(projected, "Hs", s=s))
-                for s in sobolev_indices
-            ),
-            "pointwise_bound": max(
-                0.0, norm(mu, "Linf") - pointwise_constant * norm(projected, "L2")
+            "first_derivative_left": _norms(grid, (mu * dx) * -1j - projected),
+            "first_derivative_right": _norms(grid, multiplier(du) * -1j - projected),
+            "second_derivative_left": _norms(grid, (mu * dxx) * -1j - du),
+            "second_derivative_right": _norms(grid, multiplier(u * dxx) * -1j - du),
+            "conjugation_parity": _norms(grid, _mirror(mu) + multiplier(_mirror(u))),
+            "sobolev_shift": np.max(
+                [np.abs(_norms(grid, mu, s + 1.0) - _norms(grid, projected, s))
+                 for s in sobolev_indices], axis=0),
+            "pointwise_bound": np.maximum(
+                0.0,
+                _linf_norms(grid, mu) - pointwise_constant * _norms(grid, projected),
             ),
         }
-        for key, value in residuals.items():
-            worst[key] = max(worst[key], value)
+        for key, values in residuals.items():
+            worst[key] = max(worst[key], float(np.max(values)))
     return IdentityReport(worst, tolerance, n_fields, n_modes)
 
 
 def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, float, bool]]:
     """The identity suites of `wavereg verify` as (name, measured, threshold,
-    ok), in print order.  The cancellation legs draw their states per block
-    of spectral._blocks, in the order of one state at a time, and check
-    each block by one _cancellation_residuals call."""
+    ok), in print order.  The multiplier suite, the cancellation legs and
+    the jet growth bound run on coefficient stacks per block of
+    spectral._blocks: each block's fields come from one standard_normal
+    call, in the order of one random_field draw at a time, and are checked
+    by one kernel call (lemma_m_suite, _cancellation_residuals,
+    jets_ibp._fn_bounds)."""
     legs = []
 
     report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)
     worst = max(report.residuals.values())
     legs.append(("lemma_m", worst, report.tolerance, worst < report.tolerance))
 
-    # key cancellation, plain and conjugated, on random zero-mean states
+    # key cancellation, plain and conjugated, on random zero-mean states:
+    # 0.1 random_field(band=(1, K)) for u1 and then u2 of each state
     grid = Grid(n_modes)
     rng = np.random.default_rng(seed + 1)
-    draw = lambda: remove_mean(0.1 * random_field(grid, rng, band=(1, n_modes))).coeffs
     for name, conjugated in (("cancellation_plain", False),
                              ("cancellation_conjugated", True)):
         setting = NormalFormSetting(0.1, conjugated, PressureLaw.P0, 1.0)
         worst = 0.0
         for block in _blocks(grid, fields):
-            pairs = [(draw(), draw()) for _ in range(fields)[block]]  # (u1, u2)
-            u1, u2 = (np.stack(rows) for rows in zip(*pairs))
+            normals = rng.standard_normal((len(range(fields)[block]), 2, 4 * n_modes))
+            u1, u2 = _band_draw(grid, normals.swapaxes(0, 1), (1, n_modes)) * 0.1
             residuals = _cancellation_residuals(setting, grid, u1, u2)
             worst = max(worst, float(np.max(residuals)))
         legs.append((name, worst, 1e-12, worst < 1e-12))
@@ -584,16 +591,17 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
         worst = max(worst, norm(defect, "Hs", s=1.0))
     legs.append(("jet_worked_values", worst, 1e-10, worst < 1e-10))
 
-    # growth bound on the jets: measured/claimed ratio must never pass 1
+    # growth bound on the jets: measured/claimed ratio must never pass 1, on
+    # 10 pairs u, v of 0.3 random_field(band=(1, 8)) at orders 0 to 4
     bound_grid = Grid(16)
     bound_rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for _ in range(10):
-        u = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
-        v = remove_mean(0.3 * random_field(bound_grid, bound_rng, band=(1, 8)))
-        for order in range(5):
-            bound_report = verify_fn_bound(u, order, v)
-            worst = max(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
+    for block in _blocks(bound_grid, 10):
+        normals = bound_rng.standard_normal((len(range(10)[block]), 2, 32))
+        u, v = _band_draw(bound_grid, normals.swapaxes(0, 1), (1, 8)) * 0.3
+        for order_reports in _fn_bounds(bound_grid, u, 4, v):
+            for bound_report in order_reports:
+                worst = max(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
     threshold = 1.0 + 1e-12
     legs.append(("jet_bound_ratio", worst, threshold, worst <= threshold))
 

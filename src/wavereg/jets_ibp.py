@@ -38,7 +38,9 @@ from .spectral import (
     _band_coeffs,
     _blocks,
     _check_same_grid,
+    _linf_norms,
     _mirror,
+    _norms,
     _padded_values,
     multiply,
     norm,
@@ -326,23 +328,47 @@ def verify_fn_bound(u: SpectralField, n: int, v: SpectralField | None = None) ->
     ||u||_inf^{2(n+1)} ||u||_H1, sharp on single modes; with a direction v,
     also f_n'(u)[v] against the mixed-norm analogue.  The products carry one
     factor more than a naive count of the derivative cascade suggests; the
-    single-mode case attains equality, so the constant cannot be smaller."""
-    if n > 8:
-        raise ValueError("bound verification is specified for n <= 8")
-    product = 1.0
-    for k in range(n + 2):
-        product *= 2 * k + 1
-    sup_u = norm(u, "Linf")
-    h1_u = norm(u, "Hs", s=1)
-    value = norm(f_n(u, n), "Hs", s=1)
-    bound = product * sup_u ** (2 * (n + 1)) * h1_u
-    ratio = value / bound if bound > 0.0 else 0.0
+    single-mode case attains equality, so the constant cannot be smaller.
+    This is _fn_bounds on a batch of one."""
+    if v is not None:
+        _check_same_grid(u, v)
+    reports = _fn_bounds(u.grid, u.coeffs[None], n, None if v is None else v.coeffs[None])
+    return reports[n][0]
+
+
+def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
+    """verify_fn_bound(u_b, n, v_b) of every row b of the coefficient stacks
+    u and v, shape (B, 2K+1), at every order n <= n_max, as reports[n][b].
+    One _jets call of depth n_max + 1 gives every order's f_n rows (and
+    tangent rows along v); the norms are taken on the stacks by norm's own
+    reductions, and each bound by the same scalar arithmetic per row."""
+    if not 0 <= n_max <= 8:
+        raise ValueError("bound verification is specified for 0 <= n <= 8")
+    scales = np.array([math.factorial(n) * (n + 1) for n in range(n_max + 1)])[:, None, None]
     if v is None:
-        return BoundReport(value, bound, ratio)
-    dvalue = norm(f_n_directional(u, n, v), "Hs", s=1)
-    dbound = product * (
-        sup_u ** (2 * (n + 1)) * norm(v, "Hs", s=1)
-        + (2 * n + 2) * sup_u ** (2 * n + 1) * norm(v, "Linf") * h1_u
-    )
-    dratio = dvalue / dbound if dbound > 0.0 else 0.0
-    return BoundReport(value, bound, ratio, dvalue, dbound, dratio)
+        jet, deltas = _jets(grid, u, n_max + 1), None
+    else:
+        jet, deltas = _jets(grid, u, n_max + 1, v)
+        dvalues = _norms(grid, scales * deltas[1:], 1.0).tolist()
+        h1_v, sup_v = _norms(grid, v, 1.0).tolist(), _linf_norms(grid, v).tolist()
+    values = _norms(grid, scales * jet[1:], 1.0).tolist()
+    sup_u, h1_u = _linf_norms(grid, u).tolist(), _norms(grid, u, 1.0).tolist()
+    reports = []
+    for n in range(n_max + 1):
+        product = float(math.prod(range(1, 2 * n + 4, 2)))  # (2n + 3)!!
+        row = []
+        for b, value in enumerate(values[n]):
+            bound = product * sup_u[b] ** (2 * (n + 1)) * h1_u[b]
+            ratio = value / bound if bound > 0.0 else 0.0
+            if v is None:
+                row.append(BoundReport(value, bound, ratio))
+                continue
+            dvalue = dvalues[n][b]
+            dbound = product * (
+                sup_u[b] ** (2 * (n + 1)) * h1_v[b]
+                + (2 * n + 2) * sup_u[b] ** (2 * n + 1) * sup_v[b] * h1_u[b]
+            )
+            dratio = dvalue / dbound if dbound > 0.0 else 0.0
+            row.append(BoundReport(value, bound, ratio, dvalue, dbound, dratio))
+        reports.append(row)
+    return reports

@@ -377,7 +377,7 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
     return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
 
 
-def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
+def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t, symbols=None):
     """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
 
     w1 and w2 have shape (B, 2K+1) and t has shape (B,): B members, each at
@@ -402,33 +402,44 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
 
     The conjugated setting is the plain p0 one with w1 and g1 mirrored.
     The members go through in the row blocks of spectral._blocks, two FFT
-    calls per block."""
+    calls per block.  symbols is _forcing_symbols(setting, grid), formed
+    here when not given; step_reduced and picard_solve form it once per
+    call."""
+    if symbols is None:
+        symbols = _forcing_symbols(setting, grid)
     out = np.empty((2,) + np.shape(w1), dtype=complex)
     for block in _blocks(grid, len(t)):
         out[0, block], out[1, block] = _forcing_block(
-            setting, grid, w1[block], w2[block], t[block]
+            setting, grid, w1[block], w2[block], t[block], symbols
         )
     return out
 
 
-def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t):
+def _forcing_symbols(setting: NormalFormSetting, grid):
+    """The per-mode symbols of _forcing_block on grid: i k (of dx), 1/k (of
+    m), fac = eps/k and det = 1 - fac^2 (of (Id + eps M)^{-1})."""
+    inv_k = _m_symbol(grid)
+    fac = setting.epsilon * inv_k
+    return 1j * grid.wavenumbers.astype(float), inv_k, fac, 1.0 - fac * fac
+
+
+def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t, symbols):
     """_reduced_forcing on one block of members."""
     if setting.conjugated:
         plain = replace(setting, conjugated=False)
-        g1, n2 = _forcing_block(plain, grid, _mirror(w1), w2, t)
+        g1, n2 = _forcing_block(plain, grid, _mirror(w1), w2, t, symbols)
         return _mirror(g1), n2
     eps = setting.epsilon
     ct, _ = setting.coefficients
     a2 = setting.amplitude**2
-    k = grid.wavenumbers.astype(float)
-    inv_k = _m_symbol(grid)
+    ik, inv_k, fac, det = symbols
     rot = np.exp(1j * np.asarray(t, dtype=float)[:, None] / eps)
     v1 = rot * w1
     v2 = w2 / rot
 
     # physical values of v1, v2, delta = (M v)1 = -m v2 and dx v1
     x1, x2, xd, xdv1 = _padded_values(
-        grid, np.stack([v1, v2, -inv_k * v2, (1j * k) * v1])
+        grid, np.stack([v1, v2, -inv_k * v2, ik * v1])
     )
     xu = x1 + eps * xd  # u~1
     arg = -1j * x2  # the argument of q(a u~1) in (E v)2
@@ -461,8 +472,6 @@ def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t):
     e2 = 1j * v2 + coupling
     # (r1, 0) - M E v = (m diff + m e2, m e1), then (Id + eps M)^{-1}
     y1, y2 = inv_k * (diff + e2), inv_k * e1
-    fac = eps * inv_k
-    det = 1.0 - fac * fac
     r1 = (y1 + fac * y2) / det
     r2 = (fac * y1 + y2) / det
     g1 = (-(1.0 / eps) * nonlin - r1) / rot

@@ -195,20 +195,30 @@ def random_field(
     lo, hi = band
     if not (0 <= lo <= hi <= grid.n_modes):
         raise ValueError(f"band {band} not inside |k| <= {grid.n_modes}")
-    c = np.zeros(grid.n_coeffs, dtype=complex)
-    ks = np.arange(lo, hi + 1)
-    draw = rng.standard_normal((2, ks.size)) + 1j * rng.standard_normal((2, ks.size))
-    c[ks + grid.n_modes] = draw[0]
-    if real_valued:
-        c[-ks + grid.n_modes] = np.conj(draw[0])
-    else:
-        c[-ks + grid.n_modes] = draw[1]
+    c = _band_draw(grid, rng.standard_normal(4 * (hi - lo + 1)), band, real_valued)
     if lo == 0:
         if zero_mean:
             c[grid.n_modes] = 0.0
         elif real_valued:
             c[grid.n_modes] = c[grid.n_modes].real
     return SpectralField(grid, c)
+
+
+def _band_draw(grid: Grid, normals: np.ndarray, band: tuple[int, int],
+               real_valued: bool = False) -> np.ndarray:
+    """The coefficients (..., 2K+1) that random_field builds on band from the
+    last axis of normals, 4 n per field for the n wavenumbers lo..hi, in its
+    draw order: the real parts of u_k and u_-k, then their imaginary parts.
+    One standard_normal call of shape (rows, 4 n) thus gives rows fields of
+    successive random_field calls bit for bit."""
+    lo, hi = band
+    ks = np.arange(lo, hi + 1)
+    n = ks.size
+    draw = normals[..., : 2 * n] + 1j * normals[..., 2 * n : 4 * n]  # u_k, then u_-k
+    c = np.zeros(np.shape(normals)[:-1] + (grid.n_coeffs,), dtype=complex)
+    c[..., ks + grid.n_modes] = draw[..., :n]
+    c[..., -ks + grid.n_modes] = np.conj(draw[..., :n]) if real_valued else draw[..., n:]
+    return c
 
 
 def to_physical(f: SpectralField, n_points: int | None = None) -> np.ndarray:
@@ -258,12 +268,17 @@ def remove_mean(f: SpectralField) -> SpectralField:
 
 def apply_m(f: SpectralField) -> SpectralField:
     """Divide by the wavenumber away from the mean: (m u)_k = u_k / k, (m u)_0 = 0."""
-    grid = f.grid
+    return SpectralField(f.grid, _m_coeffs(f.grid, f.coeffs))
+
+
+def _m_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """apply_m on a coefficient array (..., 2K+1).  It divides by k: a
+    product with the reciprocal symbol 1/k rounds differently."""
     k = grid.wavenumbers.astype(float)
     k[grid.n_modes] = 1.0  # avoid 0/0; the mean is zeroed below
-    c = f.coeffs / k
-    c[grid.n_modes] = 0.0
-    return SpectralField(grid, c)
+    c = coeffs / k
+    c[..., grid.n_modes] = 0.0
+    return c
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
@@ -290,20 +305,31 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
     "Linf": max |u(x)| on a 4x oversampled collocation grid.
     """
     if kind == "L2":
-        return float(np.linalg.norm(f.coeffs))
+        return float(_norms(f.grid, f.coeffs))
     if kind == "Hs":
         if s is None:
             raise ValueError("Hs norm needs the exponent s")
-        w = np.maximum(1.0, np.abs(f.grid.wavenumbers)) ** float(s)
-        return float(np.linalg.norm(w * f.coeffs))
+        return float(_norms(f.grid, f.coeffs, s))
     if kind == "Linf":
         return float(_linf_norms(f.grid, f.coeffs))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def _norms(grid: Grid, coeffs: np.ndarray, s: float | None = None) -> np.ndarray:
+    """norm(f, "L2"), or with s norm(f, "Hs", s), of every row f of a
+    coefficient array (..., 2K+1), bit for bit: the sum of squares is
+    np.linalg.norm's reduction of one vector, re.re + im.im with re and im
+    the strided real and imaginary views, one np.vecdot dot per row.
+    _hs_norms's reduction along an axis rounds differently."""
+    if s is not None:
+        coeffs = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s) * coeffs
+    re, im = coeffs.real, coeffs.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
-    """norm(f, "Hs", s) of every row f of a coefficient array (..., 2K+1);
-    s = 0 gives the L2 norms."""
+    """norm(f, "Hs", s) of every row f of a coefficient array (..., 2K+1),
+    to rounding (_norms gives norm's bits); s = 0 gives the L2 norms."""
     w = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s)
     return np.linalg.norm(w * coeffs, axis=-1)
 

@@ -42,6 +42,7 @@ from wavereg.experiments import (
     verify_legs,
 )
 from wavereg.integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
+from wavereg.jets_ibp import verify_fn_bound
 from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import (
     NormalFormSetting,
@@ -55,6 +56,8 @@ from wavereg.spectral import (
     SpectralField,
     _blocks,
     apply_m,
+    conjugate,
+    derivative,
     from_modes,
     norm,
     random_field,
@@ -644,16 +647,82 @@ class TestLemmaMSuite:
         assert a.residuals == b.residuals
 
     def test_fault_injection_breaks_first_derivative_identity(self):
-        def corrupted(f):
-            g = apply_m(f)
-            coeffs = g.coeffs.copy()
-            coeffs[f.grid.index(-1)] = 0.0
-            return SpectralField(f.grid, coeffs)
+        grid = Grid(64)
+
+        def corrupted(coeffs):
+            # apply_m on every row of the (rows, 2K+1) stack, mode -1 zeroed
+            g = np.stack([apply_m(SpectralField(grid, row)).coeffs for row in coeffs])
+            g[:, grid.index(-1)] = 0.0
+            return g
 
         report = lemma_m_suite(seed=9, n_fields=10, multiplier=corrupted)
         assert not report.passed
         assert report.residuals["first_derivative_left"] > 0.1
         assert report.residuals["first_derivative_right"] > 0.1
+
+    def test_needs_a_band(self):
+        with pytest.raises(ValueError, match="n_modes"):
+            lemma_m_suite(seed=1, n_modes=0)
+
+    @pytest.mark.parametrize("n_modes", [8, 16, 64])
+    @pytest.mark.parametrize("seed", [1, 3, 6, 9, 10, 11])
+    def test_equals_the_per_field_loop(self, monkeypatch, seed, n_modes):
+        # two full blocks and one row past them
+        fields = 2 * block_rows(Grid(n_modes)) + 1
+        want, oracle_rng = per_field_lemma_m(seed, n_modes, fields)
+        generators = record_generators(monkeypatch)
+        report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)
+        monkeypatch.undo()
+        assert report.residuals == want
+        # the block draws leave the generator where the per-field loop did
+        assert generators[seed].bit_generator.state == oracle_rng.bit_generator.state
+
+
+def per_field_lemma_m(seed, n_modes, n_fields, sobolev_indices=(0.0, 1.0, 2.0)):
+    """lemma_m_suite's worst residuals as its per-field loop formed them:
+    one random_field draw and two mean normals per field, the identities
+    through SpectralField operations and norm.  Returns the residuals and
+    the generator after its draws."""
+    grid = Grid(n_modes)
+    rng = np.random.default_rng(seed)
+    pointwise_constant = math.pi / math.sqrt(3.0)
+    worst = {}
+    for _ in range(n_fields):
+        u = random_field(grid, rng, band=(1, n_modes))
+        coeffs = u.coeffs.copy()
+        coeffs[grid.index(0)] = complex(*rng.standard_normal(2))
+        u = SpectralField(grid, coeffs)
+        mu = apply_m(u)
+        projected = remove_mean(u)
+        residuals = {
+            "first_derivative_left": norm(-1j * derivative(mu) - projected, "L2"),
+            "first_derivative_right": norm(-1j * apply_m(derivative(u)) - projected, "L2"),
+            "second_derivative_left": norm(-1j * derivative(mu, 2) - derivative(u), "L2"),
+            "second_derivative_right": norm(
+                -1j * apply_m(derivative(u, 2)) - derivative(u), "L2"),
+            "conjugation_parity": norm(conjugate(mu) + apply_m(conjugate(u)), "L2"),
+            "sobolev_shift": max(
+                abs(norm(mu, "Hs", s=s + 1.0) - norm(projected, "Hs", s=s))
+                for s in sobolev_indices),
+            "pointwise_bound": max(
+                0.0, norm(mu, "Linf") - pointwise_constant * norm(projected, "L2")),
+        }
+        for key, value in residuals.items():
+            worst[key] = max(worst.get(key, 0.0), value)
+    return worst, rng
+
+
+def record_generators(monkeypatch):
+    """Make np.random.default_rng record every generator it builds, by seed."""
+    generators = {}
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed_value):
+        generators[seed_value] = default_rng(seed_value)
+        return generators[seed_value]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    return generators
 
 
 def block_rows(grid):
@@ -704,14 +773,7 @@ class TestVerifyLegs:
         fields = rows + past_block
         want, oracle_rng = per_state_cancellation_maxima(n_modes, seed, fields)
 
-        generators = {}
-        default_rng = np.random.default_rng
-
-        def recording_rng(seed_value):
-            generators[seed_value] = default_rng(seed_value)
-            return generators[seed_value]
-
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        generators = record_generators(monkeypatch)
         calls = spy_on_cancellation_rows(monkeypatch)
         legs = verify_legs(n_modes, seed, fields)
         monkeypatch.undo()
@@ -727,6 +789,34 @@ class TestVerifyLegs:
                 == oracle_rng.bit_generator.state)
         assert max(calls) <= rows and sum(calls) == 2 * fields
         assert len(calls) == 2 * (2 if past_block > 0 else 1)
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_jet_bound_equals_the_per_pair_loop(self, monkeypatch, seed):
+        want, oracle_rng = per_pair_jet_bound(seed)
+        generators = record_generators(monkeypatch)
+        legs = verify_legs(8, seed, 1)
+        monkeypatch.undo()
+        assert legs[4][0] == "jet_bound_ratio" and legs[4][3]
+        assert legs[4][1] == want
+        assert (generators[seed + 2].bit_generator.state
+                == oracle_rng.bit_generator.state)
+
+
+def per_pair_jet_bound(seed):
+    """verify's jet growth-bound leg as the per-pair loop formed it: ten
+    pairs u, v on Grid(16), verify_fn_bound at orders 0 to 4 on each.
+    Returns the worst ratio and the generator after its draws."""
+    grid = Grid(16)
+    rng = np.random.default_rng(seed + 2)
+    worst = 0.0
+    for _ in range(10):
+        u = remove_mean(0.3 * random_field(grid, rng, band=(1, 8)))
+        v = remove_mean(0.3 * random_field(grid, rng, band=(1, 8)))
+        for order in range(5):
+            report = verify_fn_bound(u, order, v)
+            worst = max(worst, report.ratio_fn, report.ratio_dfn)
+    return worst, rng
 
 
 class TestSobolevConstant:

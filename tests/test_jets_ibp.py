@@ -671,6 +671,23 @@ class TestFnBounds:
         with pytest.raises(ValueError):
             verify_fn_bound(zeros(grid), 9)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_the_literal_formula(self, rng, n):
+        # the oracle spells the bound with f_n, f_n_directional and norm
+        grid = Grid(12)
+        u = 0.4 * random_field(grid, rng, band=(1, 4))
+        v = 0.4 * random_field(grid, rng, band=(1, 6))
+        product = float(math.prod(2 * k + 1 for k in range(n + 2)))
+        sup_u, h1_u = norm(u, "Linf"), norm(u, "Hs", s=1)
+        value = norm(f_n(u, n), "Hs", s=1)
+        bound = product * sup_u ** (2 * (n + 1)) * h1_u
+        dvalue = norm(f_n_directional(u, n, v), "Hs", s=1)
+        dbound = product * (sup_u ** (2 * (n + 1)) * norm(v, "Hs", s=1)
+                            + (2 * n + 2) * sup_u ** (2 * n + 1) * norm(v, "Linf") * h1_u)
+        want = BoundReport(value, bound, value / bound, dvalue, dbound, dvalue / dbound)
+        assert verify_fn_bound(u, n, v) == want
+        assert verify_fn_bound(u, n) == BoundReport(value, bound, value / bound)
+
     def test_randomized_sweep_never_violates(self, rng):
         # the inequality is proven, so a violation is an implementation bug
         grid = Grid(32)

@@ -230,6 +230,39 @@ class TestNormsAndProducts:
         for s in (0.0, 1.0, 4.0):
             assert abs(sp.norm(f, "Hs", s=s) - 3.0) < 1e-14
 
+    @pytest.mark.parametrize("K", [0, 3, 16, 64])
+    def test_row_norms_have_the_bits_of_one_vector_norm(self, rng, K):
+        # np.linalg.norm of each row alone is the oracle; its reduction
+        # along an axis rounds differently on some rows
+        g = sp.Grid(K)
+        scale = np.exp(4.0 * rng.standard_normal((40, 1)))
+        rows = scale * (rng.standard_normal((40, g.n_coeffs))
+                        + 1j * rng.standard_normal((40, g.n_coeffs)))
+        for s in (None, 0.0, 1.0, 2.0, 2.5):
+            w = 1.0 if s is None else np.maximum(1.0, np.abs(g.wavenumbers)) ** s
+            want = [np.linalg.norm(w * row) for row in rows]
+            assert sp._norms(g, rows, s).tolist() == want
+            kind = "L2" if s is None else "Hs"
+            assert [sp.norm(sp.SpectralField(g, row), kind, s) for row in rows] == want
+
+    @pytest.mark.parametrize("band, real_valued", [((1, 5), False), ((2, 5), True),
+                                                   ((0, 4), False), ((1, 8), False)])
+    def test_band_draw_is_the_stream_of_successive_draws(self, band, real_valued):
+        # the oracle is random_field's literal draw, field by field
+        g = sp.Grid(8)
+        rng = np.random.default_rng(3)
+        ks = np.arange(band[0], band[1] + 1)
+        want = np.zeros((5, g.n_coeffs), dtype=complex)
+        for row in want:
+            draw = rng.standard_normal((2, ks.size)) + 1j * rng.standard_normal((2, ks.size))
+            row[ks + 8] = draw[0]
+            row[-ks + 8] = np.conj(draw[0]) if real_valued else draw[1]
+        normals = np.random.default_rng(3).standard_normal((5, 4 * ks.size))
+        assert np.array_equal(sp._band_draw(g, normals, band, real_valued), want)
+        if band[0] > 0:
+            fields = sp.random_field(g, np.random.default_rng(3), band, real_valued)
+            assert np.array_equal(fields.coeffs, want[0])
+
     def test_multiply_matches_convolution_oracle(self, rng):
         # Brute-force convolution with truncation as the oracle, K <= 8.
         K = 8
