@@ -17,7 +17,8 @@ jet of that flow delivers the whole tower at once:
 Directional derivatives f_n'(u)[v] ride along as tangent jets of the same
 recurrence.  One array recurrence, _jets, builds both for a stack of fields
 on the padded product grid of spectral.py, one forward FFT per level; the
-tower maps and implicit_residual (per block of samples) call it directly.
+tower maps, the growth bound (_fn_bounds, every order of a stack of pairs
+at once) and implicit_residual (per block of samples) call it directly.
 Only a JetSequence (ode_jet's, or one built by hand) re-checks every level
 against the literal sum of `multiply` products, and the tests hold _jets to
 it.  The residual evaluators at the bottom check the resulting implicit
@@ -346,7 +347,7 @@ def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
         raise ValueError("bound verification is specified for 0 <= n <= 8")
     scales = np.array([math.factorial(n) * (n + 1) for n in range(n_max + 1)])[:, None, None]
     if v is None:
-        jet, deltas = _jets(grid, u, n_max + 1), None
+        jet = _jets(grid, u, n_max + 1)
     else:
         jet, deltas = _jets(grid, u, n_max + 1, v)
         dvalues = _norms(grid, scales * deltas[1:], 1.0).tolist()

@@ -10,7 +10,11 @@ asserted where it matters); the blocked normal_history and
 normal_frame_columns are checked against to_normal_coords, norm and
 cancellation_residual per sample, the blocked norm_domination_margin against
 the per-sample loop it replaced, and verify_legs' cancellation maxima against
-the per-state cancellation_residual loop it replaced.
+the per-state cancellation_residual loop it replaced.  The blocked
+lemma_m_suite is held to its per-field loop (per_field_lemma_m) and the
+jet-bound leg to its per-pair verify_fn_bound loop, both with == and with
+the generator's state after the draws; the fault-injection hook corrupts a
+coefficient stack.
 """
 
 import concurrent.futures
