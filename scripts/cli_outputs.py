@@ -65,7 +65,9 @@ CASES = {
     "sweep-p1": _P1_SWEEP,
     "sweep-p1-jobs2": _P1_SWEEP + ["--jobs", "2"],
     "picard-modified": ["picard", "--system", "modified", "--epsilon", "0.2"],
+    "picard-p0": ["picard", "--epsilon", "0.2", "--seed", "4"],
     "picard-p1": ["picard", "--pressure", "p1", "--epsilon", "0.2", "--seed", "5"],
+    "picard-p2": ["picard", "--pressure", "p2", "--epsilon", "0.2", "--seed", "6"],
     "growth-defaults": ["growth"],
     "continue": ["continue", "--rho", "0.5", "--epsilon", "0.003", "--alpha", "0"],
     "verify": ["verify"],

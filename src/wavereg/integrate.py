@@ -45,7 +45,6 @@ from .model import PressureLaw, State, SystemSpec, _energies, _require_law
 from .normalform import (
     NormalFormSetting,
     ReducedState,
-    _forcing_symbols,
     _normal_coords,
     _phases,
     _reduced_forcing,
@@ -230,7 +229,8 @@ def step_reduced(
     The state is the (2, 1, 2K+1) stack of (w1, w2), a batch of one member,
     which is also the layout of _reduced_forcing's (g1, n2); the flow keeps
     w1 and multiplies w2 by the phase of its step length, formed once per
-    length, and the forcing's symbols are formed once per step.
+    length.  The forcing's per-mode tables are cached in normalform, so a
+    step builds none of them.
 
     dt is capped at epsilon/20: the oscillatory prefactors are evaluated
     analytically at stage times, but the amplitudes they multiply must stay
@@ -244,17 +244,16 @@ def step_reduced(
     _, cd = setting.coefficients
     grid = w.grid
     phases = {h: _w2_phase(grid, cd, h) for h in (0.5 * dt, dt)}
-    symbols = _forcing_symbols(setting, grid)
 
     def forcing(y: np.ndarray, s: float) -> np.ndarray:
-        return _reduced_forcing(setting, grid, y[0], y[1], np.array([w.t + s]), symbols)
+        return _reduced_forcing(setting, grid, y[0], y[1], w.t + s)
 
     def flow(h: float, y: np.ndarray, f=None, c: float = 0.0) -> np.ndarray:
         z = y.copy() if f is None else y + c * f
         z[1] = phases[h] * z[1]  # not *=: complex products round by operand order
         return z
 
-    y = np.stack([w.w1.coeffs, w.w2.coeffs])[:, None]
+    y = np.array((w.w1.coeffs, w.w2.coeffs))[:, None]
     w1, w2 = _lawson(forcing, flow, flow, y, dt, scheme)[:, 0]
     return ReducedState(SpectralField(grid, w1), SpectralField(grid, w2), w.t + dt)
 
@@ -457,7 +456,6 @@ def picard_solve(
         raise ValueError("datum norms must be below 1/6 in H1 x L2")
     grid = w1_0.grid
     _, cd = setting.coefficients
-    symbols = _forcing_symbols(setting, grid)
     k = grid.wavenumbers.astype(float)
     omega = -cd * k * k  # Duhamel kernel phase on w2
     times = np.linspace(0.0, T, n_nodes)
@@ -473,7 +471,7 @@ def picard_solve(
     stalls = 0
 
     for _ in range(max_iter):
-        g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times, symbols)
+        g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
         new_w1 = w1_0.coeffs[None, :] + cumulative_simpson_uniform(g1, dx)
         duhamel = cumulative_weighted_simpson(n2, omega, dx)
         new_w2 = forward * (w2_0.coeffs[None, :] + duhamel)

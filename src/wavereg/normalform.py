@@ -48,15 +48,20 @@ on coefficient arrays with a leading sample axis.  The reduced
 system itself is evaluated by one array kernel, _reduced_forcing: it takes
 raw coefficient arrays with a leading batch axis, one member per row at its
 own time, and assembles the same formula on spectral.py's padded product
-grid with two FFT calls per block of members.  reduced_rhs is that kernel
-on a batch of one; the reduced stepper and the Picard solver of integrate.py
-call it directly, Picard once per iterate on all its nodes.
+grid with two FFT calls per block of members.  Every per-mode constant of
+that formula (the symbols of dx, m and (Id + eps M)^{-1}, the law's factors,
+the mean projection, 1/eps and c_t) is folded into two read-only tables,
+built once per (grid, eps, law, amplitude) by _forcing_tables and kept in
+its small lru_cache beside the kernel; the kernel itself forms only the
+bare pointwise products.  reduced_rhs is that kernel on a batch of one; the
+reduced stepper and the Picard solver of integrate.py call it directly,
+Picard once per iterate on all its nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from .spectral import (
     _blocks,
     _hs_norms,
     _mirror,
+    _norms,
     _padded_values,
     apply_m,
     conjugate,
@@ -116,10 +122,11 @@ class NormalFormSetting:
 
 
 def _require_zero_mean(**fields: SpectralField) -> None:
-    """Reject a field whose mean exceeds _MEAN_TOL relative to its L2 norm."""
+    """Reject a field whose mean exceeds _MEAN_TOL relative to its L2 norm
+    (taken as at least 1, so a mean within _MEAN_TOL needs no norm)."""
     for name, field in fields.items():
-        mean = abs(field.coeff(0))
-        if mean > _MEAN_TOL * max(1.0, norm(field, "L2")):
+        mean = abs(field.coeffs[field.grid.n_modes])
+        if mean > _MEAN_TOL and mean > _MEAN_TOL * max(1.0, _norms(field.grid, field.coeffs)):
             raise ValueError(f"{name} must be zero-mean, |mean| = {mean:.3e}")
 
 
@@ -368,112 +375,132 @@ def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
     full system's right-hand side to rounding.  This is _reduced_forcing on
     a batch of one, with the free Schroedinger term added back."""
     grid = w.grid
-    g1, n2 = _reduced_forcing(
-        setting, grid, w.w1.coeffs[None], w.w2.coeffs[None], np.array([w.t])
-    )
+    g1, n2 = _reduced_forcing(setting, grid, w.w1.coeffs[None], w.w2.coeffs[None], w.t)
     _, cd = setting.coefficients
     k = grid.wavenumbers.astype(float)
     dw2 = n2[0] + (1j * cd) * (k * k) * w.w2.coeffs
     return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
 
 
-def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t, symbols=None):
+def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     """Lawson forcing (g1, n2) of the reduced system on raw coefficients.
 
     w1 and w2 have shape (B, 2K+1) and t has shape (B,): B members, each at
-    its own time.  The result is one array (2, B, 2K+1), which unpacks as
-    g1, n2: g1 is dt w1; n2 is dt w2 without the free Schroedinger term
-    -i c_d dx^2 w2, which the stepper's exact phase carries.  The arrays
-    are not validated.
+    its own time; a float t is one time for every member.  The result is one
+    array (2, B, 2K+1), which unpacks as g1, n2: g1 is dt w1; n2 is dt w2
+    without the free Schroedinger term -i c_d dx^2 w2, which the stepper's
+    exact phase carries.  The arrays are not validated.
 
     The formula is reduced_rhs's, rearranged so that every piece is built
-    once.  With v1 = exp(it/eps) w1, v2 = exp(-it/eps) w2, delta = (M v)1
-    and u~1 = v1 + eps delta:
+    once.  With rot = exp(it/eps), v1 = rot w1, v2 = w2 / rot, delta =
+    (M v)1 = -m v2 and u~1 = v1 + eps delta:
 
-      * v1, v2, delta and dx v1 are synthesized on the padded grid of
-        spectral.py (grid.n_padded, the smallest 11-smooth size >=
-        max(2(2K+1), n_points)) in one inverse FFT, every cubic product is
-        formed pointwise there, conjugates included, and one forward FFT
-        brings all of them back;
+      * the synthesis table of _forcing_tables maps (v1, v2) to the rows
+        (v1, v2, delta, dx v1), which one inverse FFT takes to the padded
+        grid of spectral.py (grid.n_padded, the smallest 11-smooth size >=
+        max(2(2K+1), n_points));
+      * there _forcing_products forms the bare cubic products, conjugates
+        included, and one forward FFT brings them back;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
-        cubic term of E v gives the w1 nonlinearity by a scalar phase;
-      * E v is formed once and R v = (Id + eps M)^{-1}((r1, 0) - M E v)
-        by per-mode arithmetic, with r1 the factored form of _r1_field.
+        cubic term of E v gives the w1 nonlinearity by a scalar phase, and
+        R v = (Id + eps M)^{-1}((r1, 0) - M E v), with r1 the factored
+        form of _r1_field, is linear per mode in the products and (v1, v2);
+        the post-map table of _forcing_tables takes those six rows to
+        (g1 rot, n2 / rot) in one product-sum.
 
-    The conjugated setting is the plain p0 one with w1 and g1 mirrored.
-    The members go through in the row blocks of spectral._blocks, two FFT
-    calls per block.  symbols is _forcing_symbols(setting, grid), formed
-    here when not given; step_reduced and picard_solve form it once per
-    call."""
-    if symbols is None:
-        symbols = _forcing_symbols(setting, grid)
+    The conjugated setting is the plain p0 one with w1 and g1 mirrored, on
+    the plain tables.  The members go through in the row blocks of
+    spectral._blocks, two FFT calls per block."""
+    eps = setting.epsilon
+    synthesis, post = _forcing_tables(grid, eps, setting.law, setting.amplitude)
+    if setting.conjugated:
+        w1 = _mirror(w1)
+    rot = np.exp(1j * np.asarray(t, dtype=float).reshape(-1, 1) / eps)  # (B, 1), or (1, 1)
     out = np.empty((2,) + np.shape(w1), dtype=complex)
-    for block in _blocks(grid, len(t)):
-        out[0, block], out[1, block] = _forcing_block(
-            setting, grid, w1[block], w2[block], t[block], symbols
-        )
+    for block in _blocks(grid, len(w1)):
+        r = rot[block] if len(rot) > 1 else rot
+        v1, v2 = r * w1[block], w2[block] / r
+        rows = np.array((v1, v2, v2, v1))
+        x = _padded_values(grid, synthesis * rows)
+        products = _band_coeffs(grid, _forcing_products(setting.law, eps, x))
+        g1_rot, n2_rot = (post * np.concatenate((products, rows[:2]))).sum(axis=1)
+        out[0, block] = g1_rot / r
+        out[1, block] = n2_rot * r
+    if setting.conjugated:
+        out[0] = _mirror(out[0])
     return out
 
 
-def _forcing_symbols(setting: NormalFormSetting, grid):
-    """The per-mode symbols of _forcing_block on grid: i k (of dx), 1/k (of
-    m), fac = eps/k and det = 1 - fac^2 (of (Id + eps M)^{-1})."""
+# Distinct (grid, eps, law, amplitude) of the reduced forcing: a run uses one
+# or two, and a table at K = 512 takes about 0.26 MB.
+_FORCING_TABLE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_FORCING_TABLE_CACHE_SIZE)
+def _forcing_tables(grid, epsilon: float, law: PressureLaw, amplitude: float):
+    """Read-only per-mode tables of _reduced_forcing for the plain setting.
+
+    synthesis (4, 1, 2K+1) multiplies the rows (v1, v2, v2, v1) into (v1, v2,
+    -m v2, dx v1).  post (2, 6, 1, 2K+1) maps the rows (cubic, coupling, kept,
+    diff) of _forcing_products' coefficients and (v1, v2) to (g1 rot,
+    n2 / rot), summed over its middle axis.  With c = 3 for p0 and p2 and
+    1 for p1, the products are N(v1), (-i c a^2)^-1 q(a u~1)(-i v2) (for
+    p2 the i flips: conj(-i) = +i), (c a^2)^-1 q(a u~1) dx v1 and (c
+    a^2)^-1 times the r1 product; post folds in those factors, the mean
+    projection P, the symbol 1/k of m, and fac = eps/k and det = 1 - fac^2
+    of (Id + eps M)^{-1}, 1/eps and c_t, in
+
+        g1 rot  = -(1/eps) i a^2 P N(v1) - r1,
+        n2 / rot = -(c_t kept + (1/eps) coupling + r2),
+
+    where E v = (i a^2 P N(v1) - i v1, i v2 + coupling), (y1, y2) = (m
+    (diff + (E v)2), m (E v)1) and (r1, r2) = ((y1 + fac y2), (fac y1 +
+    y2)) / det."""
+    k = grid.wavenumbers.astype(float)
+    ones = np.ones_like(k)
     inv_k = _m_symbol(grid)
-    fac = setting.epsilon * inv_k
-    return 1j * grid.wavenumbers.astype(float), inv_k, fac, 1.0 - fac * fac
+    fac = epsilon * inv_k
+    kd = inv_k / (1.0 - fac * fac)  # m, then the diagonal of (Id + eps M)^{-1}
+    ct = 1.0 / epsilon**2
+    a2 = amplitude**2
+    c = (1.0 if law is PressureLaw.P1 else 3.0) * a2
+    coupling = (1j if law is PressureLaw.P2 else -1j) * c
+    mean_free = np.where(k == 0.0, 0.0, 1.0)  # P
+    synthesis = np.array([ones, ones, -inv_k, 1j * k])
+    post = np.array([
+        # cubic, coupling, kept, diff, v1, v2
+        [-1j * a2 * (1.0 / epsilon + fac * kd) * mean_free, -coupling * kd,
+         0.0 * ones, -c * kd, 1j * fac * kd, -1j * kd],
+        [-1j * a2 * kd, -coupling * (1.0 / epsilon + fac * kd), -ct * c * ones,
+         -c * fac * kd, 1j * kd, -1j * fac * kd],
+    ])
+    synthesis, post = synthesis[:, None], post[:, :, None]  # over the members
+    synthesis.setflags(write=False)
+    post.setflags(write=False)
+    return synthesis, post
 
 
-def _forcing_block(setting: NormalFormSetting, grid, w1, w2, t, symbols):
-    """_reduced_forcing on one block of members."""
-    if setting.conjugated:
-        plain = replace(setting, conjugated=False)
-        g1, n2 = _forcing_block(plain, grid, _mirror(w1), w2, t, symbols)
-        return _mirror(g1), n2
-    eps = setting.epsilon
-    ct, _ = setting.coefficients
-    a2 = setting.amplitude**2
-    ik, inv_k, fac, det = symbols
-    rot = np.exp(1j * np.asarray(t, dtype=float)[:, None] / eps)
-    v1 = rot * w1
-    v2 = w2 / rot
-
-    # physical values of v1, v2, delta = (M v)1 = -m v2 and dx v1
-    x1, x2, xd, xdv1 = _padded_values(
-        grid, np.stack([v1, v2, -inv_k * v2, ik * v1])
-    )
-    xu = x1 + eps * xd  # u~1
-    arg = -1j * x2  # the argument of q(a u~1) in (E v)2
-    # rows: N(v1), q(a u~1) arg, q(a u~1) dx v1 and the factored r1 product;
-    # a buffer of their own, as the operands above are views of one array
-    products = np.empty((4,) + x1.shape, dtype=complex)
-    if setting.law is PressureLaw.P1:
-        mod2, sq = 2.0 * a2 * xu * np.conj(xu), a2 * xu * xu
-        cdv1 = np.conj(xdv1)
-        products[0] = x1 * np.conj(x1) * x1
-        products[1] = mod2 * arg + sq * np.conj(arg)
-        products[2] = mod2 * xdv1 + sq * cdv1
-        products[3] = a2 * (2.0 * xu * np.conj(xd) * xdv1
-                            + 2.0 * xd * np.conj(x1) * xdv1
-                            + (xu + x1) * xd * cdv1)
-    else:
-        sq = 3.0 * a2 * xu * xu
-        products[0] = x1 * x1 * x1
-        products[1] = sq * arg
-        products[2] = sq * xdv1
-        products[3] = 3.0 * a2 * (xu + x1) * xd * xdv1
-        if setting.law is PressureLaw.P2:
-            # q2, the p2 cubic and their r1 product conjugate every p0 factor
-            np.conj(products, out=products)
-    cubic, coupling, kept, diff = _band_coeffs(grid, products)
-
-    cubic[..., grid.n_modes] = 0.0  # P, the mean projection
-    nonlin = (1j * a2) * cubic  # (E v)1 + i v1
-    e1 = nonlin - 1j * v1
-    e2 = 1j * v2 + coupling
-    # (r1, 0) - M E v = (m diff + m e2, m e1), then (Id + eps M)^{-1}
-    y1, y2 = inv_k * (diff + e2), inv_k * e1
-    r1 = (y1 + fac * y2) / det
-    r2 = (fac * y1 + y2) / det
-    g1 = (-(1.0 / eps) * nonlin - r1) / rot
-    n2 = -rot * (ct * kept + (1.0 / eps) * coupling + r2)
-    return g1, n2
+def _forcing_products(law: PressureLaw, eps: float, x):
+    """The bare products of _reduced_forcing on the padded grid, one buffer
+    (4, ...): N(v1), then for p0 u~1^2 v2, u~1^2 dx v1 and (u~1 + v1) delta
+    dx v1 from x = (v1, v2, delta, dx v1), with u~1 = v1 + eps delta; p2
+    conjugates them all, and p1 takes q1's real-linear forms."""
+    x1, x2, xd, xdv1 = x
+    xu = x1 + eps * xd
+    out = np.empty_like(x)
+    if law is PressureLaw.P1:
+        cx = np.conj(x[1::2])  # conj(v2), conj(dx v1)
+        sq = xu * xu
+        np.multiply(2.0 * xu * np.conj(xu), x[1::2], out=out[1:3])
+        out[0] = x1 * np.conj(x1) * x1
+        out[1] -= sq * cx[0]
+        out[2] += sq * cx[1]
+        out[3] = (2.0 * xu * np.conj(xd) * xdv1 + 2.0 * xd * np.conj(x1) * xdv1
+                  + (xu + x1) * xd * cx[1])
+        return out
+    np.multiply(xu * xu, x[1::2], out=out[1:3])
+    out[0] = x1 * x1 * x1
+    out[3] = (xu + x1) * xd * xdv1
+    if law is PressureLaw.P2:
+        np.conj(out, out=out)  # q2, the p2 cubic and their r1 product
+    return out

@@ -133,6 +133,19 @@ class TestSettingAndState:
             ReducedState(ok, w, 0.0)
         ReducedState(ok, ok, 0.0)
 
+    def test_zero_mean_tolerance_is_relative_to_a_unit_norm(self):
+        # a mean of 2e-12 on a unit field is rejected, one of 5e-13 passes
+        grid = Grid(8)
+        ok = from_modes(grid, {1: 1.0})
+        for mean in (2e-12, 5e-13):
+            field = from_modes(grid, {0: mean, 3: 1.0})
+            assert norm(field, "L2") == 1.0
+            if mean > 1e-12:
+                with pytest.raises(ValueError, match=r"w2 must be zero-mean, \|mean\| = 2\.000e-12"):
+                    ReducedState(ok, field, 0.0)
+            else:
+                ReducedState(field, field, 0.0)
+
     def test_reduced_state_rejects_grid_mismatch(self):
         a = from_modes(Grid(8), {1: 1.0})
         b = from_modes(Grid(16), {1: 1.0})
@@ -590,6 +603,68 @@ class TestReducedRhs:
                 assert np.max(np.abs(n2[b] - want2)) <= 1e-12 * size
                 if K == 0:
                     assert size == 0.0
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(0), Grid(1), Grid(10), Grid(16), Grid(6, n_points=300)],
+        ids=["K0", "K1", "K10", "K16", "K6-n300"],
+    )
+    def test_forcing_rows_match_the_pullback(self, rng, grid):
+        # the folded kernel against the full system transported through the
+        # coordinate change: dt w1 is g1, dt w2 is n2 plus the free
+        # Schroedinger term, to 1e-13 of the size of dt w.  On the 300-point
+        # grid the members fill two blocks and put one member in a third.
+        from wavereg.normalform import _reduced_forcing
+        from wavereg.spectral import _BLOCK_POINTS
+
+        members, n, K = 3, grid.n_coeffs, grid.n_modes
+        if grid.n_points == 300:
+            members = 2 * (_BLOCK_POINTS // grid.n_padded) + 1
+        times = np.linspace(0.0, 1.5, members) + rng.uniform(0.0, 0.1, members)
+        k = grid.wavenumbers.astype(float)
+        for setting in all_settings(0.2):
+            _, cd = setting.coefficients
+            w1, w2 = 0.1 * (rng.standard_normal((2, members, n))
+                            + 1j * rng.standard_normal((2, members, n)))
+            w1[:, K] = w2[:, K] = 0.0
+            g1, n2 = _reduced_forcing(setting, grid, w1, w2, times)
+            for b in range(members):
+                w = ReducedState(SpectralField(grid, w1[b]), SpectralField(grid, w2[b]),
+                                 float(times[b]))
+                want = pullback_reduced_rhs(setting, w)
+                size = max(np.max(np.abs(want.u1.coeffs)), np.max(np.abs(want.u2.coeffs)))
+                dispersion = 1j * cd * k * k * w2[b]
+                assert np.max(np.abs(g1[b] - want.u1.coeffs)) <= 1e-13 * size
+                assert np.max(np.abs(n2[b] + dispersion - want.u2.coeffs)) <= 1e-13 * size
+                if K == 0:
+                    assert size == 0.0
+
+    def test_forcing_tables_are_cached_read_only_and_bounded(self, rng):
+        # the conjugated setting reads its plain twin's tables; integrate
+        # holds no cached function but the propagator's, which the
+        # benchmark's tracer counts
+        from wavereg import integrate
+        from wavereg.normalform import (
+            _FORCING_TABLE_CACHE_SIZE,
+            _forcing_tables,
+            _reduced_forcing,
+        )
+
+        grid = Grid(5)
+        w1, w2 = 0.1 * rng.standard_normal((2, 1, grid.n_coeffs))
+        _reduced_forcing(NormalFormSetting(0.3, amplitude=0.7), grid, w1, w2, 0.1)
+        hits = _forcing_tables.cache_info().hits
+        _reduced_forcing(NormalFormSetting(0.3, True, amplitude=0.7), grid, w1, w2, 0.1)
+        assert _forcing_tables.cache_info().hits == hits + 1
+        for j in range(_FORCING_TABLE_CACHE_SIZE + 3):
+            for table in _forcing_tables(grid, 0.1 + 0.01 * j, PressureLaw.P1, 1.0):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[...] = 0.0
+        info = _forcing_tables.cache_info()
+        assert info.maxsize == _FORCING_TABLE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+        cached = [name for name, obj in vars(integrate).items() if hasattr(obj, "cache_info")]
+        assert cached == ["_plain_propagator"]
 
     def test_zero_state_is_stationary(self):
         grid = Grid(8)
