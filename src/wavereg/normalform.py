@@ -421,8 +421,10 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
         r = rot[block] if len(rot) > 1 else rot
         v1, v2 = r * w1[block], w2[block] / r
         rows = np.array((v1, v2, v2, v1))
-        x = _padded_values(grid, synthesis * rows)
-        products = _band_coeffs(grid, _forcing_products(setting.law, eps, x))
+        # no name holds the padded values, so they are freed before the
+        # post-map's temporary: picard's peak RSS rose 0.4 MB with it
+        padded = _forcing_products(setting.law, eps, _padded_values(grid, synthesis * rows))
+        products = _band_coeffs(grid, padded)
         g1_rot, n2_rot = (post * np.concatenate((products, rows[:2]))).sum(axis=1)
         out[0, block] = g1_rot / r
         out[1, block] = n2_rot * r
@@ -438,24 +440,21 @@ _FORCING_TABLE_CACHE_SIZE = 16
 
 @lru_cache(maxsize=_FORCING_TABLE_CACHE_SIZE)
 def _forcing_tables(grid, epsilon: float, law: PressureLaw, amplitude: float):
-    """Read-only per-mode tables of _reduced_forcing for the plain setting.
+    """Read-only per-mode tables of _reduced_forcing's plain setting.
 
-    synthesis (4, 1, 2K+1) multiplies the rows (v1, v2, v2, v1) into (v1, v2,
-    -m v2, dx v1).  post (2, 6, 1, 2K+1) maps the rows (cubic, coupling, kept,
-    diff) of _forcing_products' coefficients and (v1, v2) to (g1 rot,
-    n2 / rot), summed over its middle axis.  With c = 3 for p0 and p2 and
-    1 for p1, the products are N(v1), (-i c a^2)^-1 q(a u~1)(-i v2) (for
-    p2 the i flips: conj(-i) = +i), (c a^2)^-1 q(a u~1) dx v1 and (c
-    a^2)^-1 times the r1 product; post folds in those factors, the mean
-    projection P, the symbol 1/k of m, and fac = eps/k and det = 1 - fac^2
-    of (Id + eps M)^{-1}, 1/eps and c_t, in
+    synthesis (4, 1, 2K+1) takes the rows (v1, v2, v2, v1) to (v1, v2,
+    delta, dx v1).  post (2, 6, 1, 2K+1), summed over its second axis, takes
+    the coefficients of _forcing_products' rows (cubic, coupling, kept,
+    diff) and (v1, v2) to
 
-        g1 rot  = -(1/eps) i a^2 P N(v1) - r1,
-        n2 / rot = -(c_t kept + (1/eps) coupling + r2),
+        g1 rot   = -(i a^2/eps) P N(v1) - r1,
+        n2 / rot = -(c_t kept + coupling/eps + r2),
 
-    where E v = (i a^2 P N(v1) - i v1, i v2 + coupling), (y1, y2) = (m
-    (diff + (E v)2), m (E v)1) and (r1, r2) = ((y1 + fac y2), (fac y1 +
-    y2)) / det."""
+    where E v = (i a^2 P N(v1) - i v1, i v2 + coupling), (y1, y2) =
+    m (diff + (E v)2, (E v)1) and (r1, r2) = (y1 + fac y2, fac y1 + y2) /
+    det with fac = eps/k, det = 1 - fac^2.  Coupling, kept and diff are
+    the bare products times -i c a^2 (+i c a^2 for p2, whose conjugation
+    flips the i), c a^2 and c a^2, with c = 3 for p0 and p2 and 1 for p1."""
     k = grid.wavenumbers.astype(float)
     ones = np.ones_like(k)
     inv_k = _m_symbol(grid)
@@ -481,10 +480,10 @@ def _forcing_tables(grid, epsilon: float, law: PressureLaw, amplitude: float):
 
 
 def _forcing_products(law: PressureLaw, eps: float, x):
-    """The bare products of _reduced_forcing on the padded grid, one buffer
-    (4, ...): N(v1), then for p0 u~1^2 v2, u~1^2 dx v1 and (u~1 + v1) delta
-    dx v1 from x = (v1, v2, delta, dx v1), with u~1 = v1 + eps delta; p2
-    conjugates them all, and p1 takes q1's real-linear forms."""
+    """The bare products of _reduced_forcing on the padded grid, in one
+    buffer, from x = (v1, v2, delta, dx v1) and u~1 = v1 + eps delta: N(v1)
+    and, for p0, u~1^2 v2, u~1^2 dx v1 and (u~1 + v1) delta dx v1; p2
+    conjugates all four, and p1 takes q1's real-linear forms."""
     x1, x2, xd, xdv1 = x
     xu = x1 + eps * xd
     out = np.empty_like(x)

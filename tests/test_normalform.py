@@ -8,7 +8,9 @@ That identity is what makes the later transform-consistency integrations
 meaningful, so it is tested here per-evaluation at several times, laws, and
 epsilon values before any integrator exists.  The array kernels of the
 coordinate change and of the cancellation residual are held row by row to
-the State-level operators.
+the State-level operators, and every row of a batched reduced-forcing call
+to the pullback; the forcing's cached per-mode tables are checked to be
+read-only and bounded.
 """
 
 import numpy as np
@@ -568,14 +570,16 @@ class TestReducedRhs:
             assert err < 1e-10, (setting.system_kind, setting.law, err)
 
     @pytest.mark.parametrize(
-        "grid", [Grid(0), Grid(1), Grid(6), Grid(6, n_points=300)],
-        ids=["K0", "K1", "K6", "K6-n300"],
+        "grid", [Grid(0), Grid(1), Grid(6), Grid(10), Grid(16), Grid(6, n_points=300)],
+        ids=["K0", "K1", "K6", "K10", "K16", "K6-n300"],
     )
     def test_batch_rows_equal_serial_calls(self, rng, grid):
         # each row of one batched kernel call is the forcing of its own
-        # member at its own time: reduced_rhs minus its dispersion term.
-        # On the 300-point grid, its own padded grid, the members fill two
-        # blocks and put one member in a third.
+        # member at its own time: reduced_rhs minus its dispersion term,
+        # and, to 1e-13 of the size of dt w, the full system transported
+        # through the coordinate change.  On the 300-point grid, its own
+        # padded grid, the members fill two blocks and put one member in a
+        # third.
         from wavereg.normalform import _reduced_forcing
         from wavereg.spectral import _BLOCK_POINTS
 
@@ -595,46 +599,14 @@ class TestReducedRhs:
             for b in range(members):
                 w = ReducedState(SpectralField(grid, w1[b]), SpectralField(grid, w2[b]),
                                  float(times[b]))
-                full = reduced_rhs(setting, w)
-                want1 = full.u1.coeffs
-                want2 = full.u2.coeffs - 1j * cd * k * k * w2[b]
-                size = max(np.max(np.abs(full.u1.coeffs)), np.max(np.abs(full.u2.coeffs)))
-                assert np.max(np.abs(g1[b] - want1)) <= 1e-12 * size
-                assert np.max(np.abs(n2[b] - want2)) <= 1e-12 * size
-                if K == 0:
-                    assert size == 0.0
-
-    @pytest.mark.parametrize(
-        "grid", [Grid(0), Grid(1), Grid(10), Grid(16), Grid(6, n_points=300)],
-        ids=["K0", "K1", "K10", "K16", "K6-n300"],
-    )
-    def test_forcing_rows_match_the_pullback(self, rng, grid):
-        # the folded kernel against the full system transported through the
-        # coordinate change: dt w1 is g1, dt w2 is n2 plus the free
-        # Schroedinger term, to 1e-13 of the size of dt w.  On the 300-point
-        # grid the members fill two blocks and put one member in a third.
-        from wavereg.normalform import _reduced_forcing
-        from wavereg.spectral import _BLOCK_POINTS
-
-        members, n, K = 3, grid.n_coeffs, grid.n_modes
-        if grid.n_points == 300:
-            members = 2 * (_BLOCK_POINTS // grid.n_padded) + 1
-        times = np.linspace(0.0, 1.5, members) + rng.uniform(0.0, 0.1, members)
-        k = grid.wavenumbers.astype(float)
-        for setting in all_settings(0.2):
-            _, cd = setting.coefficients
-            w1, w2 = 0.1 * (rng.standard_normal((2, members, n))
-                            + 1j * rng.standard_normal((2, members, n)))
-            w1[:, K] = w2[:, K] = 0.0
-            g1, n2 = _reduced_forcing(setting, grid, w1, w2, times)
-            for b in range(members):
-                w = ReducedState(SpectralField(grid, w1[b]), SpectralField(grid, w2[b]),
-                                 float(times[b]))
-                want = pullback_reduced_rhs(setting, w)
-                size = max(np.max(np.abs(want.u1.coeffs)), np.max(np.abs(want.u2.coeffs)))
                 dispersion = 1j * cd * k * k * w2[b]
-                assert np.max(np.abs(g1[b] - want.u1.coeffs)) <= 1e-13 * size
-                assert np.max(np.abs(n2[b] + dispersion - want.u2.coeffs)) <= 1e-13 * size
+                full = reduced_rhs(setting, w)
+                size = max(np.max(np.abs(full.u1.coeffs)), np.max(np.abs(full.u2.coeffs)))
+                assert np.max(np.abs(g1[b] - full.u1.coeffs)) <= 1e-12 * size
+                assert np.max(np.abs(n2[b] + dispersion - full.u2.coeffs)) <= 1e-12 * size
+                pulled = pullback_reduced_rhs(setting, w)
+                assert np.max(np.abs(g1[b] - pulled.u1.coeffs)) <= 1e-13 * size
+                assert np.max(np.abs(n2[b] + dispersion - pulled.u2.coeffs)) <= 1e-13 * size
                 if K == 0:
                     assert size == 0.0
 
