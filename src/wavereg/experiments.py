@@ -507,6 +507,8 @@ def lemma_m_suite(
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    if n_fields < 1:
+        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     grid = Grid(n_modes)
     if multiplier is None:
         multiplier = partial(_m_coeffs, grid)
@@ -559,6 +561,8 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     call, in the order of one random_field draw at a time, and are checked
     by one kernel call (lemma_m_suite, _cancellation_residuals,
     jets_ibp._fn_bounds)."""
+    if fields < 1:
+        raise ValueError(f"fields must be at least 1, got {fields}")
     legs = []
 
     report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)

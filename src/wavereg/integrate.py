@@ -153,8 +153,9 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray
 
 def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray, ik=None) -> np.ndarray:
     """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
-    `spectral` (two FFT calls): q_apply(law, u1, dx u1) in exact arithmetic,
-    as truncation commutes with dx, with an exactly zero k = 0 entry.  ik,
+    `spectral` (two FFT calls): the oracle q_apply(law, u1, dx u1) of
+    tests/oracles.py in exact arithmetic, as truncation commutes with dx,
+    with an exactly zero k = 0 entry.  ik,
     the symbol 1j * grid.wavenumbers of dx, may be formed once by the caller."""
     x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
@@ -447,6 +448,8 @@ def picard_solve(
         raise ValueError("law argument disagrees with the setting's law")
     if T <= 0.0:
         raise ValueError("T must be positive")
+    if not T < np.inf:  # nan and inf
+        raise ValueError(f"T must be finite, got {T}")
     if n_nodes < 3:
         raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
     if max_iter < 1:

@@ -19,11 +19,12 @@ recurrence.  One array recurrence, _jets, builds both for a stack of fields
 on the padded product grid of spectral.py, one forward FFT per level; the
 tower maps, the growth bound (_fn_bounds, every order of a stack of pairs
 at once) and implicit_residual (per block of samples) call it directly.
-Only a JetSequence (ode_jet's, or one built by hand) re-checks every level
-against the literal sum of `multiply` products, and the tests hold _jets to
-it.  The residual evaluators at the bottom check the resulting implicit
-representations against sampled trajectories; they are the numerical
-arbiter for every sign in this file.
+Its oracle is JetSequence in tests/oracles.py, which re-checks every level
+of ode_jet's jet (or one built by hand) against the literal sum of
+`multiply` products; the tests hold _jets to it.  The residual evaluators
+at the bottom check the resulting implicit representations against
+sampled trajectories; they are the numerical arbiter for every sign in
+this file.
 """
 
 from __future__ import annotations
@@ -43,54 +44,10 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
-    multiply,
     norm,
-    remove_mean,
-    zeros,
 )
 
 _MAX_DEPTH = 16  # factorial growth of the coefficients overflows doubles near 20
-
-
-def _cubic_level_ordered(levels: list, j: int) -> SpectralField:
-    """Literal ordered-triple evaluation of sum_{a+b+c=j} u_a u_b u_c through
-    `multiply`; the independent path used to verify a JetSequence on
-    construction."""
-    grid = levels[0].grid
-    total = zeros(grid)
-    for a in range(j + 1):
-        for b in range(j + 1 - a):
-            c = j - a - b
-            total = total + multiply([levels[a], levels[b], levels[c]])
-    return total
-
-
-@dataclass(frozen=True)
-class JetSequence:
-    """Taylor coefficients u_0, ..., u_depth of the flow of du/dt = f(u)."""
-
-    base: SpectralField
-    coeffs: list
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a jet needs at least the zeroth coefficient")
-        if norm(self.coeffs[0] - self.base, "L2") > 1e-12 * max(
-            1.0, norm(self.base, "L2")
-        ):
-            raise ValueError("coeffs[0] must equal the base field")
-        for j in range(len(self.coeffs) - 1):
-            expected = remove_mean(_cubic_level_ordered(self.coeffs, j))
-            defect = (j + 1) * self.coeffs[j + 1] - expected
-            scale = max(1.0, norm(expected, "L2"))
-            if norm(defect, "L2") > 1e-12 * scale:
-                raise ValueError(
-                    f"jet coefficient {j + 1} violates the cubic recurrence"
-                )
-
-    @property
-    def depth(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
@@ -120,12 +77,6 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
         level[1:] *= 3.0  # the tangent row: T_j
         jet[j + 1] = level / (j + 1)
     return jet[:, 0] if v is None else (jet[:, 0], jet[:, 1])
-
-
-def ode_jet(u: SpectralField, depth: int) -> JetSequence:
-    """Jet of the auxiliary cubic flow to the requested depth, fully checked."""
-    levels = [SpectralField(u.grid, c) for c in _jets(u.grid, u.coeffs, depth)]
-    return JetSequence(base=u, coeffs=levels)
 
 
 def f_n(u: SpectralField, n: int) -> SpectralField:

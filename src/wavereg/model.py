@@ -22,8 +22,10 @@ first-order flux component-wise while leaving the dispersion alone:
 The mirror G(u1, u2) = (conj u1, u2) maps solutions of the modified system
 onto solutions of the plain p0 system with the same eps, because p0 has
 real coefficients.  The integrator and the normal form implement the
-modified kind through G; rhs_full below keeps its own modified formula as
-the independent oracle for that fold.
+modified kind through G.  The right-hand side itself, with its own modified
+formula, and the pressure laws and q maps as SpectralField operations live
+in tests/oracles.py (rhs_full, pressure, q_apply), the independent oracle
+of integrate.py's kernel and of that fold.
 
 Energies are physical torus integrals (2*pi times the mean value).  The
 quadratic terms are exact sums over the coefficients; the quartic term is
@@ -41,16 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SpectralField,
-    _blocks,
-    _mirror,
-    _padded_values,
-    conjugate,
-    derivative,
-    multiply,
-)
+from .spectral import Grid, SpectralField, _blocks, _mirror, _padded_values
 
 
 class PressureLaw(Enum):
@@ -101,7 +94,7 @@ class SystemSpec:
     kind is "regularized" (plain flux) or "modified" (conjugated flux).
     amplitude records the datum prefactor (an eps**alpha or a lambda); it is
     bookkeeping for datum builders and the normal form, and is deliberately
-    not consumed by rhs_full.
+    not consumed by the right-hand side.
     """
 
     kind: str
@@ -116,6 +109,8 @@ class SystemSpec:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         if self.amplitude <= 0.0:
             raise ValueError("amplitude must be positive")
+        if not self.amplitude < math.inf:  # nan and inf
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
     @property
     def coefficients(self) -> tuple[float, float]:
@@ -133,39 +128,6 @@ class EnergyReport:
     quartic_part: float
     quadratic_u1_part: float
     quadratic_u2_part: float
-
-
-def _cubic(law: PressureLaw, u: SpectralField) -> SpectralField:
-    """The cubic part p(u) + u of a pressure law: u u u, u conj(u) u or
-    conj(u)^3 for p0, p1, p2, alias-free."""
-    if law is PressureLaw.P0:
-        return multiply([u, u, u])
-    if law is PressureLaw.P1:
-        return multiply([u, conjugate(u), u])
-    cu = conjugate(u)
-    return multiply([cu, cu, cu])
-
-
-def pressure(law: PressureLaw, u: SpectralField) -> SpectralField:
-    """Apply the selected pressure law, alias-free."""
-    return _cubic(law, u) - u
-
-
-def q_apply(law: PressureLaw, u: SpectralField, v: SpectralField) -> SpectralField:
-    """The quasilinear coefficient map q(u) acting on v.
-
-    q0(u) v = 3 u^2 v; q1(u) v = 2|u|^2 v + u^2 conj(v);
-    q2(u) v = 3 conj(u)^2 conj(v).  Each is the derivative of the cubic part
-    of the matching pressure law, so d/dx p(u) = -d/dx u + q(u) d/dx u; the
-    maps are real-linear (q1 and q2 conjugate their argument) and quadratic
-    in the coefficient field u.
-    """
-    if law is PressureLaw.P0:
-        return 3.0 * multiply([u, u, v])
-    if law is PressureLaw.P1:
-        return 2.0 * multiply([u, conjugate(u), v]) + multiply([u, u, conjugate(v)])
-    cu = conjugate(u)
-    return 3.0 * multiply([cu, cu, conjugate(v)])
 
 
 def energy(law: PressureLaw, state: State) -> EnergyReport:
@@ -216,29 +178,6 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 def _require_law(spec: SystemSpec, law: PressureLaw) -> None:
     if spec.kind == "modified" and law is not PressureLaw.P0:
         raise ValueError("the modified system is defined with law P0 only")
-
-
-def rhs_full(
-    spec: SystemSpec, law: PressureLaw, state: State, t: float = 0.0
-) -> State:
-    """Time derivative of the full system at a state.
-
-    Autonomous; t is accepted so the signature matches time-steppers.  The
-    modified kind is hard-wired to law P0 (its flux conjugates p0 only).
-    """
-    del t
-    _require_law(spec, law)
-    ct, cd = spec.coefficients
-    u1, u2 = state.u1, state.u2
-    dxp = derivative(pressure(law, u1))
-    dispersion = (1j * cd) * derivative(u2, order=2)
-    if spec.kind == "modified":
-        r1 = (-ct) * derivative(conjugate(u2))
-        r2 = (-ct) * conjugate(dxp) - dispersion
-    else:
-        r1 = (-ct) * derivative(u2)
-        r2 = (-ct) * dxp - dispersion
-    return State(r1, r2)
 
 
 def linear_growth_rate(law: PressureLaw, u_star: complex, k: int) -> float:

@@ -40,20 +40,22 @@ of m is real and odd, so conj(m f) = -m conj(f) and the mirrored corrector
 is G M G (u1, u2) = (+m conj u2, -m conj u1); the mirrored frame phase on w1
 is exp(+i t/eps).
 
-The operators above act on validated States, one at a time.  The change
-of coordinates both ways (_normal_coords, which from_normal_coords and
-to_normal_coords wrap) and the cancellation residual
-(_cancellation_residuals, with cancellation_residual its oracle) also run
-on coefficient arrays with a leading sample axis.  The reduced
-system itself is evaluated by one array kernel, _reduced_forcing: it takes
-raw coefficient arrays with a leading batch axis, one member per row at its
-own time, and assembles the same formula on spectral.py's padded product
-grid with two FFT calls per block of members.  Every per-mode constant of
-that formula (the symbols of dx, m and (Id + eps M)^{-1}, the law's factors,
-the mean projection, 1/eps and c_t) is folded into two read-only tables,
-built once per (grid, eps, law, amplitude) by _forcing_tables and kept in
-its small lru_cache beside the kernel; the kernel itself forms only the
-bare pointwise products.  reduced_rhs is that kernel on a batch of one; the
+The operators above (the corrector M, the frame oscillation, the
+interaction operator E, the remainder R and the reduced right-hand side)
+act on validated States, one at a time, in tests/oracles.py: they are the
+independent oracles of the kernels here, and only the tests call them.
+The change of coordinates both ways (_normal_coords, which
+from_normal_coords and to_normal_coords wrap) and the cancellation
+residual (_cancellation_residuals) run on coefficient arrays with a
+leading sample axis.  The reduced system itself is evaluated by one array
+kernel, _reduced_forcing: it takes raw coefficient arrays with a leading
+batch axis, one member per row at its own time, and assembles the same
+formula on spectral.py's padded product grid with two FFT calls per block
+of members.  Every per-mode constant of that formula (the symbols of dx, m
+and (Id + eps M)^{-1}, the law's factors, the mean projection, 1/eps and
+c_t) is folded into two read-only tables, built once per (grid, eps, law,
+amplitude) by _forcing_tables and kept in its small lru_cache beside the
+kernel; the kernel itself forms only the bare pointwise products.  The
 reduced stepper and the Picard solver of integrate.py call it directly,
 Picard once per iterate on all its nodes.
 """
@@ -61,11 +63,11 @@ Picard once per iterate on all its nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
-from .model import PressureLaw, State, _cubic, q_apply
+from .model import PressureLaw, State
 from .spectral import (
     SpectralField,
     _band_coeffs,
@@ -74,13 +76,6 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
-    apply_m,
-    conjugate,
-    derivative,
-    multiply,
-    norm,
-    remove_mean,
-    zeros,
 )
 
 _MEAN_TOL = 1e-12
@@ -109,6 +104,8 @@ class NormalFormSetting:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.amplitude <= 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not self.amplitude < np.inf:  # nan and inf
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.conjugated and self.law is not PressureLaw.P0:
             raise ValueError("the conjugated (modified) system requires law p0")
 
@@ -148,29 +145,6 @@ class ReducedState:
         return self.w1.grid
 
 
-def _folded(plain):
-    """Turn the plain formula `plain(setting, *args)` into the operator of
-    either setting: a conjugated setting is folded onto its plain p0 twin by
-    mirroring every State argument and a State result."""
-
-    @wraps(plain)
-    def operator(setting: NormalFormSetting, *args):
-        if not setting.conjugated:
-            return plain(setting, *args)
-        mirror = lambda a: State(conjugate(a.u1), a.u2) if isinstance(a, State) else a
-        return mirror(plain(replace(setting, conjugated=False), *map(mirror, args)))
-
-    return operator
-
-
-@_folded
-def apply_M(setting: NormalFormSetting, u: State) -> State:
-    """The order -1 corrector M: (u1, u2) -> (-m u2, -m u1).
-
-    Output is always zero-mean (the multiplier kills the mean)."""
-    return State(-apply_m(u.u2), -apply_m(u.u1))
-
-
 def from_normal_coords(setting: NormalFormSetting, v: State) -> State:
     """u_tilde = (Id + eps*M) v, by _normal_coords."""
     u1, u2 = _normal_coords(setting, v.grid, v.u1.coeffs, v.u2.coeffs)
@@ -207,30 +181,14 @@ def _normal_coords(setting: NormalFormSetting, grid, a1, a2, inverse=False):
     return (a1 + fac * a2) / det, (fac * a1 + a2) / det
 
 
-@_folded
-def cancellation_residual(setting: NormalFormSetting, u: State) -> float:
-    """L2 size of ([i D dx^2, M] + A dx) u; zero for the correct M.
-
-    Returns the root of the summed squared L2 norms of the two components
-    (the mirror preserves both norms).  _cancellation_residuals evaluates
-    the same terms on stacks of states."""
-    mu = apply_M(setting, u)
-    disp_m = State(zeros(u.grid), 1j * derivative(mu.u2, order=2))
-    m_disp = apply_M(
-        setting, State(zeros(u.grid), 1j * derivative(u.u2, order=2))
-    )
-    transport = State(derivative(u.u2), -derivative(u.u1))
-    res = disp_m - m_disp + transport
-    return float(
-        np.sqrt(norm(res.u1, "L2") ** 2 + norm(res.u2, "L2") ** 2)
-    )
-
-
 def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
-    """cancellation_residual of every row of coefficient arrays u1, u2 of
-    shape (N, 2K+1), from the same three operator terms, formed per mode:
-    the commutator's two terms and the transport.  The conjugated setting
-    mirrors u1, which keeps both norms."""
+    """L2 size of ([i D dx^2, M] + A dx) u, zero for the correct M, of every
+    row u = (u1, u2) of coefficient arrays of shape (N, 2K+1): the root of
+    the summed squared L2 norms of the two components, from the
+    commutator's two terms and the transport, formed per mode.  The
+    conjugated setting mirrors u1, which keeps both norms.  Its oracle,
+    cancellation_residual in tests/oracles.py, forms the same terms on one
+    State."""
     if setting.conjugated:
         u1 = _mirror(u1)
     k = grid.wavenumbers
@@ -252,134 +210,17 @@ def _m_symbol(grid) -> np.ndarray:
 
 
 def _phases(t, epsilon: float, direction: str, conjugated: bool = False):
-    """The frame phases (phase1, phase2) of oscillate at a time or an array
-    of times t."""
+    """The frame phases (phase1, phase2) at a time or an array of times t.
+
+    direction = "forward" gives w1 = phase1 v1, w2 = phase2 v2 with phase1
+    = exp(s1*i*t/eps), phase2 = exp(+i*t/eps), s1 = -1 for the regularized
+    system and s1 = +1 for the modified one; "backward" gives the inverse
+    phases."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     s1 = 1.0 if conjugated else -1.0
     sgn = 1.0 if direction == "forward" else -1.0
     return np.exp(sgn * s1 * 1j * t / epsilon), np.exp(sgn * 1j * t / epsilon)
-
-
-def oscillate(
-    v: State,
-    t: float,
-    epsilon: float,
-    direction: str,
-    conjugated: bool = False,
-) -> State:
-    """Move between the slow frame v and the oscillating frame w.
-
-    direction = "forward":  w1 = exp(s1*i*t/eps) v1, w2 = exp(+i*t/eps) v2,
-    with s1 = -1 for the regularized system and s1 = +1 for the modified one.
-    direction = "backward" applies the inverse phases.  The map is a
-    componentwise unimodular scalar, so every norm is preserved."""
-    phase1, phase2 = _phases(t, epsilon, direction, conjugated)
-    return State(phase1 * v.u1, phase2 * v.u2)
-
-
-@_folded
-def operator_E(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
-    """The order-one interaction operator of the v-equation.
-
-        (E v)1 = -i v1 + i a^2 P (p(v1) + v1)           (P kills the mean)
-        (E v)2 = +i v2 + q(a u_tilde1) applied to (-i v2)
-
-    The v-equation reads  dt v + i c_d D dx^2 v + (1/eps) E v + kept forcing
-    + R v = 0; E collects every term of size 1/eps.  Note the -i sits inside
-    the q slot in (E v)2: for the laws p1 and p2 the operator q(c) is only
-    real-linear, so scalar phases may not be pulled out."""
-    a2 = setting.amplitude**2
-    e1 = -1j * v.u1 + 1j * a2 * remove_mean(_cubic(setting.law, v.u1))
-    e2 = 1j * v.u2 + q_apply(
-        setting.law, setting.amplitude * u_tilde.u1, (-1j) * v.u2
-    )
-    return State(e1, e2)
-
-
-def _r1_field(
-    setting: NormalFormSetting, v: State, u_tilde: State
-) -> SpectralField:
-    """r1 = (1/eps) m[(q(a u_tilde1) - q(a v1)) dx v1], with the 1/eps
-    divided out symbolically, for the plain setting.
-
-    u_tilde1 - v1 = eps * (M v)1, so writing delta := (M v)1 (computable
-    without any division) each law factors the difference of coefficients:
-
-        p0:  q0(a u~1) - q0(a v1) = 3 a^2 (u~1 + v1) * eps*delta
-        p1:  2 a^2 eps (u~1 conj(delta) + delta conj(v1)) . + a^2 eps (u~1 + v1) delta conj(.)
-        p2:  3 a^2 eps conj(u~1 + v1) conj(delta) conj(.)
-
-    Direct division by eps would lose roughly 16 + log10(eps) digits to
-    cancellation; the factored forms are exact for every eps."""
-    a2 = setting.amplitude**2
-    delta = apply_M(setting, v).u1
-    dv1 = derivative(v.u1)
-    su = u_tilde.u1 + v.u1
-    if setting.law is PressureLaw.P0:
-        diff = 3.0 * a2 * multiply([su, delta, dv1])
-    elif setting.law is PressureLaw.P1:
-        diff = a2 * (
-            2.0 * multiply([u_tilde.u1, conjugate(delta), dv1])
-            + 2.0 * multiply([delta, conjugate(v.u1), dv1])
-            + multiply([su, delta, conjugate(dv1)])
-        )
-    else:
-        diff = 3.0 * a2 * multiply(
-            [conjugate(su), conjugate(delta), conjugate(dv1)]
-        )
-    return apply_m(diff)
-
-
-@_folded
-def remainder_R(setting: NormalFormSetting, v: State, u_tilde: State) -> State:
-    """The exact order-one remainder of the v-equation.
-
-    With E = operator_E and r1 = _r1_field, the closed form is
-
-        R v = (Id + eps M)^{-1} ((r1, 0) - M E v),
-
-    which makes the split
-
-        dt v = -i c_d D dx^2 v - (1/eps) E v - (0, c_t * kept forcing) - R v
-
-    exact to rounding, where the kept forcing is q(a u~1) dx v1."""
-    ev = operator_E(setting, v, u_tilde)
-    r1 = _r1_field(setting, v, u_tilde)
-    mev = apply_M(setting, ev)
-    return to_normal_coords(setting, State(r1, zeros(v.grid)) - mev)
-
-
-def reduced_rhs(setting: NormalFormSetting, w: ReducedState) -> State:
-    """Time derivative (dt w1, dt w2) of the reduced system.
-
-    The w1 equation is the cubic ODE
-
-        dt w1 = mu(t) * P N(w1) - phase1 * (R v)1
-
-    with (mu, N) depending on the law:  p0, p1, p2 give
-    mu = -i a^2/eps * exp(2it/eps), -i a^2/eps, -i a^2/eps * exp(-4it/eps)
-    against N = w1^3, |w1|^2 w1, conj(w1)^3.
-
-    The w2 equation is the forced Schroedinger flow
-
-        dt w2 = -i c_d dx^2 w2 - c_t phase2 F1 - (1/eps) phase2 (E v)2^q
-                - phase2 (R v)2
-
-    where F1 = q(a u~1) dx v1 is the kept forcing, (E v)2^q is the coupling
-    part of the interaction operator (its +i v2 piece cancels against the
-    frame phase exactly and is dropped symbolically, not numerically), and
-    phase1, phase2 are the frame phases of oscillate.  Everything is built
-    from the slow-frame state v = oscillate(w, backward) and the
-    reconstructed u_tilde = (Id + eps M) v, so the result agrees with the
-    full system's right-hand side to rounding.  This is _reduced_forcing on
-    a batch of one, with the free Schroedinger term added back."""
-    grid = w.grid
-    g1, n2 = _reduced_forcing(setting, grid, w.w1.coeffs[None], w.w2.coeffs[None], w.t)
-    _, cd = setting.coefficients
-    k = grid.wavenumbers.astype(float)
-    dw2 = n2[0] + (1j * cd) * (k * k) * w.w2.coeffs
-    return State(SpectralField(grid, g1[0]), SpectralField(grid, dw2))
 
 
 def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
@@ -391,9 +232,9 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     without the free Schroedinger term -i c_d dx^2 w2, which the stepper's
     exact phase carries.  The arrays are not validated.
 
-    The formula is reduced_rhs's, rearranged so that every piece is built
-    once.  With rot = exp(it/eps), v1 = rot w1, v2 = w2 / rot, delta =
-    (M v)1 = -m v2 and u~1 = v1 + eps delta:
+    The formula is that of reduced_rhs in tests/oracles.py, rearranged so
+    that every piece is built once.  With rot = exp(it/eps), v1 = rot w1,
+    v2 = w2 / rot, delta = (M v)1 = -m v2 and u~1 = v1 + eps delta:
 
       * the synthesis table of _forcing_tables maps (v1, v2) to the rows
         (v1, v2, delta, dx v1), which one inverse FFT takes to the padded
@@ -404,7 +245,7 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
         cubic term of E v gives the w1 nonlinearity by a scalar phase, and
         R v = (Id + eps M)^{-1}((r1, 0) - M E v), with r1 the factored
-        form of _r1_field, is linear per mode in the products and (v1, v2);
+        form of the oracle _r1_field, is linear per mode in the products and (v1, v2);
         the post-map table of _forcing_tables takes those six rows to
         (g1 rot, n2 / rot), one product-sum per output row.
 

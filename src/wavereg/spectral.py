@@ -56,7 +56,6 @@ __all__ = [
     "norm",
     "multiply",
     "pair_mean",
-    "quartic_mean",
 ]
 
 
@@ -401,12 +400,3 @@ def pair_mean(a: SpectralField, b: SpectralField) -> complex:
     """mean(a*b) = sum_k a_k b_{-k}, exact."""
     _check_same_grid(a, b)
     return complex(np.dot(a.coeffs, b.coeffs[::-1]))
-
-
-def quartic_mean(
-    a: SpectralField, b: SpectralField, c: SpectralField, d: SpectralField
-) -> complex:
-    """mean(a*b*c*d) via two exact convolutions (no grid truncation)."""
-    ab = np.convolve(a.coeffs, b.coeffs)
-    cd = np.convolve(c.coeffs, d.coeffs)
-    return complex(np.dot(ab, cd[::-1]))

@@ -61,16 +61,11 @@ from wavereg.model import (
     State,
     SystemSpec,
     energy,
-    pressure,
-    rhs_full,
 )
 from wavereg.normalform import (
     NormalFormSetting,
     ReducedState,
-    cancellation_residual,
     from_normal_coords,
-    oscillate,
-    reduced_rhs,
     to_normal_coords,
 )
 from wavereg.spectral import (
@@ -84,6 +79,14 @@ from wavereg.spectral import (
     random_field,
     remove_mean,
     zeros,
+)
+
+from oracles import (
+    cancellation_residual,
+    oscillate,
+    pressure,
+    reduced_rhs,
+    rhs_full,
 )
 
 SEED = 20240817

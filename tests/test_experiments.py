@@ -50,7 +50,6 @@ from wavereg.jets_ibp import verify_fn_bound
 from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import (
     NormalFormSetting,
-    cancellation_residual,
     from_normal_coords,
     to_normal_coords,
 )
@@ -68,6 +67,8 @@ from wavereg.spectral import (
     remove_mean,
     to_physical,
 )
+
+from oracles import cancellation_residual
 
 ALL_LAWS = [
     (PressureLaw.P0, False),
@@ -668,6 +669,12 @@ class TestLemmaMSuite:
         with pytest.raises(ValueError, match="n_modes"):
             lemma_m_suite(seed=1, n_modes=0)
 
+    @pytest.mark.parametrize("n_fields", [0, -5])
+    def test_needs_a_field(self, n_fields):
+        # no draw leaves no residual, so no vacuous pass
+        with pytest.raises(ValueError, match=f"^n_fields must be at least 1, got {n_fields}$"):
+            lemma_m_suite(1, n_modes=8, n_fields=n_fields)
+
     @pytest.mark.parametrize("n_modes", [8, 16, 64])
     @pytest.mark.parametrize("seed", [1, 3, 6, 9, 10, 11])
     def test_equals_the_per_field_loop(self, monkeypatch, seed, n_modes):
@@ -793,6 +800,12 @@ class TestVerifyLegs:
                 == oracle_rng.bit_generator.state)
         assert max(calls) <= rows and sum(calls) == 2 * fields
         assert len(calls) == 2 * (2 if past_block > 0 else 1)
+
+    @pytest.mark.parametrize("fields", [0, -5])
+    def test_needs_a_field(self, fields):
+        # without fields the lemma and cancellation legs would pass at 0.0
+        with pytest.raises(ValueError, match=f"^fields must be at least 1, got {fields}$"):
+            verify_legs(8, 1, fields)
 
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

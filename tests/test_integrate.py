@@ -55,15 +55,12 @@ from wavereg.jets_ibp import (
     ibp_once_p2,
     implicit_residual,
 )
-from wavereg.model import PressureLaw, State, SystemSpec, energy, q_apply, rhs_full
+from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import (
     NormalFormSetting,
     ReducedState,
     _reduced_forcing,
     from_normal_coords,
-    operator_E,
-    oscillate,
-    remainder_R,
     to_normal_coords,
 )
 from wavereg.spectral import (
@@ -79,6 +76,8 @@ from wavereg.spectral import (
     remove_mean,
     zeros,
 )
+
+from oracles import operator_E, oscillate, q_apply, remainder_R, rhs_full
 
 
 def block_rows(grid):
@@ -1358,6 +1357,18 @@ class TestPicard:
             picard_solve(zeros(grid), zeros(grid), PressureLaw.P1, setting, T=0.01)
         with pytest.raises(ValueError, match="positive"):
             picard_solve(zeros(grid), zeros(grid), PressureLaw.P0, setting, T=0.0)
+
+    @pytest.mark.parametrize("T,message", [
+        (0.0, "T must be positive"),
+        (float("-inf"), "T must be positive"),
+        (float("nan"), "T must be finite, got nan"),
+        (float("inf"), "T must be finite, got inf"),
+    ])
+    def test_horizon_positive_and_finite(self, T, message):
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, amplitude=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            picard_solve(zeros(grid), zeros(grid), PressureLaw.P0, setting, T=T)
 
     def test_contracts_and_matches_the_stepper(self, rng):
         # the fixed point on [0, 0.1 eps^2] must agree with the time stepper

@@ -25,7 +25,6 @@ from wavereg.integrate import IntegratorConfig, solve
 from wavereg.jets_ibp import (
     BoundReport,
     IbpCoefficients,
-    JetSequence,
     P_n_eval,
     _jets,
     bold_R_n,
@@ -34,11 +33,10 @@ from wavereg.jets_ibp import (
     f_n_directional,
     ibp_once_p2,
     implicit_residual,
-    ode_jet,
     verify_fn_bound,
 )
 from wavereg.model import PressureLaw
-from wavereg.normalform import NormalFormSetting, ReducedState, reduced_rhs
+from wavereg.normalform import NormalFormSetting, ReducedState
 from wavereg.quadrature import simpson_uniform
 from wavereg.spectral import (
     Grid,
@@ -49,6 +47,8 @@ from wavereg.spectral import (
     remove_mean,
     zeros,
 )
+
+from oracles import JetSequence, ode_jet, reduced_rhs
 
 
 def single_mode(grid, k, c=1.0):

@@ -19,9 +19,6 @@ from wavereg.model import (
     _energies,
     energy,
     linear_growth_rate,
-    pressure,
-    q_apply,
-    rhs_full,
 )
 from wavereg.spectral import (
     _BLOCK_POINTS,
@@ -33,11 +30,12 @@ from wavereg.spectral import (
     multiply,
     norm,
     pair_mean,
-    quartic_mean,
     random_field,
     to_physical,
     zeros,
 )
+
+from oracles import pressure, q_apply, quartic_mean, rhs_full
 
 TWO_PI = 2.0 * math.pi
 ALL_LAWS = (PressureLaw.P0, PressureLaw.P1, PressureLaw.P2)
@@ -393,6 +391,15 @@ class TestRhsFull:
         assert spec.coefficients == (1.0, 0.5)
         spec = SystemSpec("regularized", epsilon=0.5, rescaled=True)
         assert spec.coefficients == (4.0, 8.0)
+
+    @pytest.mark.parametrize("amplitude,message", [
+        (0.0, "amplitude must be positive"),
+        (float("nan"), "amplitude must be finite, got nan"),
+        (float("inf"), "amplitude must be finite, got inf"),
+    ])
+    def test_spec_rejects_amplitude(self, amplitude, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SystemSpec("regularized", epsilon=0.5, amplitude=amplitude)
 
     def test_state_requires_matching_grids(self):
         with pytest.raises(ValueError):

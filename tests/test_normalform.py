@@ -18,19 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavereg.model import PressureLaw, State, SystemSpec, q_apply, rhs_full
+from wavereg.model import PressureLaw, State, SystemSpec
 from wavereg.normalform import (
     NormalFormSetting,
     ReducedState,
     _cancellation_residuals,
     _normal_coords,
-    apply_M,
-    cancellation_residual,
     from_normal_coords,
-    operator_E,
-    oscillate,
-    reduced_rhs,
-    remainder_R,
     to_normal_coords,
 )
 from wavereg.spectral import (
@@ -43,6 +37,17 @@ from wavereg.spectral import (
     norm,
     random_field,
     zeros,
+)
+
+from oracles import (
+    apply_M,
+    cancellation_residual,
+    operator_E,
+    oscillate,
+    q_apply,
+    reduced_rhs,
+    remainder_R,
+    rhs_full,
 )
 
 
@@ -118,6 +123,15 @@ class TestSettingAndState:
     def test_amplitude_positive(self):
         with pytest.raises(ValueError):
             NormalFormSetting(0.2, amplitude=0.0)
+
+    @pytest.mark.parametrize("amplitude,message", [
+        (0.0, "amplitude must be positive, got 0.0"),
+        (float("nan"), "amplitude must be finite, got nan"),
+        (float("inf"), "amplitude must be finite, got inf"),
+    ])
+    def test_amplitude_positive_and_finite(self, amplitude, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NormalFormSetting(0.2, amplitude=amplitude)
 
     def test_coefficients_are_rescaled_pair(self):
         s = NormalFormSetting(0.1)
@@ -491,7 +505,7 @@ class TestRemainder:
             q_apply(law, a * u_tilde.u1, derivative(v.u1))
             - q_apply(law, a * v.u1, derivative(v.u1))
         ) / setting.epsilon
-        from wavereg.normalform import _r1_field
+        from oracles import _r1_field
 
         assert norm(_r1_field(setting, v, u_tilde) - direct, "L2") < 1e-11
 
@@ -499,7 +513,7 @@ class TestRemainder:
         # Direct division by eps loses digits; the factored form does not.
         grid = Grid(16)
         v = random_pair(grid, rng)
-        from wavereg.normalform import _r1_field
+        from oracles import _r1_field
 
         fields = {}
         for eps in (1e-2, 1e-6):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wavereg import spectral as sp
 from wavereg.quadrature import cumulative_simpson_uniform
 
+from oracles import quartic_mean
+
 
 def random_full_band(grid, rng, zero_mean=False):
     c = rng.standard_normal(grid.n_coeffs) + 1j * rng.standard_normal(grid.n_coeffs)
@@ -145,7 +147,7 @@ class TestPaddedLength:
             # the quartic part is (2pi/4) mean(u1^4), |u1|^4 for P1
             quartic = _energies(law, u[None], c[1][None])[1, 0]
             second = sp.SpectralField(g, mirror if law is PressureLaw.P1 else u)
-            mean = sp.quartic_mean(fields[0], second, fields[0], second).real
+            mean = quartic_mean(fields[0], second, fields[0], second).real
             assert abs(quartic - 0.5 * np.pi * mean) <= 1e-13 * np.sum(np.abs(u) ** 2) ** 2
 
 
@@ -319,7 +321,7 @@ class TestNormsAndProducts:
         n_fine = 64  # plenty for degree-4 products of band 6
         va, vb, vc, vd = (sp.to_physical(f, n_fine) for f in (a, b, c, d))
         assert abs(sp.pair_mean(a, b) - np.mean(va * vb)) < 1e-12
-        assert abs(sp.quartic_mean(a, b, c, d) - np.mean(va * vb * vc * vd)) < 1e-12
+        assert abs(quartic_mean(a, b, c, d) - np.mean(va * vb * vc * vd)) < 1e-12
 
     def test_random_field_properties(self, rng):
         g = sp.Grid(16)
