@@ -26,11 +26,14 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 
 from wavereg.cli import main as cli_main  # noqa: E402
+
+_COMMANDS = ("simulate", "verify", "sweep", "growth", "continue", "picard")
 
 _MODIFIED_SWEEP = [
     "sweep", "--system", "modified", "--pressure", "p0", "--lambda", "0.2",
@@ -50,6 +53,10 @@ _P1_SWEEP = [
 
 # name -> argv; cases that write files get --output-dir appended
 CASES = {
+    "help": ["--help"],
+    **{f"help-{command}": [command, "--help"] for command in _COMMANDS},
+    "error-unknown-command": ["simulat"],
+    "error-option-of-another-command": ["verify", "--epsilon", "0.1"],
     "simulate-p1-alpha": ["simulate", "--pressure", "p1", "--epsilon", "0.1",
                           "--alpha", "0.5"],
     "simulate-modified": ["simulate", "--system", "modified", "--epsilon", "0.1"],
@@ -108,10 +115,12 @@ def run_case(name: str, argv: list, out_dir: str) -> int:
     case_dir = os.path.join(out_dir, name)
     files = os.path.join(case_dir, "files")
     os.makedirs(files)
-    if argv[0] != "verify":
+    if argv[0] in _COMMANDS and argv[0] != "verify" and "--help" not in argv:
         argv = argv + ["--output-dir", files]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # argparse wraps help and usage text to the width it reads from COLUMNS
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = cli_main(argv)
     for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
         with open(os.path.join(case_dir, stream), "w", encoding="utf-8") as handle:

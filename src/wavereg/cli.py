@@ -669,7 +669,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `only` a command's name, one
+    whose other commands have no options: each command is still added, so
+    the top-level help and the error for an unknown command are the same,
+    and a run parses one command's options only."""
     parser = argparse.ArgumentParser(
         prog="wavereg",
         description="Dispersive-regularization simulations, sweeps, and checks.",
@@ -678,6 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, summary, defaults) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if only not in (None, name):
+            continue
         # --config goes just before the output keys, which close a defaults dict
         keys = [key for key in defaults if key not in _IO_DEFAULTS]
         keys += ["config", *(key for key in _IO_DEFAULTS if key in defaults)]
@@ -691,7 +697,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,10 +11,11 @@ closed form that growth_experiment shares; the forcing is the single u2
 row -ct dx cubic(u1), lifted as (0, f), where dx of the cubic part of p(u1)
 is formed on the padded product grid of spectral.py (two FFT calls).  For
 the reduced system the only stiff piece is the free Schroedinger factor on
-w2, a unimodular per-mode phase, and the flow is the identity on w1; its
-forcing (g1, n2) comes from the array kernel of normalform.py in the
-layout of the state, so its lift is the identity.  solve drives either
-system through the same loop, monitor and diagnostics.
+w2, a unimodular per-mode phase that normalform caches per step length,
+and the flow is the identity on w1; its forcing (g1, n2) comes from the
+array kernel of normalform.py in the layout of the state, so its lift is
+the identity.  solve drives either system through the same loop, monitor
+and diagnostics.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
@@ -29,8 +30,10 @@ The Picard solver iterates the integral maps whose fixed point is the
 reduced solution: the w1 map accumulates the cubic/remainder integrand by
 cumulative Simpson, and the w2 map is a Duhamel integral against the free
 Schroedinger kernel, evaluated with the oscillatory-weight Simpson rule so
-that arbitrarily fast phases cost no accuracy.  Each iterate evaluates the
-forcing at all quadrature nodes in one batched kernel call.
+that arbitrarily fast phases cost no accuracy.  Both rules depend on the
+nodes and the frequencies only, so they are built once per solve; each
+iterate evaluates the forcing at all quadrature nodes in one batched
+kernel call and applies the two rules to it.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from .normalform import (
     _phases,
     _reduced_forcing,
     _require_zero_mean,
+    _w2_phase,
 )
-from .quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
+from .quadrature import _apply_simpson_rule, _simpson_rule
 from .spectral import (
     Grid,
     SpectralField,
@@ -216,12 +220,6 @@ def step_full(
     return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
 
 
-def _w2_phase(grid: Grid, cd: float, dt: float) -> np.ndarray:
-    """Free Schroedinger factor on w2: per-mode phase exp(i dt cd k^2)."""
-    k = grid.wavenumbers.astype(float)
-    return np.exp(1j * dt * cd * k * k)
-
-
 def step_reduced(
     setting: NormalFormSetting, w: ReducedState, dt: float, scheme: str = "exp_rk2"
 ) -> ReducedState:
@@ -229,9 +227,9 @@ def step_reduced(
 
     The state is the (2, 1, 2K+1) stack of (w1, w2), a batch of one member,
     which is also the layout of _reduced_forcing's (g1, n2); the flow keeps
-    w1 and multiplies w2 by the phase of its step length, formed once per
-    length.  The forcing's per-mode tables are cached in normalform, so a
-    step builds none of them.
+    w1 and multiplies w2 by the phase of its step length.  The phases and
+    the forcing's per-mode tables are cached in normalform, so a step of a
+    length seen before builds none of them.
 
     dt is capped at epsilon/20: the oscillatory prefactors are evaluated
     analytically at stage times, but the amplitudes they multiply must stay
@@ -464,6 +462,10 @@ def picard_solve(
     times = np.linspace(0.0, T, n_nodes)
     dx = times[1] - times[0]
     forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])  # free flow of w2
+    # the quadrature rules depend on the frequencies and the nodes only:
+    # plain cumulative Simpson for w1, the Duhamel kernel's rule for w2
+    shape = (n_nodes, grid.n_coeffs)
+    plain, duhamel_rule = _simpson_rule(shape, 0.0, dx), _simpson_rule(shape, omega, dx)
 
     w1_flat = np.tile(w1_0.coeffs, (n_nodes, 1))
     w2_flat = np.tile(w2_0.coeffs, (n_nodes, 1))
@@ -475,8 +477,8 @@ def picard_solve(
 
     for _ in range(max_iter):
         g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
-        new_w1 = w1_0.coeffs[None, :] + cumulative_simpson_uniform(g1, dx)
-        duhamel = cumulative_weighted_simpson(n2, omega, dx)
+        new_w1 = w1_0.coeffs[None, :] + _apply_simpson_rule(plain, g1)
+        duhamel = _apply_simpson_rule(duhamel_rule, n2)
         new_w2 = forward * (w2_0.coeffs[None, :] + duhamel)
         diff = _trajectory_distance(grid, new_w1, new_w2, w1_flat, w2_flat)
         w1_flat, w2_flat = new_w1, new_w2

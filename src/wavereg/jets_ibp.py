@@ -112,10 +112,14 @@ class IbpCoefficients:
             raise ValueError("n must be at least 1")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
+        if not self.lam < math.inf:  # nan and inf
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         if self.c_embed <= 0.0:
             raise ValueError("c_embed must be positive")
+        if not self.c_embed < math.inf:
+            raise ValueError(f"c_embed must be finite, got {self.c_embed}")
 
     def mu(self, t: float) -> complex:
         return -1j * self.lam**2 * complex(np.exp(2.0j * t / self.epsilon))
@@ -248,6 +252,9 @@ def choose_n(lam: float, epsilon: float, c_embed: float) -> int:
     """Smallest n >= 1 with (2n+1)(c lam)^{2(n+1)} <= epsilon."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    for name, value in (("lam", lam), ("epsilon", epsilon), ("c_embed", c_embed)):
+        if not math.isfinite(value):  # a nan makes every comparison below false
+            raise ValueError(f"{name} must be finite, got {value}")
     x = c_embed * lam
     if x < 0.0:
         raise ValueError("c_embed * lam must be nonnegative")

@@ -57,7 +57,9 @@ c_t) is folded into two read-only tables, built once per (grid, eps, law,
 amplitude) by _forcing_tables and kept in its small lru_cache beside the
 kernel; the kernel itself forms only the bare pointwise products.  The
 reduced stepper and the Picard solver of integrate.py call it directly,
-Picard once per iterate on all its nodes.
+Picard once per iterate on all its nodes.  The stepper's free phase on w2,
+exp(i dt c_d k^2), is kept per step length in a second small cache at the
+end of this module, read through the plain function _w2_phase.
 """
 
 from __future__ import annotations
@@ -342,3 +344,24 @@ def _forcing_products(law: PressureLaw, eps: float, x):
     if law is PressureLaw.P2:
         np.conj(out, out=out)  # q2, the p2 cubic and their r1 product
     return out
+
+
+# Step lengths of the reduced stepper's w2 phase: a solve uses dt and dt/2,
+# every bisection probe asks for two more, so the cache is bounded.
+_W2_PHASE_CACHE_SIZE = 16
+
+
+def _w2_phase(grid, cd: float, dt: float) -> np.ndarray:
+    """Free Schroedinger factor on w2: per-mode phase exp(i dt cd k^2), as a
+    read-only array from _w2_phase_table's cache.  This plain function is
+    what integrate imports, so that module holds no cache of its own but
+    the propagator's."""
+    return _w2_phase_table(grid, cd, dt)
+
+
+@lru_cache(maxsize=_W2_PHASE_CACHE_SIZE)
+def _w2_phase_table(grid, cd: float, dt: float) -> np.ndarray:
+    k = grid.wavenumbers.astype(float)
+    phase = np.exp(1j * dt * cd * k * k)
+    phase.setflags(write=False)
+    return phase

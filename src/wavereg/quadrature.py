@@ -18,9 +18,16 @@ for |omega*b| >= 1/4 and by a truncated power series below that, so small
 phases lose no precision to cancellation. `omega` may be a scalar or a vector
 (one frequency per column of `y`), which is how per-mode Schrodinger kernels
 are applied to trajectories of Fourier coefficients.
+
+The moments and the panel-start phases depend on omega, dx and the sample
+shape only, never on y.  _simpson_rule builds them once as a prepared rule
+and _apply_simpson_rule applies it; the public functions build and apply
+one, and picard_solve builds its two rules once per solve.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +87,63 @@ def _panel_integrals(phase, c0, c1, c2, mom):
     return phase * (c0 * mom[0] + c1 * mom[1] + c2 * mom[2])
 
 
+class _SimpsonRule(NamedTuple):
+    """Everything of cumulative_weighted_simpson that does not depend on the
+    samples, for samples of shape `shape` (nodes first): the moments of a
+    half panel, of a panel and of a panel's second half, the phase
+    e^{i*omega*t_j} at each panel start t_j, and, for an even node count,
+    the phase at the start t_{n-3} of the tail's panel (None otherwise)."""
+
+    shape: tuple
+    h: float
+    mom_h: np.ndarray
+    mom_2h: np.ndarray
+    mom_back: np.ndarray
+    phase: np.ndarray
+    tail_phase: np.ndarray | None
+
+
+def _simpson_rule(shape: tuple, omega, dx: float) -> _SimpsonRule:
+    """The weighted rule of cumulative_weighted_simpson for samples of shape
+    `shape`, built once so that many sample arrays can share it."""
+    n = shape[0]
+    if n < 3:
+        raise ValueError("need at least 3 samples for a Simpson panel")
+    if dx <= 0:
+        raise ValueError("dx must be positive")
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape[1:]).copy()
+    h = float(dx)
+    mom_h = _phase_moments(omega, h)        # int_0^h
+    mom_2h = _phase_moments(omega, 2 * h)   # int_0^{2h}
+    mom_back = mom_2h - mom_h               # int_h^{2h}
+    starts = np.arange(0, n - 2, 2) * h
+    phase = np.exp(1j * omega * starts.reshape((-1,) + (1,) * omega.ndim))
+    tail_phase = np.exp(1j * omega * ((n - 3) * h)) if n % 2 == 0 else None
+    return _SimpsonRule(tuple(shape), h, mom_h, mom_2h, mom_back, phase, tail_phase)
+
+
+def _apply_simpson_rule(rule: _SimpsonRule, y: np.ndarray) -> np.ndarray:
+    """Cumulative integral of the samples y under a prepared rule."""
+    y = np.asarray(y)
+    if y.shape != rule.shape:
+        raise ValueError(f"samples of shape {y.shape} for a rule of shape {rule.shape}")
+    n, h = rule.shape[0], rule.h
+    out = np.zeros(y.shape, dtype=complex)
+    # all panels at once, with e^{i*omega*t_j} carried explicitly per panel
+    # start; cumsum adds the panels in order, as a running sum would
+    c0, c1, c2 = _panel_coeffs(y[0:-2:2], y[1:-1:2], y[2::2], h)
+    out[2::2] = np.cumsum(_panel_integrals(rule.phase, c0, c1, c2, rule.mom_2h), axis=0)
+    out[1:-1:2] = out[0:-2:2] + _panel_integrals(rule.phase, c0, c1, c2, rule.mom_h)
+    if rule.tail_phase is not None:
+        # Odd final interval: quadratic through the last three nodes,
+        # integrated over its second half.
+        j = n - 3
+        c0, c1, c2 = _panel_coeffs(y[j], y[j + 1], y[j + 2], h)
+        out[n - 1] = out[n - 2] + _panel_integrals(rule.tail_phase, c0, c1, c2,
+                                                   rule.mom_back)
+    return out
+
+
 def cumulative_weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:
     """Cumulative int_0^{t_j} e^{i*omega*t} g(t) dt for sampled g.
 
@@ -95,32 +159,7 @@ def cumulative_weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:
     starting at 0.
     """
     y = np.asarray(y)
-    n = y.shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 samples for a Simpson panel")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), y.shape[1:]).copy()
-    h = float(dx)
-    mom_h = _phase_moments(omega, h)        # int_0^h
-    mom_2h = _phase_moments(omega, 2 * h)   # int_0^{2h}
-    mom_back = mom_2h - mom_h               # int_h^{2h}
-    out = np.zeros(y.shape, dtype=complex)
-    # all panels at once, with e^{i*omega*t_j} carried explicitly per panel
-    # start; cumsum adds the panels in order, as a running sum would
-    starts = np.arange(0, n - 2, 2) * h
-    phase = np.exp(1j * omega * starts.reshape((-1,) + (1,) * omega.ndim))
-    c0, c1, c2 = _panel_coeffs(y[0:-2:2], y[1:-1:2], y[2::2], h)
-    out[2::2] = np.cumsum(_panel_integrals(phase, c0, c1, c2, mom_2h), axis=0)
-    out[1:-1:2] = out[0:-2:2] + _panel_integrals(phase, c0, c1, c2, mom_h)
-    if n % 2 == 0:
-        # Odd final interval: quadratic through the last three nodes,
-        # integrated over its second half.
-        j = n - 3
-        phase = np.exp(1j * omega * (j * h))
-        c0, c1, c2 = _panel_coeffs(y[j], y[j + 1], y[j + 2], h)
-        out[n - 1] = out[n - 2] + _panel_integrals(phase, c0, c1, c2, mom_back)
-    return out
+    return _apply_simpson_rule(_simpson_rule(y.shape, omega, dx), y)
 
 
 def weighted_simpson(y: np.ndarray, omega, dx: float) -> np.ndarray:

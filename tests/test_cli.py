@@ -521,6 +521,18 @@ class TestOptionTable:
         listed = re.findall(r"^  (--[\w-]+)", self.help_text(capsys, command), re.M)
         assert listed == self.FLAGS[command]
 
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_one_command_parser_helps_as_the_full_parser(self, capsys, command):
+        # main fills in the options of the command it runs only
+        texts = []
+        for only in (None, command):
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser(only).parse_args([command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == self.help_text(capsys, command)
+        assert cli._build_parser(command).format_help() == cli._build_parser().format_help()
+
     @pytest.mark.parametrize("command,flag,text", [
         ("growth", "--epsilon", "dispersion strength, >= 0"),
         ("continue", "--alpha", "amplitude exponent in the step grain"),
@@ -687,6 +699,14 @@ class TestCliOutputsScript:
         assert script.main([str(tmp_path)]) == 1
         assert "exists" in capsys.readouterr().err
 
+
+    def test_help_cases_are_wrapped_at_80_columns(self, script, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert script.run_case("help-sweep", script.CASES["help-sweep"], str(tmp_path)) == 0
+        text = (tmp_path / "help-sweep" / "stdout").read_text()
+        assert text.startswith("usage: wavereg sweep [-h]")
+        assert max(map(len, text.splitlines())) <= 80
+        assert os.environ["COLUMNS"] == "200"
 
     def test_compare_outputs_reports_numbers_and_refuses_text(self, tmp_path, capsys):
         import importlib.util

@@ -40,7 +40,6 @@ from wavereg.integrate import (
     _dx_cubic,
     _mode_exponential,
     _plain_propagator,
-    _w2_phase,
     picard_solve,
     solve,
     step_full,
@@ -57,12 +56,16 @@ from wavereg.jets_ibp import (
 )
 from wavereg.model import PressureLaw, State, SystemSpec, energy
 from wavereg.normalform import (
+    _W2_PHASE_CACHE_SIZE,
     NormalFormSetting,
     ReducedState,
     _reduced_forcing,
+    _w2_phase,
+    _w2_phase_table,
     from_normal_coords,
     to_normal_coords,
 )
+from wavereg.quadrature import cumulative_simpson_uniform, cumulative_weighted_simpson
 from wavereg.spectral import (
     _BLOCK_POINTS,
     Grid,
@@ -765,7 +768,7 @@ def object_reduced_forcing(setting, w):
 def object_step_reduced(setting, w, dt):
     """The exp_rk2 step as the object code took it: three ReducedStates and a
     fresh w2 phase for every linear flow."""
-    from wavereg.integrate import _w2_phase
+    from wavereg.normalform import _w2_phase
 
     _, cd = setting.coefficients
     grid = w.grid
@@ -804,11 +807,40 @@ class TestStepReduced:
             step_reduced(setting, w, 1e-3, scheme="leapfrog")
 
     def test_free_phase_is_unitary(self):
-        from wavereg.integrate import _w2_phase
+        from wavereg.normalform import _w2_phase
 
         grid = Grid(32)
         phase = _w2_phase(grid, 1.0 / 0.05**3, 1e-3)
         assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-15
+
+    def test_free_phase_is_cached_read_only_and_exact(self):
+        grid = Grid(16)
+        k = grid.wavenumbers.astype(float)
+        for cd, dt in ((1.0 / 0.05**3, 1e-3), (1.0 / 0.2**3, 0.5 * 7e-3)):
+            phase = _w2_phase(grid, cd, dt)
+            assert _w2_phase(grid, cd, dt) is phase
+            assert np.array_equal(phase, np.exp(1j * dt * cd * k * k))
+            assert not phase.flags.writeable
+            with pytest.raises(ValueError):
+                phase[...] = 1.0
+
+    def test_phase_cache_stays_bounded(self, rng):
+        # like the propagator's: every bisection probe asks for two fresh
+        # step lengths, and four crossing runs with different steps ask
+        # for far more than the cache holds
+        _w2_phase_table.cache_clear()
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, law=PressureLaw.P1, amplitude=1.0)
+        w = self.make_w(grid, rng, 0.2)
+        free = solve(setting, PressureLaw.P1, w, IntegratorConfig(dt=1e-3, t_end=0.2))
+        monitor = [max(d["norm1_h1"], d["norm2_l2"]) for d in free.diagnostics]
+        assert max(monitor) > monitor[0]
+        for j, share in enumerate((0.2, 0.4, 0.6, 0.8)):
+            rho = monitor[0] + share * (max(monitor) - monitor[0])
+            cfg = IntegratorConfig(dt=(5 + j) * 1e-4, t_end=0.2, blowup_threshold=rho)
+            assert solve(setting, PressureLaw.P1, w, cfg).terminal_status == "blowup"
+            assert _w2_phase_table.cache_info().currsize <= _W2_PHASE_CACHE_SIZE
+        assert _w2_phase_table.cache_info().misses > 2 * _W2_PHASE_CACHE_SIZE
 
     def test_zero_stays_zero_and_time_advances(self):
         grid = Grid(8)
@@ -1422,6 +1454,43 @@ class TestPicard:
         assert report.final_residual == pytest.approx(residual, rel=2e-3)
         assert report.contraction_ratios == pytest.approx(ratios, rel=2e-3)
         assert len(traj) == 257
+
+    @pytest.mark.parametrize("n_nodes", [64, 65])
+    @pytest.mark.parametrize(
+        "law, conjugated", [(PressureLaw.P0, True), (PressureLaw.P2, False)])
+    def test_equals_a_loop_over_the_public_rules(self, rng, n_nodes, law, conjugated):
+        # the loop as it read before the rules were built once per solve:
+        # every iterate calls the public Simpson functions
+        grid = Grid(8)
+        setting = NormalFormSetting(0.25, conjugated, law, amplitude=0.5)
+        w1 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        w2 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        T = 0.005
+        traj, report = picard_solve(w1, w2, law, setting, T=T, n_nodes=n_nodes)
+
+        k = grid.wavenumbers.astype(float)
+        _, cd = setting.coefficients
+        times = np.linspace(0.0, T, n_nodes)
+        dx = times[1] - times[0]
+        forward = np.exp(1j * cd * (k * k)[None, :] * times[:, None])
+        a1, a2 = np.tile(w1.coeffs, (n_nodes, 1)), np.tile(w2.coeffs, (n_nodes, 1))
+        diffs = []
+        while not diffs or diffs[-1] >= 1e-10:
+            g1, n2 = _reduced_forcing(setting, grid, a1, a2, times)
+            b1 = w1.coeffs[None, :] + cumulative_simpson_uniform(g1, dx)
+            b2 = forward * (w2.coeffs[None, :]
+                            + cumulative_weighted_simpson(n2, -cd * k * k, dx))
+            d1 = np.sqrt(np.sum(np.maximum(1.0, k * k) * np.abs(b1 - a1) ** 2, axis=1))
+            d2 = np.sqrt(np.sum(np.abs(b2 - a2) ** 2, axis=1))
+            diffs.append(float(np.max(np.maximum(d1, d2))))
+            a1, a2 = b1, b2
+        assert len(diffs) > 2
+        assert report.iterates == len(diffs)
+        assert report.final_residual == diffs[-1]
+        assert report.contraction_ratios == [b / a for a, b in zip(diffs, diffs[1:])]
+        for j, w in enumerate(traj):
+            assert np.array_equal(w.w1.coeffs, a1[j])
+            assert np.array_equal(w.w2.coeffs, a2[j])
 
     def test_contraction_ratios_shrink_the_residual(self, rng):
         grid = Grid(8)

@@ -252,6 +252,25 @@ class TestIbpCoefficients:
         with pytest.raises(ValueError):
             IbpCoefficients(n=1, lam=0.5, epsilon=0.1, c_embed=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["lam", "epsilon", "c_embed"])
+    def test_rejects_non_finite(self, key, bad):
+        good = {"n": 1, "lam": 0.5, "epsilon": 0.1, "c_embed": 2.0}
+        with pytest.raises(ValueError, match=key):
+            IbpCoefficients(**{**good, key: bad})
+
+    def test_rejects_nan_amplitude_with_infinite_constant(self):
+        with pytest.raises(ValueError, match="^lam must be finite, got nan$"):
+            IbpCoefficients(n=1, lam=float("nan"), epsilon=0.1, c_embed=float("inf"))
+
+    def test_messages_for_values_out_of_range(self):
+        with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+            IbpCoefficients(n=1, lam=float("-inf"), epsilon=0.1, c_embed=2.0)
+        with pytest.raises(ValueError, match="^c_embed must be positive$"):
+            IbpCoefficients(n=1, lam=0.5, epsilon=0.1, c_embed=float("-inf"))
+        with pytest.raises(ValueError, match="^c_embed must be finite, got inf$"):
+            IbpCoefficients(n=1, lam=0.5, epsilon=0.1, c_embed=float("inf"))
+
     def test_denominators_closed_form(self):
         coeffs = IbpCoefficients(n=3, lam=0.5, epsilon=0.1, c_embed=2.0)
         for k in range(5):
@@ -629,6 +648,24 @@ class TestChooseN:
 
     def test_zero_amplitude_gives_the_floor(self):
         assert choose_n(0.0, 0.5, 1.0) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("position, name", [(0, "lam"), (1, "epsilon"), (2, "c_embed")])
+    def test_rejects_non_finite(self, position, name, bad):
+        args = [0.5, 0.1, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            choose_n(*args)
+
+    def test_rejects_infinite_constant_at_zero_amplitude(self):
+        # inf * 0 is nan, which no comparison of the scan catches
+        with pytest.raises(ValueError, match="c_embed must be finite"):
+            choose_n(0.0, 0.5, float("inf"))
+
+    def test_non_positive_epsilon_message(self):
+        for eps in (0.0, float("-inf")):
+            with pytest.raises(ValueError, match="^epsilon must be positive$"):
+                choose_n(0.5, eps, 1.0)
 
     def test_minimality_and_log_consequence(self, rng):
         # the selected n satisfies the rule, its predecessor does not, and

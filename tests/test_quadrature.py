@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wavereg.quadrature import (
+    _apply_simpson_rule,
+    _simpson_rule,
     cumulative_simpson_uniform,
     cumulative_weighted_simpson,
     simpson_uniform,
@@ -153,6 +155,45 @@ class TestWeightedSimpson:
         got = cumulative_weighted_simpson(y, omega, h)
         last = n - 1 if n % 2 == 0 else n
         np.testing.assert_array_equal(got[:last], want[:last])
+
+
+class TestPreparedRule:
+    """The rule cumulative_weighted_simpson builds and applies, built once
+    and applied to several sample arrays, as picard_solve uses it."""
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 64, 65])
+    @pytest.mark.parametrize(
+        "omega, columns",
+        [(0.0, ()), (0.0, (4,)), (7.5, ()), (7.5, (4,)),
+         (np.array([0.0, 1.5, -40.0, 3e3]), (4,))],
+        ids=["zero-1d", "zero", "scalar-1d", "scalar", "vector"],
+    )
+    def test_applies_as_the_public_function(self, rng, n, omega, columns):
+        dx = 0.013
+        shape = (n, *columns)
+        rule = _simpson_rule(shape, omega, dx)
+        for _ in range(3):
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = _apply_simpson_rule(rule, y)
+            assert np.array_equal(got, cumulative_weighted_simpson(y, omega, dx))
+            if np.ndim(omega) == 0 and omega == 0.0:
+                assert np.array_equal(got, cumulative_simpson_uniform(y, dx))
+
+    def test_rejects_short_samples_and_bad_steps(self):
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="at least 3 samples"):
+                _simpson_rule((n, 4), 1.0, 0.1)
+            with pytest.raises(ValueError, match="at least 3 samples"):
+                cumulative_weighted_simpson(np.ones((n, 4)), 1.0, 0.1)
+        for dx in (0.0, -0.1):
+            with pytest.raises(ValueError, match="dx must be positive"):
+                _simpson_rule((5, 4), 1.0, dx)
+            with pytest.raises(ValueError, match="dx must be positive"):
+                cumulative_simpson_uniform(np.ones((5, 4)), dx)
+        rule = _simpson_rule((5, 4), 1.0, 0.1)
+        for shape in ((6, 4), (5, 3), (5,)):
+            with pytest.raises(ValueError, match="shape"):
+                _apply_simpson_rule(rule, np.ones(shape))
 
 
 _COEFFICIENT = st.floats(-3.0, 3.0)
