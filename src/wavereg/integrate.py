@@ -478,8 +478,10 @@ def picard_solve(
     for _ in range(max_iter):
         g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
         new_w1 = w1_0.coeffs[None, :] + _apply_simpson_rule(plain, g1)
-        duhamel = _apply_simpson_rule(duhamel_rule, n2)
-        new_w2 = forward * (w2_0.coeffs[None, :] + duhamel)
+        new_w2 = forward * (w2_0.coeffs[None, :] + _apply_simpson_rule(duhamel_rule, n2))
+        # else the last forcing sits beside the next while it is formed,
+        # about 0.4 MB of picard-modified's peak RSS
+        del g1, n2
         diff = _trajectory_distance(grid, new_w1, new_w2, w1_flat, w2_flat)
         w1_flat, w2_flat = new_w1, new_w2
         iterates += 1
