@@ -46,6 +46,11 @@ _MODIFIED_SWEEP_K512 = [
     "--n-modes", "512", "--epsilons", "0.2,0.1,0.05", "--time-scale", "eps_squared",
     "--dt", "0.02", "--t-end", "3.0", "--rho-max", "0.152", "--seed", "5",
 ]
+# the benchmark's simulate-k32 workload at its first datum seed
+_SIMULATE_K32 = [
+    "simulate", "--system", "regularized", "--pressure", "p1", "--epsilon", "0.1",
+    "--alpha", "0.5", "--seed", "5",
+]
 _P1_SWEEP = [
     "sweep", "--pressure", "p1", "--alpha", "0.5", "--epsilons", "0.2,0.1,0.05",
     "--n-modes", "16", "--dt", "0.005", "--t-end", "0.05", "--seed", "11",
@@ -64,6 +69,7 @@ CASES = {
                             "--theorem-scaling"],
     "simulate-store-every-ragged": ["simulate", "--epsilon", "0.1", "--store-every",
                                     "7", "--t-end", "0.1234"],
+    "simulate-k32": _SIMULATE_K32,
     "simulate-modified-crossing": [
         "simulate", "--system", "modified", "--epsilon", "0.2", "--seed", "3",
         "--rho-max", "0.152", "--dt", "0.0008", "--t-end", "0.12"],

@@ -92,10 +92,19 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(header, rows, meta=None) -> str:
-    """Render a comma-separated table; meta becomes trailing comment lines."""
+    """Render a comma-separated table; meta becomes trailing comment lines.
+    Each row is formatted by one template per sequence of cell types, which
+    spells _fmt for each cell: floats as .17g, None as nothing."""
     lines = [",".join(header)]
+    templates = {}
     for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "" if kind is type(None) else f"{{{i}:.17g}}" if issubclass(kind, float)
+                else f"{{{i}!s}}" for i, kind in enumerate(kinds))
+        lines.append(template.format(*row))
     for key, value in (meta or {}).items():
         lines.append(f"# {key} = {_fmt(value) if value is not None else 'none'}")
     return "\n".join(lines) + "\n"

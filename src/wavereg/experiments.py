@@ -658,8 +658,8 @@ def _normal_blocks(setting: NormalFormSetting, trajectory: Trajectory):
     states = trajectory.states
     grid = states[0].grid
     for block in _blocks(grid, len(states)):
-        u1 = np.stack([st.u1.coeffs for st in states[block]])
-        u2 = np.stack([st.u2.coeffs for st in states[block]])
+        u1 = np.array([st.u1.coeffs for st in states[block]])
+        u2 = np.array([st.u2.coeffs for st in states[block]])
         v1, v2 = _normal_coords(setting, grid, u1 / setting.amplitude,
                                 u2 / setting.amplitude, inverse=True)
         yield u1, u2, v1, v2
@@ -683,7 +683,7 @@ def normal_frame_columns(setting: NormalFormSetting, trajectory: Trajectory):
     v1 and the L2 norm of v2 (v as in normal_history; the frame phases keep
     both) and the cancellation residual of the stored state."""
     grid = trajectory.states[0].grid
-    columns = [np.stack([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
+    columns = [np.array([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
                          _cancellation_residuals(setting, grid, u1, u2)])
                for u1, u2, v1, v2 in _normal_blocks(setting, trajectory)]
     return np.concatenate(columns, axis=1).tolist()

@@ -1,21 +1,22 @@
 """Time integration, blow-up detection, and the Duhamel fixed-point solver.
 
-The stiff linear parts are never discretized.  One Lawson core, _lawson,
-advances both systems by midpoint Runge-Kutta (exp_rk2, order 2, the
-default) or Euler (exp_euler, order 1) on the nonlinear remainder; each
-system supplies its forcing in its own compact layout, the linear flow of
-a state plus a multiple of a lifted forcing, and the flow of a lifted
-forcing alone.  For the full system the symbol of each Fourier mode is a
-2x2 matrix whose exponential _mode_exponential applies exactly, in the one
-closed form that growth_experiment shares; the forcing is the single u2
-row -ct dx cubic(u1), lifted as (0, f), where dx of the cubic part of p(u1)
-is formed on the padded product grid of spectral.py (two FFT calls).  For
-the reduced system the only stiff piece is the free Schroedinger factor on
-w2, a unimodular per-mode phase that normalform caches per step length,
-and the flow is the identity on w1; its forcing (g1, n2) comes from the
-array kernel of normalform.py in the layout of the state, so its lift is
-the identity.  solve drives either system through the same loop, monitor
-and diagnostics.
+The stiff linear parts are never discretized.  Both steppers are Lawson
+methods: midpoint Runge-Kutta (exp_rk2, order 2, the default) or Euler
+(exp_euler, order 1) on the nonlinear remainder, each spelled once per
+system in its own compact layout.  For the full system the symbol of each
+Fourier mode is a 2x2 matrix whose exponential _mode_exponential applies
+exactly, in the one closed form that growth_experiment shares; the
+forcing is the single u2 row -ct dx cubic(u1), lifted as (0, f), where dx
+of the cubic part of p(u1) is formed on the padded product grid of
+spectral.py (two FFT calls).  step_full fetches the step's two
+propagators once and forms the midpoint's u1 row only, the one row the
+forcing reads.  For the reduced system the only stiff piece is the free
+Schroedinger factor on w2, a unimodular per-mode phase that normalform
+caches per step length, and the flow is the identity on w1; its forcing
+(g1, n2) comes from the array kernel of normalform.py in the layout of
+the state, so its lift is the identity.  solve drives either system
+through the same loop, monitor and diagnostics; the monitor sums squares
+by dot products, as np.linalg.norm does, with no call of it per step.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
@@ -38,6 +39,7 @@ kernel call and applies the two rules to it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -168,22 +170,11 @@ def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray, ik=None) -> np.ndarr
     return (1j * grid.wavenumbers if ik is None else ik) * _band_coeffs(grid, cubic)
 
 
-def _lawson(forcing, flow, push, y, dt: float, scheme: str):
-    """One Lawson step of y' = L y + lift N(y, t).
-
-    forcing(y, s) evaluates N, in the system's compact layout, at the stage
-    that starts s after the step; flow(h, y, f=None, c=0.0) applies
-    exp(hL)(y + c lift f), and push(h, f) applies exp(hL) lift f.  For the
-    full system lift f = (0, f) with f the u2 row; for the reduced system
-    the forcing has the state's layout and lift is the identity."""
-    if scheme == "exp_euler":
-        return flow(dt, y, forcing(y, 0.0), dt)
-    if scheme != "exp_rk2":
+def _require_step(dt: float, scheme: str) -> None:
+    if not 0.0 < dt < np.inf:  # nan and -inf too
+        raise ValueError("dt must be positive and finite")
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    k1 = forcing(y, 0.0)
-    mid = flow(0.5 * dt, y, k1, 0.5 * dt)
-    k2 = forcing(mid, 0.5 * dt)
-    return flow(dt, y) + dt * push(0.5 * dt, k2)
 
 
 def step_full(
@@ -195,29 +186,31 @@ def step_full(
     scheme: str = "exp_rk2",
 ) -> State:
     """One exponential-integrator step of the full system on the pair
-    (u1, u2) of coefficient rows, with the forcing -ct dx cubic(u1) on u2."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    (u1, u2) of coefficient rows, with the forcing f = -ct dx cubic(u1) on
+    u2 alone.  With P(h) the propagator of step length h, exp_euler takes
+    P(dt)(u1, u2 + dt f(u1)); exp_rk2 forms the midpoint's u1 row, all that
+    f reads, from P(dt/2)(u1, u2 + dt/2 f(u1)) and returns
+    P(dt)(u1, u2) + dt P(dt/2)(0, f(mid)).  Each propagator is fetched once
+    per step."""
+    _require_step(dt, scheme)
     _require_law(spec, law)
     ct, cd = spec.coefficients
     grid = state.grid
-    mirror = _mirror if spec.kind == "modified" else (lambda c: c)
+    modified = spec.kind == "modified"
+    u1 = _mirror(state.u1.coeffs) if modified else state.u1.coeffs
+    u2 = state.u2.coeffs
     ik = 1j * grid.wavenumbers
-
-    def forcing(y, s: float) -> np.ndarray:
-        return (-ct) * _dx_cubic(law, grid, y[0], ik)
-
-    def flow(h: float, y, f=None, c: float = 0.0) -> np.ndarray:
-        p = _plain_propagator(grid, ct, cd, h)
-        u1, u2 = y
-        return p[0::2] * u1 + p[1::2] * (u2 if f is None else u2 + c * f)
-
-    def push(h: float, f: np.ndarray) -> np.ndarray:
-        return _plain_propagator(grid, ct, cd, h)[1::2] * f
-
-    u1, u2 = _lawson(forcing, flow, push, (mirror(state.u1.coeffs), state.u2.coeffs),
-                     dt, scheme)
-    return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
+    p = _plain_propagator(grid, ct, cd, dt)
+    f = (-ct) * _dx_cubic(law, grid, u1, ik)
+    if scheme == "exp_euler":
+        u1, u2 = p[0::2] * u1 + p[1::2] * (u2 + dt * f)
+    else:
+        h = _plain_propagator(grid, ct, cd, 0.5 * dt)
+        mid = h[0] * u1 + h[1] * (u2 + (0.5 * dt) * f)
+        f = (-ct) * _dx_cubic(law, grid, mid, ik)
+        u1, u2 = p[0::2] * u1 + p[1::2] * u2 + dt * (h[1::2] * f)
+    return State(SpectralField(grid, _mirror(u1) if modified else u1),
+                 SpectralField(grid, u2))
 
 
 def step_reduced(
@@ -225,17 +218,18 @@ def step_reduced(
 ) -> ReducedState:
     """One exponential-integrator step of the reduced system.
 
-    The state is the (2, 1, 2K+1) stack of (w1, w2), a batch of one member,
-    which is also the layout of _reduced_forcing's (g1, n2); the flow keeps
-    w1 and multiplies w2 by the phase of its step length.  The phases and
-    the forcing's per-mode tables are cached in normalform, so a step of a
-    length seen before builds none of them.
+    The state is the (2, 1, 2K+1) stack y of (w1, w2), a batch of one
+    member, which is also the layout of _reduced_forcing's (g1, n2), so the
+    forcing N lifts as itself; the flow E(h) keeps w1 and multiplies w2 by
+    the phase of step length h.  exp_euler takes E(dt)(y + dt N(y)), and
+    exp_rk2 E(dt) y + dt E(dt/2) N(E(dt/2)(y + dt/2 N(y)), at dt/2).  The
+    phases and the forcing's per-mode tables are cached in normalform, so a
+    step of a length seen before builds none of them.
 
     dt is capped at epsilon/20: the oscillatory prefactors are evaluated
     analytically at stage times, but the amplitudes they multiply must stay
     resolved."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _require_step(dt, scheme)
     if dt > setting.epsilon / 20.0 * (1.0 + 1e-9):
         raise ValueError(
             f"dt = {dt} exceeds the oscillatory cap epsilon/20 = {setting.epsilon / 20}"
@@ -253,7 +247,12 @@ def step_reduced(
         return z
 
     y = np.array((w.w1.coeffs, w.w2.coeffs))[:, None]
-    w1, w2 = _lawson(forcing, flow, flow, y, dt, scheme)[:, 0]
+    if scheme == "exp_euler":
+        y = flow(dt, y, forcing(y, 0.0), dt)
+    else:
+        k2 = forcing(flow(0.5 * dt, y, forcing(y, 0.0), 0.5 * dt), 0.5 * dt)
+        y = flow(dt, y) + dt * flow(0.5 * dt, k2)
+    w1, w2 = y[:, 0]
     return ReducedState(SpectralField(grid, w1), SpectralField(grid, w2), w.t + dt)
 
 
@@ -264,10 +263,18 @@ def step_reduced(
 def _monitor(grid: Grid):
     """The blow-up monitor on grid: max(H1 norm of the first, L2 norm of the
     second) of two coefficient vectors, with the H1 weight built once; NaN
-    when either norm is NaN, so a finite value means finite coefficients."""
+    when either norm is NaN, so a finite value means finite coefficients.
+    Each squared norm is np.linalg.norm's own sum re.re + im.im by dot, and
+    the root of the larger sum is the larger root, so the value is the two
+    norm calls' bit for bit."""
     weight = np.maximum(1.0, np.abs(grid.wavenumbers))
-    return lambda first, second: np.maximum(np.linalg.norm(weight * first),
-                                            np.linalg.norm(second))
+
+    def monitor(first, second):
+        first = weight * first
+        re1, im1, re2, im2 = first.real, first.imag, second.real, second.imag
+        return np.sqrt(np.maximum(re1.dot(re1) + im1.dot(im1), re2.dot(re2) + im2.dot(im2)))
+
+    return monitor
 
 
 def _finite(first: np.ndarray, second: np.ndarray) -> bool:
@@ -281,14 +288,14 @@ def _diagnostics(law: PressureLaw, grid: Grid, first, second, physical) -> list:
     """One diagnostics dict per row of the sample arrays first and second
     (N, 2K+1): their H1 and L2 norms and means, and the energy of the
     physical arrays (u1, u2) of the same samples."""
-    columns = np.stack([
+    columns = np.array([
         _hs_norms(grid, first, 1.0),
         _hs_norms(grid, second),
         _energies(law, *physical)[0],
         np.abs(first[:, grid.n_modes]),
         np.abs(second[:, grid.n_modes]),
-    ], axis=1)
-    return [dict(zip(_DIAGNOSTIC_KEYS, row)) for row in columns.tolist()]
+    ])
+    return [dict(zip(_DIAGNOSTIC_KEYS, row)) for row in columns.T.tolist()]
 
 
 def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajectory:
@@ -349,15 +356,16 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
     blowup_time = t0 if status == "blowup" else None
 
     t = t0
+    t_stop = config.t_end - 1e-12 * max(1.0, config.t_end)
     step_index = 0
-    while status == "completed" and t < config.t_end - 1e-12 * max(1.0, config.t_end):
+    while status == "completed" and t < t_stop:
         dt = min(config.dt, config.t_end - t)
         nxt = stepper(current, t, dt)
         step_index += 1
         value = monitor(nxt)
         # a finite norm means finite coefficients; an infinite one may
         # still come from finite coefficients, which take the blow-up path
-        if not np.isfinite(value) and not _finite(*pair(nxt)):
+        if not math.isfinite(value) and not _finite(*pair(nxt)):
             status = "diverged"
             break
         if value > rho:
@@ -387,7 +395,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
         states.append(current)
     diagnostics = []
     for block in _blocks(datum.grid, len(states)):
-        first, second = map(np.stack, zip(*map(pair, states[block])))
+        first, second = map(np.array, zip(*map(pair, states[block])))
         diagnostics += _diagnostics(law, datum.grid, first, second,
                                     physical(times[block], first, second))
     return Trajectory(times, states, diagnostics, status, blowup_time=blowup_time)

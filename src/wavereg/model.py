@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, _blocks, _mirror, _padded_values
+from .spectral import SpectralField, _band_grid, _blocks, _mirror, _padded_values
 
 
 class PressureLaw(Enum):
@@ -158,7 +158,7 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     the band |k| <= 4K of the product no alias on mode 0, so the average is
     the exact mean.  The rows go through in the blocks of
     spectral._blocks, one FFT call per block."""
-    grid = Grid((np.shape(u1)[-1] - 1) // 2)
+    grid = _band_grid(np.shape(u1)[-1])
     two_pi = 2.0 * math.pi
 
     def pair(a, b):
@@ -172,7 +172,7 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     quart *= 0.25 * two_pi
     quad1 = -0.5 * two_pi * pair(u1, u1 if law is PressureLaw.P0 else _mirror(u1))
     quad2 = 0.5 * two_pi * pair(u2, _mirror(u2))
-    return np.stack([quart + quad1 + quad2, quart, quad1, quad2])
+    return np.array([quart + quad1 + quad2, quart, quad1, quad2])
 
 
 def _require_law(spec: SystemSpec, law: PressureLaw) -> None:

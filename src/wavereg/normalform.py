@@ -47,11 +47,12 @@ independent oracles of the kernels here, and only the tests call them.
 The change of coordinates both ways (_normal_coords, which
 from_normal_coords and to_normal_coords wrap) and the cancellation
 residual (_cancellation_residuals) run on coefficient arrays with a
-leading sample axis.  The reduced system itself is evaluated by one array
-kernel, _reduced_forcing: it takes raw coefficient arrays with a leading
-batch axis, one member per row at its own time, and assembles the same
-formula on spectral.py's padded product grid with two FFT calls per block
-of members.  Every per-mode constant of that formula (the symbols of dx, m
+leading sample axis, on per-mode symbols that _mode_symbols builds once
+per (grid, eps) and keeps in a small read-only cache.  The reduced system
+itself is evaluated by one array kernel, _reduced_forcing: it takes raw
+coefficient arrays with a leading batch axis, one member per row at its
+own time, and assembles the same formula on spectral.py's padded product
+grid with two FFT calls per block of members.  Every per-mode constant of that formula (the symbols of dx, m
 and (Id + eps M)^{-1}, the law's factors, the mean projection, 1/eps and
 c_t) is folded into two read-only tables, built once per (grid, eps, law,
 amplitude) by _forcing_tables and kept in its small lru_cache beside the
@@ -64,7 +65,7 @@ end of this module, read through the plain function _w2_phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -172,15 +173,13 @@ def _normal_coords(setting: NormalFormSetting, grid, a1, a2, inverse=False):
     never degenerates for eps < 1.  The conjugated setting mirrors the first
     component in and out.  The arrays are not validated."""
     if setting.conjugated:
-        plain = replace(setting, conjugated=False)
-        b1, b2 = _normal_coords(plain, grid, _mirror(a1), a2, inverse)
-        return _mirror(b1), b2
-    k = grid.wavenumbers.astype(float)
-    fac = np.where(k == 0.0, 0.0, setting.epsilon / np.where(k == 0.0, 1.0, k))
-    if not inverse:
-        return a1 - fac * a2, a2 - fac * a1
-    det = 1.0 - fac * fac
-    return (a1 + fac * a2) / det, (fac * a1 + a2) / det
+        a1 = _mirror(a1)
+    fac, det = _mode_symbols(grid, setting.epsilon)[:2]
+    if inverse:
+        b1, b2 = (a1 + fac * a2) / det, (fac * a1 + a2) / det
+    else:
+        b1, b2 = a1 - fac * a2, a2 - fac * a1
+    return (_mirror(b1) if setting.conjugated else b1), b2
 
 
 def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
@@ -193,9 +192,7 @@ def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
     State."""
     if setting.conjugated:
         u1 = _mirror(u1)
-    k = grid.wavenumbers
-    inv_k = _m_symbol(grid)
-    d1, d2 = 1j * k, (1j * k) ** 2  # symbols of dx and dx^2
+    inv_k, d1, d2 = _mode_symbols(grid, setting.epsilon)[2:]  # m, dx and dx^2
     corrector = lambda a1, a2: (-inv_k * a2, -inv_k * a1)  # M
     zero = np.zeros_like(u2)
     disp_m = (zero, 1j * (d2 * corrector(u1, u2)[1]))
@@ -203,6 +200,20 @@ def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
     transport = (d1 * u2, -(d1 * u1))
     res1, res2 = (a - b + c for a, b, c in zip(disp_m, m_disp, transport))
     return np.sqrt(_hs_norms(grid, res1) ** 2 + _hs_norms(grid, res2) ** 2)
+
+
+@lru_cache(maxsize=16)
+def _mode_symbols(grid, epsilon: float) -> tuple:
+    """Read-only per-mode symbols of the two kernels above, built once per
+    (grid, eps): eps/k and the determinant 1 - (eps/k)^2 of Id + eps*M (0
+    and 1 at k = 0), then the symbols 1/k, ik and (ik)^2 of m, dx and dx^2."""
+    k = grid.wavenumbers.astype(float)
+    fac = np.where(k == 0.0, 0.0, epsilon / np.where(k == 0.0, 1.0, k))
+    ik = 1j * grid.wavenumbers
+    symbols = (fac, 1.0 - fac * fac, _m_symbol(grid), ik, ik**2)
+    for symbol in symbols:
+        symbol.setflags(write=False)
+    return symbols
 
 
 def _m_symbol(grid) -> np.ndarray:

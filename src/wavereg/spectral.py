@@ -31,11 +31,14 @@ own n_points) whose prime factors are all at most 11, the radices of numpy's
 FFT, so no transform falls back to a slow generic pass on a large prime
 factor.  The array kernels of other modules reach that grid only through
 _padded_values and _band_coeffs; `multiply` stays apart as their oracle.
+The Sobolev weights of the row-norm kernels, and the default grid of a
+band size, are built once each and kept in small read-only caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,12 +87,13 @@ class Grid:
 
     n_padded, the size of the padded product grid, is derived once here: the
     smallest 11-smooth length >= max(2(2K+1), n_points), e.g. 35 for K = 8
-    and 2058 for K = 512.
+    and 2058 for K = 512; so is wavenumbers, the read-only array -K..K.
     """
 
     n_modes: int
     n_points: int = 0
     n_padded: int = field(init=False, repr=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_modes < 0:
@@ -103,14 +107,13 @@ class Grid:
             )
         n_padded = _smooth_length(max(2 * self.n_coeffs, self.n_points))
         object.__setattr__(self, "n_padded", n_padded)
+        wavenumbers = np.arange(-self.n_modes, self.n_modes + 1)
+        wavenumbers.setflags(write=False)
+        object.__setattr__(self, "wavenumbers", wavenumbers)
 
     @property
     def n_coeffs(self) -> int:
         return 2 * self.n_modes + 1
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(-self.n_modes, self.n_modes + 1)
 
     def points(self, n_points: int | None = None) -> np.ndarray:
         n = self.n_points if n_points is None else int(n_points)
@@ -130,12 +133,11 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)  # a copy
         if c.shape != (self.grid.n_coeffs,):
             raise ValueError(
                 f"expected {self.grid.n_coeffs} coefficients, got shape {c.shape}"
             )
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -321,7 +323,7 @@ def _norms(grid: Grid, coeffs: np.ndarray, s: float | None = None) -> np.ndarray
     the strided real and imaginary views, one np.vecdot dot per row.
     _hs_norms's reduction along an axis rounds differently."""
     if s is not None:
-        coeffs = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s) * coeffs
+        coeffs = _sobolev_weight(grid, float(s)) * coeffs
     re, im = coeffs.real, coeffs.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
@@ -329,8 +331,18 @@ def _norms(grid: Grid, coeffs: np.ndarray, s: float | None = None) -> np.ndarray
 def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
     """norm(f, "Hs", s) of every row f of a coefficient array (..., 2K+1),
     to rounding (_norms gives norm's bits); s = 0 gives the L2 norms."""
-    w = np.maximum(1.0, np.abs(grid.wavenumbers)) ** float(s)
-    return np.linalg.norm(w * coeffs, axis=-1)
+    if s:  # a weight of ones would change no bit
+        coeffs = _sobolev_weight(grid, float(s)) * coeffs
+    return np.linalg.norm(coeffs, axis=-1)
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """The read-only weight max(1, |k|)^s per mode of grid, built once per
+    (grid, s) for the row-norm kernels above."""
+    weight = np.maximum(1.0, np.abs(grid.wavenumbers)) ** s
+    weight.setflags(write=False)
+    return weight
 
 
 def _linf_norms(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -376,6 +388,13 @@ def _blocks(grid: Grid, count: int):
     at K = 512 (2058)."""
     size = max(1, _BLOCK_POINTS // grid.n_padded)
     return (slice(i, i + size) for i in range(0, count, size))
+
+
+@lru_cache(maxsize=16)
+def _band_grid(n_coeffs: int) -> Grid:
+    """Grid((n_coeffs - 1) // 2), the default grid of a band of n_coeffs
+    coefficients, built once per band size."""
+    return Grid((n_coeffs - 1) // 2)
 
 
 def _padded_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -451,6 +451,29 @@ class TestVerify:
         assert "n_modes >= 8" in capsys.readouterr().err
 
 
+class TestCsvText:
+    def test_rows_equal_the_per_cell_format(self):
+        # each row's template spells _fmt for every cell: floats (signed
+        # zero, nan, inf, subnormal, numpy scalar) at 17 digits, None as
+        # nothing, ints, bools, numpy ints and strings by str
+        header = ["a", "b", "c", "d", "e", "f"]
+        rows = [
+            (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, np.float64(1.0 / 3.0)),
+            (1, True, None, "completed", np.int64(7), 0.1),
+            [None, None, 2.5, False, "x", np.float64(-0.0)],
+            (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, np.float64(1.0 / 3.0)),
+        ]
+        meta = {"status": "blowup", "time": None, "value": 1e-300}
+        want = "\n".join(
+            [",".join(header)]
+            + [",".join(cli._fmt(cell) for cell in row) for row in rows]
+            + ["# status = blowup", "# time = none", "# value = 1e-300"]
+        ) + "\n"
+        assert cli._csv_text(header, rows, meta) == want
+        assert want.splitlines()[1] == (
+            "-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331")
+
+
 class TestReadTable:
     def test_meta_and_blank_lines(self, tmp_path):
         path = tmp_path / "toy.csv"

@@ -39,6 +39,7 @@ from wavereg.integrate import (
     _PROPAGATOR_CACHE_SIZE,
     _dx_cubic,
     _mode_exponential,
+    _monitor,
     _plain_propagator,
     picard_solve,
     solve,
@@ -387,6 +388,20 @@ class TestStepFull:
         assert norm(out.u1, "L2") == 0.0
         assert norm(out.u2, "L2") == 0.0
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scheme", ["exp_rk2", "exp_euler"])
+    def test_rejects_non_finite_dt(self, rng, dt, scheme):
+        # rejected before any propagator is looked up, so the bounded cache
+        # holds no non-finite entry afterwards
+        grid = Grid(8)
+        spec = SystemSpec("regularized", 0.3, rescaled=True)
+        state = random_state(grid, rng, scale=0.1)
+        step_full(spec, PressureLaw.P0, state, 0.0, 1e-3, scheme)
+        before = _plain_propagator.cache_info()
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            step_full(spec, PressureLaw.P0, state, 0.0, dt, scheme)
+        assert _plain_propagator.cache_info() == before
+
     def test_repeated_linear_application_matches_one_exponential(self):
         # semigroup property of the cached propagator: 1000 small steps of
         # the linear flow equal a single exponential of the total time.
@@ -586,6 +601,28 @@ class TestFftCalls:
         spec = SystemSpec(kind, 0.2, rescaled=True)
         step_full(spec, law, state, 0.0, 1e-4, scheme)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "kind, law",
+        [("regularized", PressureLaw.P1), ("modified", PressureLaw.P0)],
+    )
+    @pytest.mark.parametrize("scheme", ["exp_rk2", "exp_euler"])
+    def test_full_step_builds_two_fields(self, monkeypatch, kind, law, scheme):
+        # the returned State's two validated fields and no other, counted by
+        # wrapping SpectralField.__init__ as the benchmark's tracer does
+        grid = Grid(16)
+        state = random_state(grid, np.random.default_rng(2), scale=0.1)
+        spec = SystemSpec(kind, 0.2, rescaled=True)
+        built = []
+        init = SpectralField.__init__
+
+        def counted(field, *args, **kwargs):
+            built.append(field)
+            return init(field, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralField, "__init__", counted)
+        out = step_full(spec, law, state, 0.0, 1e-4, scheme)
+        assert built == [out.u1, out.u2]
 
     def test_reduced_step(self, calls):
         grid = Grid(8)
@@ -805,6 +842,19 @@ class TestStepReduced:
         w = self.make_w(grid, rng, 0.2)
         with pytest.raises(ValueError):
             step_reduced(setting, w, 1e-3, scheme="leapfrog")
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scheme", ["exp_rk2", "exp_euler"])
+    def test_rejects_non_finite_dt(self, rng, dt, scheme):
+        # before the cap, and before any phase is looked up
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, amplitude=1.0)
+        w = self.make_w(grid, rng, 0.2)
+        step_reduced(setting, w, 1e-3, scheme)
+        before = _w2_phase_table.cache_info()
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            step_reduced(setting, w, dt, scheme)
+        assert _w2_phase_table.cache_info() == before
 
     def test_free_phase_is_unitary(self):
         from wavereg.normalform import _w2_phase
@@ -1286,6 +1336,39 @@ class TestSolveEdges:
                 if n_modes == 0:
                     assert norm(field, "L2") == 0.0
         assert all(np.isfinite(d["energy"]) for d in traj.diagnostics)
+
+
+class TestMonitor:
+    """The blow-up monitor, one dot-product sum per component, against the
+    two np.linalg.norm calls it replaced, compared with ==."""
+
+    @staticmethod
+    def rows(grid, rng):
+        """Random pairs of rows at several scales, rows holding nan or inf,
+        and finite rows whose norm overflows to inf."""
+        shape = (24, 2, grid.n_coeffs)
+        scales = 10.0 ** rng.uniform(-8, 3, (24, 2, 1))
+        pairs = list(scales * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), 1e200):
+            for component in (0, 1):
+                pair = pairs[0].copy()
+                if value == 1e200:
+                    pair[component] *= value
+                else:
+                    pair[component][grid.n_modes] = value
+                pairs.append(pair)
+        return pairs
+
+    @pytest.mark.parametrize("n_modes", [0, 8, 32, 512])
+    def test_equals_the_two_norm_calls(self, n_modes):
+        grid = Grid(n_modes)
+        weight = np.maximum(1.0, np.abs(grid.wavenumbers))
+        monitor = _monitor(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, second in self.rows(grid, np.random.default_rng(n_modes)):
+                got = monitor(first, second)
+                want = np.maximum(np.linalg.norm(weight * first), np.linalg.norm(second))
+                assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestSolveStatus:

@@ -26,6 +26,9 @@ class TestGridAndTransforms:
         assert g.n_padded == 35
         assert sp.Grid(8, n_points=17).n_padded == 35
         assert sp.Grid(8, n_points=61).n_padded == 63
+        # wavenumbers: -K..K, one read-only array per grid
+        assert np.array_equal(g.wavenumbers, np.arange(-8, 9))
+        assert g.wavenumbers is g.wavenumbers and not g.wavenumbers.flags.writeable
         with pytest.raises(ValueError):
             sp.Grid(8, n_points=16)
         with pytest.raises(ValueError):
