@@ -11,13 +11,16 @@ the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and both steppers bit for
 bit against the stacked-array steps they replaced (stacked_step_full,
-stacked_step_reduced).  The FFT calls of each step and of the array kernels
+stacked_step_reduced), and both reject a non-finite dt before any cached
+table is touched.  The FFT calls of each step and of the array kernels
 (the reduced forcing per block, the tower map and its tangent, P_n_eval,
 bold_R_n, implicit_residual and ibp_once_p2 per block of samples, and
 solve's diagnostics pass per block of samples) are counted, with the block
-cases derived from spectral._BLOCK_POINTS.  solve's diagnostics are checked
-row by row against the per-sample form they replaced (sample_diagnostics
-with energy), and its status against steps that return non-finite or
+cases derived from spectral._BLOCK_POINTS, and so are the full step's
+SpectralField constructions.  The blow-up monitor is held with == to the
+two norm calls it fuses.  solve's diagnostics are checked row by row
+against the per-sample form they replaced (sample_diagnostics with
+energy), and its status against steps that return non-finite or
 overflowing coefficients.  Convergence orders are measured against a
 fine-step reference, and the Picard fixed point is compared against the
 time stepper on the same reduced problem.
