@@ -42,7 +42,6 @@ from .spectral import (
     SpectralField,
     _band_draw,
     _blocks,
-    _hs_norms,
     _linf_norms,
     _m_coeffs,
     _mirror,
@@ -252,6 +251,9 @@ def scaling_sweep(
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     if (amplitude_exponent is None) == (amplitude is None):
         raise ValueError("give exactly one of amplitude_exponent and amplitude")
+    for name, value in (("amplitude_exponent", amplitude_exponent), ("amplitude", amplitude)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if amplitude_exponent is not None and amplitude_exponent < 0.0:
         raise ValueError("amplitude_exponent must be nonnegative")
     if amplitude is not None and amplitude <= 0.0:
@@ -346,8 +348,12 @@ def continuation_schedule(
     the earlier T_k.  The step count is
     floor(step_constant * rho^2 / (2 * growth_constant * eps^(2(1-alpha)))) - 1;
     a count below 1 means the time grain is too coarse for these constants
-    and raises ValueError.
+    and raises ValueError, as does a non-finite rho or constant.
     """
+    for name, value in (("rho", rho), ("growth_constant", growth_constant),
+                        ("step_constant", step_constant)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if not 0.0 < epsilon < 1.0:
@@ -683,7 +689,7 @@ def normal_frame_columns(setting: NormalFormSetting, trajectory: Trajectory):
     v1 and the L2 norm of v2 (v as in normal_history; the frame phases keep
     both) and the cancellation residual of the stored state."""
     grid = trajectory.states[0].grid
-    columns = [np.array([_hs_norms(grid, v1, 1.0), _hs_norms(grid, v2),
+    columns = [np.array([_norms(grid, v1, 1.0), _norms(grid, v2),
                          _cancellation_residuals(setting, grid, u1, u2)])
                for u1, u2, v1, v2 in _normal_blocks(setting, trajectory)]
     return np.concatenate(columns, axis=1).tolist()
@@ -720,8 +726,8 @@ def norm_domination_margin(
     worst = -np.inf
     for block in _blocks(grid, len(states)):
         u1 = np.stack([v.u1.coeffs for v in states[block]])
-        n1 = _hs_norms(grid, u1)
-        n2 = _hs_norms(grid, np.stack([v.u2.coeffs for v in states[block]]))
+        n1 = _norms(grid, u1)
+        n2 = _norms(grid, np.stack([v.u2.coeffs for v in states[block]]))
         if setting.law is PressureLaw.P1:
             margins = n2 - (1.0 + eps) / (1.0 - eps) * n1
         else:

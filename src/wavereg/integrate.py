@@ -62,8 +62,8 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
-    _hs_norms,
     _mirror,
+    _norms,
     _padded_values,
 )
 
@@ -289,8 +289,8 @@ def _diagnostics(law: PressureLaw, grid: Grid, first, second, physical) -> list:
     (N, 2K+1): their H1 and L2 norms and means, and the energy of the
     physical arrays (u1, u2) of the same samples."""
     columns = np.array([
-        _hs_norms(grid, first, 1.0),
-        _hs_norms(grid, second),
+        _norms(grid, first, 1.0),
+        _norms(grid, second),
         _energies(law, *physical)[0],
         np.abs(first[:, grid.n_modes]),
         np.abs(second[:, grid.n_modes]),
@@ -424,15 +424,6 @@ class _ReducedSamples(Sequence):
                             float(self._times[j]))
 
 
-def _trajectory_distance(grid: Grid, a1, a2, b1, b2) -> float:
-    """Sampled sup over time of max(H1 distance of w1, L2 distance of w2)."""
-    k = grid.wavenumbers.astype(float)
-    wh1 = np.maximum(1.0, k * k)
-    d1 = np.sqrt(np.sum(wh1 * np.abs(a1 - b1) ** 2, axis=1))
-    d2 = np.sqrt(np.sum(np.abs(a2 - b2) ** 2, axis=1))
-    return float(np.max(np.maximum(d1, d2)))
-
-
 def picard_solve(
     w1_0: SpectralField,
     w2_0: SpectralField,
@@ -447,7 +438,8 @@ def picard_solve(
     Returns (trajectory, report) where trajectory is a read-only sequence of
     the ReducedState at n_nodes uniform times on [0, T], each built when it
     is read.  Successive iterates must approach
-    each other in the sampled sup of max(H1, L2); three consecutive
+    each other in the sampled sup of max(H1, L2), both norms from
+    spectral._norms on the differences at every node; three consecutive
     non-contracting ratios abort the iteration (the report carries the
     measured ratios either way)."""
     if law is not setting.law:
@@ -490,7 +482,8 @@ def picard_solve(
         # else the last forcing sits beside the next while it is formed,
         # about 0.4 MB of picard-modified's peak RSS
         del g1, n2
-        diff = _trajectory_distance(grid, new_w1, new_w2, w1_flat, w2_flat)
+        diff = float(np.max(np.maximum(_norms(grid, new_w1 - w1_flat, 1.0),
+                                       _norms(grid, new_w2 - w2_flat))))
         w1_flat, w2_flat = new_w1, new_w2
         iterates += 1
         if previous_diff is not None and previous_diff > 0.0:

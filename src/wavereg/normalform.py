@@ -75,7 +75,6 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
-    _hs_norms,
     _mirror,
     _norms,
     _padded_values,
@@ -185,21 +184,18 @@ def _normal_coords(setting: NormalFormSetting, grid, a1, a2, inverse=False):
 def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
     """L2 size of ([i D dx^2, M] + A dx) u, zero for the correct M, of every
     row u = (u1, u2) of coefficient arrays of shape (N, 2K+1): the root of
-    the summed squared L2 norms of the two components, from the
-    commutator's two terms and the transport, formed per mode.  The
-    conjugated setting mirrors u1, which keeps both norms.  Its oracle,
-    cancellation_residual in tests/oracles.py, forms the same terms on one
-    State."""
+    the summed squared L2 norms of the two components, formed per mode
+    from the transport (dx u2, -dx u1) and the commutator's two nonzero
+    terms: i dx^2 (M u)_2 in the second component and -(M (0, i dx^2 u2))_1
+    in the first, where M u = (-m u2, -m u1).  The conjugated setting
+    mirrors u1, which keeps both norms.  Its oracle, cancellation_residual
+    in tests/oracles.py, forms all the terms on one State."""
     if setting.conjugated:
         u1 = _mirror(u1)
     inv_k, d1, d2 = _mode_symbols(grid, setting.epsilon)[2:]  # m, dx and dx^2
-    corrector = lambda a1, a2: (-inv_k * a2, -inv_k * a1)  # M
-    zero = np.zeros_like(u2)
-    disp_m = (zero, 1j * (d2 * corrector(u1, u2)[1]))
-    m_disp = corrector(zero, 1j * (d2 * u2))
-    transport = (d1 * u2, -(d1 * u1))
-    res1, res2 = (a - b + c for a, b, c in zip(disp_m, m_disp, transport))
-    return np.sqrt(_hs_norms(grid, res1) ** 2 + _hs_norms(grid, res2) ** 2)
+    res1 = d1 * u2 - -inv_k * (1j * (d2 * u2))
+    res2 = 1j * (d2 * (-inv_k * u1)) - d1 * u1
+    return np.sqrt(_norms(grid, res1) ** 2 + _norms(grid, res2) ** 2)
 
 
 @lru_cache(maxsize=16)

@@ -31,8 +31,10 @@ own n_points) whose prime factors are all at most 11, the radices of numpy's
 FFT, so no transform falls back to a slow generic pass on a large prime
 factor.  The array kernels of other modules reach that grid only through
 _padded_values and _band_coeffs; `multiply` stays apart as their oracle.
-The Sobolev weights of the row-norm kernels, and the default grid of a
-band size, are built once each and kept in small read-only caches.
+Likewise every L2 and H^s norm of stacked coefficient rows in the package
+comes from the one row-norm kernel _norms, which gives `norm`'s bits.  Its
+Sobolev weights, and the default grid of a band size, are built once each
+and kept in small read-only caches.
 """
 
 from __future__ import annotations
@@ -320,26 +322,18 @@ def _norms(grid: Grid, coeffs: np.ndarray, s: float | None = None) -> np.ndarray
     """norm(f, "L2"), or with s norm(f, "Hs", s), of every row f of a
     coefficient array (..., 2K+1), bit for bit: the sum of squares is
     np.linalg.norm's reduction of one vector, re.re + im.im with re and im
-    the strided real and imaginary views, one np.vecdot dot per row.
-    _hs_norms's reduction along an axis rounds differently."""
+    the strided real and imaginary views, one np.vecdot dot per row.  It is
+    the package's one row-norm kernel."""
     if s is not None:
         coeffs = _sobolev_weight(grid, float(s)) * coeffs
     re, im = coeffs.real, coeffs.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _hs_norms(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> np.ndarray:
-    """norm(f, "Hs", s) of every row f of a coefficient array (..., 2K+1),
-    to rounding (_norms gives norm's bits); s = 0 gives the L2 norms."""
-    if s:  # a weight of ones would change no bit
-        coeffs = _sobolev_weight(grid, float(s)) * coeffs
-    return np.linalg.norm(coeffs, axis=-1)
-
-
 @lru_cache(maxsize=16)
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """The read-only weight max(1, |k|)^s per mode of grid, built once per
-    (grid, s) for the row-norm kernels above."""
+    (grid, s) for the row-norm kernel above."""
     weight = np.maximum(1.0, np.abs(grid.wavenumbers)) ** s
     weight.setflags(write=False)
     return weight

@@ -407,9 +407,22 @@ class TestScalingSweep:
             (dict(time_scale="cubic"), "time_scale"),
             (dict(jobs=0), "jobs must be at least 1, got 0"),
             (dict(jobs=-3), "jobs must be at least 1, got -3"),
+            (dict(amplitude_exponent=math.nan), "^amplitude_exponent must be finite, got nan$"),
+            (dict(amplitude_exponent=math.inf), "^amplitude_exponent must be finite, got inf$"),
+            (dict(amplitude_exponent=None, amplitude=math.nan),
+             "^amplitude must be finite, got nan$"),
+            (dict(amplitude_exponent=None, amplitude=math.inf),
+             "^amplitude must be finite, got inf$"),
         ],
     )
-    def test_validation(self, kwargs, match):
+    def test_validation(self, monkeypatch, kwargs, match):
+        # every argument is checked before the profile is built and before
+        # a process pool starts
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the argument checks")
+
+        monkeypatch.setattr(experiments, "make_datum", unreachable)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
         spec = DatumSpec(seed=1, target_norm=0.1, law=PressureLaw.P0)
         base = dict(
             law=PressureLaw.P0,
@@ -494,11 +507,22 @@ class TestContinuationSchedule:
             (0.5, 0.01, 1.5, 1.0, 1.0),
             (0.5, 0.01, 0.5, 0.0, 1.0),
             (0.5, 0.01, 0.5, 1.0, -2.0),
+            (math.inf, 0.01, 0.5, 1.0, 1.0),
+            (math.nan, 0.01, 0.5, 1.0, 1.0),
+            (0.5, 0.01, 0.5, math.inf, 1.0),
+            (0.5, 0.01, 0.5, math.nan, 1.0),
+            (0.5, 0.01, 0.5, 1.0, math.inf),
+            (0.5, 0.01, 0.5, 1.0, math.nan),
         ],
     )
     def test_validation(self, args):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             continuation_schedule(*args)
+        # a non-finite rho or constant is named before the step count is formed
+        names = ("rho", None, None, "growth_constant", "step_constant")
+        for name, value in zip(names, args):
+            if name and not math.isfinite(value):
+                assert str(raised.value) == f"{name} must be finite, got {value}"
 
 
 class TestGrowthExperiment:
@@ -1023,8 +1047,9 @@ class TestNormDomination:
         for raw, norm_v1, norm_v2, residual in zip(states, *columns):
             v = to_normal_coords(setting, raw / amp)
             assert isinstance(norm_v1, float)
-            assert norm_v1 == pytest.approx(norm(v.u1, "Hs", s=1.0), rel=1e-14, abs=0.0)
-            assert norm_v2 == pytest.approx(norm(v.u2, "L2"), rel=1e-14, abs=0.0)
+            # norm's own kernel on the stacked rows, bit for bit
+            assert norm_v1 == norm(v.u1, "Hs", s=1.0)
+            assert norm_v2 == norm(v.u2, "L2")
             # both sides sit at the rounding floor of three cancelling terms
             want = cancellation_residual(setting, raw)
             assert residual == pytest.approx(want, rel=1e-12, abs=0.0)

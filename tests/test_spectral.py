@@ -1,5 +1,8 @@
 """Grid, transforms, the inverse-derivative multiplier, norms, and dealiased products."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,6 +252,24 @@ class TestNormsAndProducts:
             assert sp._norms(g, rows, s).tolist() == want
             kind = "L2" if s is None else "Hs"
             assert [sp.norm(sp.SpectralField(g, row), kind, s) for row in rows] == want
+
+    def test_the_package_has_one_row_norm_kernel(self):
+        """Every stacked L2/H^s norm in src/wavereg goes through _norms: no
+        module calls np.linalg.norm along an axis, and the old axis kernel
+        _hs_norms is not defined or named anywhere.  A norm of one vector,
+        np.linalg.norm(z), stays allowed."""
+        package = Path(sp.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "norm"
+                        and any(kw.arg == "axis" for kw in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno} norm(..., axis=...)")
+                names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+                if "_hs_norms" in names:
+                    found.append(f"{path.name}:{node.lineno} _hs_norms")
+        assert found == []
 
     @pytest.mark.parametrize("band, real_valued", [((1, 5), False), ((2, 5), True),
                                                    ((0, 4), False), ((1, 8), False)])
