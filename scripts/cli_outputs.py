@@ -103,6 +103,9 @@ CASES = {
     "error-picard-target-norm": ["picard", "--epsilon", "0.2", "--target-norm", "0.2"],
     "error-modified-p1": ["simulate", "--system", "modified", "--pressure", "p1",
                           "--epsilon", "0.1"],
+    # 0.2**1000 underflows the datum amplitude to 0
+    "error-sweep-amplitude-underflow": ["sweep", "--epsilons", "0.2,0.1,0.05",
+                                        "--alpha", "1000", "--n-modes", "8"],
 }
 
 _TOKEN = "<output-dir>"

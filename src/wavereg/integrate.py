@@ -13,8 +13,9 @@ propagators once and forms the midpoint's u1 row only, the one row the
 forcing reads.  For the reduced system the only stiff piece is the free
 Schroedinger factor on w2, a unimodular per-mode phase that normalform
 caches per step length, and the flow is the identity on w1; its forcing
-(g1, n2) comes from the array kernel of normalform.py in the layout of
-the state, so its lift is the identity.  solve drives either system
+(g1, n2) comes from the array kernel of normalform.py on the two rows w1
+and w2, and step_reduced spells its stages on those rows as step_full
+does on (u1, u2).  solve drives either system
 through the same loop, monitor and diagnostics; the monitor sums squares
 by dot products, as np.linalg.norm does, with no call of it per step.
 
@@ -218,13 +219,14 @@ def step_reduced(
 ) -> ReducedState:
     """One exponential-integrator step of the reduced system.
 
-    The state is the (2, 1, 2K+1) stack y of (w1, w2), a batch of one
-    member, which is also the layout of _reduced_forcing's (g1, n2), so the
-    forcing N lifts as itself; the flow E(h) keeps w1 and multiplies w2 by
-    the phase of step length h.  exp_euler takes E(dt)(y + dt N(y)), and
-    exp_rk2 E(dt) y + dt E(dt/2) N(E(dt/2)(y + dt/2 N(y)), at dt/2).  The
-    phases and the forcing's per-mode tables are cached in normalform, so a
-    step of a length seen before builds none of them.
+    The step works on the rows w1 and w2, each a batch of one member, the
+    layout of _reduced_forcing's (g1, n2); the flow of step length h keeps
+    w1 and multiplies w2 by the phase p(h).  exp_euler takes
+    (w1 + dt g1, p(dt)(w2 + dt n2)), and exp_rk2 forms the midpoint
+    (w1 + dt/2 g1, p(dt/2)(w2 + dt/2 n2)) at dt/2, whose forcing (g1', n2')
+    gives (w1 + dt g1', p(dt) w2 + dt p(dt/2) n2').  The phases and the
+    forcing's per-mode tables are cached in normalform, so a step of a
+    length seen before builds none of them.
 
     dt is capped at epsilon/20: the oscillatory prefactors are evaluated
     analytically at stage times, but the amplitudes they multiply must stay
@@ -235,25 +237,19 @@ def step_reduced(
             f"dt = {dt} exceeds the oscillatory cap epsilon/20 = {setting.epsilon / 20}"
         )
     _, cd = setting.coefficients
-    grid = w.grid
-    phases = {h: _w2_phase(grid, cd, h) for h in (0.5 * dt, dt)}
-
-    def forcing(y: np.ndarray, s: float) -> np.ndarray:
-        return _reduced_forcing(setting, grid, y[0], y[1], w.t + s)
-
-    def flow(h: float, y: np.ndarray, f=None, c: float = 0.0) -> np.ndarray:
-        z = y.copy() if f is None else y + c * f
-        z[1] = phases[h] * z[1]  # not *=: complex products round by operand order
-        return z
-
-    y = np.array((w.w1.coeffs, w.w2.coeffs))[:, None]
+    grid, t = w.grid, w.t
+    w1, w2 = w.w1.coeffs[None], w.w2.coeffs[None]
+    p = _w2_phase(grid, cd, dt)
+    # p * x, never x *= p: complex products round by operand order
+    g1, n2 = _reduced_forcing(setting, grid, w1, w2, t)
     if scheme == "exp_euler":
-        y = flow(dt, y, forcing(y, 0.0), dt)
+        w1, w2 = w1 + dt * g1, p * (w2 + dt * n2)
     else:
-        k2 = forcing(flow(0.5 * dt, y, forcing(y, 0.0), 0.5 * dt), 0.5 * dt)
-        y = flow(dt, y) + dt * flow(0.5 * dt, k2)
-    w1, w2 = y[:, 0]
-    return ReducedState(SpectralField(grid, w1), SpectralField(grid, w2), w.t + dt)
+        h = _w2_phase(grid, cd, 0.5 * dt)
+        g1, n2 = _reduced_forcing(setting, grid, w1 + (0.5 * dt) * g1,
+                                  h * (w2 + (0.5 * dt) * n2), t + 0.5 * dt)
+        w1, w2 = w1 + dt * g1, p * w2 + dt * (h * n2)
+    return ReducedState(SpectralField(grid, w1[0]), SpectralField(grid, w2[0]), t + dt)
 
 
 # --------------------------------------------------------------------------
@@ -471,11 +467,8 @@ def picard_solve(
     w2_flat = np.tile(w2_0.coeffs, (n_nodes, 1))
     ratios: list[float] = []
     residual = np.inf
-    previous_diff = None
-    iterates = 0
     stalls = 0
-
-    for _ in range(max_iter):
+    for iterates in range(1, max_iter + 1):
         g1, n2 = _reduced_forcing(setting, grid, w1_flat, w2_flat, times)
         new_w1 = w1_0.coeffs[None, :] + _apply_simpson_rule(plain, g1)
         new_w2 = forward * (w2_0.coeffs[None, :] + _apply_simpson_rule(duhamel_rule, n2))
@@ -485,16 +478,11 @@ def picard_solve(
         diff = float(np.max(np.maximum(_norms(grid, new_w1 - w1_flat, 1.0),
                                        _norms(grid, new_w2 - w2_flat))))
         w1_flat, w2_flat = new_w1, new_w2
-        iterates += 1
-        if previous_diff is not None and previous_diff > 0.0:
-            ratio = diff / previous_diff
-            ratios.append(ratio)
-            stalls = stalls + 1 if ratio >= 1.0 else 0
-        previous_diff = diff
+        if iterates > 1 and residual > 0.0:  # no ratio against a zero or NaN distance
+            ratios.append(diff / residual)
+            stalls = stalls + 1 if ratios[-1] >= 1.0 else 0
         residual = diff
-        if residual < 1e-10:
-            break
-        if stalls >= 3:
+        if residual < 1e-10 or stalls >= 3:
             break
 
     trajectory = _ReducedSamples(grid, w1_flat, w2_flat, times)

@@ -386,6 +386,15 @@ class TestContinue:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_rho_exits_one(self, capsys, tmp_path):
+        # rho**2 is past the float range: one line, no traceback
+        rc = main(["continue", "--rho", "1e200", "--epsilon", "0.01",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
 
 class TestPicard:
     def test_converges_on_short_horizon(self, tmp_path):
@@ -650,6 +659,15 @@ class TestSweepInputRules:
         assert rc == 1
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_amplitude_underflow_names_the_exponent(self, capsys, tmp_path):
+        rc = main(["sweep", "--epsilons", "0.2,0.1,0.05", "--alpha", "1000",
+                   "--n-modes", "8", "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: amplitude_exponent 1000.0 underflows the amplitude to 0 at "
+            "epsilon 0.2\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_rho_max_rule_is_shared(self, capsys, tmp_path, command):

@@ -327,8 +327,8 @@ class TestScalingSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *tasks):
+                return map(fn, *tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = DatumSpec(seed=11, target_norm=0.15, law=PressureLaw.P1)
@@ -354,6 +354,29 @@ class TestScalingSweep:
         )
         assert calls == [spec]
         assert len(result.rows) == 3
+
+    @pytest.mark.parametrize("kind,law,rule", [
+        ("modified", PressureLaw.P0, dict(amplitude=0.2)),  # sweep-modified-k64
+        ("regularized", PressureLaw.P1, dict(amplitude_exponent=0.5)),
+    ])
+    def test_final_norms_are_the_last_samples_norms(self, kind, law, rule):
+        # eps = 0.2 crosses rho_max and the others complete; each row's
+        # norms are those of its run's last stored state, by norm
+        spec = DatumSpec(3, 0.15, law, (1, 8), kind == "modified")
+        result = scaling_sweep(
+            law, kind, (0.2, 0.1, 0.05), spec, **rule, t_end=3.0, dt=0.02,
+            time_scale="eps_squared", rho_max=0.152, n_modes=64,
+        )
+        assert [row.status for row in result.rows] == ["blowup", "completed", "completed"]
+        profile = make_datum(Grid(64), spec)
+        for row in result.rows:
+            eps = row.epsilon
+            amp = rule["amplitude"] if "amplitude" in rule else eps ** rule["amplitude_exponent"]
+            config = IntegratorConfig(dt=0.02 * eps**2, t_end=3.0 * eps**2, store_every=16)
+            system = SystemSpec(kind, eps, rescaled=True, amplitude=amp)
+            last = existence_run(system, law, amp * profile, config, 0.152).states[-1]
+            assert row.final_norm1 == norm(last.u1, "Hs", s=1.0) / amp
+            assert row.final_norm2 == norm(last.u2, "L2") / amp
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_rejects_rho_max_before_any_work(self, monkeypatch, jobs):
@@ -413,6 +436,9 @@ class TestScalingSweep:
              "^amplitude must be finite, got nan$"),
             (dict(amplitude_exponent=None, amplitude=math.inf),
              "^amplitude must be finite, got inf$"),
+            # 0.2**1000 underflows to 0.0
+            (dict(amplitude_exponent=1000.0),
+             r"^amplitude_exponent 1000\.0 underflows the amplitude to 0 at epsilon 0\.2$"),
         ],
     )
     def test_validation(self, monkeypatch, kwargs, match):
@@ -437,6 +463,15 @@ class TestScalingSweep:
                 base.pop("law"), base.pop("kind"), base.pop("epsilons"),
                 base.pop("spec"), **base,
             )
+
+
+# finite inputs whose step count is far past the limit, and the count named
+_HUGE_COUNTS = {
+    (1e200, 0.01, 0.5, 1.0, 1.0): "inf",  # rho**2 is past the float range
+    (0.5, 0.01, 0.5, 1.0, 1e308): "inf",
+    (0.5, 0.01, 0.5, 1.0, 1e300): "1.25e+301",
+    (0.5, 0.01, 0.5, 1e-300, 1.0): "1.2499999999999999e+301",
+}
 
 
 class TestContinuationSchedule:
@@ -513,6 +548,7 @@ class TestContinuationSchedule:
             (0.5, 0.01, 0.5, math.nan, 1.0),
             (0.5, 0.01, 0.5, 1.0, math.inf),
             (0.5, 0.01, 0.5, 1.0, math.nan),
+            *_HUGE_COUNTS,
         ],
     )
     def test_validation(self, args):
@@ -523,6 +559,18 @@ class TestContinuationSchedule:
         for name, value in zip(names, args):
             if name and not math.isfinite(value):
                 assert str(raised.value) == f"{name} must be finite, got {value}"
+        if args in _HUGE_COUNTS:
+            assert str(raised.value) == (
+                f"step count {_HUGE_COUNTS[args]} exceeds the limit 1000000")
+
+    def test_step_limit(self, monkeypatch):
+        # 0.5**2 / (2 * 0.01**2) - 1 = 1249 steps: allowed at a limit of
+        # 1249, refused below it
+        monkeypatch.setattr(experiments, "_MAX_SCHEDULE_STEPS", 1249)
+        assert continuation_schedule(0.5, 0.01, 0.0).j_formula == 1249
+        monkeypatch.setattr(experiments, "_MAX_SCHEDULE_STEPS", 1248)
+        with pytest.raises(ValueError, match=r"^step count 1249\.0 exceeds the limit 1248$"):
+            continuation_schedule(0.5, 0.01, 0.0)
 
 
 class TestGrowthExperiment:
@@ -659,7 +707,8 @@ class TestLemmaMSuite:
         report = lemma_m_suite(seed=20240817)
         assert report.passed
         assert report.n_fields == 100 and report.n_modes == 64
-        assert set(report.residuals) == {
+        # the names in the order of the docstring's identities
+        assert list(report.residuals) == [
             "first_derivative_left",
             "first_derivative_right",
             "second_derivative_left",
@@ -667,7 +716,7 @@ class TestLemmaMSuite:
             "conjugation_parity",
             "sobolev_shift",
             "pointwise_bound",
-        }
+        ]
         assert max(report.residuals.values()) < 1e-10
 
     def test_deterministic(self):

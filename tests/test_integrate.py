@@ -1596,6 +1596,23 @@ class TestPicard:
         # every recorded ratio before convergence is a genuine contraction
         assert all(r < 1.0 for r in report.contraction_ratios[:-1])
 
+    def test_stops_at_max_iter(self, rng):
+        # one iterate has no ratio; two have one, the ratio of their
+        # distances, which a longer run reports first
+        grid = Grid(8)
+        setting = NormalFormSetting(0.25, law=PressureLaw.P1, amplitude=0.5)
+        w1 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        w2 = remove_mean(0.04 * random_field(grid, rng, band=(1, 2)))
+        first, second, full = (
+            picard_solve(w1, w2, PressureLaw.P1, setting, T=0.005, n_nodes=65,
+                         max_iter=max_iter)[1] for max_iter in (1, 2, 50))
+        assert (first.iterates, first.contraction_ratios) == (1, [])
+        assert second.iterates == 2
+        assert second.contraction_ratios == [second.final_residual / first.final_residual]
+        assert second.contraction_ratios[0] < 1.0
+        assert full.iterates > 2 and full.converged
+        assert full.contraction_ratios[0] == second.contraction_ratios[0]
+
     def test_gives_up_when_the_map_does_not_contract(self, rng):
         # far beyond the contraction window the sweeps feed on themselves;
         # the solver must stop after three non-contracting ratios instead of
