@@ -106,6 +106,15 @@ CASES = {
     # 0.2**1000 underflows the datum amplitude to 0
     "error-sweep-amplitude-underflow": ["sweep", "--epsilons", "0.2,0.1,0.05",
                                         "--alpha", "1000", "--n-modes", "8"],
+    # the step count passes its check; the budget after the first step has
+    # no finite square
+    "error-continue-rho-overflow": ["continue", "--rho", "1.2e154", "--epsilon", "0.5",
+                                    "--alpha", "1", "--growth-constant", "100",
+                                    "--step-constant", "1e-300"],
+    # u_star**2 is past the float range
+    "error-growth-u-star-overflow": ["growth", "--u-star", "1e160"],
+    # p'(u_star) is inf, which would write nan rates
+    "error-growth-nan-rate": ["growth", "--u-star", "1e154"],
 }
 
 _TOKEN = "<output-dir>"

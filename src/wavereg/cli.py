@@ -31,8 +31,6 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from . import __version__
 from .experiments import (
     DatumSpec,
@@ -110,43 +108,26 @@ def _csv_text(header, rows, meta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, PressureLaw):
-        return value.name.lower()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 _WALL_SLOT = "@wall_time_seconds@"
 
 
-def _write_outputs(cfg: dict, command: str, extras: dict, table=None):
+def _write_outputs(cfg: dict, command: str, started: float, extras: dict, table=None):
     """Write <tag>.csv from table = (header, rows[, meta]) when given, then
-    the <tag>.json manifest; the tag defaults to the command name.  Returns
-    (csv_path or None, json_path)."""
+    the <tag>.json manifest of cfg, extras (JSON-native values) and the wall
+    time since the perf_counter reading `started`; the tag defaults to the
+    command name.  Returns (csv_path or None, json_path)."""
+    wall = time.perf_counter() - started
     out = cfg["output_dir"] or os.environ.get("WAVEREG_OUTPUT_DIR", ".")
     tag = cfg["tag"] or command
-    csv_path = None
-    outputs = []
+    csv_path = None if table is None else os.path.join(out, f"{tag}.csv")
     if table is not None:
-        csv_path = os.path.join(out, f"{tag}.csv")
         _atomic_write(csv_path, _csv_text(*table))
-        outputs = [os.path.basename(csv_path)]
     json_path = os.path.join(out, f"{tag}.json")
-    payload = {
-        "command": command,
-        "config": {key: _jsonable(val) for key, val in cfg.items()},
-        "version": __version__,
-    }
-    payload.update({key: _jsonable(val) for key, val in extras.items()})
-    payload["outputs"] = outputs
     # every manifest's wall time is a fixed-width number, so a manifest's
     # size does not vary with the clock
-    wall = payload["wall_time_seconds"]
-    payload["wall_time_seconds"] = _WALL_SLOT
+    payload = {"command": command, "config": cfg, "version": __version__, **extras,
+               "outputs": [] if table is None else [os.path.basename(csv_path)],
+               "wall_time_seconds": _WALL_SLOT}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     text = text.replace(f'"wall_time_seconds": "{_WALL_SLOT}"',
                         f'"wall_time_seconds": {wall:.6e}', 1)
@@ -454,14 +435,12 @@ def _cmd_simulate(cfg: dict) -> int:
             trajectory.times, norms_v1, norms_v2, trajectory.diagnostics, residuals
         )
     ]
-    elapsed = time.perf_counter() - started
 
-    csv_path, json_path = _write_outputs(cfg, "simulate", {
+    csv_path, json_path = _write_outputs(cfg, "simulate", started, {
         "amplitude": amp,
         "terminal_status": trajectory.terminal_status,
         "blowup_time": trajectory.blowup_time,
         "samples": len(rows),
-        "wall_time_seconds": elapsed,
     }, (_TRAJECTORY_COLUMNS, rows))
     print(
         f"simulate: status={trajectory.terminal_status} samples={len(rows)} "
@@ -505,7 +484,6 @@ def _cmd_sweep(cfg: dict) -> int:
         store_every=cfg["store_every"],
         jobs=cfg["jobs"],
     )
-    elapsed = time.perf_counter() - started
 
     rows = [
         (row.epsilon, row.time, row.status, row.final_norm1, row.final_norm2)
@@ -518,11 +496,10 @@ def _cmd_sweep(cfg: dict) -> int:
         "message": result.message,
     }
     header = ("epsilon", "time", "status", "final_norm1", "final_norm2")
-    csv_path, _ = _write_outputs(cfg, "sweep", {
+    csv_path, _ = _write_outputs(cfg, "sweep", started, {
         **meta,
         "runs": len(rows),
         "statuses": [row.status for row in result.rows],
-        "wall_time_seconds": elapsed,
     }, (header, rows, meta))
     slope_text = "none" if result.slope is None else f"{result.slope:.4f}"
     suffix = f" ({result.message})" if result.message else ""
@@ -550,9 +527,8 @@ def _cmd_growth(cfg: dict) -> int:
         epsilon=cfg["epsilon"],
         n_samples=cfg["n_samples"],
     )
-    elapsed = time.perf_counter() - started
     rows = [(m.wavenumber, m.measured, m.predicted) for m in measurements]
-    csv_path, _ = _write_outputs(cfg, "growth", {"wall_time_seconds": elapsed},
+    csv_path, _ = _write_outputs(cfg, "growth", started, {},
                                  (("wavenumber", "measured", "predicted"), rows))
     print(f"growth: {len(rows)} wavenumbers, wrote {csv_path}")
     return 0
@@ -578,14 +554,12 @@ def _cmd_continue(cfg: dict) -> int:
         growth_constant=cfg["growth_constant"],
         step_constant=cfg["step_constant"],
     )
-    elapsed = time.perf_counter() - started
-    _, json_path = _write_outputs(cfg, "continue", {
-        "rho_sequence": list(schedule.rho_sequence),
-        "time_sequence": list(schedule.time_sequence),
+    _, json_path = _write_outputs(cfg, "continue", started, {
+        "rho_sequence": schedule.rho_sequence,
+        "time_sequence": schedule.time_sequence,
         "j_formula": schedule.j_formula,
         "j_star": schedule.j_star,
         "t_star": schedule.t_star,
-        "wall_time_seconds": elapsed,
     })
     print(
         f"continue: j_formula={schedule.j_formula} j_star={schedule.j_star} "
@@ -625,15 +599,13 @@ def _cmd_picard(cfg: dict) -> int:
         v0.u1, v0.u2, law, setting, horizon,
         max_iter=cfg["max_iter"], n_nodes=cfg["n_nodes"],
     )
-    elapsed = time.perf_counter() - started
 
-    _, json_path = _write_outputs(cfg, "picard", {
+    _, json_path = _write_outputs(cfg, "picard", started, {
         "t_horizon": horizon,
         "iterates": report.iterates,
         "final_residual": report.final_residual,
-        "contraction_ratios": list(report.contraction_ratios),
+        "contraction_ratios": report.contraction_ratios,
         "converged": report.converged,
-        "wall_time_seconds": elapsed,
     })
     worst = max(report.contraction_ratios) if report.contraction_ratios else None
     print(

@@ -21,6 +21,7 @@ Conventions shared with the rest of the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -59,6 +60,9 @@ _MAX_PROFILE_NORM = 1.0 / 6.0
 _MAX_SCHEDULE_STEPS = 10**6
 
 _GROWTH_BLOCK = 16384  # sample times per closed-form call in growth_experiment
+
+# the largest term growth_experiment lets the closed form square or double
+_GROWTH_TERM_MAX = sys.float_info.max / 8.0
 
 
 # --------------------------------------------------------------------------
@@ -194,20 +198,15 @@ class SweepResult:
     message: str
 
 
-def _sweep_single(eps, amp, *, kind, law, profile, time_scale, dt, t_end,
-                  rho_max, store_every) -> SweepRow:
-    """The sweep's run at eps: the shared profile times the run's amplitude
-    amp, with dt and t_end on the run's time scale.  The final norms are
-    the run's own diagnostics of its last sample."""
-    factor = eps**2 if time_scale == "eps_squared" else 1.0
-    system = SystemSpec(kind, eps, rescaled=True, amplitude=amp)
-    config = IntegratorConfig(
-        dt=dt * factor, t_end=t_end * factor, store_every=store_every
-    )
+def _sweep_single(system, config, *, law, profile, rho_max) -> SweepRow:
+    """The sweep's run of system under config: the shared profile times the
+    run's amplitude.  The final norms are the run's own diagnostics of its
+    last sample."""
+    amp = system.amplitude
     trajectory = existence_run(system, law, amp * profile, config, rho_max)
     last = trajectory.diagnostics[-1]
     return SweepRow(
-        epsilon=eps,
+        epsilon=system.epsilon,
         time=trajectory.blowup_time,
         status=trajectory.terminal_status,
         final_norm1=last["norm1_h1"] / amp,
@@ -235,16 +234,17 @@ def scaling_sweep(
 
     The datum is one normalized profile, built once here and handed to
     every run, multiplied by eps**amplitude_exponent (theorem scaling) or
-    by a fixed amplitude (exactly one of the two must be given); each run's
-    amplitude is formed once, with the argument checks, and an exponent
-    that underflows it to 0 is rejected there.  With
+    by a fixed amplitude (exactly one of the two must be given).  With
     time_scale="eps_squared" both dt and t_end are multiplied by eps**2,
     matching the natural time of the fast transport; "fixed" uses them as
-    given.
+    given.  Each run's SystemSpec and IntegratorConfig are built once,
+    after the argument checks and before the profile, so an amplitude or a
+    scaled dt that underflows to 0, and any argument those records reject,
+    fails before any work.
 
     Each run goes through existence_run.  Runs are independent, so jobs > 1
     dispatches them to a process pool of min(jobs, len(epsilons)) workers,
-    each task carrying the profile, its epsilon and its amplitude; rows
+    each task carrying the profile and its run's two records; rows
     come back merged in the order of `epsilons` either way, and the result
     is bitwise reproducible for a fixed spec.
     """
@@ -275,21 +275,23 @@ def scaling_sweep(
         if amp == 0.0:
             raise ValueError(f"amplitude_exponent {amplitude_exponent} underflows the "
                              f"amplitude to 0 at epsilon {eps}")
+    systems = [SystemSpec(kind, eps, rescaled=True, amplitude=amp)
+               for eps, amp in zip(epsilons, amplitudes)]
+    factors = [eps**2 if time_scale == "eps_squared" else 1.0 for eps in epsilons]
+    configs = [IntegratorConfig(dt=dt * f, t_end=t_end * f, store_every=store_every)
+               for f in factors]
 
-    run = partial(
-        _sweep_single, kind=kind, law=law, profile=make_datum(Grid(n_modes), spec),
-        time_scale=time_scale, dt=dt, t_end=t_end, rho_max=rho_max,
-        store_every=store_every,
-    )
+    run = partial(_sweep_single, law=law, profile=make_datum(Grid(n_modes), spec),
+                  rho_max=rho_max)
     if jobs is not None and jobs > 1:
         # imported on use: at module level, the pool's import of logging and
         # multiprocessing would slow every wavereg start
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(epsilons))) as pool:
-            rows = tuple(pool.map(run, epsilons, amplitudes))
+            rows = tuple(pool.map(run, systems, configs))
     else:
-        rows = tuple(map(run, epsilons, amplitudes))
+        rows = tuple(map(run, systems, configs))
     return SweepResult(rows, *fit_existence_times(rows))
 
 
@@ -359,9 +361,10 @@ def continuation_schedule(
     the earlier T_k.  The step count is
     floor(step_constant * rho^2 / (2 * growth_constant * eps^(2(1-alpha)))) - 1;
     a count below 1 means the time grain is too coarse for these constants
-    and raises ValueError, as does a non-finite rho or constant and a count
+    and raises ValueError, as does a non-finite rho or constant, a count
     that is not finite or exceeds _MAX_SCHEDULE_STEPS (the schedule holds
-    two tuples of count + 1 floats).
+    two tuples of count + 1 floats), and a rho whose budgets grow past the
+    square root of the float range.
     """
     for name, value in (("rho", rho), ("growth_constant", growth_constant),
                         ("step_constant", step_constant)):
@@ -393,11 +396,15 @@ def continuation_schedule(
     times: list[float] = []
     elapsed = 0.0  # the running sum of times, so the loop is linear in steps
     rho_j = rho
-    for _ in range(j_formula + 1):
-        rhos.append(rho_j)
-        times.append(grain / (2.0 * step_constant * rho_j**2))
-        elapsed += times[-1]
-        rho_j = 1.2 * rho + 12.0 * growth_constant * rho * elapsed
+    try:
+        for _ in range(j_formula + 1):
+            rhos.append(rho_j)
+            times.append(grain / (2.0 * step_constant * rho_j**2))
+            elapsed += times[-1]
+            rho_j = 1.2 * rho + 12.0 * growth_constant * rho * elapsed
+    except OverflowError:  # a budget's square passed the float range
+        raise ValueError(f"rho {rho} is too large for these constants: the budget "
+                         f"{rho_j} has no finite square") from None
 
     j_star = j_formula
     for j, rho_j in enumerate(rhos):
@@ -448,7 +455,9 @@ def growth_experiment(
     epsilon > 0 the measured rate falls below it.
 
     Exponential fit only: polynomially growing (Jordan-block) points, which
-    take the closed form's limit branch, read as near zero.
+    take the closed form's limit branch, read as near zero.  A u_star,
+    epsilon or wavenumber that puts k^2, k^2 |p'(u_star)| or (eps k^2)^2 / 4
+    past _GROWTH_TERM_MAX raises ValueError naming it, before any rate.
     """
     if not np.isfinite(u_star):
         raise ValueError(f"u_star must be finite, got {u_star}")
@@ -456,6 +465,18 @@ def growth_experiment(
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if n_samples < 101:
         raise ValueError("need at least 101 samples")
+    u, eps = float(u_star), float(epsilon)
+    for k in wavenumbers:
+        # the closed form takes the root of -(eps k^2 / 2)^2 - k^2 p'(u*) and
+        # doubles k p'(u*): each term must stay inside the float range
+        if not k * k <= _GROWTH_TERM_MAX:
+            raise ValueError(f"wavenumber {k} takes the closed form past the float range")
+        for name, value, term in (
+                ("u_star", u_star, k * k * abs(-1.0 + 3.0 * u * u)),
+                ("epsilon", epsilon, 0.25 * (eps * k * k) * (eps * k * k))):
+            if not term <= _GROWTH_TERM_MAX:
+                raise ValueError(f"{name} {value} takes the closed form of wavenumber "
+                                 f"{k} past the float range")
     z = np.array([1.0 + 0.0j, 0.5 + 0.5j])
     z /= np.linalg.norm(z)
     results = []

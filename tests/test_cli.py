@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,20 @@ class TestGrowth:
         assert rc == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--u-star", "1e160"), ("--u-star", "1e154"), ("--epsilon", "1e200")])
+    def test_input_that_overflows_exits_one(self, capsys, tmp_path, flag, value):
+        # one line naming the input: no traceback, no warning, no nan rates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["growth", flag, value, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {name} {float(value)} takes the closed form of wavenumber 1 "
+            "past the float range\n")
+        assert os.listdir(tmp_path) == []
+
 
 class TestContinue:
     def test_worked_schedule(self, tmp_path):
@@ -393,6 +408,16 @@ class TestContinue:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_budget_square_overflow_exits_one(self, capsys, tmp_path):
+        # the count passes its check; a later budget's square does not exist
+        rc = main(["continue", "--rho", "1.2e154", "--epsilon", "0.5", "--alpha", "1",
+                   "--growth-constant", "100", "--step-constant", "1e-300",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho 1.2e+154 is too large") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
 
@@ -882,6 +907,25 @@ def test_importing_the_cli_loads_no_process_pool():
     assert "wavereg.experiments" in loaded
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
     assert "concurrent.futures.process" not in loaded
+
+
+def test_only_the_manifest_writer_reads_the_clock():
+    """Each handler hands its perf_counter() start to _write_outputs, which
+    takes the manifest's wall time: nothing else in cli.py subtracts a
+    perf_counter() reading."""
+    tree = ast.parse((REPO_ROOT / "src" / "wavereg" / "cli.py").read_text())
+
+    def clock_differences(root):
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and any(isinstance(side, ast.Call)
+                        and getattr(side.func, "attr", getattr(side.func, "id", None))
+                        == "perf_counter" for side in (node.left, node.right))]
+
+    (writer,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_write_outputs"]
+    assert len(clock_differences(writer)) == 1
+    assert clock_differences(tree) == clock_differences(writer)
 
 
 def test_cli_imports_no_private_name():

@@ -21,6 +21,7 @@ import concurrent.futures
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,14 @@ class TestScalingSweep:
             # 0.2**1000 underflows to 0.0
             (dict(amplitude_exponent=1000.0),
              r"^amplitude_exponent 1000\.0 underflows the amplitude to 0 at epsilon 0\.2$"),
+            # each run's SystemSpec and IntegratorConfig reject these, and
+            # are built with the checks
+            (dict(dt=0.0), "^dt must be positive and finite$"),
+            (dict(t_end=math.nan), "^t_end must be positive and finite$"),
+            (dict(store_every=0), "^store_every must be at least 1$"),
+            (dict(kind="bogus"), "^unknown system kind 'bogus'$"),
+            # 5e-324 * 0.2**2 underflows the scaled dt to 0
+            (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive and finite$"),
         ],
     )
     def test_validation(self, monkeypatch, kwargs, match):
@@ -563,6 +572,15 @@ class TestContinuationSchedule:
             assert str(raised.value) == (
                 f"step count {_HUGE_COUNTS[args]} exceeds the limit 1000000")
 
+    def test_budget_square_past_the_float_range_names_rho(self):
+        # the count check passes (719,999 steps); the budget after the first
+        # step, about 1.2 rho, has no finite square
+        with pytest.raises(ValueError, match=r"^rho 1\.2e\+154 is too large for these "
+                                             r"constants: the budget 1\.44.*e\+154 has "
+                                             r"no finite square$"):
+            continuation_schedule(1.2e154, 0.5, 1.0, growth_constant=100.0,
+                                  step_constant=1e-300)
+
     def test_step_limit(self, monkeypatch):
         # 0.5**2 / (2 * 0.01**2) - 1 = 1249 steps: allowed at a limit of
         # 1249, refused below it
@@ -619,6 +637,37 @@ class TestGrowthExperiment:
     def test_rejects_non_finite(self, u_star, epsilon, match):
         with pytest.raises(ValueError, match=match):
             growth_experiment(PressureLaw.P0, u_star, [4], epsilon=epsilon)
+
+    @pytest.mark.parametrize("u_star,epsilon,k,name", [
+        (1e160, 0.0, 1, "u_star 1e+160"),  # u_star**2 raises OverflowError
+        (1e154, 0.0, 1, "u_star 1e+154"),  # p'(u_star) is inf: nan rates
+        (0.0, 1e200, 1, "epsilon 1e+200"),  # nan rates
+        (2e77, 0.0, 10**77, "u_star 2e+77"),  # within range at k = 1
+    ], ids=["u-star-1e160", "u-star-1e154", "epsilon-1e200", "u-star-2e77-k-1e77"])
+    def test_rejects_inputs_that_overflow_the_closed_form(self, u_star, epsilon, k, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                growth_experiment(PressureLaw.P0, u_star, [1, k], epsilon=epsilon)
+        assert str(raised.value) == (
+            f"{name} takes the closed form of wavenumber {k} past the float range")
+
+    def test_rejects_a_wavenumber_past_the_float_range(self):
+        with pytest.raises(ValueError, match="^wavenumber 10{160} takes the closed form "
+                                             "past the float range$"):
+            growth_experiment(PressureLaw.P0, 0.0, [10**160])
+
+    def test_largest_accepted_inputs_give_finite_rates(self):
+        # both terms just inside _GROWTH_TERM_MAX at once, without a warning
+        limit = experiments._GROWTH_TERM_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = growth_experiment(
+                PressureLaw.P0, 0.999999 * math.sqrt(limit / 3.0), [1],
+                epsilon=0.999999 * math.sqrt(4.0 * limit), n_samples=1001)
+            rows += growth_experiment(PressureLaw.P0, 0.0, [int(math.sqrt(limit))],
+                                      n_samples=1001)
+        assert all(math.isfinite(row.measured) for row in rows)
 
     @staticmethod
     def _unblocked_rate(u_star, k, epsilon, n_samples):
