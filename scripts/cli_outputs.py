@@ -111,6 +111,11 @@ CASES = {
     "error-continue-rho-overflow": ["continue", "--rho", "1.2e154", "--epsilon", "0.5",
                                     "--alpha", "1", "--growth-constant", "100",
                                     "--step-constant", "1e-300"],
+    # 12 * growth_constant * rho overflows to inf, which would write
+    # Infinity budgets into continue.json
+    "error-continue-budget-inf": ["continue", "--rho", "1e154", "--epsilon", "0.5",
+                                  "--alpha", "1", "--growth-constant", "1e154",
+                                  "--step-constant", "1e-150"],
     # u_star**2 is past the float range
     "error-growth-u-star-overflow": ["growth", "--u-star", "1e160"],
     # p'(u_star) is inf, which would write nan rates

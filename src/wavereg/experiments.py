@@ -363,8 +363,9 @@ def continuation_schedule(
     a count below 1 means the time grain is too coarse for these constants
     and raises ValueError, as does a non-finite rho or constant, a count
     that is not finite or exceeds _MAX_SCHEDULE_STEPS (the schedule holds
-    two tuples of count + 1 floats), and a rho whose budgets grow past the
-    square root of the float range.
+    two tuples of count + 1 floats), a rho whose budgets grow past the
+    square root of the float range, and a rho and growth_constant whose
+    budgets leave it.
     """
     for name, value in (("rho", rho), ("growth_constant", growth_constant),
                         ("step_constant", step_constant)):
@@ -405,6 +406,10 @@ def continuation_schedule(
     except OverflowError:  # a budget's square passed the float range
         raise ValueError(f"rho {rho} is too large for these constants: the budget "
                          f"{rho_j} has no finite square") from None
+    if not rhos[-1] < math.inf:  # 12 * growth_constant * rho overflows silently
+        raise ValueError(f"rho {rho} and growth_constant {growth_constant} are too "
+                         f"large: the budget 12 * growth_constant * rho * time "
+                         f"leaves the float range")
 
     j_star = j_formula
     for j, rho_j in enumerate(rhos):

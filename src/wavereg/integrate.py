@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import PressureLaw, State, SystemSpec, _energies, _require_law
+from .model import _CUBIC_ORDER, PressureLaw, State, SystemSpec, _energies, _require_law
 from .normalform import (
     NormalFormSetting,
     ReducedState,
@@ -63,6 +63,7 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
+    _dx_symbol,
     _mirror,
     _norms,
     _padded_values,
@@ -162,13 +163,14 @@ def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray, ik=None) -> np.ndarr
     """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
     `spectral` (two FFT calls): the oracle q_apply(law, u1, dx u1) of
     tests/oracles.py in exact arithmetic, as truncation commutes with dx,
-    with an exactly zero k = 0 entry.  ik,
-    the symbol 1j * grid.wavenumbers of dx, may be formed once by the caller."""
+    with an exactly zero k = 0 entry.  ik, the symbol of dx from
+    spectral._dx_symbol, may be fetched once by the caller."""
     x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
-    return (1j * grid.wavenumbers if ik is None else ik) * _band_coeffs(grid, cubic)
+    ik = _dx_symbol(grid) if ik is None else ik
+    return ik * _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
 
 
 def _require_step(dt: float, scheme: str) -> None:
@@ -200,7 +202,7 @@ def step_full(
     modified = spec.kind == "modified"
     u1 = _mirror(state.u1.coeffs) if modified else state.u1.coeffs
     u2 = state.u2.coeffs
-    ik = 1j * grid.wavenumbers
+    ik = _dx_symbol(grid)
     p = _plain_propagator(grid, ct, cd, dt)
     f = (-ct) * _dx_cubic(law, grid, u1, ik)
     if scheme == "exp_euler":
@@ -262,13 +264,15 @@ def _monitor(grid: Grid):
     when either norm is NaN, so a finite value means finite coefficients.
     Each squared norm is np.linalg.norm's own sum re.re + im.im by dot, and
     the root of the larger sum is the larger root, so the value is the two
-    norm calls' bit for bit."""
+    norm calls' bit for bit (math.sqrt on floats rounds as np.sqrt does)."""
     weight = np.maximum(1.0, np.abs(grid.wavenumbers))
 
     def monitor(first, second):
         first = weight * first
         re1, im1, re2, im2 = first.real, first.imag, second.real, second.imag
-        return np.sqrt(np.maximum(re1.dot(re1) + im1.dot(im1), re2.dot(re2) + im2.dot(im2)))
+        s1 = float(re1.dot(re1) + im1.dot(im1))
+        s2 = float(re2.dot(re2) + im2.dot(im2))
+        return math.sqrt(s1 if s1 >= s2 or s1 != s1 else s2)  # s1 != s1: NaN
 
     return monitor
 

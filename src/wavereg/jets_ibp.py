@@ -60,7 +60,8 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
     The ordered triple sums are formed on the padded grid through the pair
     sums S_j = sum_{a+b=j} u_a u_b: C_j = sum_c S_{j-c} u_c and T_j =
     3 sum_c S_{j-c} delta u_c.  Each level but the last is synthesized once,
-    and C_j and T_j come back by one forward FFT: 2 depth FFT calls."""
+    and C_j and T_j (order 3) come back by one forward FFT: 2 depth FFT
+    calls."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > _MAX_DEPTH:
@@ -72,7 +73,7 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
     for j in range(depth):
         values.append(_padded_values(grid, jet[j]))  # u_j and delta u_j
         pairs.append(sum(values[a][0] * values[j - a][0] for a in range(j + 1)))
-        level = _band_coeffs(grid, sum(pairs[j - c] * values[c] for c in range(j + 1)))
+        level = _band_coeffs(grid, sum(pairs[j - c] * values[c] for c in range(j + 1)), 3)
         level[..., grid.n_modes] = 0.0
         level[1:] *= 3.0  # the tangent row: T_j
         jet[j + 1] = level / (j + 1)
@@ -230,10 +231,12 @@ def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> 
     integrand = r.copy()
     for block in _blocks(grid, len(times)):
         x, xr = _padded_values(grid, np.stack([w[block], r[block]]))
-        cx = np.conj(x)
-        cube, forcing = _band_coeffs(grid, np.stack([x * x * x, cx * cx * np.conj(xr)]))
+        xx = x * x
+        # the rows of order -3 and -1 are formed conjugated and mirrored
+        cube, forcing = _band_coeffs(grid, np.stack([xx * x, xx * xr]), 3)
+        forcing = _mirror(forcing)
         cube[:, grid.n_modes] = forcing[:, grid.n_modes] = 0.0
-        resonant = _band_coeffs(grid, cx * cx * _padded_values(grid, cube))
+        resonant = _mirror(_band_coeffs(grid, xx * np.conj(_padded_values(grid, cube))))
         resonant[:, grid.n_modes] = 0.0
         integrand[block] += ((-3.0j * lam**4 / (4.0 * epsilon)) * resonant
                              + (-3.0 * lam**2 / 4.0) * phase[block, None] * forcing)

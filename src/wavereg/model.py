@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import SpectralField, _band_grid, _blocks, _mirror, _padded_values
+from .spectral import SpectralField, _band_grid, _blocks, _demodulation, _mirror, _padded_values
 
 
 class PressureLaw(Enum):
@@ -52,6 +52,11 @@ class PressureLaw(Enum):
     P0 = "p0"
     P1 = "p1"
     P2 = "p2"
+
+
+# plain minus conjugated factors of each law's cubic, u^3, |u|^2 u and
+# conj(u)^3: its order for spectral._band_coeffs
+_CUBIC_ORDER = {PressureLaw.P0: 3, PressureLaw.P1: 1, PressureLaw.P2: -3}
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,8 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     synthesis on the padded grid of Grid(K): its n_padded >= 4K+2 > 4K
     points (the smallest 11-smooth count from 4K+2 on, 35 for K = 8) leave
     the band |k| <= 4K of the product no alias on mode 0, so the average is
-    the exact mean.  The rows go through in the blocks of
+    the exact mean.  The synthesis gives u1 e^{iKx}, which for P0 and P2
+    spectral._demodulation takes off.  The rows go through in the blocks of
     spectral._blocks, one FFT call per block."""
     grid = _band_grid(np.shape(u1)[-1])
     two_pi = 2.0 * math.pi
@@ -167,7 +173,11 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     quart = np.empty(len(u1))
     for block in _blocks(grid, len(u1)):
         x = _padded_values(grid, u1[block])
-        x2 = x * np.conj(x) if law is PressureLaw.P1 else x * x
+        if law is PressureLaw.P1:
+            x2 = x * np.conj(x)
+        else:
+            x = _demodulation(grid) * x  # u1's own values
+            x2 = x * x
         quart[block] = np.mean((x2 * x2).real, axis=-1)
     quart *= 0.25 * two_pi
     quad1 = -0.5 * two_pi * pair(u1, u1 if law is PressureLaw.P0 else _mirror(u1))

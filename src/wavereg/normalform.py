@@ -70,11 +70,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import PressureLaw, State
+from .model import _CUBIC_ORDER, PressureLaw, State
 from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
+    _dx_symbol,
     _mirror,
     _norms,
     _padded_values,
@@ -205,7 +206,7 @@ def _mode_symbols(grid, epsilon: float) -> tuple:
     and 1 at k = 0), then the symbols 1/k, ik and (ik)^2 of m, dx and dx^2."""
     k = grid.wavenumbers.astype(float)
     fac = np.where(k == 0.0, 0.0, epsilon / np.where(k == 0.0, 1.0, k))
-    ik = 1j * grid.wavenumbers
+    ik = _dx_symbol(grid)
     symbols = (fac, 1.0 - fac * fac, _m_symbol(grid), ik, ik**2)
     for symbol in symbols:
         symbol.setflags(write=False)
@@ -250,7 +251,7 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
         grid of spectral.py (grid.n_padded, the smallest 11-smooth size >=
         max(2(2K+1), n_points));
       * there _forcing_products forms the bare cubic products, conjugates
-        included, and one forward FFT brings them back;
+        included, and one forward FFT brings them back at the law's order;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the
         cubic term of E v gives the w1 nonlinearity by a scalar phase, and
         R v = (Id + eps M)^{-1}((r1, 0) - M E v), with r1 the factored
@@ -263,6 +264,7 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
     spectral._blocks, two FFT calls per block."""
     eps, conjugated = setting.epsilon, setting.conjugated
     synthesis, post = _forcing_tables(grid, eps, setting.law, setting.amplitude)
+    order = _CUBIC_ORDER[setting.law]
     rot = np.exp(1j * np.asarray(t, dtype=float).reshape(-1, 1) / eps)  # (B, 1), or (1, 1)
     out = np.empty((2,) + np.shape(w1), dtype=complex)
     # Every temporary here is per block, and the post-map goes one output
@@ -274,7 +276,7 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
         v2 = w2[block] / r
         rows = np.array((v1, v2, v2, v1))
         padded = _forcing_products(setting.law, eps, _padded_values(grid, synthesis * rows))
-        z = np.concatenate((_band_coeffs(grid, padded), rows[:2]))
+        z = np.concatenate((_band_coeffs(grid, padded, order), rows[:2]))
         g1 = (post[0] * z).sum(axis=0) / r
         out[0, block] = _mirror(g1) if conjugated else g1
         out[1, block] = (post[1] * z).sum(axis=0) * r

@@ -30,7 +30,9 @@ Grid.n_padded is the smallest length at or above that bound (and the grid's
 own n_points) whose prime factors are all at most 11, the radices of numpy's
 FFT, so no transform falls back to a slow generic pass on a large prime
 factor.  The array kernels of other modules reach that grid only through
-_padded_values and _band_coeffs; `multiply` stays apart as their oracle.
+_padded_values and _band_coeffs, on a shifted band: k = -K..K sits in slots
+0..2K, so a synthesis gives u e^{iKx}, and a product comes back sliced by
+its order.  `multiply` and `to_physical` stay apart as their oracle.
 Likewise every L2 and H^s norm of stacked coefficient rows in the package
 comes from the one row-norm kernel _norms, which gives `norm`'s bits.  Its
 Sobolev weights, and the default grid of a band size, are built once each
@@ -341,11 +343,9 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
 
 def _linf_norms(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """norm(f, "Linf") of every row f of a coefficient array (..., 2K+1): the
-    maximum modulus on 4 n_points samples, from one inverse FFT call."""
-    n = 4 * grid.n_points
-    buf = np.zeros(np.shape(coeffs)[:-1] + (n,), dtype=complex)
-    buf[..., np.mod(grid.wavenumbers, n)] = coeffs
-    return np.max(np.abs(np.fft.ifft(buf) * n), axis=-1)
+    maximum modulus on 4 n_points samples of u e^{iKx}, as _padded_values
+    synthesizes them, from one inverse FFT call."""
+    return np.max(np.abs(np.fft.ifft(coeffs, n=4 * grid.n_points, norm="forward")), axis=-1)
 
 
 def multiply(fields: Sequence[SpectralField]) -> SpectralField:
@@ -392,21 +392,48 @@ def _band_grid(n_coeffs: int) -> Grid:
 
 
 def _padded_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Values on the padded grid of coefficient arrays of shape (..., 2K+1),
-    mode k in slot k mod n_padded: one unnormalized inverse FFT call."""
-    n, K = grid.n_padded, grid.n_modes
-    padded = np.zeros(np.shape(coeffs)[:-1] + (n,), dtype=complex)
-    padded[..., : K + 1] = coeffs[..., K:]  # k = 0..K
-    padded[..., n - K :] = coeffs[..., :K]  # k = -K..-1
-    return np.fft.ifft(padded, norm="forward")
+    """Values u(x_j) e^{iK x_j} on the padded grid of coefficient arrays of
+    shape (..., 2K+1): k = -K..K stays in slots 0..2K, where numpy's zero
+    padding puts it, so this is one unnormalized inverse FFT call."""
+    return np.fft.ifft(coeffs, n=grid.n_padded, norm="forward")
 
 
-def _band_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Coefficients |k| <= K of values on the padded grid, shape (..., 2K+1):
-    one forward FFT call, the inverse of _padded_values on the band."""
+def _band_coeffs(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Coefficients |k| <= K, shape (..., 2K+1), of a product of values of
+    _padded_values with `order` plain factors more than conjugated ones,
+    which carries e^{i order K x}: one forward FFT call, sliced (as a view)
+    from slot ((order - 1) K) mod n_padded.  Order 1 inverts
+    _padded_values; orders 0 and -1 would wrap around the array, so their
+    callers take the conjugate product and mirror the result."""
     n, K = grid.n_padded, grid.n_modes
-    hat = np.fft.fft(values, norm="forward")
-    return np.concatenate([hat[..., n - K :], hat[..., : K + 1]], axis=-1)
+    start = (order - 1) * K % n
+    if start + 2 * K >= n:
+        raise ValueError(f"order {order} wraps the band around {n} padded points")
+    return np.fft.fft(values, norm="forward")[..., start : start + 2 * K + 1]
+
+
+@lru_cache(maxsize=16)
+def _demodulation(grid: Grid) -> np.ndarray:
+    """The read-only row e^{-iK x_j} that takes _padded_values to the field's
+    own values, with K x_j reduced mod 2 pi in integers (the plain product
+    reaches 3,215 radians at K = 512, where half an ulp is 2.3e-13)."""
+    n = grid.n_padded
+    row = np.exp(-2j * np.pi * (grid.n_modes * np.arange(n) % n) / n)
+    row.setflags(write=False)
+    return row
+
+
+def _dx_symbol(grid: Grid) -> np.ndarray:
+    """The read-only symbol 1j * grid.wavenumbers of d/dx, cached per grid; a
+    plain function, so that integrate holds no cache but its propagator's."""
+    return _dx_symbol_table(grid)
+
+
+@lru_cache(maxsize=16)
+def _dx_symbol_table(grid: Grid) -> np.ndarray:
+    symbol = 1j * grid.wavenumbers
+    symbol.setflags(write=False)
+    return symbol
 
 
 def pair_mean(a: SpectralField, b: SpectralField) -> complex:

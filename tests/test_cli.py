@@ -420,6 +420,18 @@ class TestContinue:
         assert err.startswith("error: rho 1.2e+154 is too large") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    def test_budget_past_the_float_range_exits_one(self, capsys, tmp_path):
+        # at the parent this exited 0 and wrote 4,999 Infinity tokens, which
+        # is not JSON
+        rc = main(["continue", "--rho", "1e154", "--epsilon", "0.5", "--alpha", "1",
+                   "--growth-constant", "1e154", "--step-constant", "1e-150",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho 1e+154 and growth_constant 1e+154 are too large")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
 
 class TestPicard:
     def test_converges_on_short_horizon(self, tmp_path):
@@ -805,6 +817,36 @@ class TestCliOutputsScript:
         (new / "case" / "files" / "run.csv").write_text("t,status\n0.0,0\n0.1,2.4e-3\n")
         assert compare.main([str(old), str(new)]) == 1
         assert "text differs at line 1" in capsys.readouterr().out
+
+    def test_compare_outputs_floor_skips_relative_moves_below_it(self, tmp_path, capsys):
+        import importlib.util
+
+        path = REPO_ROOT / "scripts" / "compare_outputs.py"
+        spec = importlib.util.spec_from_file_location("compare_outputs", path)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        old, new = tmp_path / "old", tmp_path / "new"
+        for root, residual, value in ((old, "1e-18", "2.5e-3"), (new, "3e-18", "2.4e-3")):
+            (root / "case").mkdir(parents=True)
+            (root / "case" / "run.csv").write_text(f"residual,x\n{residual},{value}\n")
+            (root / "case" / "floor.csv").write_text(f"residual\n{residual}\n")
+        assert compare.main([str(old), str(new)]) == 0
+        plain = capsys.readouterr().out
+        assert "largest relative difference 6.667e-01 at line 2: 1e-18 -> 3e-18" in plain
+        assert compare.main(["--floor", "1e-15", str(old), str(new)]) == 0
+        floored = capsys.readouterr().out
+        # the move of 2.5e-3 shows; the absolute differences keep every pair
+        assert "largest relative difference 4.000e-02 at line 2: 2.5e-3 -> 2.4e-3" in floored
+        assert "case/floor.csv: numbers differ\n  largest absolute difference 2.000e-18" in floored
+        assert "  no relative difference above the floor\n" in floored
+        assert "overall largest relative difference 4.000e-02 in case/run.csv" in floored
+        # a floor of 0 is the plain comparison, byte for byte
+        assert compare.main(["--floor", "0", str(old), str(new)]) == 0
+        assert capsys.readouterr().out == plain
+        for bad in (["--floor"], ["--floor", "x", str(old), str(new)],
+                    ["--floor", "-1", str(old), str(new)], ["--floor", "nan", str(old), str(new)]):
+            assert compare.main(bad) == 2
+            assert capsys.readouterr().err.startswith("usage:")
 
 
 class TestPicardInputRules:

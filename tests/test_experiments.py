@@ -581,6 +581,26 @@ class TestContinuationSchedule:
             continuation_schedule(1.2e154, 0.5, 1.0, growth_constant=100.0,
                                   step_constant=1e-300)
 
+    def test_budget_past_the_float_range_names_rho_and_growth_constant(self):
+        # 12 growth_constant rho is inf as a float product, so every budget
+        # after the first would be inf and every time after the first 0.0
+        with pytest.raises(ValueError, match=r"^rho 1e\+154 and growth_constant 1e\+154 "
+                                             r"are too large: .* leaves the float range$"):
+            continuation_schedule(1e154, 0.5, 1.0, growth_constant=1e154,
+                                  step_constant=1e-150)
+
+    def test_budget_product_at_the_edge_of_the_float_range(self):
+        # 12 growth_constant rho is 1.44e308 at growth_constant 4e153, a
+        # finite product, and the schedule completes; at 5e153 it is 1.8e308,
+        # past the largest double, and the schedule is refused
+        s = continuation_schedule(3e153, 0.5, 1.0, growth_constant=4e153,
+                                  step_constant=1e-150)
+        assert (s.j_formula, s.j_star) == (1124, 783)
+        assert all(math.isfinite(r) for r in s.rho_sequence)
+        with pytest.raises(ValueError, match=r"^rho 3e\+153 and growth_constant 5e\+153"):
+            continuation_schedule(3e153, 0.5, 1.0, growth_constant=5e153,
+                                  step_constant=1e-150)
+
     def test_step_limit(self, monkeypatch):
         # 0.5**2 / (2 * 0.01**2) - 1 = 1249 steps: allowed at a limit of
         # 1249, refused below it

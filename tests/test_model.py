@@ -255,6 +255,25 @@ class TestStackedEnergies:
             assert np.allclose(rows[:, j], want, rtol=0.0, atol=1e-14 * scale)
             assert energy(law, s) == EnergyReport(*rows[:, j].tolist())
 
+    @pytest.mark.parametrize("law", [PressureLaw.P0, PressureLaw.P2])
+    def test_full_band_at_k512(self, rng, law):
+        # the padded values carry e^{iKx}, which the P0 and P2 quartic takes
+        # off by a demodulation row; full-band data of amplitude 2 at
+        # K = 512 hold it to 1e-14 only with that row's argument reduced
+        # mod 2 pi in integers (measured 5e-17 of the scale on the first
+        # sample; with the plain K x_j the second sample reached 1.8e-14)
+        grid = Grid(512)
+        states = [State(*(2.0 * random_field(grid, rng, band=(0, grid.n_modes),
+                                             zero_mean=False) for _ in range(2)))
+                  for _ in range(3)]
+        rows = _energies(law, np.stack([s.u1.coeffs for s in states]),
+                         np.stack([s.u2.coeffs for s in states]))
+        for j, s in enumerate(states):
+            want = convolution_energy(law, s)
+            modulus = abs(convolution_energy(PressureLaw.P1, s)[1])
+            scale = modulus + abs(want[2]) + abs(want[3])
+            assert np.allclose(rows[:, j], want, rtol=0.0, atol=1e-14 * scale)
+
     def test_band_edge_quartic_is_exact(self):
         # u1 = e^{iKx} + e^{-iKx}: u1^4 reaches |k| = 4K, the last band that
         # 4K + 2 points keep off the mean; the mean of (2 cos Kx)^4 is 6

@@ -157,6 +157,85 @@ class TestPaddedLength:
             assert abs(quartic - 0.5 * np.pi * mean) <= 1e-13 * np.sum(np.abs(u) ** 2) ** 2
 
 
+SHIFTED_GRIDS = [sp.Grid(0), sp.Grid(8), sp.Grid(8, n_points=17), sp.Grid(8, n_points=61),
+                 sp.Grid(33), sp.Grid(512)]
+SHIFTED_IDS = ["K0", "K8", "K8-n17", "K8-n61", "K33", "K512"]
+
+
+class TestShiftedBand:
+    """The padded kernels' contract against `multiply`, the oracle:
+    _padded_values gives u e^{iKx}, and a product with q more plain factors
+    than conjugated ones comes back from _band_coeffs with order q.  The
+    data carry band-edge modes +-K, so every cubic reaches +-3K, the modes
+    that a wrong slice start or a wrong order brings into the band."""
+
+    @staticmethod
+    def fields(grid, seed):
+        rng = np.random.default_rng(seed)
+        K = grid.n_modes
+        return [random_full_band(grid, rng) + sp.from_modes(grid, {K: 2.0, -K: -1.5j})
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("grid", SHIFTED_GRIDS, ids=SHIFTED_IDS)
+    @pytest.mark.parametrize("order, conjugated", [
+        (1, (False, True, False)),   # a conj(b) c, the p1 shape
+        (2, (False, False)),         # a b
+        (3, (False, False, False)),  # a b c, the p0 shape
+        (-2, (True, True)),          # conj(a) conj(b)
+        (-3, (True, True, True)),    # the p2 shape
+    ])
+    def test_products_match_multiply(self, grid, order, conjugated):
+        fields = self.fields(grid, 7)[: len(conjugated)]
+        values = sp._padded_values(grid, np.stack([f.coeffs for f in fields]))
+        assert values.shape == (len(fields), grid.n_padded)
+        product = np.ones(grid.n_padded, dtype=complex)
+        for x, conj in zip(values, conjugated):
+            product = product * (np.conj(x) if conj else x)
+        got = sp._band_coeffs(grid, product, order)
+        want = sp.multiply([sp.conjugate(f) if conj else f
+                            for f, conj in zip(fields, conjugated)]).coeffs
+        scale = np.prod([np.sum(np.abs(f.coeffs)) for f in fields])
+        assert got.shape == (grid.n_coeffs,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", SHIFTED_GRIDS, ids=SHIFTED_IDS)
+    def test_kernels_match_multiply(self, grid):
+        # each kernel's products against the same products by `multiply`
+        from wavereg.integrate import _dx_cubic
+        from wavereg.jets_ibp import f_n
+        from wavereg.model import PressureLaw
+
+        u = self.fields(grid, 8)[0]
+        cu = sp.conjugate(u)
+        cubes = {PressureLaw.P0: (u, u, u), PressureLaw.P1: (u, cu, u),
+                 PressureLaw.P2: (cu, cu, cu)}
+        for law, factors in cubes.items():
+            want = sp.derivative(sp.multiply(list(factors))).coeffs
+            got = _dx_cubic(law, grid, u.coeffs)
+            scale = max(1, grid.n_modes) * np.sum(np.abs(u.coeffs)) ** 3  # |k| <= K
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        want = sp.remove_mean(sp.multiply([u, u, u])).coeffs  # f_0(u) = (Id - mean) u^3
+        got = f_n(u, 0).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(u.coeffs)) ** 3
+
+    @pytest.mark.parametrize("grid", SHIFTED_GRIDS[1:], ids=SHIFTED_IDS[1:])
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_orders_that_wrap_are_refused(self, grid, order):
+        values = sp._padded_values(grid, self.fields(grid, 9)[0].coeffs)
+        with pytest.raises(ValueError, match=f"order {order} wraps the band"):
+            sp._band_coeffs(grid, values, order)
+
+    def test_values_are_the_field_times_the_shift(self):
+        # |values| is |u| on the padded points, and the demodulation row
+        # gives u's own values there, as to_physical does
+        grid = sp.Grid(8, n_points=61)
+        u = self.fields(grid, 10)[0]
+        values = sp._padded_values(grid, u.coeffs)
+        physical = sp.to_physical(u, grid.n_padded)
+        assert np.allclose(values * sp._demodulation(grid), physical, rtol=0.0, atol=1e-12)
+        assert not sp._demodulation(grid).flags.writeable
+
+
 class TestMultiplier:
     def test_m_kills_mean_and_divides(self, rng):
         g = sp.Grid(16)
