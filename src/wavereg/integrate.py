@@ -67,6 +67,7 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
+    _require_integer,
 )
 
 _SCHEMES = ("exp_rk2", "exp_euler")
@@ -90,6 +91,7 @@ class IntegratorConfig:
         # an infinite threshold is allowed: it disables blow-up detection
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
+        _require_integer("store_every", self.store_every)
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
 
@@ -117,9 +119,13 @@ class PicardReport:
 # --------------------------------------------------------------------------
 # Exact per-mode propagator of the full system.
 
-# Bisection probes ask for a fresh dt each, so the cache is bounded; a solve
-# reuses only the entries of its step length and half of it.
-_PROPAGATOR_CACHE_SIZE = 16
+# An exp_rk2 step reads P(dt), then P(dt/2), and no table outlives its solve:
+# each solve has its own (ct, cd) and dt.  So the cache keeps those two, and
+# an entry it evicts, for a bisection probe or a shortened last step, is one
+# that no later step reads.  Measured per CLI run, the sweep builds 15 or 17
+# tables and simulate 4 (its last step is shorter than dt by rounding), each
+# once.
+_PROPAGATOR_CACHE_SIZE = 2
 
 
 def _mode_exponential(l12, l21, l22, t):

@@ -355,9 +355,10 @@ def _forcing_products(law: PressureLaw, eps: float, x):
     return out
 
 
-# Step lengths of the reduced stepper's w2 phase: a solve uses dt and dt/2,
-# every bisection probe asks for two more, so the cache is bounded.
-_W2_PHASE_CACHE_SIZE = 16
+# Step lengths of the reduced stepper's w2 phase: an exp_rk2 step reads p(dt),
+# then p(dt/2), and no phase outlives its solve, so the cache keeps those two,
+# the rule of integrate's propagator cache.
+_W2_PHASE_CACHE_SIZE = 2
 
 
 def _w2_phase(grid, cd: float, dt: float) -> np.ndarray:

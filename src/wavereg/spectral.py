@@ -41,6 +41,7 @@ and kept in small read-only caches.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -79,6 +80,14 @@ def _smooth_length(minimum: int) -> int:
         n += 1
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (numpy integers pass), by name."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Retained band |k| <= n_modes plus a collocation count.
@@ -100,6 +109,8 @@ class Grid:
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_integer("n_modes", self.n_modes)
+        _require_integer("n_points", self.n_points)
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         if self.n_points == 0:

@@ -448,6 +448,10 @@ class TestScalingSweep:
             (dict(kind="bogus"), "^unknown system kind 'bogus'$"),
             # 5e-324 * 0.2**2 underflows the scaled dt to 0
             (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive and finite$"),
+            # a store_every that is not an integer
+            (dict(store_every=1.5), "^store_every must be an integer, got 1.5$"),
+            (dict(store_every=math.nan), "^store_every must be an integer, got nan$"),
+            (dict(store_every=math.inf), "^store_every must be an integer, got inf$"),
         ],
     )
     def test_validation(self, monkeypatch, kwargs, match):

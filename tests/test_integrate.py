@@ -12,12 +12,14 @@ the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and both steppers bit for
 bit against the stacked-array steps they replaced (stacked_step_full,
 stacked_step_reduced), and both reject a non-finite dt before any cached
-table is touched.  The FFT calls of each step and of the array kernels
-(the reduced forcing per block, the tower map and its tangent, P_n_eval,
-bold_R_n, implicit_residual and ibp_once_p2 per block of samples, and
-solve's diagnostics pass per block of samples) are counted, with the block
-cases derived from spectral._BLOCK_POINTS, and so are the full step's
-SpectralField constructions.  The blow-up monitor is held with == to the
+table is touched; the two caches keyed by step length are held, in the
+shape of a sweep, to building each length a run asks for once and to
+keeping no more than one step reads.  The FFT calls of each step and of
+the array kernels (the reduced forcing per block, the tower map and its
+tangent, P_n_eval, bold_R_n, implicit_residual and ibp_once_p2 per block
+of samples, and solve's diagnostics pass per block of samples) are
+counted, with the block cases derived from spectral._BLOCK_POINTS, and so
+are the full step's SpectralField constructions.  The blow-up monitor is held with == to the
 two norm calls it fuses.  solve's diagnostics are checked row by row
 against the per-sample form they replaced (sample_diagnostics with
 energy), and its status against steps that return non-finite or
@@ -256,6 +258,9 @@ class TestConfig:
             dict(dt=1e-3, t_end=1.0, scheme="rk4"),
             dict(dt=1e-3, t_end=1.0, blowup_threshold=0.0),
             dict(dt=1e-3, t_end=1.0, store_every=0),
+            dict(dt=1e-3, t_end=1.0, store_every=1.5),
+            dict(dt=1e-3, t_end=1.0, store_every=float("nan")),
+            dict(dt=1e-3, t_end=1.0, store_every=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -276,6 +281,12 @@ class TestConfig:
         # an infinite blowup_threshold stays allowed: it switches detection off
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_store_every_takes_numpy_integers(self):
+        cfg = IntegratorConfig(dt=1e-3, t_end=1e-2, store_every=np.int64(3))
+        assert cfg.store_every == 3
+        with pytest.raises(ValueError, match=r"^store_every must be an integer, got 3\.0$"):
+            IntegratorConfig(dt=1e-3, t_end=1e-2, store_every=3.0)
 
 
 class TestPlainPropagator:
@@ -1198,6 +1209,76 @@ class TestSolve:
             assert solve(spec, PressureLaw.P0, datum, cfg).terminal_status == "blowup"
             assert _plain_propagator.cache_info().currsize <= _PROPAGATOR_CACHE_SIZE
         assert _plain_propagator.cache_info().misses > 2 * _PROPAGATOR_CACHE_SIZE
+
+
+class TestStepLengthCaches:
+    """The two caches keyed by step length, in the shape of a sweep: each
+    run builds every step length it asks for once, and leaves at most the
+    cache's bound.  The lengths asked for are recorded by wrapping the plain
+    function that the stepper calls through integrate's module globals."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        asked = set()
+        table = getattr(integrate, name)
+
+        def recording(*key):
+            asked.add(key)
+            return table(*key)
+
+        monkeypatch.setattr(integrate, name, recording)
+        return asked
+
+    def test_bounds_are_what_one_step_reads(self, monkeypatch, rng):
+        full = self.record(monkeypatch, "_plain_propagator")
+        reduced = self.record(monkeypatch, "_w2_phase")
+        grid = Grid(8)
+        step_full(SystemSpec("modified", 0.3), PressureLaw.P0, random_state(grid, rng),
+                  0.0, 1e-3)
+        setting = NormalFormSetting(0.2, amplitude=1.0)
+        step_reduced(setting, TestStepReduced().make_w(grid, rng, 0.2), 1e-3)
+        assert len(full) == _PROPAGATOR_CACHE_SIZE
+        assert len(reduced) == _W2_PHASE_CACHE_SIZE
+
+    def test_full_crossing_then_completed_run(self, monkeypatch, rng):
+        grid = Grid(32)
+        datum = random_state(grid, rng, scale=0.02, band=(1, 2), real=True)
+        asked = self.record(monkeypatch, "_plain_propagator")
+        _plain_propagator.cache_clear()
+        # a crossing run, whose bisection probes ask for two lengths each
+        cfg = IntegratorConfig(dt=5e-3, t_end=10.0, blowup_threshold=0.2)
+        crossing = solve(SystemSpec("modified", 0.3, rescaled=False), PressureLaw.P0,
+                         datum, cfg)
+        assert crossing.terminal_status == "blowup"
+        assert crossing.times[-1] > 4 * cfg.dt and len(asked) > 4
+        info = _plain_propagator.cache_info()
+        assert info.misses == len(asked)
+        assert info.currsize <= _PROPAGATOR_CACHE_SIZE
+        # then a run at another epsilon, whose last step is shortened
+        asked.clear()
+        cfg = IntegratorConfig(dt=5e-3, t_end=0.0523)
+        done = solve(SystemSpec("modified", 0.25, rescaled=False), PressureLaw.P0,
+                     datum, cfg)
+        assert done.terminal_status == "completed"
+        assert len(asked) == 4
+        assert _plain_propagator.cache_info().misses == info.misses + len(asked)
+        assert _plain_propagator.cache_info().currsize <= _PROPAGATOR_CACHE_SIZE
+
+    def test_reduced_crossing_run(self, monkeypatch, rng):
+        grid = Grid(8)
+        setting = NormalFormSetting(0.2, law=PressureLaw.P1, amplitude=1.0)
+        w = TestStepReduced().make_w(grid, rng, 0.2)
+        free = solve(setting, PressureLaw.P1, w, IntegratorConfig(dt=1e-3, t_end=0.2))
+        monitor = [max(d["norm1_h1"], d["norm2_l2"]) for d in free.diagnostics]
+        rho = 0.5 * (monitor[0] + max(monitor))
+        asked = self.record(monkeypatch, "_w2_phase")
+        _w2_phase_table.cache_clear()
+        cfg = IntegratorConfig(dt=7e-4, t_end=0.2, blowup_threshold=rho)
+        crossing = solve(setting, PressureLaw.P1, w, cfg)
+        assert crossing.terminal_status == "blowup"
+        assert crossing.times[-1] > 4 * cfg.dt and len(asked) > 4
+        assert _w2_phase_table.cache_info().misses == len(asked)
+        assert _w2_phase_table.cache_info().currsize <= _W2_PHASE_CACHE_SIZE
 
 
 def sample_diagnostics(first, second, report):

@@ -36,6 +36,12 @@ class TestGridAndTransforms:
             sp.Grid(8, n_points=16)
         with pytest.raises(ValueError):
             sp.Grid(-1)
+        # non-integral sizes, rejected by name; numpy integers pass
+        with pytest.raises(ValueError, match=r"^n_modes must be an integer, got 1\.5$"):
+            sp.Grid(1.5)
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.5$"):
+            sp.Grid(8, n_points=20.5)
+        assert sp.Grid(np.int64(8), n_points=np.int64(34)) == g
 
     def test_round_trip(self, rng):
         g = sp.Grid(64)
