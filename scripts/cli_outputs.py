@@ -1,6 +1,6 @@
 """Write the CLI's outputs on a fixed list of cases, for a byte-level diff.
 
-    python3 scripts/cli_outputs.py OUT_DIR
+    python3 scripts/cli_outputs.py [--digest] OUT_DIR
 
 OUT_DIR must not exist yet.  Runs each case in this process through
 `wavereg.cli.main`, taking `wavereg` from the `src/` next to this script.
@@ -16,12 +16,22 @@ compare:
 
     diff -r OUT_PARENT OUT_CHANGE
 
+With --digest the script prints, in place of each case's exit code, one
+line per recorded file, sorted by path: its sha256 and its path under
+OUT_DIR, in the format of sha256sum.  The digests of the current record are
+committed beside this script,
+
+    python3 scripts/cli_outputs.py --digest OUT_DIR > scripts/cli_outputs.sha256
+
+and a test in tests/test_cli.py records the cases again and compares.
+
 The cases take about 2 s (Python 3.11, numpy 2.4, one 2-core host).
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -156,9 +166,25 @@ def run_case(name: str, argv: list, out_dir: str) -> int:
     return code
 
 
+def digest_lines(out_dir: str) -> list:
+    """'<sha256>  <path>' for every file under out_dir, sorted by its path
+    relative to out_dir, with / between the parts."""
+    paths = sorted(
+        os.path.relpath(os.path.join(root, name), out_dir).replace(os.sep, "/")
+        for root, _, names in os.walk(out_dir) for name in names
+    )
+    lines = []
+    for path in paths:
+        with open(os.path.join(out_dir, path), "rb") as handle:
+            lines.append(f"{hashlib.sha256(handle.read()).hexdigest()}  {path}")
+    return lines
+
+
 def main(args: list) -> int:
+    digest = args[:1] == ["--digest"]
+    args = args[1:] if digest else args
     if len(args) != 1:
-        print("usage: python3 scripts/cli_outputs.py OUT_DIR", file=sys.stderr)
+        print("usage: python3 scripts/cli_outputs.py [--digest] OUT_DIR", file=sys.stderr)
         return 1
     out_dir = os.path.abspath(args[0])
     if os.path.exists(out_dir):
@@ -166,7 +192,10 @@ def main(args: list) -> int:
         return 1
     for name, argv in CASES.items():
         code = run_case(name, argv, out_dir)
-        print(f"{name}: exit {code}")
+        if not digest:
+            print(f"{name}: exit {code}")
+    if digest:
+        print("\n".join(digest_lines(out_dir)))
     return 0
 
 

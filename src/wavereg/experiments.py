@@ -47,6 +47,7 @@ from .spectral import (
     _m_coeffs,
     _mirror,
     _norms,
+    _require_integer,
     from_modes,
     norm,
     random_field,
@@ -468,6 +469,7 @@ def growth_experiment(
         raise ValueError(f"u_star must be finite, got {u_star}")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    _require_integer("n_samples", n_samples)
     if n_samples < 101:
         raise ValueError("need at least 101 samples")
     u, eps = float(u_star), float(epsilon)
@@ -558,6 +560,7 @@ def lemma_m_suite(
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    _require_integer("n_fields", n_fields)
     if n_fields < 1:
         raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     grid = Grid(n_modes)
@@ -565,7 +568,7 @@ def lemma_m_suite(
         multiplier = partial(_m_coeffs, grid)
     rng = np.random.default_rng(seed)
     pointwise_constant = math.pi / math.sqrt(3.0)
-    dx, dxx = ((1j * grid.wavenumbers) ** order for order in (1, 2))  # as derivative forms them
+    dx, dxx = (grid.ik ** order for order in (1, 2))  # as derivative forms them
     worst: dict[str, float] = {}
     for block in _blocks(grid, n_fields):
         normals = rng.standard_normal((len(range(n_fields)[block]), 4 * n_modes + 2))
@@ -683,6 +686,7 @@ def sobolev_constant(max_wavenumber: int) -> float:
     c_K^2 sums max(1, |k|)^(-2) over the band; c_0 = 1 and c_K increases to
     sqrt(1 + pi^2 / 3) as the band widens.
     """
+    _require_integer("max_wavenumber", max_wavenumber)
     if max_wavenumber < 0:
         raise ValueError("max_wavenumber must be nonnegative")
     ks = np.arange(1, max_wavenumber + 1, dtype=float)

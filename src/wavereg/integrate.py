@@ -47,6 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import spectral
 from .model import _CUBIC_ORDER, PressureLaw, State, SystemSpec, _energies, _require_law
 from .normalform import (
     NormalFormSetting,
@@ -63,7 +64,6 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
-    _dx_symbol,
     _mirror,
     _norms,
     _padded_values,
@@ -165,18 +165,16 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray
     return p
 
 
-def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray, ik=None) -> np.ndarray:
+def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
     """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
-    `spectral` (two FFT calls): the oracle q_apply(law, u1, dx u1) of
-    tests/oracles.py in exact arithmetic, as truncation commutes with dx,
-    with an exactly zero k = 0 entry.  ik, the symbol of dx from
-    spectral._dx_symbol, may be fetched once by the caller."""
+    `spectral` (two FFT calls), with ik the grid's row: the oracle
+    q_apply(law, u1, dx u1) of tests/oracles.py in exact arithmetic, as
+    truncation commutes with dx, with an exactly zero k = 0 entry."""
     x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
-    ik = _dx_symbol(grid) if ik is None else ik
-    return ik * _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
+    return grid.ik * _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
 
 
 def _require_step(dt: float, scheme: str) -> None:
@@ -208,15 +206,14 @@ def step_full(
     modified = spec.kind == "modified"
     u1 = _mirror(state.u1.coeffs) if modified else state.u1.coeffs
     u2 = state.u2.coeffs
-    ik = _dx_symbol(grid)
     p = _plain_propagator(grid, ct, cd, dt)
-    f = (-ct) * _dx_cubic(law, grid, u1, ik)
+    f = (-ct) * _dx_cubic(law, grid, u1)
     if scheme == "exp_euler":
         u1, u2 = p[0::2] * u1 + p[1::2] * (u2 + dt * f)
     else:
         h = _plain_propagator(grid, ct, cd, 0.5 * dt)
         mid = h[0] * u1 + h[1] * (u2 + (0.5 * dt) * f)
-        f = (-ct) * _dx_cubic(law, grid, mid, ik)
+        f = (-ct) * _dx_cubic(law, grid, mid)
         u1, u2 = p[0::2] * u1 + p[1::2] * u2 + dt * (h[1::2] * f)
     return State(SpectralField(grid, _mirror(u1) if modified else u1),
                  SpectralField(grid, u2))
@@ -266,12 +263,14 @@ def step_reduced(
 
 def _monitor(grid: Grid):
     """The blow-up monitor on grid: max(H1 norm of the first, L2 norm of the
-    second) of two coefficient vectors, with the H1 weight built once; NaN
-    when either norm is NaN, so a finite value means finite coefficients.
-    Each squared norm is np.linalg.norm's own sum re.re + im.im by dot, and
-    the root of the larger sum is the larger root, so the value is the two
-    norm calls' bit for bit (math.sqrt on floats rounds as np.sqrt does)."""
-    weight = np.maximum(1.0, np.abs(grid.wavenumbers))
+    second) of two coefficient vectors, with spectral's cached H1 weight
+    (read through the module, so that this one holds no cache but the
+    propagator's); NaN when either norm is NaN, so a finite value means
+    finite coefficients.  Each squared norm is np.linalg.norm's own sum
+    re.re + im.im by dot, and the root of the larger sum is the larger root,
+    so the value is the two norm calls' bit for bit (math.sqrt on floats
+    rounds as np.sqrt does)."""
+    weight = spectral._sobolev_weight(grid, 1.0)
 
     def monitor(first, second):
         first = weight * first
@@ -454,6 +453,8 @@ def picard_solve(
         raise ValueError("T must be positive")
     if not T < np.inf:  # nan and inf
         raise ValueError(f"T must be finite, got {T}")
+    _require_integer("n_nodes", n_nodes)
+    _require_integer("max_iter", max_iter)
     if n_nodes < 3:
         raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
     if max_iter < 1:

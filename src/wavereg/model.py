@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import SpectralField, _band_grid, _blocks, _demodulation, _mirror, _padded_values
+from .spectral import SpectralField, _band_grid, _blocks, _mirror, _padded_values
 
 
 class PressureLaw(Enum):
@@ -162,8 +162,8 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     points (the smallest 11-smooth count from 4K+2 on, 35 for K = 8) leave
     the band |k| <= 4K of the product no alias on mode 0, so the average is
     the exact mean.  The synthesis gives u1 e^{iKx}, which for P0 and P2
-    spectral._demodulation takes off.  The rows go through in the blocks of
-    spectral._blocks, one FFT call per block."""
+    the grid's _demodulation row takes off.  The rows go through in the
+    blocks of spectral._blocks, one FFT call per block."""
     grid = _band_grid(np.shape(u1)[-1])
     two_pi = 2.0 * math.pi
 
@@ -176,7 +176,7 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         if law is PressureLaw.P1:
             x2 = x * np.conj(x)
         else:
-            x = _demodulation(grid) * x  # u1's own values
+            x = grid._demodulation * x  # u1's own values
             x2 = x * x
         quart[block] = np.mean((x2 * x2).real, axis=-1)
     quart *= 0.25 * two_pi

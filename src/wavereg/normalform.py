@@ -47,12 +47,13 @@ independent oracles of the kernels here, and only the tests call them.
 The change of coordinates both ways (_normal_coords, which
 from_normal_coords and to_normal_coords wrap) and the cancellation
 residual (_cancellation_residuals) run on coefficient arrays with a
-leading sample axis, on per-mode symbols that _mode_symbols builds once
-per (grid, eps) and keeps in a small read-only cache.  The reduced system
-itself is evaluated by one array kernel, _reduced_forcing: it takes raw
-coefficient arrays with a leading batch axis, one member per row at its
-own time, and assembles the same formula on spectral.py's padded product
-grid with two FFT calls per block of members.  Every per-mode constant of that formula (the symbols of dx, m
+leading sample axis, on the grid's rows ik and 1/k and on the symbols of
+Id + eps*M that _mode_symbols builds once per (grid, eps) and keeps in a
+small read-only cache.  The reduced system itself is evaluated by one
+array kernel, _reduced_forcing: it takes raw coefficient arrays with a
+leading batch axis, one member per row at its own time, and assembles the
+same formula on spectral.py's padded product grid with two FFT calls per
+block of members.  Every per-mode constant of that formula (the symbols of dx, m
 and (Id + eps M)^{-1}, the law's factors, the mean projection, 1/eps and
 c_t) is folded into two read-only tables, built once per (grid, eps, law,
 amplitude) by _forcing_tables and kept in its small lru_cache beside the
@@ -75,7 +76,6 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
-    _dx_symbol,
     _mirror,
     _norms,
     _padded_values,
@@ -174,7 +174,7 @@ def _normal_coords(setting: NormalFormSetting, grid, a1, a2, inverse=False):
     component in and out.  The arrays are not validated."""
     if setting.conjugated:
         a1 = _mirror(a1)
-    fac, det = _mode_symbols(grid, setting.epsilon)[:2]
+    fac, det = _mode_symbols(grid, setting.epsilon)
     if inverse:
         b1, b2 = (a1 + fac * a2) / det, (fac * a1 + a2) / det
     else:
@@ -193,7 +193,7 @@ def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
     in tests/oracles.py, forms all the terms on one State."""
     if setting.conjugated:
         u1 = _mirror(u1)
-    inv_k, d1, d2 = _mode_symbols(grid, setting.epsilon)[2:]  # m, dx and dx^2
+    inv_k, d1, d2 = grid.inv_k, grid.ik, grid.ik ** 2  # m, dx and dx^2
     res1 = d1 * u2 - -inv_k * (1j * (d2 * u2))
     res2 = 1j * (d2 * (-inv_k * u1)) - d1 * u1
     return np.sqrt(_norms(grid, res1) ** 2 + _norms(grid, res2) ** 2)
@@ -201,22 +201,15 @@ def _cancellation_residuals(setting: NormalFormSetting, grid, u1, u2):
 
 @lru_cache(maxsize=16)
 def _mode_symbols(grid, epsilon: float) -> tuple:
-    """Read-only per-mode symbols of the two kernels above, built once per
+    """The read-only per-mode symbols of _normal_coords, built once per
     (grid, eps): eps/k and the determinant 1 - (eps/k)^2 of Id + eps*M (0
-    and 1 at k = 0), then the symbols 1/k, ik and (ik)^2 of m, dx and dx^2."""
+    and 1 at k = 0)."""
     k = grid.wavenumbers.astype(float)
     fac = np.where(k == 0.0, 0.0, epsilon / np.where(k == 0.0, 1.0, k))
-    ik = _dx_symbol(grid)
-    symbols = (fac, 1.0 - fac * fac, _m_symbol(grid), ik, ik**2)
+    symbols = (fac, 1.0 - fac * fac)
     for symbol in symbols:
         symbol.setflags(write=False)
     return symbols
-
-
-def _m_symbol(grid) -> np.ndarray:
-    """The symbol of m per mode: 1/k, and 0 at k = 0."""
-    k = grid.wavenumbers.astype(float)
-    return np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k))
 
 
 def _phases(t, epsilon: float, direction: str, conjugated: bool = False):
@@ -307,7 +300,7 @@ def _forcing_tables(grid, epsilon: float, law: PressureLaw, amplitude: float):
     flips the i), c a^2 and c a^2, with c = 3 for p0 and p2 and 1 for p1."""
     k = grid.wavenumbers.astype(float)
     ones = np.ones_like(k)
-    inv_k = _m_symbol(grid)
+    inv_k = grid.inv_k
     fac = epsilon * inv_k
     kd = inv_k / (1.0 - fac * fac)  # m, then the diagonal of (Id + eps M)^{-1}
     ct = 1.0 / epsilon**2
@@ -315,7 +308,7 @@ def _forcing_tables(grid, epsilon: float, law: PressureLaw, amplitude: float):
     c = (1.0 if law is PressureLaw.P1 else 3.0) * a2
     coupling = (1j if law is PressureLaw.P2 else -1j) * c
     mean_free = np.where(k == 0.0, 0.0, 1.0)  # P
-    synthesis = np.array([ones, ones, -inv_k, 1j * k])
+    synthesis = np.array([ones, ones, -inv_k, grid.ik])
     post = np.array([
         # cubic, coupling, kept, diff, v1, v2
         [-1j * a2 * (1.0 / epsilon + fac * kd) * mean_free, -coupling * kd,

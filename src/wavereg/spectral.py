@@ -32,7 +32,8 @@ FFT, so no transform falls back to a slow generic pass on a large prime
 factor.  The array kernels of other modules reach that grid only through
 _padded_values and _band_coeffs, on a shifted band: k = -K..K sits in slots
 0..2K, so a synthesis gives u e^{iKx}, and a product comes back sliced by
-its order.  `multiply` and `to_physical` stay apart as their oracle.
+its order.  `multiply` and `to_physical` stay apart as their oracle.  The
+per-mode rows that the kernels read (k, ik, 1/k, e^{-iKx}) live on the Grid.
 Likewise every L2 and H^s norm of stacked coefficient rows in the package
 comes from the one row-norm kernel _norms, which gives `norm`'s bits.  Its
 Sobolev weights, and the default grid of a band size, are built once each
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,10 +81,11 @@ def _smooth_length(minimum: int) -> int:
         n += 1
 
 
-def _require_integer(name: str, value) -> None:
-    """Reject a value that is not an integer (numpy integers pass), by name."""
+def _require_integer(name: str, value) -> int:
+    """value as an int; a value that is not an integer (numpy integers pass)
+    is rejected by name."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -100,13 +102,18 @@ class Grid:
 
     n_padded, the size of the padded product grid, is derived once here: the
     smallest 11-smooth length >= max(2(2K+1), n_points), e.g. 35 for K = 8
-    and 2058 for K = 512; so is wavenumbers, the read-only array -K..K.
+    and 2058 for K = 512; so are the read-only rows over k = -K..K that
+    every kernel reads: wavenumbers, ik (the symbol of d/dx) and inv_k (1/k,
+    and 0 at k = 0: the symbol of m).  A pickle carries the two sizes only,
+    and the rows are built again, read-only, on the other side.
     """
 
     n_modes: int
     n_points: int = 0
     n_padded: int = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    ik: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_integer("n_modes", self.n_modes)
@@ -122,19 +129,37 @@ class Grid:
             )
         n_padded = _smooth_length(max(2 * self.n_coeffs, self.n_points))
         object.__setattr__(self, "n_padded", n_padded)
-        wavenumbers = np.arange(-self.n_modes, self.n_modes + 1)
-        wavenumbers.setflags(write=False)
-        object.__setattr__(self, "wavenumbers", wavenumbers)
+        k = np.arange(-self.n_modes, self.n_modes + 1)
+        rows = {"wavenumbers": k, "ik": 1j * k,
+                "inv_k": np.where(k == 0, 0.0, 1.0 / np.where(k == 0, 1, k))}
+        for name, row in rows.items():
+            row.setflags(write=False)
+            object.__setattr__(self, name, row)
+
+    def __reduce__(self):
+        return Grid, (self.n_modes, self.n_points)
+
+    @cached_property
+    def _demodulation(self) -> np.ndarray:
+        """The read-only row e^{-iK x_j} that takes _padded_values to the
+        field's own values, with K x_j reduced mod 2 pi in integers (the plain
+        product reaches 3,215 radians at K = 512, where half an ulp is
+        2.3e-13); built when first read."""
+        n = self.n_padded
+        row = np.exp(-2j * np.pi * (self.n_modes * np.arange(n) % n) / n)
+        row.setflags(write=False)
+        return row
 
     @property
     def n_coeffs(self) -> int:
         return 2 * self.n_modes + 1
 
     def points(self, n_points: int | None = None) -> np.ndarray:
-        n = self.n_points if n_points is None else int(n_points)
+        n = self.n_points if n_points is None else _require_integer("n_points", n_points)
         return 2.0 * np.pi * np.arange(n) / n
 
     def index(self, k: int) -> int:
+        k = _require_integer("wavenumber", k)
         if abs(k) > self.n_modes:
             raise ValueError(f"wavenumber {k} outside band |k| <= {self.n_modes}")
         return k + self.n_modes
@@ -192,7 +217,7 @@ def from_modes(grid: Grid, modes: Mapping[int, complex]) -> SpectralField:
     """Field with prescribed coefficients, e.g. {1: 1.0} for e^{ix}."""
     c = np.zeros(grid.n_coeffs, dtype=complex)
     for k, amp in modes.items():
-        c[grid.index(int(k))] = amp
+        c[grid.index(k)] = amp
     return SpectralField(grid, c)
 
 
@@ -245,7 +270,7 @@ def to_physical(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     rejected.
     """
     grid = f.grid
-    n = grid.n_points if n_points is None else int(n_points)
+    n = grid.n_points if n_points is None else _require_integer("n_points", n_points)
     if n < grid.n_coeffs:
         raise ValueError("n_points too small to synthesize the retained band")
     buf = np.zeros(n, dtype=complex)
@@ -298,9 +323,9 @@ def _m_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    if order < 0:
+    if _require_integer("order", order) < 0:
         raise ValueError("order must be nonnegative")
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.wavenumbers) ** order)
+    return SpectralField(f.grid, f.coeffs * f.grid.ik ** order)
 
 
 def _mirror(coeffs: np.ndarray) -> np.ndarray:
@@ -421,30 +446,6 @@ def _band_coeffs(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
     if start + 2 * K >= n:
         raise ValueError(f"order {order} wraps the band around {n} padded points")
     return np.fft.fft(values, norm="forward")[..., start : start + 2 * K + 1]
-
-
-@lru_cache(maxsize=16)
-def _demodulation(grid: Grid) -> np.ndarray:
-    """The read-only row e^{-iK x_j} that takes _padded_values to the field's
-    own values, with K x_j reduced mod 2 pi in integers (the plain product
-    reaches 3,215 radians at K = 512, where half an ulp is 2.3e-13)."""
-    n = grid.n_padded
-    row = np.exp(-2j * np.pi * (grid.n_modes * np.arange(n) % n) / n)
-    row.setflags(write=False)
-    return row
-
-
-def _dx_symbol(grid: Grid) -> np.ndarray:
-    """The read-only symbol 1j * grid.wavenumbers of d/dx, cached per grid; a
-    plain function, so that integrate holds no cache but its propagator's."""
-    return _dx_symbol_table(grid)
-
-
-@lru_cache(maxsize=16)
-def _dx_symbol_table(grid: Grid) -> np.ndarray:
-    symbol = 1j * grid.wavenumbers
-    symbol.setflags(write=False)
-    return symbol
 
 
 def pair_mean(a: SpectralField, b: SpectralField) -> complex:

@@ -777,6 +777,30 @@ class TestCliOutputsScript:
         assert script.main([str(tmp_path)]) == 1
         assert "exists" in capsys.readouterr().err
 
+    def test_outputs_match_the_committed_digests(self, script, tmp_path):
+        """Record every case and compare each file's sha256 with
+        scripts/cli_outputs.sha256; a mismatch names each file whose digest
+        differs or that is on one side only.
+
+        The committed digests were recorded with Python 3.11.7 and numpy 2.4
+        on x86-64 Linux.  Another numpy build may round an FFT or a reduction
+        differently, and another Python may wrap argparse's help text
+        differently, so elsewhere this test can fail with no fault in
+        wavereg.  A change that means to move printed bytes regenerates the
+        digests (`python3 scripts/cli_outputs.py --digest OUT_DIR`) and says
+        which numbers moved."""
+        for name, argv in script.CASES.items():
+            script.run_case(name, argv, str(tmp_path))
+
+        def digests(lines):
+            return dict(reversed(line.split("  ", 1)) for line in lines)
+
+        got = digests(script.digest_lines(str(tmp_path)))
+        want = digests((REPO_ROOT / "scripts" / "cli_outputs.sha256").read_text().splitlines())
+        differ = sorted(path for path in want.keys() | got.keys()
+                        if want.get(path) != got.get(path))
+        assert not differ, f"files that differ from scripts/cli_outputs.sha256: {differ}"
+
 
     def test_help_cases_are_wrapped_at_80_columns(self, script, tmp_path, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")

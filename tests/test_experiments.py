@@ -651,6 +651,8 @@ class TestGrowthExperiment:
             growth_experiment(PressureLaw.P0, 0.0, [4], epsilon=-0.1)
         with pytest.raises(ValueError, match="samples"):
             growth_experiment(PressureLaw.P0, 0.0, [4], n_samples=50)
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 200\.5$"):
+            growth_experiment(PressureLaw.P0, 0.0, [4], n_samples=200.5)
 
     @pytest.mark.parametrize("u_star,epsilon,match", [
         (float("nan"), 0.0, "u_star"),
@@ -820,6 +822,12 @@ class TestLemmaMSuite:
         # no draw leaves no residual, so no vacuous pass
         with pytest.raises(ValueError, match=f"^n_fields must be at least 1, got {n_fields}$"):
             lemma_m_suite(1, n_modes=8, n_fields=n_fields)
+
+    def test_n_fields_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^n_fields must be an integer, got 2\.5$"):
+            lemma_m_suite(1, n_modes=8, n_fields=2.5)
+        assert lemma_m_suite(1, n_modes=8, n_fields=np.int64(3)) == lemma_m_suite(
+            1, n_modes=8, n_fields=3)
 
     @pytest.mark.parametrize("n_modes", [8, 16, 64])
     @pytest.mark.parametrize("seed", [1, 3, 6, 9, 10, 11])
@@ -1014,6 +1022,9 @@ class TestSobolevConstant:
     def test_rejects_negative_band(self):
         with pytest.raises(ValueError):
             sobolev_constant(-1)
+        with pytest.raises(ValueError, match=r"^max_wavenumber must be an integer, got 2\.5$"):
+            sobolev_constant(2.5)
+        assert sobolev_constant(np.int64(3)) == sobolev_constant(3)
 
 
 def per_sample_margin(setting, states):

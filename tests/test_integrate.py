@@ -1560,6 +1560,12 @@ class TestPicard:
             picard_solve(zeros(grid), zeros(grid), PressureLaw.P1, setting, T=0.01)
         with pytest.raises(ValueError, match="positive"):
             picard_solve(zeros(grid), zeros(grid), PressureLaw.P0, setting, T=0.0)
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got 2\.5$"):
+            picard_solve(zeros(grid), zeros(grid), PressureLaw.P0, setting, T=0.01,
+                         max_iter=2.5)
+        with pytest.raises(ValueError, match=r"^n_nodes must be an integer, got 20\.5$"):
+            picard_solve(zeros(grid), zeros(grid), PressureLaw.P0, setting, T=0.01,
+                         n_nodes=20.5)
 
     @pytest.mark.parametrize("T,message", [
         (0.0, "T must be positive"),

@@ -1,6 +1,7 @@
 """Grid, transforms, the inverse-derivative multiplier, norms, and dealiased products."""
 
 import ast
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,60 @@ class TestGridAndTransforms:
         with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.5$"):
             sp.Grid(8, n_points=20.5)
         assert sp.Grid(np.int64(8), n_points=np.int64(34)) == g
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.7$"):
+            g.points(20.7)
+        assert np.array_equal(g.points(np.int64(20)), g.points(20))
+
+    def test_non_integer_arguments_are_rejected_by_name(self):
+        # rejected by name, not truncated; numpy integers pass
+        g = sp.Grid(8)
+        with pytest.raises(ValueError, match=r"^wavenumber must be an integer, got 1\.5$"):
+            sp.from_modes(g, {1.5: 1.0})
+        f = sp.from_modes(g, {np.int64(1): 1.0})
+        assert f.coeff(1) == 1.0
+        with pytest.raises(ValueError, match=r"^wavenumber must be an integer, got 1\.5$"):
+            f.coeff(1.5)
+        assert f.coeff(np.int64(1)) == 1.0
+        with pytest.raises(ValueError, match=r"^order must be an integer, got 1\.5$"):
+            sp.derivative(f, 1.5)
+        with pytest.raises(ValueError, match=r"^order must be nonnegative$"):
+            sp.derivative(f, -1)
+        assert sp.derivative(f, np.int64(2)).coeff(1) == -1.0
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.7$"):
+            sp.to_physical(f, 20.7)
+        assert np.array_equal(sp.to_physical(f, np.int64(20)), sp.to_physical(f, 20))
+
+    @pytest.mark.parametrize("grid", [sp.Grid(0), sp.Grid(1), sp.Grid(8, n_points=17),
+                                      sp.Grid(33), sp.Grid(512)],
+                             ids=["K0", "K1", "K8-n17", "K33", "K512"])
+    def test_rows_are_read_only_and_keep_their_formulas(self, grid):
+        # the per-mode rows the kernels read, each bit for bit its formula:
+        # 1j * k, 1/k with 0 at k = 0, and e^{-iK x_j} with K x_j reduced
+        # mod 2 pi in integers
+        k = grid.wavenumbers.astype(float)
+        n, K = grid.n_padded, grid.n_modes
+        formulas = {
+            "ik": 1j * grid.wavenumbers,
+            "inv_k": np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, k)),
+            "_demodulation": np.exp(-2j * np.pi * (K * np.arange(n) % n) / n),
+        }
+
+        def check(g):
+            for name, want in formulas.items():
+                row = getattr(g, name)
+                assert row is getattr(g, name) and not row.flags.writeable, name
+                assert row.dtype == want.dtype and row.shape == want.shape, name
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), name
+
+        check(grid)
+        # a grid whose demodulation row has been read is still the grid of
+        # its sizes
+        fresh = sp.Grid(grid.n_modes, grid.n_points)
+        assert grid == fresh and hash(grid) == hash(fresh)
+        # the sweep's process pool ships grids by pickle
+        back = pickle.loads(pickle.dumps(grid))
+        assert back == grid and hash(back) == hash(grid)
+        check(back)
 
     def test_round_trip(self, rng):
         g = sp.Grid(64)
@@ -238,8 +293,8 @@ class TestShiftedBand:
         u = self.fields(grid, 10)[0]
         values = sp._padded_values(grid, u.coeffs)
         physical = sp.to_physical(u, grid.n_padded)
-        assert np.allclose(values * sp._demodulation(grid), physical, rtol=0.0, atol=1e-12)
-        assert not sp._demodulation(grid).flags.writeable
+        assert np.allclose(values * grid._demodulation, physical, rtol=0.0, atol=1e-12)
+        assert not grid._demodulation.flags.writeable
 
 
 class TestMultiplier:
