@@ -6,18 +6,20 @@ methods: midpoint Runge-Kutta (exp_rk2, order 2, the default) or Euler
 system in its own compact layout.  For the full system the symbol of each
 Fourier mode is a 2x2 matrix whose exponential _mode_exponential applies
 exactly, in the one closed form that growth_experiment shares; the
-forcing is the single u2 row -ct dx cubic(u1), lifted as (0, f), where dx
-of the cubic part of p(u1) is formed on the padded product grid of
-spectral.py (two FFT calls).  step_full fetches the step's two
-propagators once and forms the midpoint's u1 row only, the one row the
-forcing reads.  For the reduced system the only stiff piece is the free
-Schroedinger factor on w2, a unimodular per-mode phase that normalform
-caches per step length, and the flow is the identity on w1; its forcing
-(g1, n2) comes from the array kernel of normalform.py on the two rows w1
-and w2, and step_reduced spells its stages on those rows as step_full
-does on (u1, u2).  solve drives either system
-through the same loop, monitor and diagnostics; the monitor sums squares
-by dot products, as np.linalg.norm does, with no call of it per step.
+forcing is the single u2 row f = -ct ik B(u1), lifted as (0, f), with
+B(u1) the band coefficients of the cubic part of p(u1), formed on the
+padded product grid of spectral.py (two FFT calls).  The propagator table
+of each step length carries f's Duhamel rows, so step_full, which fetches
+its two tables once and forms the midpoint's u1 row only (the one row f
+reads), spends 20 numpy calls on a p1 step, 4 of them FFTs.  For the
+reduced system the only stiff piece is the free Schroedinger factor on
+w2, a unimodular per-mode phase that normalform caches per step length,
+and the flow is the identity on w1; its forcing (g1, n2) comes from the
+array kernel of normalform.py on the two rows w1 and w2, and
+step_reduced spells its stages on those rows as step_full does on
+(u1, u2).  solve drives either system through the same loop, monitor
+and diagnostics; the monitor sums squares by dot products, as
+np.linalg.norm does, with no call of it per step.
 
 The modified system is the plain p0 system seen through the mirror
 G(u1, u2) = (conj u1, u2) (see model.py), so step_full advances it as
@@ -91,7 +93,8 @@ class IntegratorConfig:
         # an infinite threshold is allowed: it disables blow-up detection
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
-        _require_integer("store_every", self.store_every)
+        object.__setattr__(self, "store_every",
+                           _require_integer("store_every", self.store_every))
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
 
@@ -156,25 +159,32 @@ def _mode_exponential(l12, l21, l22, t):
 
 @lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE)
 def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray:
-    """Array (4, 2K+1) whose rows p11, p12, p21, p22 are the entries of
-    exp(dt * L_k) over all modes, where L_k = [[0, -ik ct], [ik ct, i cd k^2]];
-    rows 0::2 and 1::2 are the columns that act on (u1, u2)."""
+    """Read-only rows (7, 2K+1) for the step length dt: e11, e12, e21, e22 of
+    exp(dt L_k), L_k = [[0, -ik ct], [ik ct, i cd k^2]] (rows 0:4:2 and 1:4:2
+    act on (u1, u2)), then the forcing's Duhamel rows d e12, 2 d e12 and
+    2 d e22 with d = -ct dt ik.  From the dt/2 table, row 4 times the cubic's
+    band coefficients B is the u1 row of the exp_rk2 midpoint's
+    (dt/2) P(dt/2)(0, f), and rows 5:7 times B are dt P(dt/2)(0, f)."""
     k = grid.wavenumbers.astype(float)
-    p = np.array(_mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0])
+    e = _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
+    d = (-ct * dt) * grid.ik
+    p = np.array([*e, d * e[1], 2.0 * d * e[1], 2.0 * d * e[3]])
     p.setflags(write=False)
     return p
 
 
-def _dx_cubic(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
-    """ik P_K(cubic(u1)), the cubic part of p(u1) formed on the padded grid of
-    `spectral` (two FFT calls), with ik the grid's row: the oracle
-    q_apply(law, u1, dx u1) of tests/oracles.py in exact arithmetic, as
-    truncation commutes with dx, with an exactly zero k = 0 entry."""
+def _cubic_band(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
+    """B(u1) = P_K(cubic(u1)), the band coefficients of the cubic part of
+    p(u1), formed on the padded grid of `spectral` (two FFT calls); grid.ik
+    times it is the oracle q_apply(law, u1, dx u1) of tests/oracles.py in
+    exact arithmetic, as truncation commutes with dx, with an exactly zero
+    k = 0 entry.  The step applies ik and -ct through the propagator's
+    Duhamel rows."""
     x = _padded_values(grid, u1)
     cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
-    return grid.ik * _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
+    return _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
 
 
 def _require_step(dt: float, scheme: str) -> None:
@@ -193,12 +203,14 @@ def step_full(
     scheme: str = "exp_rk2",
 ) -> State:
     """One exponential-integrator step of the full system on the pair
-    (u1, u2) of coefficient rows, with the forcing f = -ct dx cubic(u1) on
-    u2 alone.  With P(h) the propagator of step length h, exp_euler takes
-    P(dt)(u1, u2 + dt f(u1)); exp_rk2 forms the midpoint's u1 row, all that
-    f reads, from P(dt/2)(u1, u2 + dt/2 f(u1)) and returns
-    P(dt)(u1, u2) + dt P(dt/2)(0, f(mid)).  Each propagator is fetched once
-    per step."""
+    (u1, u2) of coefficient rows, with the forcing f = -ct ik B(u1) on u2
+    alone, B(u1) the band coefficients of the cubic.  With P(h) the
+    propagator of step length h, exp_euler takes P(dt)(u1, u2 + dt f(u1));
+    exp_rk2 forms the midpoint's u1 row, all that f reads, from
+    P(dt/2)(u1, u2 + dt/2 f(u1)) and returns
+    P(dt)(u1, u2) + dt P(dt/2)(0, f(mid)).  Each stage is a table's columns
+    on (u1, u2) plus its Duhamel rows times B (see _plain_propagator), and
+    each table is fetched once per step."""
     _require_step(dt, scheme)
     _require_law(spec, law)
     ct, cd = spec.coefficients
@@ -207,14 +219,14 @@ def step_full(
     u1 = _mirror(state.u1.coeffs) if modified else state.u1.coeffs
     u2 = state.u2.coeffs
     p = _plain_propagator(grid, ct, cd, dt)
-    f = (-ct) * _dx_cubic(law, grid, u1)
+    b = _cubic_band(law, grid, u1)
     if scheme == "exp_euler":
-        u1, u2 = p[0::2] * u1 + p[1::2] * (u2 + dt * f)
+        # rows 5:7 of this table carry 2 dt, twice the step's, and halving is exact
+        u1, u2 = p[0:4:2] * u1 + p[1:4:2] * u2 + p[5:7] * (0.5 * b)
     else:
         h = _plain_propagator(grid, ct, cd, 0.5 * dt)
-        mid = h[0] * u1 + h[1] * (u2 + (0.5 * dt) * f)
-        f = (-ct) * _dx_cubic(law, grid, mid)
-        u1, u2 = p[0::2] * u1 + p[1::2] * u2 + dt * (h[1::2] * f)
+        mid = h[0] * u1 + h[1] * u2 + h[4] * b
+        u1, u2 = p[0:4:2] * u1 + p[1:4:2] * u2 + h[5:7] * _cubic_band(law, grid, mid)
     return State(SpectralField(grid, _mirror(u1) if modified else u1),
                  SpectralField(grid, u2))
 

@@ -116,8 +116,8 @@ class Grid:
     inv_k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_integer("n_modes", self.n_modes)
-        _require_integer("n_points", self.n_points)
+        for name in ("n_modes", "n_points"):  # stored as ints: np.int64(4) -> 4
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.n_modes < 0:
             raise ValueError("n_modes must be nonnegative")
         if self.n_points == 0:
@@ -180,6 +180,10 @@ class SpectralField:
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    def __reduce__(self):
+        # through the constructor, so the coefficients come back read-only
+        return SpectralField, (self.grid, self.coeffs)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)

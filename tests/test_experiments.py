@@ -379,6 +379,19 @@ class TestScalingSweep:
             assert row.final_norm1 == norm(last.u1, "Hs", s=1.0) / amp
             assert row.final_norm2 == norm(last.u2, "L2") / amp
 
+    def test_rows_do_not_depend_on_store_every(self):
+        # a row reads its run's crossing and its last sample only, so the
+        # samples stored between them move nothing (sweep-modified-k64)
+        spec = DatumSpec(3, 0.15, PressureLaw.P0, (1, 8), True)
+        results = [
+            scaling_sweep(PressureLaw.P0, "modified", (0.2, 0.1, 0.05), spec,
+                          amplitude=0.2, t_end=3.0, dt=0.02, time_scale="eps_squared",
+                          rho_max=0.152, n_modes=64, store_every=store_every)
+            for store_every in (1, 16, 1000)
+        ]
+        assert [row.status for row in results[0].rows] == ["blowup", "completed", "completed"]
+        assert results[1] == results[0] and results[2] == results[0]
+
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_rejects_rho_max_before_any_work(self, monkeypatch, jobs):
         # the rule is checked with the other arguments, before the profile

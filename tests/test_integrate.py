@@ -10,9 +10,10 @@ conj u2_{-k}), written here from rhs_full's modified formula, and against
 the gauge-assembled plain flow.  The array-form full step is checked against
 the State-level step it replaced (object_step_full, kept here as the
 reference), its forcing kernel against q_apply, and both steppers bit for
-bit against the stacked-array steps they replaced (stacked_step_full,
-stacked_step_reduced), and both reject a non-finite dt before any cached
-table is touched; the two caches keyed by step length are held, in the
+bit against stacked-array steps (stacked_step_full, the full step on the
+stacked pair through the same propagator table, and stacked_step_reduced,
+the reduced step it replaced), and both reject a non-finite dt before any
+cached table is touched; the two caches keyed by step length are held, in the
 shape of a sweep, to building each length a run asks for once and to
 keeping no more than one step reads.  The FFT calls of each step and of
 the array kernels (the reduced forcing per block, the tower map and its
@@ -42,7 +43,7 @@ from wavereg.integrate import (
     PicardReport,
     Trajectory,
     _PROPAGATOR_CACHE_SIZE,
-    _dx_cubic,
+    _cubic_band,
     _mode_exponential,
     _monitor,
     _plain_propagator,
@@ -151,7 +152,7 @@ def propagate(spec, state, t):
     """exp(t L) of the regularized linear part through the cached propagator."""
     ct, cd = spec.coefficients
     grid = state.grid
-    p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, t)
+    p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, t)[:4]
     c1, c2 = state.u1.coeffs, state.u2.coeffs
     return State(
         SpectralField(grid, p11 * c1 + p12 * c2), SpectralField(grid, p21 * c1 + p22 * c2)
@@ -191,23 +192,27 @@ def stacked_lawson(linear, nonlinear, y, dt, scheme):
 
 
 def stacked_step_full(spec, law, state, dt, scheme="exp_rk2"):
-    """The full step on the stacked (u1, u2) array with the forcing
-    (0, -ct dx cubic(u1)), through stacked_lawson."""
+    """The full step on the stacked (u1, u2) array through the folded
+    propagator table: each stage applies a table's columns to the stack and
+    adds Duhamel rows times the cubic's band coefficients B, and the
+    midpoint is formed whole, its u2 row by half of the dt/2 table's row 6."""
     ct, cd = spec.coefficients
     grid = state.grid
     mirror = _mirror if spec.kind == "modified" else (lambda c: c)
 
-    def linear(y, h):
-        p = _plain_propagator(grid, ct, cd, h)
-        return p[0::2] * y[0] + p[1::2] * y[1]
-
-    def nonlinear(y, s):
-        out = np.zeros_like(y)
-        out[1] = (-ct) * _dx_cubic(law, grid, y[0])
-        return out
+    def stage(y, table, duhamel, b):
+        return table[0:4:2] * y[0] + table[1:4:2] * y[1] + duhamel * b
 
     y = np.stack([mirror(state.u1.coeffs), state.u2.coeffs])
-    u1, u2 = stacked_lawson(linear, nonlinear, y, dt, scheme)
+    p = _plain_propagator(grid, ct, cd, dt)
+    b = _cubic_band(law, grid, y[0])
+    if scheme == "exp_euler":
+        y = stage(y, p, p[5:7], 0.5 * b)
+    else:
+        h = _plain_propagator(grid, ct, cd, 0.5 * dt)
+        mid = stage(y, h, np.stack([h[4], 0.5 * h[6]]), b)
+        y = stage(y, p, h[5:7], _cubic_band(law, grid, mid[0]))
+    u1, u2 = y
     return State(SpectralField(grid, mirror(u1)), SpectralField(grid, u2))
 
 
@@ -284,7 +289,7 @@ class TestConfig:
 
     def test_store_every_takes_numpy_integers(self):
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-2, store_every=np.int64(3))
-        assert cfg.store_every == 3
+        assert cfg.store_every == 3 and type(cfg.store_every) is int
         with pytest.raises(ValueError, match=r"^store_every must be an integer, got 3\.0$"):
             IntegratorConfig(dt=1e-3, t_end=1e-2, store_every=3.0)
 
@@ -296,7 +301,7 @@ class TestPlainPropagator:
         spec = SystemSpec("regularized", 0.3, rescaled=rescaled)
         ct, cd = spec.coefficients
         dt = 7.3e-3
-        p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)
+        p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)[:4]
         for k in range(-grid.n_modes, grid.n_modes + 1):
             ref = expm(dt * plain_mode_matrix(k, ct, cd))
             i = grid.index(k)
@@ -314,16 +319,37 @@ class TestPlainPropagator:
         ]:
             ct, cd = spec.coefficients
             dt = 2.1e-3
-            p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)
+            p11, p12, p21, p22 = _plain_propagator(grid, ct, cd, dt)[:4]
             for sign in (+1, -1):
                 i = grid.index(sign * k)
                 ref = expm(dt * plain_mode_matrix(sign * k, ct, cd))
                 got = np.array([[p11[i], p12[i]], [p21[i], p22[i]]])
                 assert np.max(np.abs(got - ref)) < 1e-10 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n_modes", [0, 8, 33])
+    def test_duhamel_rows_keep_their_formulas(self, n_modes):
+        # rows 0..3 are the mode exponential's entries and rows 4..6 the
+        # forcing's Duhamel rows d e12, 2 d e12, 2 d e22 with d = -ct dt ik,
+        # each bit for bit; the table is read-only and the cache stays bounded
+        grid = Grid(n_modes)
+        k = grid.wavenumbers.astype(float)
+        for rescaled in (False, True):
+            ct, cd = SystemSpec("regularized", 0.2, rescaled=rescaled).coefficients
+            for dt in (1e-3, 5e-4, 7.3e-3):
+                p = _plain_propagator(grid, ct, cd, dt)
+                e = _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
+                d = (-ct * dt) * (1j * grid.wavenumbers)
+                want = np.array([*e, d * e[1], 2.0 * d * e[1], 2.0 * d * e[3]])
+                assert p.shape == (7, grid.n_coeffs) and p.dtype == want.dtype
+                assert np.array_equal(p.view(np.uint64), want.view(np.uint64))
+                assert not p.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    p[4, 0] = 0.0
+                assert _plain_propagator.cache_info().currsize <= _PROPAGATOR_CACHE_SIZE
+
     def test_zero_mode_is_identity(self):
         grid = Grid(4)
-        p11, p12, p21, p22 = _plain_propagator(grid, 1.0, 0.3, 0.05)
+        p11, p12, p21, p22 = _plain_propagator(grid, 1.0, 0.3, 0.05)[:4]
         i = grid.index(0)
         assert (p11[i], p12[i], p21[i], p22[i]) == (1.0, 0.0, 0.0, 1.0)
 
@@ -494,7 +520,7 @@ class TestStepFull:
         else:
             d1 = -1j * k * ct * c2
             d2 = 1j * k * ct * c1 + 1j * cd * k * k * c2
-            dxp = _dx_cubic(law, grid, state.u1.coeffs)
+            dxp = grid.ik * _cubic_band(law, grid, state.u1.coeffs)
             forcing = State(zeros(grid), SpectralField(grid, -ct * dxp))
         linear = State(SpectralField(grid, d1), SpectralField(grid, d2))
         expected = linear + forcing
@@ -525,8 +551,8 @@ class TestStepFull:
 
 
 class TestStackedOracles:
-    """Both steppers give bit for bit the results of the stacked-array steps
-    they replaced (stacked_step_full, stacked_step_reduced)."""
+    """Both steppers give bit for bit the results of their stacked-array
+    forms (stacked_step_full, stacked_step_reduced)."""
 
     @pytest.mark.parametrize("n_modes", [0, 8, 32, 512])
     def test_full_step_is_bit_identical(self, n_modes):
@@ -578,7 +604,7 @@ class TestDxCubic:
         # is q(u) dx u; the datum carries a mean, whose forcing is exactly 0
         u = 0.5 * random_field(grid, np.random.default_rng(3),
                                band=(0, min(grid.n_modes, 6)), zero_mean=False)
-        got = _dx_cubic(law, grid, u.coeffs)
+        got = grid.ik * _cubic_band(law, grid, u.coeffs)
         want = q_apply(law, u, derivative(u)).coeffs
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got[grid.n_modes] == 0.0

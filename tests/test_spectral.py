@@ -47,6 +47,33 @@ class TestGridAndTransforms:
             g.points(20.7)
         assert np.array_equal(g.points(np.int64(20)), g.points(20))
 
+    def test_sizes_are_stored_as_ints(self):
+        # a numpy integer or a bool is stored as the int it stands for
+        assert repr(sp.Grid(np.int64(4))) == "Grid(n_modes=4, n_points=18)"
+        assert repr(sp.Grid(True)) == "Grid(n_modes=1, n_points=6)"
+        assert type(sp.Grid(np.int64(4), n_points=np.int64(20)).n_points) is int
+
+    @pytest.mark.parametrize("kind", ["SpectralField", "State", "ReducedState"])
+    def test_pickled_fields_stay_read_only(self, rng, kind):
+        # the sweep's process pool ships its profile by pickle
+        from wavereg.model import State
+        from wavereg.normalform import ReducedState
+
+        g = sp.Grid(8, n_points=20)
+        a, b = (random_full_band(g, rng, zero_mean=True) for _ in range(2))
+        cases = {"SpectralField": (a, lambda x: [x]),
+                 "State": (State(a, b), lambda x: [x.u1, x.u2]),
+                 "ReducedState": (ReducedState(a, b, 0.25), lambda x: [x.w1, x.w2])}
+        obj, fields = cases[kind]
+        back = pickle.loads(pickle.dumps(obj))
+        assert getattr(back, "t", None) == getattr(obj, "t", None)
+        for field, want in zip(fields(back), fields(obj), strict=True):
+            assert field.grid == g and field.grid.n_points == 20
+            assert np.array_equal(field.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+            assert not field.coeffs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                field.coeffs[0] = 1.0
+
     def test_non_integer_arguments_are_rejected_by_name(self):
         # rejected by name, not truncated; numpy integers pass
         g = sp.Grid(8)
@@ -193,7 +220,7 @@ class TestPaddedLength:
 
     @pytest.mark.parametrize("K", [8, 128], ids=["n35", "n525"])
     def test_products_match_convolution_oracles(self, rng, K):
-        from wavereg.integrate import _dx_cubic
+        from wavereg.integrate import _cubic_band
         from wavereg.model import PressureLaw, _energies
 
         g = sp.Grid(K)
@@ -209,7 +236,7 @@ class TestPaddedLength:
                  PressureLaw.P2: (mirror, mirror, mirror)}
         for law, factors in cubes.items():
             want = 1j * g.wavenumbers * truncated_product(factors, K)
-            got = _dx_cubic(law, g, u)
+            got = g.ik * _cubic_band(law, g, u)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             # the quartic part is (2pi/4) mean(u1^4), |u1|^4 for P1
             quartic = _energies(law, u[None], c[1][None])[1, 0]
@@ -262,7 +289,7 @@ class TestShiftedBand:
     @pytest.mark.parametrize("grid", SHIFTED_GRIDS, ids=SHIFTED_IDS)
     def test_kernels_match_multiply(self, grid):
         # each kernel's products against the same products by `multiply`
-        from wavereg.integrate import _dx_cubic
+        from wavereg.integrate import _cubic_band
         from wavereg.jets_ibp import f_n
         from wavereg.model import PressureLaw
 
@@ -272,7 +299,7 @@ class TestShiftedBand:
                  PressureLaw.P2: (cu, cu, cu)}
         for law, factors in cubes.items():
             want = sp.derivative(sp.multiply(list(factors))).coeffs
-            got = _dx_cubic(law, grid, u.coeffs)
+            got = grid.ik * _cubic_band(law, grid, u.coeffs)
             scale = max(1, grid.n_modes) * np.sum(np.abs(u.coeffs)) ** 3  # |k| <= K
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
         want = sp.remove_mean(sp.multiply([u, u, u])).coeffs  # f_0(u) = (Id - mean) u^3
