@@ -201,10 +201,14 @@ class SweepResult:
 
 def _sweep_single(system, config, *, law, profile, rho_max) -> SweepRow:
     """The sweep's run of system under config: the shared profile times the
-    run's amplitude.  The final norms are the run's own diagnostics of its
-    last sample."""
+    run's amplitude.  A row reads the run's crossing and its last sample
+    only, so the run stores the datum and its end or crossing sample and
+    nothing between (a stride no step count reaches), and forms no other
+    sample's diagnostics.  The final norms are the run's own diagnostics of
+    its last sample."""
     amp = system.amplitude
-    trajectory = existence_run(system, law, amp * profile, config, rho_max)
+    ends_only = replace(config, store_every=sys.maxsize)
+    trajectory = existence_run(system, law, amp * profile, ends_only, rho_max)
     last = trajectory.diagnostics[-1]
     return SweepRow(
         epsilon=system.epsilon,
@@ -242,6 +246,10 @@ def scaling_sweep(
     after the argument checks and before the profile, so an amplitude or a
     scaled dt that underflows to 0, and any argument those records reject,
     fails before any work.
+
+    store_every is checked as IntegratorConfig checks it, but the rows
+    never depended on it: each run stores only its datum and its end or
+    crossing sample, the ones a row reads.
 
     Each run goes through existence_run.  Runs are independent, so jobs > 1
     dispatches them to a process pool of min(jobs, len(epsilons)) workers,

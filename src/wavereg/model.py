@@ -159,7 +159,7 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     A pair mean is the exact coefficient sum mean(a b) = sum_k a_k b_{-k}.
     The quartic mean is the average of u1^4 (|u1|^4 for P1) over one
     synthesis on the padded grid of Grid(K): its n_padded >= 4K+2 > 4K
-    points (the smallest 11-smooth count from 4K+2 on, 35 for K = 8) leave
+    points (spectral._smooth_length from 4K+2 on, 35 for K = 8) leave
     the band |k| <= 4K of the product no alias on mode 0, so the average is
     the exact mean.  The synthesis gives u1 e^{iKx}, which for P0 and P2
     the grid's _demodulation row takes off.  The rows go through in the

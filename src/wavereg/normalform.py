@@ -241,8 +241,8 @@ def _reduced_forcing(setting: NormalFormSetting, grid, w1, w2, t):
 
       * the synthesis table of _forcing_tables maps (v1, v2) to the rows
         (v1, v2, delta, dx v1), which one inverse FFT takes to the padded
-        grid of spectral.py (grid.n_padded, the smallest 11-smooth size >=
-        max(2(2K+1), n_points));
+        grid of spectral.py (grid.n_padded, the smallest size >=
+        max(2(2K+1), n_points) whose odd part is 11-smooth and at most 128);
       * there _forcing_products forms the bare cubic products, conjugates
         included, and one forward FFT brings them back at the law's order;
       * mu N(w1) = -i a^2/eps exp(-it/eps) N(v1) for every law, so the

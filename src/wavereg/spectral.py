@@ -27,9 +27,12 @@ Products are formed on a zero-padded collocation grid at least twice the size
 of the retained band, so pair and triple products of band-limited fields are
 alias-free after truncation back to |k| <= K (Orszag's padding rule).  Its size
 Grid.n_padded is the smallest length at or above that bound (and the grid's
-own n_points) whose prime factors are all at most 11, the radices of numpy's
-FFT, so no transform falls back to a slow generic pass on a large prime
-factor.  The array kernels of other modules reach that grid only through
+own n_points) whose odd part is at most 128 and has no prime factor above
+11, the largest of numpy's FFT radices: no transform falls back to a slow
+generic pass on a large prime, and a length rich in twos beats a shorter
+one with odd radices, e.g. 2112 = 2^6*3*11 over 2058 = 2*3*7^3 at K = 512,
+where three radix-7 passes cost about 10% per transform pair.  The array
+kernels of other modules reach that grid only through
 _padded_values and _band_coeffs, on a shifted band: k = -K..K sits in slots
 0..2K, so a synthesis gives u e^{iKx}, and a product comes back sliced by
 its order.  `multiply` and `to_physical` stay apart as their oracle.  The
@@ -68,15 +71,27 @@ __all__ = [
 ]
 
 
+# The largest odd part of a padded length.  numpy's FFT costs more per point
+# on odd radices than on twos: 2058 = 2*3*7^3, the smallest 11-smooth length
+# for K = 512, takes 9 to 12% longer per synthesis and analysis pair than
+# 2112 = 2^6*3*11.  At 128, every K up to 64 keeps its smallest 11-smooth
+# length (odd parts up to 75, at K = 18).  Summed over K = 8..1099, caps
+# from 75 to 165 cost the same within 0.4%, caps from 245 up 1% more and
+# no cap 5% more (scripts/fft_lengths.py --caps, numpy 2.4).
+_ODD_PART_CAP = 128
+
+
 def _smooth_length(minimum: int) -> int:
-    """Smallest n >= minimum whose prime factors are all at most 11."""
+    """Smallest n >= minimum whose odd part is at most _ODD_PART_CAP and has
+    no prime factor above 11."""
     n = max(1, minimum)
     while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
+        odd = n // (n & -n)
+        rest = odd
+        for p in (3, 5, 7, 11):
             while rest % p == 0:
                 rest //= p
-        if rest == 1:
+        if rest == 1 and odd <= _ODD_PART_CAP:
             return n
         n += 1
 
@@ -101,8 +116,9 @@ class Grid:
     than hiding (k lands on k mod n_points).
 
     n_padded, the size of the padded product grid, is derived once here: the
-    smallest 11-smooth length >= max(2(2K+1), n_points), e.g. 35 for K = 8
-    and 2058 for K = 512; so are the read-only rows over k = -K..K that
+    smallest length >= max(2(2K+1), n_points) whose odd part is 11-smooth
+    and at most 128 (see _smooth_length), e.g. 35 for K = 8 and 2112 for
+    K = 512; so are the read-only rows over k = -K..K that
     every kernel reads: wavenumbers, ik (the symbol of d/dx) and inv_k (1/k,
     and 0 at k = 0: the symbol of m).  A pickle carries the two sizes only,
     and the rows are built again, read-only, on the other side.
@@ -419,7 +435,7 @@ _BLOCK_POINTS = 2048
 def _blocks(grid: Grid, count: int):
     """Slices of max(1, _BLOCK_POINTS // n_padded) rows covering 0..count-1:
     15 rows at K = 32 (n_padded 132), one row from n_padded > 2048 on, e.g.
-    at K = 512 (2058)."""
+    at K = 512 (2112)."""
     size = max(1, _BLOCK_POINTS // grid.n_padded)
     return (slice(i, i + size) for i in range(0, count, size))
 

@@ -392,6 +392,27 @@ class TestScalingSweep:
         assert [row.status for row in results[0].rows] == ["blowup", "completed", "completed"]
         assert results[1] == results[0] and results[2] == results[0]
 
+    @pytest.mark.parametrize("store_every", [1, 16])
+    def test_runs_store_only_the_samples_a_row_reads(self, monkeypatch, store_every):
+        # each run keeps its datum and its end or crossing sample, and forms
+        # the diagnostics of those alone, whatever the stride
+        trajectories = []
+
+        def recording_run(*args, **kwargs):
+            trajectories.append(existence_run(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(experiments, "existence_run", recording_run)
+        spec = DatumSpec(3, 0.15, PressureLaw.P0, (1, 8), True)
+        result = scaling_sweep(PressureLaw.P0, "modified", (0.2, 0.1, 0.05), spec,
+                               amplitude=0.2, t_end=3.0, dt=0.02, time_scale="eps_squared",
+                               rho_max=0.152, n_modes=64, store_every=store_every)
+        assert [row.status for row in result.rows] == ["blowup", "completed", "completed"]
+        assert len(trajectories) == 3
+        for trajectory in trajectories:
+            assert len(trajectory.times) == len(trajectory.states) <= 3
+            assert len(trajectory.diagnostics) == len(trajectory.states)
+
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_rejects_rho_max_before_any_work(self, monkeypatch, jobs):
         # the rule is checked with the other arguments, before the profile

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wavereg import spectral as sp
 from wavereg.quadrature import cumulative_simpson_uniform
 
-from oracles import quartic_mean
+from oracles import _cubic as oracle_cubic, quartic_mean
 
 
 def random_full_band(grid, rng, zero_mean=False):
@@ -26,7 +26,8 @@ class TestGridAndTransforms:
         g = sp.Grid(8)
         assert g.n_points == 34
         assert g.n_coeffs == 17
-        # n_padded: the smallest 11-smooth length >= max(2(2K+1), n_points)
+        # n_padded: the smallest length >= max(2(2K+1), n_points) whose odd
+        # part is 11-smooth and at most 128
         assert g.n_padded == 35
         assert sp.Grid(8, n_points=17).n_padded == 35
         assert sp.Grid(8, n_points=61).n_padded == 63
@@ -200,10 +201,18 @@ def truncated_product(coeff_rows, K):
     return acc[mid - K : mid + K + 1]
 
 
+def padded_length_qualifies(n):
+    """n's odd part is at most 128 and has no prime factor above 11."""
+    odd = n
+    while odd % 2 == 0:
+        odd //= 2
+    return odd <= 128 and largest_prime_factor(odd) <= 11
+
+
 class TestPaddedLength:
-    """n_padded is the smallest length >= max(2(2K+1), n_points) whose prime
-    factors are all at most 11 (numpy's FFT radices); products on it stay
-    exact."""
+    """n_padded is the smallest length >= max(2(2K+1), n_points) whose odd
+    part is at most 128 and has no prime factor above 11, the largest of
+    numpy's FFT radices; products on it stay exact."""
 
     def test_smallest_smooth_length_above_the_bound(self):
         for K in range(601):
@@ -211,14 +220,18 @@ class TestPaddedLength:
                 g = sp.Grid(K, n_points)
                 bound = max(2 * (2 * K + 1), g.n_points)
                 assert g.n_padded >= bound
-                assert largest_prime_factor(g.n_padded) <= 11
-                assert all(largest_prime_factor(m) > 11 for m in range(bound, g.n_padded))
+                assert padded_length_qualifies(g.n_padded)
+                assert not any(padded_length_qualifies(m) for m in range(bound, g.n_padded))
 
     def test_pinned_lengths(self):
-        lengths = {8: 35, 16: 66, 32: 132, 64: 264, 128: 525, 512: 2058}
+        # up to K = 64 (the CLI's grids) each is the smallest 11-smooth
+        # length; from K = 128 on a length rich in twos replaces one with
+        # odd radices: 525 = 3*5^2*7, 1029 = 3*7^3, 2058 = 2*3*7^3
+        lengths = {8: 35, 10: 42, 12: 50, 16: 66, 18: 75, 32: 132, 54: 220, 64: 264,
+                   128: 528, 256: 1056, 512: 2112}
         assert {K: sp.Grid(K).n_padded for K in lengths} == lengths
 
-    @pytest.mark.parametrize("K", [8, 128], ids=["n35", "n525"])
+    @pytest.mark.parametrize("K", [8, 128, 512], ids=["n35", "n528", "n2112"])
     def test_products_match_convolution_oracles(self, rng, K):
         from wavereg.integrate import _cubic_band
         from wavereg.model import PressureLaw, _energies
@@ -243,6 +256,21 @@ class TestPaddedLength:
             second = sp.SpectralField(g, mirror if law is PressureLaw.P1 else u)
             mean = quartic_mean(fields[0], second, fields[0], second).real
             assert abs(quartic - 0.5 * np.pi * mean) <= 1e-13 * np.sum(np.abs(u) ** 2) ** 2
+
+    def test_cubic_band_matches_the_oracle_at_k512(self, rng):
+        # the oracle's cubic comes from `multiply` on 6K+3 collocation
+        # points, so it shares no padded length with Grid(512)'s 2112; a
+        # length below 4K+1 would fold the cubic's mode 3K onto -K
+        from wavereg.integrate import _cubic_band
+        from wavereg.model import PressureLaw
+
+        g = sp.Grid(512)
+        wide = sp.Grid(512, n_points=6 * 512 + 3)
+        u = random_full_band(g, rng).coeffs
+        for law in PressureLaw:
+            want = oracle_cubic(law, sp.SpectralField(wide, u)).coeffs
+            got = _cubic_band(law, g, u)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 SHIFTED_GRIDS = [sp.Grid(0), sp.Grid(8), sp.Grid(8, n_points=17), sp.Grid(8, n_points=61),
