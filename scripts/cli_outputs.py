@@ -88,12 +88,17 @@ CASES = {
     "sweep-p1": _P1_SWEEP,
     "sweep-p1-jobs2": _P1_SWEEP + ["--jobs", "2"],
     "picard-modified": ["picard", "--system", "modified", "--epsilon", "0.2"],
+    # the benchmark's picard-modified workload at its first datum seed
+    "picard-modified-seed5": ["picard", "--system", "modified", "--epsilon", "0.2",
+                              "--seed", "5"],
     "picard-p0": ["picard", "--epsilon", "0.2", "--seed", "4"],
     "picard-p1": ["picard", "--pressure", "p1", "--epsilon", "0.2", "--seed", "5"],
     "picard-p2": ["picard", "--pressure", "p2", "--epsilon", "0.2", "--seed", "6"],
     "growth-defaults": ["growth"],
     "continue": ["continue", "--rho", "0.5", "--epsilon", "0.003", "--alpha", "0"],
     "verify": ["verify"],
+    # the benchmark's verify workload at its first datum seed
+    "verify-seed5": ["verify", "--seed", "5"],
     # K = 16 runs the cancellation legs in blocks of 31 rows: 31 + 9
     "verify-k16-two-blocks": ["verify", "--seed", "2", "--n-modes", "16",
                               "--fields", "40"],

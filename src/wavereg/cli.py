@@ -181,18 +181,14 @@ def _band(text: str):
     return (_to_int(parts[0]), _to_int(parts[1]))
 
 
-def _float_list(text: str):
-    values = tuple(_to_float(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise CliError("expected a comma-separated list of numbers")
-    return values
+def _list_of(convert, noun: str):
+    def convert_list(text: str):
+        values = tuple(convert(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise CliError(f"expected a comma-separated list of {noun}")
+        return values
 
-
-def _int_list(text: str):
-    values = tuple(_to_int(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise CliError("expected a comma-separated list of integers")
-    return values
+    return convert_list
 
 
 # Every option, key -> (converter, help).  A command's defaults dict (next
@@ -211,7 +207,7 @@ _OPTIONS = {
     "band": (_band, "datum mode band 'lo,hi'"),
     "theorem_scaling": (
         _to_bool, "pin alpha to the boundedness-statement value for the law"),
-    "epsilons": (_float_list, "comma-separated epsilon list"),
+    "epsilons": (_list_of(_to_float, "numbers"), "comma-separated epsilon list"),
     "dt": (_to_float, "time step"),
     "t_end": (_to_float, "integration horizon"),
     "rho_max": (_to_float, "blow-up threshold in profile units"),
@@ -219,7 +215,7 @@ _OPTIONS = {
     "time_scale": (_one_of("fixed", "eps_squared"), "'fixed' or 'eps_squared'"),
     "jobs": (_to_int, "parallel worker processes"),
     "u_star": (_to_float, "base state"),
-    "wavenumbers": (_int_list, "comma-separated integer list"),
+    "wavenumbers": (_list_of(_to_int, "integers"), "comma-separated integer list"),
     "n_samples": (_to_int, "time samples for the rate fit"),
     "rho": (_to_float, "initial norm budget"),
     "growth_constant": (_to_float, "per-step growth constant"),
@@ -352,19 +348,18 @@ def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
     return alpha, None
 
 
-def _amplitude(cfg: dict) -> float:
-    """The datum prefactor of _amplitude_rule at the run's epsilon."""
+def _model(cfg: dict) -> tuple[PressureLaw, DatumSpec, float | None, float | None]:
+    """The model keys of simulate, sweep and picard as (law, datum recipe,
+    exponent, fixed), checked in one order: each epsilon (sweep's
+    `epsilons`, else `epsilon`), then _amplitude_rule, then the recipe, so
+    a modified system with p1 prints the amplitude rule's message and not
+    the recipe's."""
+    for eps in cfg["epsilons"] if "epsilons" in cfg else (cfg["epsilon"],):
+        _check_epsilon(eps)
     exponent, fixed = _amplitude_rule(cfg)
-    return fixed if exponent is None else cfg["epsilon"] ** exponent
-
-
-def _datum_spec(cfg: dict) -> tuple[PressureLaw, DatumSpec]:
-    """The pressure law and the datum recipe of simulate, sweep and picard.
-    Call it after _amplitude_rule, whose message for a modified system with
-    a law other than p0 is the one to print."""
     law = _LAWS[cfg["pressure"]]
-    conjugated = cfg["system"] == "modified"
-    return law, DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], conjugated)
+    spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], exponent is None)
+    return law, spec, exponent, fixed
 
 
 # --------------------------------------------------------------------------
@@ -414,9 +409,8 @@ _SIMULATE_DEFAULTS = {
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    _check_epsilon(cfg["epsilon"])
-    amp = _amplitude(cfg)
-    law, spec = _datum_spec(cfg)
+    law, spec, exponent, fixed = _model(cfg)
+    amp = fixed if exponent is None else cfg["epsilon"] ** exponent
 
     started = time.perf_counter()
     profile = make_datum(Grid(cfg["n_modes"], cfg["n_points"]), spec)
@@ -463,10 +457,7 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    for eps in cfg["epsilons"]:
-        _check_epsilon(eps)
-    exponent, fixed = _amplitude_rule(cfg)
-    law, spec = _datum_spec(cfg)
+    law, spec, exponent, fixed = _model(cfg)
 
     started = time.perf_counter()
     result = scaling_sweep(
@@ -582,9 +573,8 @@ _PICARD_DEFAULTS = {
 
 
 def _cmd_picard(cfg: dict) -> int:
-    _check_epsilon(cfg["epsilon"])
-    amp = _amplitude(cfg)
-    law, spec = _datum_spec(cfg)
+    law, spec, exponent, fixed = _model(cfg)
+    amp = fixed if exponent is None else cfg["epsilon"] ** exponent
     horizon = cfg["t_horizon"]
     if horizon is None:
         horizon = 0.1 * cfg["epsilon"] ** 2

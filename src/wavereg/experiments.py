@@ -187,9 +187,12 @@ class SweepResult:
     """Existence times across epsilon plus a log-log fit when it applies.
 
     slope/intercept/residual are None unless at least three runs ended in
-    blow-up; residual is the root-mean-square misfit of log(time) around the
-    fitted line.  message is empty when the fit ran, "no blow-up observed"
-    when every run completed, and an explanatory count otherwise.
+    blow-up at a positive time; a run whose datum starts above the threshold
+    blows up at time 0 and is left out of the fit.  residual is the
+    root-mean-square misfit of log(time) around the fitted line.  message
+    is empty when the fit ran, "no blow-up observed" when every run
+    completed, and otherwise a count of the blow-up runs (and of those at
+    time 0, when there are any) and of the diverged runs.
     """
 
     rows: tuple[SweepRow, ...]
@@ -310,24 +313,27 @@ def fit_existence_times(
     """Least-squares line through (log eps, log crossing-time).
 
     Returns (slope, intercept, rms residual, message).  The fit needs at
-    least three blow-up rows; with fewer the first three entries are None
-    and the message says why ("no blow-up observed" when every run simply
-    completed).
+    least three blow-up rows with a positive time (a datum already above
+    the threshold crosses at time 0, which has no logarithm); with fewer
+    the first three entries are None and the message says why ("no blow-up
+    observed" when every run simply completed).
     """
     blowups = [row for row in rows if row.status == "blowup"]
+    timed = [row for row in blowups if row.time > 0.0]
     diverged = [row for row in rows if row.status == "diverged"]
-    if len(blowups) >= 3:
-        x = np.log([row.epsilon for row in blowups])
-        y = np.log([row.time for row in blowups])
+    if len(timed) >= 3:
+        x = np.log([row.epsilon for row in timed])
+        y = np.log([row.time for row in timed])
         slope, intercept = np.polyfit(x, y, 1)
         fit = slope * x + intercept
         residual = float(np.sqrt(np.mean((y - fit) ** 2)))
         return float(slope), float(intercept), residual, ""
     if not blowups and not diverged:
         return None, None, None, "no blow-up observed"
+    at_zero = len(blowups) - len(timed)
     return None, None, None, (
-        f"{len(blowups)} blow-up run(s) and {len(diverged)} diverged run(s) "
-        f"among {len(rows)}; slope not fitted"
+        f"{len(blowups)} blow-up run(s)" + (f", {at_zero} at time 0," if at_zero else "")
+        + f" and {len(diverged)} diverged run(s) among {len(rows)}; slope not fitted"
     )
 
 

@@ -116,13 +116,25 @@ class SystemSpec:
             raise ValueError("amplitude must be positive")
         if not self.amplitude < math.inf:  # nan and inf
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if self.rescaled:
+            _rescaled_coefficients(self.epsilon)
 
     @property
     def coefficients(self) -> tuple[float, float]:
         """(ct, cd): the transport and dispersion coefficients."""
         if self.rescaled:
-            return 1.0 / self.epsilon**2, 1.0 / self.epsilon**3
+            return _rescaled_coefficients(self.epsilon)
         return 1.0, self.epsilon
+
+
+def _rescaled_coefficients(epsilon: float) -> tuple[float, float]:
+    """(1/eps^2, 1/eps^3), the rescaled (ct, cd).  Below eps ~ 1.8e-103,
+    1/eps^3 overflows to inf, and below ~1.7e-108 eps^3 underflows to 0, so
+    such an eps is rejected by name."""
+    cube = epsilon**3
+    if cube == 0.0 or 1.0 / cube == math.inf:
+        raise ValueError(f"epsilon {epsilon} is too small: 1/epsilon^3 is not a finite number")
+    return 1.0 / epsilon**2, 1.0 / cube
 
 
 @dataclass(frozen=True)

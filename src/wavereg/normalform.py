@@ -71,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import _CUBIC_ORDER, PressureLaw, State
+from .model import _CUBIC_ORDER, PressureLaw, State, _rescaled_coefficients
 from .spectral import (
     SpectralField,
     _band_coeffs,
@@ -118,7 +118,7 @@ class NormalFormSetting:
 
     @property
     def coefficients(self) -> tuple[float, float]:
-        return 1.0 / self.epsilon**2, 1.0 / self.epsilon**3
+        return _rescaled_coefficients(self.epsilon)
 
 
 def _require_zero_mean(**fields: SpectralField) -> None:

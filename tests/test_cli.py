@@ -706,6 +706,34 @@ class TestSweepInputRules:
             "epsilon 0.2\n")
         assert os.listdir(tmp_path) == []
 
+    def test_runs_all_at_time_zero_write_no_fit(self, capsys, tmp_path):
+        # the datum's monitor, 0.15, starts above rho_max, so every run
+        # crosses at t = 0 and no crossing time has a logarithm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--epsilons", "0.2,0.1,0.05", "--rho-max", "0.01",
+                       "--n-modes", "16", "--t-end", "0.05",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 0
+        message = ("3 blow-up run(s), 3 at time 0, and 0 diverged run(s) among 3; "
+                   "slope not fitted")
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert f"slope=none ({message})" in out
+
+        def reject(constant):
+            raise ValueError(f"sweep.json holds {constant}")
+
+        manifest = json.loads((tmp_path / "sweep.json").read_text(),
+                              parse_constant=reject)
+        assert (manifest["slope"], manifest["intercept"], manifest["residual"]) == (
+            None, None, None)
+        assert manifest["message"] == message
+        assert manifest["statuses"] == ["blowup"] * 3
+        _, rows, meta = read_table(str(tmp_path / "sweep.csv"))
+        assert [r["time"] for r in rows] == ["0"] * 3
+        assert meta["slope"] == "none"
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_rho_max_rule_is_shared(self, capsys, tmp_path, command):
         argv = (["simulate", "--epsilon", "0.1"] if command == "simulate"
@@ -716,8 +744,9 @@ class TestSweepInputRules:
 
 
 class TestDatumRules:
-    """simulate, sweep and picard build their datum through one recipe, so
-    each prints the library's own message for a bad datum."""
+    """simulate, sweep and picard read their model keys through one reader
+    and build their datum through one recipe, so each checks the keys in
+    the same order and prints the library's own message for a bad datum."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--epsilon", "0.1"],
@@ -740,6 +769,46 @@ class TestDatumRules:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: the modified system requires pressure law p0\n")
+
+    # each command reads its model keys in one order: epsilon, the system's
+    # law, the amplitude flags, then the datum
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "picard"])
+    @pytest.mark.parametrize("eps,flags,message", [
+        pytest.param("1.5", ["--system", "modified", "--pressure", "p1"],
+                     "epsilon must lie strictly between 0 and 1, got 1.5",
+                     id="epsilon-before-law"),
+        pytest.param("0.2", ["--system", "modified", "--alpha", "0.5"],
+                     "alpha does not apply to the modified system; use --lambda",
+                     id="modified-alpha"),
+        pytest.param("0.2", ["--lambda", "0.3"],
+                     "lambda only applies to the modified system; use --alpha",
+                     id="regularized-lambda"),
+        pytest.param("0.2", ["--alpha", "0", "--lambda", "0.2"],
+                     "give at most one of --alpha and --lambda (lambda only applies "
+                     "to the modified system; use --alpha)", id="alpha-and-lambda"),
+        pytest.param("0.2", ["--pressure", "p1", "--theorem-scaling", "--alpha", "0.3"],
+                     "theorem scaling pins alpha = 0.5 for p1, got alpha = 0.3",
+                     id="theorem-pin"),
+    ])
+    def test_model_rules_in_order(self, capsys, tmp_path, command, eps, flags, message):
+        eps = (["--epsilons", f"{eps},0.1,0.05"] if command == "sweep"
+               else ["--epsilon", eps])
+        rc = main([command, *eps, *flags, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "picard"])
+    def test_epsilon_without_finite_coefficients_is_one_line(self, capsys, tmp_path,
+                                                             command):
+        # 1e-110**3 underflows to 0, so 1/eps^3 has no value
+        eps = (["--epsilons", "1e-110,0.2,0.1"] if command == "sweep"
+               else ["--epsilon", "1e-110"])
+        rc = main([command, *eps, "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: epsilon 1e-110 is too small: 1/epsilon^3 is not a finite number\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestCliOutputsScript:
@@ -776,6 +845,27 @@ class TestCliOutputsScript:
             "error: the modified system requires pressure law p0\n")
         assert script.main([str(tmp_path)]) == 1
         assert "exists" in capsys.readouterr().err
+
+    def test_cases_hold_every_benchmark_workload(self, script):
+        """Each workload of perfbench/workloads.py, at the datum seed of the
+        benchmark's first seed, is one of the recorded cases, so the digests
+        cover the runs the benchmark times."""
+        import importlib.util
+
+        path = REPO_ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        # @dataclass looks its module up in sys.modules
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        argvs = list(script.CASES.values())
+        seed = module.datum_seed(1)
+        missing = [name for name, workload in module.WORKLOADS.items()
+                   if workload.argv(seed) not in argvs]
+        assert missing == []
 
     def test_outputs_match_the_committed_digests(self, script, tmp_path):
         """Record every case and compare each file's sha256 with

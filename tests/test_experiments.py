@@ -276,6 +276,24 @@ class TestFitExistenceTimes:
         assert slope is None
         assert "diverged" in message
 
+    def test_all_blowups_at_time_zero_are_not_fitted(self):
+        # a datum above the threshold crosses at t = 0, which has no log
+        rows = [self._row(e, 0.0) for e in (0.2, 0.1, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_existence_times(rows) == (None, None, None, (
+                "3 blow-up run(s), 3 at time 0, and 0 diverged run(s) among 3; "
+                "slope not fitted"))
+
+    def test_time_zero_row_is_left_out_of_the_fit(self):
+        timed = [self._row(e, 3.0 * e**2) for e in (0.2, 0.1, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_existence_times(timed + [self._row(0.025, 0.0)])
+        assert got == fit_existence_times(timed)
+        assert abs(got[0] - 2.0) < 1e-12
+        assert got[3] == ""
+
 
 class TestScalingSweep:
     def test_small_amplitude_family_never_exits(self):

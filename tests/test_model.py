@@ -420,6 +420,18 @@ class TestRhsFull:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SystemSpec("regularized", epsilon=0.5, amplitude=amplitude)
 
+    @pytest.mark.parametrize("epsilon", [1e-110, 1e-105])
+    def test_rescaled_spec_rejects_an_epsilon_without_finite_coefficients(self, epsilon):
+        # 1e-110**3 underflows to 0; 1/1e-105**3 overflows to inf
+        with pytest.raises(ValueError, match=f"^epsilon {epsilon} is too small: "):
+            SystemSpec("regularized", epsilon=epsilon, rescaled=True)
+        spec = SystemSpec("modified", epsilon=epsilon)
+        assert spec.coefficients == (1.0, epsilon)
+
+    def test_rescaled_coefficients_at_the_smallest_accepted_epsilon(self):
+        ct, cd = SystemSpec("regularized", epsilon=1e-102, rescaled=True).coefficients
+        assert math.isfinite(cd) and ct == 1.0 / 1e-102**2
+
     def test_state_requires_matching_grids(self):
         with pytest.raises(ValueError):
             State(zeros(Grid(8)), zeros(Grid(16)))

@@ -139,6 +139,13 @@ class TestSettingAndState:
         assert s.system_kind == "regularized"
         assert NormalFormSetting(0.1, conjugated=True).system_kind == "modified"
 
+    def test_tiny_epsilon_is_rejected_when_its_coefficients_are_read(self):
+        # the coordinate maps hold for every eps in (0, 1), so the setting
+        # itself accepts 1e-110; only its rescaled pair has no finite value
+        setting = NormalFormSetting(1e-110)
+        with pytest.raises(ValueError, match="^epsilon 1e-110 is too small: "):
+            setting.coefficients
+
     def test_reduced_state_rejects_nonzero_mean(self, rng):
         grid = Grid(8)
         w = from_modes(grid, {0: 0.5, 1: 1.0})
