@@ -135,6 +135,9 @@ CASES = {
     "error-growth-u-star-overflow": ["growth", "--u-star", "1e160"],
     # p'(u_star) is inf, which would write nan rates
     "error-growth-nan-rate": ["growth", "--u-star", "1e154"],
+    # 1/eps^3 = 1e300 is finite, but the mode symbol of |k| = 32 is not
+    "error-simulate-mode-symbol-overflow": ["simulate", "--epsilon", "1e-100",
+                                            "--t-end", "0.002"],
 }
 
 _TOKEN = "<output-dir>"

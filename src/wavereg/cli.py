@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -110,27 +111,51 @@ def _csv_text(header, rows, meta=None) -> str:
 
 _WALL_SLOT = "@wall_time_seconds@"
 
+# a whole cell that .17g made of a non-finite float: inf, -inf or nan
+_NON_FINITE_CELL = re.compile(r"(?<![^,\n])-?(?:inf|nan)(?![^,\n])")
+
+
+def _require_finite_cells(command: str, header, text: str) -> None:
+    """Refuse a rendered table with a non-finite cell, naming its column;
+    the trailing comment lines are not cells."""
+    end = text.find("\n#")
+    cell = _NON_FINITE_CELL.search(text, 0, len(text) if end < 0 else end)
+    if cell:
+        line = text.rfind("\n", 0, cell.start()) + 1
+        column = header[text.count(",", line, cell.start())]
+        raise CliError(f"{command}: column {column} holds the non-finite value "
+                       f"{cell.group()}; no file written")
+
 
 def _write_outputs(cfg: dict, command: str, started: float, extras: dict, table=None):
     """Write <tag>.csv from table = (header, rows[, meta]) when given, then
     the <tag>.json manifest of cfg, extras (JSON-native values) and the wall
     time since the perf_counter reading `started`; the tag defaults to the
-    command name.  Returns (csv_path or None, json_path)."""
+    command name.  Returns (csv_path or None, json_path).  A non-finite
+    number in a table cell or in the manifest, which neither CSV readers
+    nor JSON take, is a CliError, and then neither file is written."""
     wall = time.perf_counter() - started
     out = cfg["output_dir"] or os.environ.get("WAVEREG_OUTPUT_DIR", ".")
     tag = cfg["tag"] or command
     csv_path = None if table is None else os.path.join(out, f"{tag}.csv")
     if table is not None:
-        _atomic_write(csv_path, _csv_text(*table))
+        csv_text = _csv_text(*table)
+        _require_finite_cells(command, table[0], csv_text)
     json_path = os.path.join(out, f"{tag}.json")
     # every manifest's wall time is a fixed-width number, so a manifest's
     # size does not vary with the clock
     payload = {"command": command, "config": cfg, "version": __version__, **extras,
                "outputs": [] if table is None else [os.path.basename(csv_path)],
                "wall_time_seconds": _WALL_SLOT}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # inf or nan: JSON has no token for either
+        raise CliError(f"{command}: the manifest holds a non-finite number; "
+                       f"no file written") from None
     text = text.replace(f'"wall_time_seconds": "{_WALL_SLOT}"',
                         f'"wall_time_seconds": {wall:.6e}', 1)
+    if table is not None:
+        _atomic_write(csv_path, csv_text)
     _atomic_write(json_path, text)
     return csv_path, json_path
 

@@ -11,7 +11,9 @@ B(u1) the band coefficients of the cubic part of p(u1), formed on the
 padded product grid of spectral.py (two FFT calls).  The propagator table
 of each step length carries f's Duhamel rows, so step_full, which fetches
 its two tables once and forms the midpoint's u1 row only (the one row f
-reads), spends 20 numpy calls on a p1 step, 4 of them FFTs.  For the
+reads), spends 20 numpy calls on a p1 step, 4 of them FFTs; each analysis
+and each stage sum writes into an array the step formed, so 10 of the
+calls allocate one.  For the
 reduced system the only stiff piece is the free Schroedinger factor on
 w2, a unimodular per-mode phase that normalform caches per step length,
 and the flow is the identity on w1; its forcing (g1, n2) comes from the
@@ -149,11 +151,12 @@ def _mode_exponential(l12, l21, l22, t):
     e12 = l12 * (ep - em) / gap
     e21 = l21 * (ep - em) / gap
     e22 = ((l22 - lam_m) * ep - (l22 - lam_p) * em) / gap
-    el = np.exp(half * t)
-    e11 = np.where(degenerate, el * (1.0 - half * t), e11)
-    e12 = np.where(degenerate, el * t * l12, e12)
-    e21 = np.where(degenerate, el * t * l21, e21)
-    e22 = np.where(degenerate, el * (1.0 + t * (l22 - half)), e22)
+    if np.any(degenerate):  # np.where on an all-false mask changes no bit
+        el = np.exp(half * t)
+        e11 = np.where(degenerate, el * (1.0 - half * t), e11)
+        e12 = np.where(degenerate, el * t * l12, e12)
+        e21 = np.where(degenerate, el * t * l21, e21)
+        e22 = np.where(degenerate, el * (1.0 + t * (l22 - half)), e22)
     return (e11, e12, e21, e22), (lam_p, lam_m)
 
 
@@ -164,7 +167,16 @@ def _plain_propagator(grid: Grid, ct: float, cd: float, dt: float) -> np.ndarray
     act on (u1, u2)), then the forcing's Duhamel rows d e12, 2 d e12 and
     2 d e22 with d = -ct dt ik.  From the dt/2 table, row 4 times the cubic's
     band coefficients B is the u1 row of the exp_rk2 midpoint's
-    (dt/2) P(dt/2)(0, f), and rows 5:7 times B are dt P(dt/2)(0, f)."""
+    (dt/2) P(dt/2)(0, f), and rows 5:7 times B are dt P(dt/2)(0, f).
+
+    A band whose largest symbol has no finite size, (ct K)^2 + (cd K^2/2)^2
+    past the float range, is refused by name: its exponential would be
+    inf and nan."""
+    K = grid.n_modes
+    transport, dispersion = ct * K, 0.5 * cd * K * K  # squared by product: ** raises
+    if not math.isfinite(transport * transport + dispersion * dispersion):
+        raise ValueError(f"the mode symbol of |k| = {K} overflows at ct = {ct:g}, "
+                         f"cd = {cd:g}: epsilon is too small for this band")
     k = grid.wavenumbers.astype(float)
     e = _mode_exponential(-1j * k * ct, 1j * k * ct, 1j * cd * k * k, dt)[0]
     d = (-ct * dt) * grid.ik
@@ -179,12 +191,24 @@ def _cubic_band(law: PressureLaw, grid: Grid, u1: np.ndarray) -> np.ndarray:
     times it is the oracle q_apply(law, u1, dx u1) of tests/oracles.py in
     exact arithmetic, as truncation commutes with dx, with an exactly zero
     k = 0 entry.  The step applies ik and -ct through the propagator's
-    Duhamel rows."""
+    Duhamel rows.  The cubic is formed in one buffer, which the analysis
+    overwrites: B is a view into it, and u1 is only read."""
     x = _padded_values(grid, u1)
-    cubic = x * (np.conj(x) if law is PressureLaw.P1 else x) * x  # p0, p1
+    cubic = x * (np.conj(x) if law is PressureLaw.P1 else x)  # p0, p1
+    cubic *= x  # (x x) x, the operand order of the product it replaces
     if law is PressureLaw.P2:
         np.conj(cubic, out=cubic)  # conj(u)^3
     return _band_coeffs(grid, cubic, _CUBIC_ORDER[law])
+
+
+def _stage(a, c, u1, u2, d, b):
+    """a u1 + c u2 + d b, summed in that order into the array a u1 forms,
+    with c u2 and d b in one more: the bits of the out-of-place sum."""
+    out = a * u1
+    tmp = c * u2
+    out += tmp
+    out += np.multiply(d, b, out=tmp)
+    return out
 
 
 def _require_step(dt: float, scheme: str) -> None:
@@ -209,8 +233,9 @@ def step_full(
     exp_rk2 forms the midpoint's u1 row, all that f reads, from
     P(dt/2)(u1, u2 + dt/2 f(u1)) and returns
     P(dt)(u1, u2) + dt P(dt/2)(0, f(mid)).  Each stage is a table's columns
-    on (u1, u2) plus its Duhamel rows times B (see _plain_propagator), and
-    each table is fetched once per step."""
+    on (u1, u2) plus its Duhamel rows times B (see _plain_propagator),
+    summed by _stage into the arrays it forms, and each table is fetched
+    once per step; the state's rows are only read."""
     _require_step(dt, scheme)
     _require_law(spec, law)
     ct, cd = spec.coefficients
@@ -222,11 +247,11 @@ def step_full(
     b = _cubic_band(law, grid, u1)
     if scheme == "exp_euler":
         # rows 5:7 of this table carry 2 dt, twice the step's, and halving is exact
-        u1, u2 = p[0:4:2] * u1 + p[1:4:2] * u2 + p[5:7] * (0.5 * b)
+        u1, u2 = _stage(p[0:4:2], p[1:4:2], u1, u2, p[5:7], 0.5 * b)
     else:
         h = _plain_propagator(grid, ct, cd, 0.5 * dt)
-        mid = h[0] * u1 + h[1] * u2 + h[4] * b
-        u1, u2 = p[0:4:2] * u1 + p[1:4:2] * u2 + h[5:7] * _cubic_band(law, grid, mid)
+        mid = _stage(h[0], h[1], u1, u2, h[4], b)
+        u1, u2 = _stage(p[0:4:2], p[1:4:2], u1, u2, h[5:7], _cubic_band(law, grid, mid))
     return State(SpectralField(grid, _mirror(u1) if modified else u1),
                  SpectralField(grid, u2))
 

@@ -35,8 +35,9 @@ where three radix-7 passes cost about 10% per transform pair.  The array
 kernels of other modules reach that grid only through
 _padded_values and _band_coeffs, on a shifted band: k = -K..K sits in slots
 0..2K, so a synthesis gives u e^{iKx}, and a product comes back sliced by
-its order.  `multiply` and `to_physical` stay apart as their oracle.  The
-per-mode rows that the kernels read (k, ik, 1/k, e^{-iKx}) live on the Grid.
+its order, transformed in place in the buffer its caller formed.
+`multiply` and `to_physical` stay apart as their oracle.  The per-mode
+rows that the kernels read (k, ik, 1/k, e^{-iKx}) live on the Grid.
 Likewise every L2 and H^s norm of stacked coefficient rows in the package
 comes from the one row-norm kernel _norms, which gives `norm`'s bits.  Its
 Sobolev weights, and the default grid of a band size, are built once each
@@ -457,15 +458,20 @@ def _padded_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def _band_coeffs(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
     """Coefficients |k| <= K, shape (..., 2K+1), of a product of values of
     _padded_values with `order` plain factors more than conjugated ones,
-    which carries e^{i order K x}: one forward FFT call, sliced (as a view)
-    from slot ((order - 1) K) mod n_padded.  Order 1 inverts
-    _padded_values; orders 0 and -1 would wrap around the array, so their
-    callers take the conjugate product and mirror the result."""
+    which carries e^{i order K x}: one forward FFT call, sliced from slot
+    ((order - 1) K) mod n_padded.  Order 1 inverts _padded_values; orders 0
+    and -1 would wrap around the array, so their callers take the conjugate
+    product and mirror the result.
+
+    The transform overwrites `values`, which must be a writable complex
+    array that the caller built and reads no more, and the result is a view
+    into it: a fresh output per call cost 10 to 13% of a 2,112-point analysis
+    (numpy 2.4), and its bits are those of an out-of-place transform."""
     n, K = grid.n_padded, grid.n_modes
     start = (order - 1) * K % n
     if start + 2 * K >= n:
         raise ValueError(f"order {order} wraps the band around {n} padded points")
-    return np.fft.fft(values, norm="forward")[..., start : start + 2 * K + 1]
+    return np.fft.fft(values, norm="forward", out=values)[..., start : start + 2 * K + 1]
 
 
 def pair_mean(a: SpectralField, b: SpectralField) -> complex:

@@ -1041,6 +1041,53 @@ class TestNonFiniteNumbers:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestNonFiniteOutputs:
+    """Inputs that pass every rule but whose run yields inf or nan: the
+    table and the manifest are checked before either file is written, and
+    a non-finite number is one error line naming the command and where it
+    sits, with no file left behind."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,where", [
+        pytest.param(["picard", "--epsilon", "0.2", "--t-horizon", "1e10"],
+                     "picard: the manifest", id="picard-horizon"),
+        pytest.param(["simulate", "--system", "modified", "--epsilon", "0.1",
+                      "--lambda", "1e155"],
+                     "simulate: column norm_u1_H1", id="simulate-lambda"),
+        pytest.param(["sweep", "--system", "modified", "--lambda", "1e300",
+                      "--epsilons", "0.2,0.1,0.05", "--n-modes", "16", "--t-end", "0.05"],
+                     "sweep: column final_norm1", id="sweep-lambda"),
+        pytest.param(["simulate", "--epsilon", "1e-40", "--t-end", "0.002"],
+                     "simulate: column energy", id="simulate-epsilon"),
+    ])
+    def test_run_with_a_non_finite_result_writes_nothing(self, capsys, tmp_path,
+                                                         argv, where):
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {where} holds ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("row,column,token", [
+        ((float("nan"), 1.0, "completed"), "a", "nan"),
+        ((0.0, -float("inf"), "completed"), "b", "-inf"),
+        ((0.0, 1.0, float("inf")), "c", "inf"),
+    ])
+    def test_table_check_names_the_column(self, row, column, token):
+        header = ("a", "b", "c")
+        text = cli._csv_text(header, [(0.5, 2.0, "infinite"), row])
+        with pytest.raises(cli.CliError) as raised:
+            cli._require_finite_cells("cmd", header, text)
+        assert str(raised.value) == (
+            f"cmd: column {column} holds the non-finite value {token}; no file written")
+
+    def test_table_check_reads_cells_only(self):
+        # strings that spell a non-finite token in part, and comment lines
+        header = ("inform", "status")
+        text = cli._csv_text(header, [(1.0, "infinite"), (2.0, "nano")],
+                             {"slope": float("nan"), "note": "a,nan,b"})
+        cli._require_finite_cells("cmd", header, text)
+
+
 def modules_loaded_by_importing_the_cli():
     """The names in sys.modules of a fresh interpreter after `import wavereg.cli`."""
     code = "import json, sys, wavereg.cli; print(json.dumps(sorted(sys.modules)))"

@@ -442,6 +442,23 @@ class TestStepFull:
             step_full(spec, PressureLaw.P0, state, 0.0, dt, scheme)
         assert _plain_propagator.cache_info() == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["regularized", "modified"])
+    @pytest.mark.parametrize("scheme", ["exp_rk2", "exp_euler"])
+    def test_band_whose_mode_symbol_overflows_is_refused(self, rng, kind, scheme):
+        # 1/eps^3 = 1e300 is finite, so the spec takes eps = 1e-100, but
+        # (cd K^2 / 2)^2 at K = 32 is not: refused before any exponential
+        # warns, and no table is kept
+        grid = Grid(32)
+        spec = SystemSpec(kind, 1e-100, rescaled=True)
+        state = random_state(grid, rng, scale=0.1)
+        _plain_propagator.cache_clear()
+        with pytest.raises(ValueError, match=(
+                r"^the mode symbol of \|k\| = 32 overflows at ct = 1e\+200, "
+                r"cd = 1e\+300: epsilon is too small for this band$")):
+            step_full(spec, PressureLaw.P0, state, 0.0, 1e-3, scheme)
+        assert _plain_propagator.cache_info().currsize == 0
+
     def test_repeated_linear_application_matches_one_exponential(self):
         # semigroup property of the cached propagator: 1000 small steps of
         # the linear flow equal a single exponential of the total time.

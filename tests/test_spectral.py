@@ -352,6 +352,67 @@ class TestShiftedBand:
         assert not grid._demodulation.flags.writeable
 
 
+def read_only(array):
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
+class TestInPlaceAnalysis:
+    """_band_coeffs transforms the product its caller formed in place; the
+    kernels that call it overwrite only buffers of their own, never an
+    input."""
+
+    @pytest.mark.parametrize("grid", SHIFTED_GRIDS, ids=SHIFTED_IDS)
+    @pytest.mark.parametrize("order", [1, 3, -3])
+    def test_band_coeffs_is_a_view_with_the_out_of_place_bits(self, grid, order):
+        rng = np.random.default_rng(12)
+        values = (rng.standard_normal((2, grid.n_padded))
+                  + 1j * rng.standard_normal((2, grid.n_padded)))
+        start = (order - 1) * grid.n_modes % grid.n_padded
+        want = np.fft.fft(values, norm="forward")[..., start : start + grid.n_coeffs]
+        got = sp._band_coeffs(grid, values, order)
+        assert np.shares_memory(got, values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_padded_kernels_leave_read_only_inputs_unchanged(self):
+        # a kernel that wrote into an input would raise on these arrays, and
+        # one that wrote into a copy it reads again would change its bits
+        from wavereg.integrate import _cubic_band, step_full
+        from wavereg.jets_ibp import (IbpCoefficients, _jets, f_n, ibp_once_p2,
+                                      implicit_residual)
+        from wavereg.model import PressureLaw, State, SystemSpec, _energies
+        from wavereg.normalform import NormalFormSetting, _reduced_forcing
+
+        grid = sp.Grid(8)
+        rng = np.random.default_rng(13)
+        fields = [sp.remove_mean(0.1 * sp.random_field(grid, rng, band=(1, 4)))
+                  for _ in range(8)]
+        rows = read_only([f.coeffs for f in fields])
+        u, v, w1, w2 = (read_only(row) for row in rows[:4])
+        times = read_only(np.linspace(0.0, 0.01, 4))
+        inputs = [rows, u, v, w1, w2, times] + [f.coeffs for f in fields]
+        before = [array.tobytes() for array in inputs]
+        for law in PressureLaw:
+            _cubic_band(law, grid, u)
+            _energies(law, rows[:4], rows[4:])
+            setting = NormalFormSetting(0.2, False, law, amplitude=0.3)
+            _reduced_forcing(setting, grid, rows[:4], rows[4:], times)
+        _reduced_forcing(NormalFormSetting(0.2, True, PressureLaw.P0, 0.3),
+                         grid, rows[:4], rows[4:], 0.1)
+        state = State(fields[0], fields[1])
+        for kind in ("regularized", "modified"):
+            for scheme in ("exp_rk2", "exp_euler"):
+                step_full(SystemSpec(kind, 0.2, rescaled=True), PressureLaw.P0,
+                          state, 0.0, 1e-3, scheme)
+        _jets(grid, u, 3, v)
+        f_n(fields[2], 2)
+        coeffs = IbpCoefficients(n=1, lam=0.4, epsilon=0.2, c_embed=2.0)
+        implicit_residual(times, fields[:4], fields[4:], coeffs)
+        ibp_once_p2(times, fields[:4], fields[4:], 0.25, 0.05)
+        assert [array.tobytes() for array in inputs] == before
+
+
 class TestMultiplier:
     def test_m_kills_mean_and_divides(self, rng):
         g = sp.Grid(16)
