@@ -47,7 +47,12 @@ from .spectral import (
     _m_coeffs,
     _mirror,
     _norms,
+    _require_finite,
+    _require_in_unit_interval,
     _require_integer,
+    _require_nonnegative,
+    _require_positive,
+    _require_positive_finite,
     from_modes,
     norm,
     random_field,
@@ -88,10 +93,9 @@ class DatumSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_norm < _MAX_PROFILE_NORM:
-            raise ValueError(
-                f"target_norm must lie in (0, 1/6), got {self.target_norm}"
-            )
-        lo, hi = self.mode_band
+            raise ValueError(f"target_norm must lie in (0, 1/6), got {self.target_norm}")
+        _require_integer("seed", self.seed)
+        lo, hi = (_require_integer("mode_band", b) for b in self.mode_band)
         if not 1 <= lo <= hi:
             raise ValueError(f"mode_band must satisfy 1 <= lo <= hi, got {self.mode_band}")
         if self.conjugated and self.law is not PressureLaw.P0:
@@ -140,18 +144,13 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
 # Existence times and amplitude sweeps.
 
 
-def _check_rho_max(rho_max: float) -> None:
-    if not rho_max > 0.0:
-        raise ValueError(f"rho_max must be positive, got {rho_max}")
-
-
 def existence_run(system, law: PressureLaw, datum: State, config: IntegratorConfig,
                   rho_max: float = 1.0) -> Trajectory:
     """The one existence run: `solve` with the blow-up threshold
     rho_max * system.amplitude, so rho_max is stated on the scale of the
     profile returned by make_datum regardless of the datum prefactor.
     simulate, the sweep and existence_time all run through here."""
-    _check_rho_max(rho_max)
+    _require_positive("rho_max", rho_max)
     run_config = replace(config, blowup_threshold=rho_max * system.amplitude)
     return solve(system, law, datum, run_config)
 
@@ -265,22 +264,19 @@ def scaling_sweep(
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("epsilon values must be distinct")
     for eps in epsilons:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+        _require_in_unit_interval("epsilon", eps)
     if (amplitude_exponent is None) == (amplitude is None):
         raise ValueError("give exactly one of amplitude_exponent and amplitude")
-    for name, value in (("amplitude_exponent", amplitude_exponent), ("amplitude", amplitude)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if amplitude_exponent is not None and amplitude_exponent < 0.0:
-        raise ValueError("amplitude_exponent must be nonnegative")
-    if amplitude is not None and amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
+    if amplitude is None:
+        _require_finite("amplitude_exponent", amplitude_exponent)
+        _require_nonnegative("amplitude_exponent", amplitude_exponent)
+    else:
+        _require_positive_finite("amplitude", amplitude)
     if time_scale not in ("fixed", "eps_squared"):
         raise ValueError(f"unknown time_scale {time_scale!r}")
-    if jobs is not None and jobs < 1:
+    if jobs is not None and _require_integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _check_rho_max(rho_max)
+    _require_positive("rho_max", rho_max)
     amplitudes = [amplitude if amplitude is not None else eps**amplitude_exponent
                   for eps in epsilons]
     for eps, amp in zip(epsilons, amplitudes):
@@ -384,16 +380,13 @@ def continuation_schedule(
     """
     for name, value in (("rho", rho), ("growth_constant", growth_constant),
                         ("step_constant", step_constant)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+        _require_finite(name, value)
+    _require_positive("rho", rho)
+    _require_in_unit_interval("epsilon", epsilon)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if growth_constant <= 0.0 or step_constant <= 0.0:
-        raise ValueError("constants must be positive")
+    _require_positive("growth_constant", growth_constant)
+    _require_positive("step_constant", step_constant)
 
     grain = epsilon ** (2.0 * (1.0 - alpha))
     try:  # rho**2 raises past the float range, and grain may underflow to 0
@@ -479,13 +472,12 @@ def growth_experiment(
     epsilon or wavenumber that puts k^2, k^2 |p'(u_star)| or (eps k^2)^2 / 4
     past _GROWTH_TERM_MAX raises ValueError naming it, before any rate.
     """
-    if not np.isfinite(u_star):
-        raise ValueError(f"u_star must be finite, got {u_star}")
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    _require_integer("n_samples", n_samples)
-    if n_samples < 101:
+    _require_finite("u_star", u_star)
+    _require_finite("epsilon", epsilon)
+    _require_nonnegative("epsilon", epsilon)
+    if _require_integer("n_samples", n_samples) < 101:
         raise ValueError("need at least 101 samples")
+    wavenumbers = [_require_integer("wavenumber", k) for k in wavenumbers]
     u, eps = float(u_star), float(epsilon)
     for k in wavenumbers:
         # the closed form takes the root of -(eps k^2 / 2)^2 - k^2 p'(u*) and
@@ -523,7 +515,7 @@ def growth_experiment(
         measured = (math.log(peak) - math.log(peak_half)) / (
             dt * (n_samples - 1 - half)
         )
-        results.append(GrowthMeasurement(int(k), float(measured), float(predicted)))
+        results.append(GrowthMeasurement(k, float(measured), float(predicted)))
     return results
 
 
@@ -572,10 +564,9 @@ def lemma_m_suite(
     (say one that drops a mode) must break the first-derivative identities
     at the size of the dropped coefficient.
     """
-    if n_modes < 1:
+    if _require_integer("n_modes", n_modes) < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    _require_integer("n_fields", n_fields)
-    if n_fields < 1:
+    if _require_integer("n_fields", n_fields) < 1:
         raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     grid = Grid(n_modes)
     if multiplier is None:
@@ -700,9 +691,7 @@ def sobolev_constant(max_wavenumber: int) -> float:
     c_K^2 sums max(1, |k|)^(-2) over the band; c_0 = 1 and c_K increases to
     sqrt(1 + pi^2 / 3) as the band widens.
     """
-    _require_integer("max_wavenumber", max_wavenumber)
-    if max_wavenumber < 0:
-        raise ValueError("max_wavenumber must be nonnegative")
+    _require_nonnegative("max_wavenumber", _require_integer("max_wavenumber", max_wavenumber))
     ks = np.arange(1, max_wavenumber + 1, dtype=float)
     return math.sqrt(1.0 + 2.0 * float(np.sum(ks**-2.0)))
 

@@ -72,6 +72,8 @@ from .spectral import (
     _norms,
     _padded_values,
     _require_integer,
+    _require_positive,
+    _require_positive_finite,
 )
 
 _SCHEMES = ("exp_rk2", "exp_euler")
@@ -86,17 +88,12 @@ class IntegratorConfig:
     store_every: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0.0 < self.t_end < np.inf:
-            raise ValueError("t_end must be positive and finite")
+        _require_positive_finite("dt", self.dt)
+        _require_positive_finite("t_end", self.t_end)
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        # an infinite threshold is allowed: it disables blow-up detection
-        if not self.blowup_threshold > 0.0:
-            raise ValueError("blowup_threshold must be positive")
-        object.__setattr__(self, "store_every",
-                           _require_integer("store_every", self.store_every))
+        _require_positive("blowup_threshold", self.blowup_threshold)  # inf disables detection
+        object.__setattr__(self, "store_every", _require_integer("store_every", self.store_every))
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
 
@@ -212,8 +209,7 @@ def _stage(a, c, u1, u2, d, b):
 
 
 def _require_step(dt: float, scheme: str) -> None:
-    if not 0.0 < dt < np.inf:  # nan and -inf too
-        raise ValueError("dt must be positive and finite")
+    _require_positive_finite("dt", dt)
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -486,15 +482,10 @@ def picard_solve(
     measured ratios either way)."""
     if law is not setting.law:
         raise ValueError("law argument disagrees with the setting's law")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not T < np.inf:  # nan and inf
-        raise ValueError(f"T must be finite, got {T}")
-    _require_integer("n_nodes", n_nodes)
-    _require_integer("max_iter", max_iter)
-    if n_nodes < 3:
+    _require_positive_finite("T", T)
+    if _require_integer("n_nodes", n_nodes) < 3:
         raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
-    if max_iter < 1:
+    if _require_integer("max_iter", max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ReducedState(w1_0, w2_0, 0.0)  # one grid, zero-mean
     if _monitor(w1_0.grid)(w1_0.coeffs, w2_0.coeffs) >= 1.0 / 6.0:

@@ -44,6 +44,11 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
+    _require_finite,
+    _require_in_unit_interval,
+    _require_integer,
+    _require_nonnegative,
+    _require_positive_finite,
     norm,
 )
 
@@ -62,8 +67,7 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
     3 sum_c S_{j-c} delta u_c.  Each level but the last is synthesized once,
     and C_j and T_j (order 3) come back by one forward FFT: 2 depth FFT
     calls."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _require_nonnegative("depth", depth)
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
     rows = np.stack([u] if v is None else [u, v])
@@ -82,12 +86,14 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
 
 def f_n(u: SpectralField, n: int) -> SpectralField:
     """n-th tower map: f_0(u) = (Id - mean) u^3, f_{k+1} = f_k'[f_0]."""
+    _require_nonnegative("n", _require_integer("n", n))
     level = _jets(u.grid, u.coeffs, n + 1)[n + 1]
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * level)
 
 
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
     """f_n'(u)[v] via the tangent jet."""
+    _require_nonnegative("n", _require_integer("n", n))
     _check_same_grid(u, v)
     _, deltas = _jets(u.grid, u.coeffs, n + 1, v.coeffs)
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])
@@ -109,18 +115,12 @@ class IbpCoefficients:
     c_embed: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if _require_integer("n", self.n) < 1:
             raise ValueError("n must be at least 1")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        if not self.lam < math.inf:  # nan and inf
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.c_embed <= 0.0:
-            raise ValueError("c_embed must be positive")
-        if not self.c_embed < math.inf:
-            raise ValueError(f"c_embed must be finite, got {self.c_embed}")
+        _require_finite("lam", self.lam)
+        _require_nonnegative("lam", self.lam)
+        _require_in_unit_interval("epsilon", self.epsilon)
+        _require_positive_finite("c_embed", self.c_embed)
 
     def mu(self, t: float) -> complex:
         return -1j * self.lam**2 * complex(np.exp(2.0j * t / self.epsilon))
@@ -253,18 +253,13 @@ def ibp_once_p2(times, w1_samples, r1_samples, alpha: float, epsilon: float) -> 
 
 def choose_n(lam: float, epsilon: float, c_embed: float) -> int:
     """Smallest n >= 1 with (2n+1)(c lam)^{2(n+1)} <= epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    for name, value in (("lam", lam), ("epsilon", epsilon), ("c_embed", c_embed)):
-        if not math.isfinite(value):  # a nan makes every comparison below false
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_positive_finite("epsilon", epsilon)
+    _require_finite("lam", lam)  # a nan makes every comparison below false
+    _require_finite("c_embed", c_embed)
     x = c_embed * lam
-    if x < 0.0:
-        raise ValueError("c_embed * lam must be nonnegative")
+    _require_nonnegative("c_embed * lam", x)
     if x >= 1.0:
-        raise ValueError(
-            f"c_embed * lam = {x} is not below 1; no cutoff order exists"
-        )
+        raise ValueError(f"c_embed * lam = {x} is not below 1; no cutoff order exists")
     n = 1
     while (2 * n + 1) * x ** (2 * (n + 1)) > epsilon:
         n += 1
@@ -304,7 +299,7 @@ def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
     One _jets call of depth n_max + 1 gives every order's f_n rows (and
     tangent rows along v); the norms are taken on the stacks by norm's own
     reductions, and each bound by the same scalar arithmetic per row."""
-    if not 0 <= n_max <= 8:
+    if not 0 <= _require_integer("n", n_max) <= 8:
         raise ValueError("bound verification is specified for 0 <= n <= 8")
     scales = np.array([math.factorial(n) * (n + 1) for n in range(n_max + 1)])[:, None, None]
     if v is None:

@@ -44,6 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .spectral import SpectralField, _band_grid, _blocks, _mirror, _padded_values
+from .spectral import _require_in_unit_interval, _require_positive_finite
 
 
 class PressureLaw(Enum):
@@ -110,12 +111,8 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("regularized", "modified"):
             raise ValueError(f"unknown system kind {self.kind!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if not self.amplitude < math.inf:  # nan and inf
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        _require_in_unit_interval("epsilon", self.epsilon)
+        _require_positive_finite("amplitude", self.amplitude)
         if self.rescaled:
             _rescaled_coefficients(self.epsilon)
 

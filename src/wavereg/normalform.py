@@ -79,6 +79,8 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
+    _require_in_unit_interval,
+    _require_positive_finite,
 )
 
 _MEAN_TOL = 1e-12
@@ -103,12 +105,8 @@ class NormalFormSetting:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if not self.amplitude < np.inf:  # nan and inf
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        _require_in_unit_interval("epsilon", self.epsilon)
+        _require_positive_finite("amplitude", self.amplitude)
         if self.conjugated and self.law is not PressureLaw.P0:
             raise ValueError("the conjugated (modified) system requires law p0")
 

@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .spectral import _require_positive
+
 __all__ = [
     "simpson_uniform",
     "cumulative_simpson_uniform",
@@ -109,8 +111,7 @@ def _simpson_rule(shape: tuple, omega, dx: float) -> _SimpsonRule:
     n = shape[0]
     if n < 3:
         raise ValueError("need at least 3 samples for a Simpson panel")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
+    _require_positive("dx", dx)
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape[1:]).copy()
     h = float(dx)
     mom_h = _phase_moments(omega, h)        # int_0^h

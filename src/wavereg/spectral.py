@@ -97,6 +97,9 @@ def _smooth_length(minimum: int) -> int:
         n += 1
 
 
+# The package's scalar input rules, each rejecting nan: ValueError("{name} must ..., got {value}").
+
+
 def _require_integer(name: str, value) -> int:
     """value as an int; a value that is not an integer (numpy integers pass)
     is rejected by name."""
@@ -104,6 +107,32 @@ def _require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_finite(name: str, value) -> None:
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(name: str, value) -> None:
+    if not value > 0.0:  # inf passes
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _require_positive_finite(name: str, value) -> None:
+    if not 0.0 < value < np.inf:  # one comparison when it passes: the steppers call it each step
+        _require_finite(name, value)
+        _require_positive(name, value)
+
+
+def _require_nonnegative(name: str, value) -> None:
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_in_unit_interval(name: str, value) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +164,7 @@ class Grid:
     def __post_init__(self) -> None:
         for name in ("n_modes", "n_points"):  # stored as ints: np.int64(4) -> 4
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be nonnegative")
+        _require_nonnegative("n_modes", self.n_modes)
         if self.n_points == 0:
             object.__setattr__(self, "n_points", 4 * self.n_modes + 2)
         if self.n_points < 2 * self.n_modes + 1:
@@ -254,7 +282,7 @@ def random_field(
     real_valued enforces Hermitian coefficients u_{-k} = conj(u_k); zero_mean
     zeroes the k = 0 coefficient (band[0] >= 1 already implies it).
     """
-    lo, hi = band
+    lo, hi = (_require_integer("band", b) for b in band)
     if not (0 <= lo <= hi <= grid.n_modes):
         raise ValueError(f"band {band} not inside |k| <= {grid.n_modes}")
     c = _band_draw(grid, rng.standard_normal(4 * (hi - lo + 1)), band, real_valued)
@@ -344,8 +372,7 @@ def _m_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    if _require_integer("order", order) < 0:
-        raise ValueError("order must be nonnegative")
+    _require_nonnegative("order", _require_integer("order", order))
     return SpectralField(f.grid, f.coeffs * f.grid.ik ** order)
 
 

@@ -494,12 +494,12 @@ class TestScalingSweep:
              r"^amplitude_exponent 1000\.0 underflows the amplitude to 0 at epsilon 0\.2$"),
             # each run's SystemSpec and IntegratorConfig reject these, and
             # are built with the checks
-            (dict(dt=0.0), "^dt must be positive and finite$"),
-            (dict(t_end=math.nan), "^t_end must be positive and finite$"),
+            (dict(dt=0.0), "^dt must be positive, got 0.0$"),
+            (dict(t_end=math.nan), "^t_end must be finite, got nan$"),
             (dict(store_every=0), "^store_every must be at least 1$"),
             (dict(kind="bogus"), "^unknown system kind 'bogus'$"),
             # 5e-324 * 0.2**2 underflows the scaled dt to 0
-            (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive and finite$"),
+            (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive, got 0.0$"),
             # a store_every that is not an integer
             (dict(store_every=1.5), "^store_every must be an integer, got 1.5$"),
             (dict(store_every=math.nan), "^store_every must be an integer, got nan$"),

@@ -264,9 +264,9 @@ class TestIbpCoefficients:
             IbpCoefficients(n=1, lam=float("nan"), epsilon=0.1, c_embed=float("inf"))
 
     def test_messages_for_values_out_of_range(self):
-        with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+        with pytest.raises(ValueError, match="^lam must be finite, got -inf$"):
             IbpCoefficients(n=1, lam=float("-inf"), epsilon=0.1, c_embed=2.0)
-        with pytest.raises(ValueError, match="^c_embed must be positive$"):
+        with pytest.raises(ValueError, match="^c_embed must be finite, got -inf$"):
             IbpCoefficients(n=1, lam=0.5, epsilon=0.1, c_embed=float("-inf"))
         with pytest.raises(ValueError, match="^c_embed must be finite, got inf$"):
             IbpCoefficients(n=1, lam=0.5, epsilon=0.1, c_embed=float("inf"))
@@ -663,8 +663,8 @@ class TestChooseN:
             choose_n(0.0, 0.5, float("inf"))
 
     def test_non_positive_epsilon_message(self):
-        for eps in (0.0, float("-inf")):
-            with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        for eps, message in ((0.0, "positive"), (float("-inf"), "finite")):
+            with pytest.raises(ValueError, match=f"^epsilon must be {message}, got {eps}$"):
                 choose_n(0.5, eps, 1.0)
 
     def test_minimality_and_log_consequence(self, rng):

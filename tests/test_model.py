@@ -412,7 +412,7 @@ class TestRhsFull:
         assert spec.coefficients == (4.0, 8.0)
 
     @pytest.mark.parametrize("amplitude,message", [
-        (0.0, "amplitude must be positive"),
+        (0.0, "amplitude must be positive, got 0.0"),
         (float("nan"), "amplitude must be finite, got nan"),
         (float("inf"), "amplitude must be finite, got inf"),
     ])

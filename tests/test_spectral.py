@@ -87,7 +87,7 @@ class TestGridAndTransforms:
         assert f.coeff(np.int64(1)) == 1.0
         with pytest.raises(ValueError, match=r"^order must be an integer, got 1\.5$"):
             sp.derivative(f, 1.5)
-        with pytest.raises(ValueError, match=r"^order must be nonnegative$"):
+        with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
             sp.derivative(f, -1)
         assert sp.derivative(f, np.int64(2)).coeff(1) == -1.0
         with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.7$"):
@@ -526,6 +526,40 @@ class TestNormsAndProducts:
                 if "_hs_norms" in names:
                     found.append(f"{path.name}:{node.lineno} _hs_norms")
         assert found == []
+
+    def test_the_package_spells_each_input_rule_once(self):
+        """The messages of the scalar input rules are spelled in their
+        validators in spectral.py only: no other string or f-string in
+        src/wavereg holds one of their templates, so a rule cannot come back
+        as an inline check.  cli.py, which imports no private name and
+        orders its own messages, keeps its checks."""
+        validators = ("_require_integer", "_require_finite", "_require_positive",
+                      "_require_positive_finite", "_require_nonnegative",
+                      "_require_in_unit_interval")
+        templates = ("must be finite", "must be positive", "must be nonnegative",
+                     "must lie in (0, 1)", "must be an integer")
+        package = Path(sp.__file__).resolve().parent
+        found, spelled = [], set()
+        for path in sorted(package.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            tree = ast.parse(path.read_text())
+            inside = set()
+            if path.name == "spectral.py":
+                for node in tree.body:
+                    if isinstance(node, ast.FunctionDef) and node.name in validators:
+                        inside.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                    continue
+                for template in templates:
+                    if template in node.value:
+                        if id(node) in inside:
+                            spelled.add(template)
+                        else:
+                            found.append(f"{path.name}:{node.lineno} {template!r}")
+        assert found == []
+        assert spelled == set(templates)  # the guard looks for the validators' own words
 
     @pytest.mark.parametrize("band, real_valued", [((1, 5), False), ((2, 5), True),
                                                    ((0, 4), False), ((1, 8), False)])
