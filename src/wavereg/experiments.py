@@ -30,7 +30,7 @@ import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
 from .jets_ibp import IbpCoefficients, _fn_bounds, _jets, f_n, implicit_residual
-from .model import PressureLaw, State, SystemSpec, energy, linear_growth_rate
+from .model import PressureLaw, State, SystemSpec, _require_law, energy, linear_growth_rate
 from .normalform import (
     NormalFormSetting,
     ReducedState,
@@ -47,6 +47,7 @@ from .spectral import (
     _m_coeffs,
     _mirror,
     _norms,
+    _require_at_least,
     _require_finite,
     _require_in_unit_interval,
     _require_integer,
@@ -98,8 +99,7 @@ class DatumSpec:
         lo, hi = (_require_integer("mode_band", b) for b in self.mode_band)
         if not 1 <= lo <= hi:
             raise ValueError(f"mode_band must satisfy 1 <= lo <= hi, got {self.mode_band}")
-        if self.conjugated and self.law is not PressureLaw.P0:
-            raise ValueError("conjugated data require law p0")
+        _require_law(self.conjugated, self.law)
 
 
 def make_datum(grid: Grid, spec: DatumSpec) -> State:
@@ -203,14 +203,10 @@ class SweepResult:
 
 def _sweep_single(system, config, *, law, profile, rho_max) -> SweepRow:
     """The sweep's run of system under config: the shared profile times the
-    run's amplitude.  A row reads the run's crossing and its last sample
-    only, so the run stores the datum and its end or crossing sample and
-    nothing between (a stride no step count reaches), and forms no other
-    sample's diagnostics.  The final norms are the run's own diagnostics of
-    its last sample."""
+    run's amplitude.  The final norms are the run's own diagnostics of its
+    last sample."""
     amp = system.amplitude
-    ends_only = replace(config, store_every=sys.maxsize)
-    trajectory = existence_run(system, law, amp * profile, ends_only, rho_max)
+    trajectory = existence_run(system, law, amp * profile, config, rho_max)
     last = trajectory.diagnostics[-1]
     return SweepRow(
         epsilon=system.epsilon,
@@ -250,8 +246,10 @@ def scaling_sweep(
     fails before any work.
 
     store_every is checked as IntegratorConfig checks it, but the rows
-    never depended on it: each run stores only its datum and its end or
-    crossing sample, the ones a row reads.
+    never depended on it.  A row reads the run's crossing and its last
+    sample only, so each run's config takes the stride sys.maxsize, which
+    no step count reaches: the run stores its datum and its end or crossing
+    sample and nothing between, and forms no other sample's diagnostics.
 
     Each run goes through existence_run.  Runs are independent, so jobs > 1
     dispatches them to a process pool of min(jobs, len(epsilons)) workers,
@@ -274,8 +272,9 @@ def scaling_sweep(
         _require_positive_finite("amplitude", amplitude)
     if time_scale not in ("fixed", "eps_squared"):
         raise ValueError(f"unknown time_scale {time_scale!r}")
-    if jobs is not None and _require_integer("jobs", jobs) < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs is not None:
+        _require_at_least("jobs", jobs, 1)
+    _require_at_least("store_every", store_every, 1)
     _require_positive("rho_max", rho_max)
     amplitudes = [amplitude if amplitude is not None else eps**amplitude_exponent
                   for eps in epsilons]
@@ -286,7 +285,7 @@ def scaling_sweep(
     systems = [SystemSpec(kind, eps, rescaled=True, amplitude=amp)
                for eps, amp in zip(epsilons, amplitudes)]
     factors = [eps**2 if time_scale == "eps_squared" else 1.0 for eps in epsilons]
-    configs = [IntegratorConfig(dt=dt * f, t_end=t_end * f, store_every=store_every)
+    configs = [IntegratorConfig(dt=dt * f, t_end=t_end * f, store_every=sys.maxsize)
                for f in factors]
 
     run = partial(_sweep_single, law=law, profile=make_datum(Grid(n_modes), spec),
@@ -475,8 +474,7 @@ def growth_experiment(
     _require_finite("u_star", u_star)
     _require_finite("epsilon", epsilon)
     _require_nonnegative("epsilon", epsilon)
-    if _require_integer("n_samples", n_samples) < 101:
-        raise ValueError("need at least 101 samples")
+    _require_at_least("n_samples", n_samples, 101)
     wavenumbers = [_require_integer("wavenumber", k) for k in wavenumbers]
     u, eps = float(u_star), float(epsilon)
     for k in wavenumbers:
@@ -564,10 +562,9 @@ def lemma_m_suite(
     (say one that drops a mode) must break the first-derivative identities
     at the size of the dropped coefficient.
     """
-    if _require_integer("n_modes", n_modes) < 1:
-        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    if _require_integer("n_fields", n_fields) < 1:
-        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
+    _require_integer("seed", seed)
+    _require_at_least("n_modes", n_modes, 1)
+    _require_at_least("n_fields", n_fields, 1)
     grid = Grid(n_modes)
     if multiplier is None:
         multiplier = partial(_m_coeffs, grid)
@@ -611,8 +608,7 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     call, in the order of one random_field draw at a time, and are checked
     by one kernel call (lemma_m_suite, _cancellation_residuals,
     jets_ibp._fn_bounds)."""
-    if fields < 1:
-        raise ValueError(f"fields must be at least 1, got {fields}")
+    _require_at_least("fields", fields, 1)
     legs = []
 
     report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)

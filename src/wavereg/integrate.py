@@ -71,12 +71,18 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
-    _require_integer,
+    _require_at_least,
     _require_positive,
     _require_positive_finite,
 )
 
 _SCHEMES = ("exp_rk2", "exp_euler")
+
+
+def _require_step(dt: float, scheme: str) -> None:
+    _require_positive_finite("dt", dt)
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +94,11 @@ class IntegratorConfig:
     store_every: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive_finite("dt", self.dt)
+        _require_step(self.dt, self.scheme)
         _require_positive_finite("t_end", self.t_end)
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         _require_positive("blowup_threshold", self.blowup_threshold)  # inf disables detection
-        object.__setattr__(self, "store_every", _require_integer("store_every", self.store_every))
-        if self.store_every < 1:
-            raise ValueError("store_every must be at least 1")
+        store_every = _require_at_least("store_every", self.store_every, 1)
+        object.__setattr__(self, "store_every", store_every)
 
 
 @dataclass(frozen=True)
@@ -208,12 +211,6 @@ def _stage(a, c, u1, u2, d, b):
     return out
 
 
-def _require_step(dt: float, scheme: str) -> None:
-    _require_positive_finite("dt", dt)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def step_full(
     spec: SystemSpec,
     law: PressureLaw,
@@ -233,10 +230,10 @@ def step_full(
     summed by _stage into the arrays it forms, and each table is fetched
     once per step; the state's rows are only read."""
     _require_step(dt, scheme)
-    _require_law(spec, law)
+    modified = spec.kind == "modified"
+    _require_law(modified, law)
     ct, cd = spec.coefficients
     grid = state.grid
-    modified = spec.kind == "modified"
     u1 = _mirror(state.u1.coeffs) if modified else state.u1.coeffs
     u2 = state.u2.coeffs
     p = _plain_propagator(grid, ct, cd, dt)
@@ -357,7 +354,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
     if isinstance(system, SystemSpec):
         if not isinstance(datum, State):
             raise TypeError("full-system solve expects a State datum")
-        _require_law(system, law)
+        _require_law(system.kind == "modified", law)
         _require_zero_mean(u1=datum.u1, u2=datum.u2)
         stepper = lambda st, t, dt: step_full(system, law, st, t, dt, config.scheme)
         pair = lambda st: (st.u1.coeffs, st.u2.coeffs)
@@ -483,10 +480,8 @@ def picard_solve(
     if law is not setting.law:
         raise ValueError("law argument disagrees with the setting's law")
     _require_positive_finite("T", T)
-    if _require_integer("n_nodes", n_nodes) < 3:
-        raise ValueError(f"n_nodes must be at least 3, got {n_nodes}")
-    if _require_integer("max_iter", max_iter) < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _require_at_least("n_nodes", n_nodes, 3)
+    _require_at_least("max_iter", max_iter, 1)
     ReducedState(w1_0, w2_0, 0.0)  # one grid, zero-mean
     if _monitor(w1_0.grid)(w1_0.coeffs, w2_0.coeffs) >= 1.0 / 6.0:
         raise ValueError("datum norms must be below 1/6 in H1 x L2")

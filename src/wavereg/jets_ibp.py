@@ -44,6 +44,7 @@ from .spectral import (
     _mirror,
     _norms,
     _padded_values,
+    _require_at_least,
     _require_finite,
     _require_in_unit_interval,
     _require_integer,
@@ -115,8 +116,7 @@ class IbpCoefficients:
     c_embed: float
 
     def __post_init__(self) -> None:
-        if _require_integer("n", self.n) < 1:
-            raise ValueError("n must be at least 1")
+        _require_at_least("n", self.n, 1)
         _require_finite("lam", self.lam)
         _require_nonnegative("lam", self.lam)
         _require_in_unit_interval("epsilon", self.epsilon)

@@ -194,9 +194,10 @@ def _energies(law: PressureLaw, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.array([quart + quad1 + quad2, quart, quad1, quad2])
 
 
-def _require_law(spec: SystemSpec, law: PressureLaw) -> None:
-    if spec.kind == "modified" and law is not PressureLaw.P0:
-        raise ValueError("the modified system is defined with law P0 only")
+def _require_law(modified: bool, law: PressureLaw) -> None:
+    if modified and law is not PressureLaw.P0:
+        raise ValueError(f"the modified system is defined with law P0 only, "
+                         f"got {getattr(law, 'name', law)}")
 
 
 def linear_growth_rate(law: PressureLaw, u_star: complex, k: int) -> float:

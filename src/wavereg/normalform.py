@@ -71,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import _CUBIC_ORDER, PressureLaw, State, _rescaled_coefficients
+from .model import _CUBIC_ORDER, PressureLaw, State, _require_law, _rescaled_coefficients
 from .spectral import (
     SpectralField,
     _band_coeffs,
@@ -107,8 +107,7 @@ class NormalFormSetting:
     def __post_init__(self) -> None:
         _require_in_unit_interval("epsilon", self.epsilon)
         _require_positive_finite("amplitude", self.amplitude)
-        if self.conjugated and self.law is not PressureLaw.P0:
-            raise ValueError("the conjugated (modified) system requires law p0")
+        _require_law(self.conjugated, self.law)
 
     @property
     def system_kind(self) -> str:

@@ -109,6 +109,14 @@ def _require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_at_least(name: str, value, minimum: int) -> int:
+    """value as an int, which must be at least minimum (a count)."""
+    value = _require_integer(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def _require_finite(name: str, value) -> None:
     if not -np.inf < value < np.inf:
         raise ValueError(f"{name} must be finite, got {value}")
@@ -200,7 +208,7 @@ class Grid:
         return 2 * self.n_modes + 1
 
     def points(self, n_points: int | None = None) -> np.ndarray:
-        n = self.n_points if n_points is None else _require_integer("n_points", n_points)
+        n = self.n_points if n_points is None else _require_at_least("n_points", n_points, 1)
         return 2.0 * np.pi * np.arange(n) / n
 
     def index(self, k: int) -> int:
@@ -319,9 +327,8 @@ def to_physical(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     rejected.
     """
     grid = f.grid
-    n = grid.n_points if n_points is None else _require_integer("n_points", n_points)
-    if n < grid.n_coeffs:
-        raise ValueError("n_points too small to synthesize the retained band")
+    n = grid.n_points if n_points is None else _require_at_least(
+        "n_points", n_points, grid.n_coeffs)
     buf = np.zeros(n, dtype=complex)
     buf[np.mod(grid.wavenumbers, n)] = f.coeffs
     return np.fft.ifft(buf) * n

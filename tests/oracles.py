@@ -95,7 +95,7 @@ def rhs_full(
     modified kind is hard-wired to law P0 (its flux conjugates p0 only).
     """
     del t
-    _require_law(spec, law)
+    _require_law(spec.kind == "modified", law)
     ct, cd = spec.coefficients
     u1, u2 = state.u1, state.u2
     dxp = derivative(pressure(law, u1))

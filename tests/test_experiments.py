@@ -496,7 +496,7 @@ class TestScalingSweep:
             # are built with the checks
             (dict(dt=0.0), "^dt must be positive, got 0.0$"),
             (dict(t_end=math.nan), "^t_end must be finite, got nan$"),
-            (dict(store_every=0), "^store_every must be at least 1$"),
+            (dict(store_every=0), "^store_every must be at least 1, got 0$"),
             (dict(kind="bogus"), "^unknown system kind 'bogus'$"),
             # 5e-324 * 0.2**2 underflows the scaled dt to 0
             (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive, got 0.0$"),

@@ -528,38 +528,43 @@ class TestNormsAndProducts:
         assert found == []
 
     def test_the_package_spells_each_input_rule_once(self):
-        """The messages of the scalar input rules are spelled in their
-        validators in spectral.py only: no other string or f-string in
-        src/wavereg holds one of their templates, so a rule cannot come back
-        as an inline check.  cli.py, which imports no private name and
-        orders its own messages, keeps its checks."""
-        validators = ("_require_integer", "_require_finite", "_require_positive",
-                      "_require_positive_finite", "_require_nonnegative",
-                      "_require_in_unit_interval")
-        templates = ("must be finite", "must be positive", "must be nonnegative",
-                     "must lie in (0, 1)", "must be an integer")
+        """The message of each input rule is spelled in its one function
+        only: no other string or f-string in src/wavereg holds its template,
+        so a rule cannot come back as an inline check.  cli.py, which
+        imports no private name and orders its own messages, keeps its
+        checks."""
+        homes = {
+            "must be finite": "spectral.py:_require_finite",
+            "must be positive": "spectral.py:_require_positive",
+            "must be nonnegative": "spectral.py:_require_nonnegative",
+            "must lie in (0, 1)": "spectral.py:_require_in_unit_interval",
+            "must be an integer": "spectral.py:_require_integer",
+            "must be at least": "spectral.py:_require_at_least",
+            "defined with law P0 only": "model.py:_require_law",
+            "must be one of": "integrate.py:_require_step",
+        }
         package = Path(sp.__file__).resolve().parent
         found, spelled = [], set()
         for path in sorted(package.glob("*.py")):
             if path.name == "cli.py":
                 continue
             tree = ast.parse(path.read_text())
-            inside = set()
-            if path.name == "spectral.py":
-                for node in tree.body:
-                    if isinstance(node, ast.FunctionDef) and node.name in validators:
-                        inside.update(map(id, ast.walk(node)))
+            home = {}  # id of each node inside a module-level function -> "file:function"
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    home.update(dict.fromkeys(map(id, ast.walk(node)),
+                                              f"{path.name}:{node.name}"))
             for node in ast.walk(tree):
                 if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
                     continue
-                for template in templates:
+                for template, function in homes.items():
                     if template in node.value:
-                        if id(node) in inside:
+                        if home.get(id(node)) == function:
                             spelled.add(template)
                         else:
                             found.append(f"{path.name}:{node.lineno} {template!r}")
         assert found == []
-        assert spelled == set(templates)  # the guard looks for the validators' own words
+        assert spelled == set(homes)  # the guard looks for the functions' own words
 
     @pytest.mark.parametrize("band, real_valued", [((1, 5), False), ((2, 5), True),
                                                    ((0, 4), False), ((1, 8), False)])
