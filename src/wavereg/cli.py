@@ -92,18 +92,20 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _csv_text(header, rows, meta=None) -> str:
     """Render a comma-separated table; meta becomes trailing comment lines.
-    Each row is formatted by one template per sequence of cell types, which
-    spells _fmt for each cell: floats as .17g, None as nothing."""
+    Each row is formatted by one printf template per sequence of cell types,
+    which spells _fmt for each cell: floats as %.17g, None as nothing, so a
+    row with None cells is applied without them."""
     lines = [",".join(header)]
     templates = {}
     for row in rows:
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
-            template = templates[kinds] = ",".join(
-                "" if kind is type(None) else f"{{{i}:.17g}}" if issubclass(kind, float)
-                else f"{{{i}!s}}" for i, kind in enumerate(kinds))
-        lines.append(template.format(*row))
+            template = templates[kinds] = (",".join(
+                "" if kind is type(None) else "%.17g" if issubclass(kind, float)
+                else "%s" for kind in kinds), type(None) in kinds)
+        form, gaps = template
+        lines.append(form % tuple([cell for cell in row if cell is not None] if gaps else row))
     for key, value in (meta or {}).items():
         lines.append(f"# {key} = {_fmt(value) if value is not None else 'none'}")
     return "\n".join(lines) + "\n"
@@ -117,9 +119,14 @@ _NON_FINITE_CELL = re.compile(r"(?<![^,\n])-?(?:inf|nan)(?![^,\n])")
 
 def _require_finite_cells(command: str, header, text: str) -> None:
     """Refuse a rendered table with a non-finite cell, naming its column;
-    the trailing comment lines are not cells."""
+    the trailing comment lines are not cells.  The cell pattern runs only
+    when the cells spell "inf" or "nan" somewhere, which a clean table of
+    numbers does not."""
     end = text.find("\n#")
-    cell = _NON_FINITE_CELL.search(text, 0, len(text) if end < 0 else end)
+    end = len(text) if end < 0 else end
+    if text.find("inf", 0, end) < 0 and text.find("nan", 0, end) < 0:
+        return
+    cell = _NON_FINITE_CELL.search(text, 0, end)
     if cell:
         line = text.rfind("\n", 0, cell.start()) + 1
         column = header[text.count(",", line, cell.start())]

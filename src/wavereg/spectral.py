@@ -102,8 +102,11 @@ def _smooth_length(minimum: int) -> int:
 
 def _require_integer(name: str, value) -> int:
     """value as an int; a value that is not an integer (numpy integers pass)
-    is rejected by name."""
+    is rejected by name, and so is a bool, which operator.index reads as 0
+    or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -461,9 +464,10 @@ def multiply(fields: Sequence[SpectralField]) -> SpectralField:
 # complex points (rows x padded size) per block of a batched kernel, which
 # holds a few dozen such arrays: a bound on working memory for any batch.
 # At 2048 simulate's two per-sample passes at K = 32 take 34 blocks of 15
-# rows instead of 72 of 7, about a tenth of its wall time; 4096 was no
-# faster there, slowed `wavereg picard` and raised the peak memory of
-# picard and verify by 0.6 MB.
+# rows instead of 72 of 7.  4096 (17 blocks of 31) takes those two passes
+# from 5.6-6.7 to 4.2-5.6 ms in process (Python 3.11, numpy 2.4, 2 cores),
+# but it made `wavereg picard` 20-30% slower and raised the peak memory of
+# picard and verify by 0.6 MB (BENCH_14.json), so the bound stays 2048.
 _BLOCK_POINTS = 2048
 
 

@@ -8,6 +8,7 @@ serializes at 17 significant digits, which round-trips float64.
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavereg import __version__, cli
 from wavereg.cli import main
@@ -811,18 +814,20 @@ class TestDatumRules:
         assert os.listdir(tmp_path) == []
 
 
+@pytest.fixture
+def script():
+    """scripts/cli_outputs.py as a module."""
+    import importlib.util
+
+    path = REPO_ROOT / "scripts" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCliOutputsScript:
     """scripts/cli_outputs.py, the byte-level record of the CLI's outputs."""
-
-    @pytest.fixture
-    def script(self):
-        import importlib.util
-
-        path = REPO_ROOT / "scripts" / "cli_outputs.py"
-        spec = importlib.util.spec_from_file_location("cli_outputs", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_writes_streams_and_stripped_manifests(self, script, tmp_path):
         code = script.run_case("continue", script.CASES["continue"], str(tmp_path))
@@ -1086,6 +1091,74 @@ class TestNonFiniteOutputs:
         text = cli._csv_text(header, [(1.0, "infinite"), (2.0, "nano")],
                              {"slope": float("nan"), "note": "a,nan,b"})
         cli._require_finite_cells("cmd", header, text)
+
+
+# cells of every kind a table holds: floats at the edges of float64 and
+# their numpy twins, integers, bools, None, and strings that spell a
+# non-finite token in part or whole (no comma, newline or leading "#")
+_EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+_WORDS = st.sampled_from(["infinite", "nano", "x-inf", "inf", "-nan", "completed", ""])
+_CELLS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.none(), _WORDS,
+    st.text("abfinx-.# 0123456789", max_size=6).filter(lambda t: not t.startswith("#")),
+)
+_NAMES = st.sampled_from(["t", "energy", "inform", "nano", "status"])
+
+
+@st.composite
+def _tables(draw):
+    """(header, rows, meta): rows are tuples or lists of one width, and meta
+    values, which are comment lines and not cells, may be non-finite."""
+    header = draw(st.lists(_NAMES, min_size=1, max_size=5))
+    row = st.lists(_CELLS, min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(row.map(tuple) | row, max_size=6))
+    meta = draw(st.none() | st.dictionaries(_NAMES, _FLOATS | st.none() | _WORDS, max_size=3))
+    return header, rows, meta
+
+
+class TestTableStage:
+    """The rendered table and its non-finite check, held against the per-cell
+    format and against the cell pattern run over every table."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_tables())
+    def test_render_and_check_match_their_oracles(self, table):
+        header, rows, meta = table
+        text = cli._csv_text(header, rows, meta)
+        assert text == "\n".join(
+            [",".join(header)]
+            + [",".join(cli._fmt(cell) for cell in row) for row in rows]
+            + [f"# {key} = {'none' if value is None else cli._fmt(value)}"
+               for key, value in (meta or {}).items()]
+        ) + "\n"
+        end = text.find("\n#")
+        cell = cli._NON_FINITE_CELL.search(text, 0, len(text) if end < 0 else end)
+        if cell is None:
+            cli._require_finite_cells("cmd", header, text)
+            return
+        column = header[text.count(",", text.rfind("\n", 0, cell.start()) + 1, cell.start())]
+        with pytest.raises(cli.CliError) as raised:
+            cli._require_finite_cells("cmd", header, text)
+        assert str(raised.value) == (
+            f"cmd: column {column} holds the non-finite value {cell.group()}; no file written")
+
+    def test_clean_tables_skip_the_cell_pattern(self, script, tmp_path, monkeypatch):
+        # simulate-k32's table and a table whose comment lines hold nan pass
+        # without the pattern's scan
+        class Unused:
+            def search(self, *args):
+                raise AssertionError("the cell pattern ran on a clean table")
+
+        monkeypatch.setattr(cli, "_NON_FINITE_CELL", Unused())
+        assert main(script.CASES["simulate-k32"] + ["--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "simulate.csv").exists()
+        header = ("epsilon", "time", "status")
+        text = cli._csv_text(header, [(0.2, None, "completed"), (0.1, 1.5, "blowup")],
+                             {"slope": math.nan, "message": "too few crossings: nan"})
+        assert "nan" in text
+        cli._require_finite_cells("sweep", header, text)
 
 
 def modules_loaded_by_importing_the_cli():

@@ -16,10 +16,11 @@ the rules were shared, so a dropped check fails a row.  HOLES names the
 rows that earlier versions did not reject with ValueError: they either
 accepted the value (growth_experiment filed the rate of k = 1.5 under
 k = 1, simpson_uniform integrated with dx = nan, and Grid.points(0) gave
-no points) or failed later with TypeError (a seed of 1.5, in numpy's
-SeedSequence).  RESPELLED names the rows that earlier versions rejected
-with ValueError in another text: the count, law and scheme rules each had
-up to three spellings, and verify_legs(8, 1, 1.5) named n_fields.
+no points, and a count or seed of True was read as 1) or failed later
+with TypeError (a seed of 1.5, in numpy's SeedSequence).  RESPELLED names
+the rows that earlier versions rejected with ValueError in another text:
+the count, law and scheme rules each had up to three spellings, and
+verify_legs(8, 1, 1.5) named n_fields.
 """
 
 import math
@@ -83,6 +84,8 @@ BAD = {
                             ("8", "integer")],
     "law": [(P1, "law"), (P2, "law")],
     "scheme": [(value, "scheme") for value in ("rk4", "", None)],
+    # operator.index reads True as 1; a few entries stand for every caller
+    "not bool": [(True, "integer")],
 }
 
 # a count: an integer of at least its minimum
@@ -119,6 +122,7 @@ def existence(entry, rho_max):
 # (entry, argument as its message names it, kind of argument, call on a value)
 ENTRIES = [
     ("Grid", "n_modes", "nonnegative integer", lambda v: Grid(v)),
+    ("Grid", "n_modes", "not bool", lambda v: Grid(v)),
     ("Grid", "n_points", "integer", lambda v: Grid(8, n_points=v)),
     ("Grid.points", "n_points", "count from 1", lambda v: GRID.points(v)),
     ("Grid.index", "wavenumber", "integer", lambda v: GRID.index(v)),
@@ -143,6 +147,8 @@ ENTRIES = [
      lambda v: IntegratorConfig(1e-3, 1.0, blowup_threshold=v)),
     ("IntegratorConfig", "store_every", "count from 1",
      lambda v: IntegratorConfig(1e-3, 1.0, store_every=v)),
+    ("IntegratorConfig", "store_every", "not bool",
+     lambda v: IntegratorConfig(1e-3, 1.0, store_every=v)),
     ("IntegratorConfig", "scheme", "scheme", lambda v: IntegratorConfig(1e-3, 1.0, scheme=v)),
     ("step_full", "dt", "positive, finite",
      lambda v: step_full(SYSTEM, P1, State(ZERO, ZERO), 0.0, v)),
@@ -161,6 +167,8 @@ ENTRIES = [
     ("picard_solve", "n_nodes", "count from 3",
      lambda v: picard_solve(ZERO, ZERO, P0, SETTING, T=0.01, n_nodes=v)),
     ("picard_solve", "max_iter", "count from 1",
+     lambda v: picard_solve(ZERO, ZERO, P0, SETTING, T=0.01, max_iter=v)),
+    ("picard_solve", "max_iter", "not bool",
      lambda v: picard_solve(ZERO, ZERO, P0, SETTING, T=0.01, max_iter=v)),
     ("DatumSpec", "seed", "integer", lambda v: DatumSpec(v, 0.15, P1)),
     ("DatumSpec lo", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (v, 3))),
@@ -198,6 +206,7 @@ ENTRIES = [
     ("lemma_m_suite", "n_fields", "count from 1",
      lambda v: lemma_m_suite(1, n_modes=8, n_fields=v)),
     ("lemma_m_suite", "seed", "integer", lambda v: lemma_m_suite(v, n_modes=8, n_fields=1)),
+    ("lemma_m_suite", "seed", "not bool", lambda v: lemma_m_suite(v, n_modes=8, n_fields=1)),
     ("verify_legs", "seed", "integer", lambda v: verify_legs(8, v, 1)),
     ("verify_legs", "fields", "count from 1", lambda v: verify_legs(8, 1, v)),
     ("sobolev_constant", "max_wavenumber", "nonnegative integer", sobolev_constant),
@@ -254,6 +263,8 @@ HOLES = {
     "lemma_m_suite-seed='8'",
     "verify_legs-seed=1.5", "verify_legs-seed=2.0", "verify_legs-seed=nan",
     "verify_legs-seed='8'", "verify_legs-fields='8'",
+    "Grid-n_modes=True", "IntegratorConfig-store_every=True", "picard_solve-max_iter=True",
+    "lemma_m_suite-seed=True",
 }
 
 RESPELLED = {
