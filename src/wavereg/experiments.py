@@ -48,10 +48,12 @@ from .spectral import (
     _mirror,
     _norms,
     _require_at_least,
+    _require_band,
     _require_finite,
     _require_in_unit_interval,
     _require_integer,
     _require_nonnegative,
+    _require_one_of,
     _require_positive,
     _require_positive_finite,
     from_modes,
@@ -96,9 +98,7 @@ class DatumSpec:
         if not 0.0 < self.target_norm < _MAX_PROFILE_NORM:
             raise ValueError(f"target_norm must lie in (0, 1/6), got {self.target_norm}")
         _require_integer("seed", self.seed)
-        lo, hi = (_require_integer("mode_band", b) for b in self.mode_band)
-        if not 1 <= lo <= hi:
-            raise ValueError(f"mode_band must satisfy 1 <= lo <= hi, got {self.mode_band}")
+        _require_band("mode_band", self.mode_band, 1)
         _require_law(self.conjugated, self.law)
 
 
@@ -115,9 +115,7 @@ def make_datum(grid: Grid, spec: DatumSpec) -> State:
     every law, so the certificate survives any further damping of the datum:
     in particular eps**alpha * profile has negative energy for alpha >= 0.
     """
-    lo, hi = spec.mode_band
-    if hi > grid.n_modes:
-        raise ValueError(f"mode_band {spec.mode_band} exceeds grid band {grid.n_modes}")
+    _require_band("mode_band", spec.mode_band, 1, grid.n_modes)
     rng = np.random.default_rng(spec.seed)
     u1 = random_field(grid, rng, band=spec.mode_band, real_valued=True)
     u1 = u1 * (spec.target_norm / norm(u1, "Hs", s=1.0))
@@ -270,8 +268,7 @@ def scaling_sweep(
         _require_nonnegative("amplitude_exponent", amplitude_exponent)
     else:
         _require_positive_finite("amplitude", amplitude)
-    if time_scale not in ("fixed", "eps_squared"):
-        raise ValueError(f"unknown time_scale {time_scale!r}")
+    _require_one_of("time_scale", time_scale, ("fixed", "eps_squared"))
     if jobs is not None:
         _require_at_least("jobs", jobs, 1)
     _require_at_least("store_every", store_every, 1)
@@ -521,6 +518,12 @@ def growth_experiment(
 # Identity suites and embedding constants.
 
 
+def _worst(*values) -> float:
+    """The largest of values, and nan when one of them is nan: Python's max
+    drops a nan that follows a number, so a broken check would read 0."""
+    return math.nan if any(map(math.isnan, values)) else float(max(values))
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     residuals: dict
@@ -530,7 +533,7 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.residuals.values()) < self.tolerance
+        return _worst(*self.residuals.values()) < self.tolerance
 
 
 def lemma_m_suite(
@@ -565,6 +568,9 @@ def lemma_m_suite(
     _require_integer("seed", seed)
     _require_at_least("n_modes", n_modes, 1)
     _require_at_least("n_fields", n_fields, 1)
+    for s in sobolev_indices:
+        _require_finite("sobolev_indices", s)
+    _require_positive_finite("tolerance", tolerance)
     grid = Grid(n_modes)
     if multiplier is None:
         multiplier = partial(_m_coeffs, grid)
@@ -596,7 +602,7 @@ def lemma_m_suite(
             ),
         }
         for key, values in residuals.items():
-            worst[key] = max(worst.get(key, 0.0), float(np.max(values)))
+            worst[key] = _worst(worst.get(key, 0.0), np.max(values))
     return IdentityReport(worst, tolerance, n_fields, n_modes)
 
 
@@ -612,8 +618,7 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     legs = []
 
     report = lemma_m_suite(seed, n_modes=n_modes, n_fields=fields)
-    worst = max(report.residuals.values())
-    legs.append(("lemma_m", worst, report.tolerance, worst < report.tolerance))
+    legs.append(("lemma_m", _worst(*report.residuals.values()), report.tolerance, report.passed))
 
     # key cancellation, plain and conjugated, on random zero-mean states:
     # 0.1 random_field(band=(1, K)) for u1 and then u2 of each state
@@ -627,7 +632,7 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
             normals = rng.standard_normal((len(range(fields)[block]), 2, 4 * n_modes))
             u1, u2 = _band_draw(grid, normals.swapaxes(0, 1), (1, n_modes)) * 0.1
             residuals = _cancellation_residuals(setting, grid, u1, u2)
-            worst = max(worst, float(np.max(residuals)))
+            worst = _worst(worst, np.max(residuals))
         legs.append((name, worst, 1e-12, worst < 1e-12))
 
     # jet worked values: the cubic cascade on a single mode picks up the
@@ -638,7 +643,7 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     for order in range(4):
         factor = math.prod(range(1, 2 * order + 2, 2))  # (2 order + 1)!!
         defect = f_n(u, order) - from_modes(jet_grid, {2 * order + 3: factor})
-        worst = max(worst, norm(defect, "Hs", s=1.0))
+        worst = _worst(worst, norm(defect, "Hs", s=1.0))
     legs.append(("jet_worked_values", worst, 1e-10, worst < 1e-10))
 
     # growth bound on the jets: measured/claimed ratio must never pass 1, on
@@ -651,7 +656,7 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
         u, v = _band_draw(bound_grid, normals.swapaxes(0, 1), (1, 8)) * 0.3
         for order_reports in _fn_bounds(bound_grid, u, 4, v):
             for bound_report in order_reports:
-                worst = max(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
+                worst = _worst(worst, bound_report.ratio_fn, bound_report.ratio_dfn)
     threshold = 1.0 + 1e-12
     legs.append(("jet_bound_ratio", worst, threshold, worst <= threshold))
 
@@ -687,7 +692,7 @@ def sobolev_constant(max_wavenumber: int) -> float:
     c_K^2 sums max(1, |k|)^(-2) over the band; c_0 = 1 and c_K increases to
     sqrt(1 + pi^2 / 3) as the band widens.
     """
-    _require_nonnegative("max_wavenumber", _require_integer("max_wavenumber", max_wavenumber))
+    _require_at_least("max_wavenumber", max_wavenumber, 0)
     ks = np.arange(1, max_wavenumber + 1, dtype=float)
     return math.sqrt(1.0 + 2.0 * float(np.sum(ks**-2.0)))
 
@@ -748,7 +753,8 @@ def norm_domination_margin(
                     * (1 + 5 eps) * ||v1||^2
 
     applies, with a the datum amplitude; the margin compares the squares.
-    A nonpositive return value means the bound held at every sample.  Raises
+    A nonpositive return value means the bound held at every sample, and a
+    nan at any sample gives nan.  Raises
     when the denominator is not positive (the certificate is vacuous there;
     the message names the first such sample's) and for the plain p0 law,
     which has no such bound.  The norms are taken on the samples stacked in
@@ -780,5 +786,5 @@ def norm_domination_margin(
                 )
             bound_sq = amplification / denominator * (1.0 + 5.0 * eps) * n1**2
             margins = n2**2 - bound_sq
-        worst = max(worst, np.max(margins))
-    return float(worst)
+        worst = _worst(worst, np.max(margins))
+    return worst

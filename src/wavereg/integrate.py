@@ -53,6 +53,7 @@ import numpy as np
 
 from . import spectral
 from .model import _CUBIC_ORDER, PressureLaw, State, SystemSpec, _energies, _require_law
+from .model import _require_setting_law
 from .normalform import (
     NormalFormSetting,
     ReducedState,
@@ -72,6 +73,7 @@ from .spectral import (
     _norms,
     _padded_values,
     _require_at_least,
+    _require_one_of,
     _require_positive,
     _require_positive_finite,
 )
@@ -81,8 +83,8 @@ _SCHEMES = ("exp_rk2", "exp_euler")
 
 def _require_step(dt: float, scheme: str) -> None:
     _require_positive_finite("dt", dt)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if scheme not in _SCHEMES:  # one comparison when it passes: the steppers call it each step
+        _require_one_of("scheme", scheme, _SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -363,8 +365,7 @@ def solve(system, law: PressureLaw, datum, config: IntegratorConfig) -> Trajecto
     elif isinstance(system, NormalFormSetting):
         if not isinstance(datum, ReducedState):
             raise TypeError("reduced-system solve expects a ReducedState datum")
-        if law is not system.law:
-            raise ValueError("law argument disagrees with the setting's law")
+        _require_setting_law(law, system)
         if config.t_end <= datum.t:
             raise ValueError(
                 f"t_end = {config.t_end} must exceed the datum time t = {datum.t}"
@@ -477,8 +478,7 @@ def picard_solve(
     spectral._norms on the differences at every node; three consecutive
     non-contracting ratios abort the iteration (the report carries the
     measured ratios either way)."""
-    if law is not setting.law:
-        raise ValueError("law argument disagrees with the setting's law")
+    _require_setting_law(law, setting)
     _require_positive_finite("T", T)
     _require_at_least("n_nodes", n_nodes, 3)
     _require_at_least("max_iter", max_iter, 1)

@@ -47,7 +47,6 @@ from .spectral import (
     _require_at_least,
     _require_finite,
     _require_in_unit_interval,
-    _require_integer,
     _require_nonnegative,
     _require_positive_finite,
     norm,
@@ -68,9 +67,7 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
     3 sum_c S_{j-c} delta u_c.  Each level but the last is synthesized once,
     and C_j and T_j (order 3) come back by one forward FFT: 2 depth FFT
     calls."""
-    _require_nonnegative("depth", depth)
-    if depth > _MAX_DEPTH:
-        raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
+    depth = _require_at_least("depth", depth, 0, _MAX_DEPTH)
     rows = np.stack([u] if v is None else [u, v])
     jet = np.zeros((depth + 1,) + rows.shape, dtype=complex)
     jet[0] = rows
@@ -87,14 +84,14 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
 
 def f_n(u: SpectralField, n: int) -> SpectralField:
     """n-th tower map: f_0(u) = (Id - mean) u^3, f_{k+1} = f_k'[f_0]."""
-    _require_nonnegative("n", _require_integer("n", n))
+    n = _require_at_least("n", n, 0)
     level = _jets(u.grid, u.coeffs, n + 1)[n + 1]
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * level)
 
 
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
     """f_n'(u)[v] via the tangent jet."""
-    _require_nonnegative("n", _require_integer("n", n))
+    n = _require_at_least("n", n, 0)
     _check_same_grid(u, v)
     _, deltas = _jets(u.grid, u.coeffs, n + 1, v.coeffs)
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])
@@ -173,8 +170,7 @@ def _samples(times, w1_samples, r1_samples):
     times = np.asarray(times, dtype=float)
     if not (len(times) == len(w1_samples) == len(r1_samples)):
         raise ValueError("times, w1 samples, and R1 samples must align")
-    if len(times) < 3:
-        raise ValueError("insufficient sampling: need at least 3 samples")
+    _require_at_least("n_samples", len(times), 3)
     gaps = np.diff(times)
     if gaps[0] <= 0.0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
         raise ValueError("insufficient sampling: times must be uniform")
@@ -295,12 +291,11 @@ def verify_fn_bound(u: SpectralField, n: int, v: SpectralField | None = None) ->
 
 def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
     """verify_fn_bound(u_b, n, v_b) of every row b of the coefficient stacks
-    u and v, shape (B, 2K+1), at every order n <= n_max, as reports[n][b].
+    u and v, shape (B, 2K+1), at every order n <= n_max <= 8, as reports[n][b].
     One _jets call of depth n_max + 1 gives every order's f_n rows (and
     tangent rows along v); the norms are taken on the stacks by norm's own
     reductions, and each bound by the same scalar arithmetic per row."""
-    if not 0 <= _require_integer("n", n_max) <= 8:
-        raise ValueError("bound verification is specified for 0 <= n <= 8")
+    n_max = _require_at_least("n", n_max, 0, 8)
     scales = np.array([math.factorial(n) * (n + 1) for n in range(n_max + 1)])[:, None, None]
     if v is None:
         jet = _jets(grid, u, n_max + 1)
@@ -316,7 +311,7 @@ def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
         row = []
         for b, value in enumerate(values[n]):
             bound = product * sup_u[b] ** (2 * (n + 1)) * h1_u[b]
-            ratio = value / bound if bound > 0.0 else 0.0
+            ratio = value / bound if bound else 0.0  # a nan bound gives a nan ratio
             if v is None:
                 row.append(BoundReport(value, bound, ratio))
                 continue
@@ -325,7 +320,7 @@ def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
                 sup_u[b] ** (2 * (n + 1)) * h1_v[b]
                 + (2 * n + 2) * sup_u[b] ** (2 * n + 1) * sup_v[b] * h1_u[b]
             )
-            dratio = dvalue / dbound if dbound > 0.0 else 0.0
+            dratio = dvalue / dbound if dbound else 0.0
             row.append(BoundReport(value, bound, ratio, dvalue, dbound, dratio))
         reports.append(row)
     return reports

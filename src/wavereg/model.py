@@ -43,8 +43,9 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import SpectralField, _band_grid, _blocks, _mirror, _padded_values
-from .spectral import _require_in_unit_interval, _require_positive_finite
+from .spectral import SpectralField, _band_grid, _blocks, _check_same_grid, _mirror
+from .spectral import _padded_values, _require_finite, _require_in_unit_interval
+from .spectral import _require_integer, _require_one_of, _require_positive_finite
 
 
 class PressureLaw(Enum):
@@ -68,8 +69,8 @@ class State:
     u2: SpectralField
 
     def __post_init__(self) -> None:
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("state components must live on the same grid")
+        if self.u1.grid != self.u2.grid:  # one comparison when it passes: each step builds a State
+            _check_same_grid(self.u1, self.u2)
 
     @property
     def grid(self):
@@ -109,8 +110,7 @@ class SystemSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regularized", "modified"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
+        _require_one_of("kind", self.kind, ("regularized", "modified"))
         _require_in_unit_interval("epsilon", self.epsilon)
         _require_positive_finite("amplitude", self.amplitude)
         if self.rescaled:
@@ -200,6 +200,13 @@ def _require_law(modified: bool, law: PressureLaw) -> None:
                          f"got {getattr(law, 'name', law)}")
 
 
+def _require_setting_law(law: PressureLaw, setting) -> None:
+    """The law argument of a reduced-system solve must be its setting's law."""
+    if law is not setting.law:
+        raise ValueError(f"law must be the setting's law {setting.law.name}, "
+                         f"got {getattr(law, 'name', law)}")
+
+
 def linear_growth_rate(law: PressureLaw, u_star: complex, k: int) -> float:
     """Growth rate of mode k, linearized about the constant state (u*, 0).
 
@@ -210,8 +217,10 @@ def linear_growth_rate(law: PressureLaw, u_star: complex, k: int) -> float:
     """
     del law
     z = complex(u_star)
-    if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
+    _require_finite("u_star", z.real)
+    if not abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
         raise ValueError("linearization point must be real")
+    k = _require_integer("k", k)
     dp = -1.0 + 3.0 * z.real**2
     if dp < 0.0:
         return abs(k) * math.sqrt(-dp)

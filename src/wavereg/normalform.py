@@ -76,10 +76,12 @@ from .spectral import (
     SpectralField,
     _band_coeffs,
     _blocks,
+    _check_same_grid,
     _mirror,
     _norms,
     _padded_values,
     _require_in_unit_interval,
+    _require_one_of,
     _require_positive_finite,
 )
 
@@ -136,8 +138,8 @@ class ReducedState:
     t: float
 
     def __post_init__(self) -> None:
-        if self.w1.grid != self.w2.grid:
-            raise ValueError("w1 and w2 live on different grids")
+        if self.w1.grid != self.w2.grid:  # one comparison when it passes: each step builds one
+            _check_same_grid(self.w1, self.w2)
         _require_zero_mean(w1=self.w1, w2=self.w2)
 
     @property
@@ -216,8 +218,7 @@ def _phases(t, epsilon: float, direction: str, conjugated: bool = False):
     = exp(s1*i*t/eps), phase2 = exp(+i*t/eps), s1 = -1 for the regularized
     system and s1 = +1 for the modified one; "backward" gives the inverse
     phases."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    _require_one_of("direction", direction, ("forward", "backward"))
     s1 = 1.0 if conjugated else -1.0
     sgn = 1.0 if direction == "forward" else -1.0
     return np.exp(sgn * s1 * 1j * t / epsilon), np.exp(sgn * 1j * t / epsilon)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import _require_positive
+from .spectral import _require_at_least, _require_positive
 
 __all__ = [
     "simpson_uniform",
@@ -108,9 +108,7 @@ class _SimpsonRule(NamedTuple):
 def _simpson_rule(shape: tuple, omega, dx: float) -> _SimpsonRule:
     """The weighted rule of cumulative_weighted_simpson for samples of shape
     `shape`, built once so that many sample arrays can share it."""
-    n = shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 samples for a Simpson panel")
+    n = _require_at_least("n_samples", shape[0], 3)  # one Simpson panel
     _require_positive("dx", dx)
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape[1:]).copy()
     h = float(dx)

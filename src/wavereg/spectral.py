@@ -97,7 +97,9 @@ def _smooth_length(minimum: int) -> int:
         n += 1
 
 
-# The package's scalar input rules, each rejecting nan: ValueError("{name} must ..., got {value}").
+# The package's input rules, one function each, each rejecting nan:
+# ValueError("{name} must ..., got {value}").  _check_same_grid below and
+# model's law rules are the others.
 
 
 def _require_integer(name: str, value) -> int:
@@ -112,12 +114,30 @@ def _require_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _require_at_least(name: str, value, minimum: int) -> int:
-    """value as an int, which must be at least minimum (a count)."""
+def _require_at_least(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """value as an int, which must be at least minimum and, when maximum is
+    given, at most maximum: a count, or a wavenumber of a band."""
     value = _require_integer(name, value)
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
     return value
+
+
+def _require_band(name: str, band, lowest: int, highest: int | None = None) -> tuple[int, int]:
+    """band as a pair of ints (lo, hi) with lowest <= lo <= hi, and hi <=
+    highest when highest is given: a band of wavenumbers."""
+    lo, hi = (_require_integer(name, b) for b in band)
+    if not lowest <= lo <= hi <= (hi if highest is None else highest):
+        top = "" if highest is None else f" <= {highest}"
+        raise ValueError(f"{name} must satisfy {lowest} <= lo <= hi{top}, got {band}")
+    return lo, hi
+
+
+def _require_one_of(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _require_finite(name: str, value) -> None:
@@ -173,16 +193,12 @@ class Grid:
     inv_k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("n_modes", "n_points"):  # stored as ints: np.int64(4) -> 4
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
-        _require_nonnegative("n_modes", self.n_modes)
-        if self.n_points == 0:
-            object.__setattr__(self, "n_points", 4 * self.n_modes + 2)
-        if self.n_points < 2 * self.n_modes + 1:
-            raise ValueError(
-                f"n_points={self.n_points} cannot represent the band "
-                f"|k| <= {self.n_modes}; need at least {2 * self.n_modes + 1}"
-            )
+        # stored as ints: np.int64(4) -> 4; n_points = 0 takes the default
+        n_modes = _require_at_least("n_modes", self.n_modes, 0)
+        n_points = _require_integer("n_points", self.n_points) or 4 * n_modes + 2
+        n_points = _require_at_least("n_points", n_points, 2 * n_modes + 1)
+        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "n_points", n_points)
         n_padded = _smooth_length(max(2 * self.n_coeffs, self.n_points))
         object.__setattr__(self, "n_padded", n_padded)
         k = np.arange(-self.n_modes, self.n_modes + 1)
@@ -215,10 +231,7 @@ class Grid:
         return 2.0 * np.pi * np.arange(n) / n
 
     def index(self, k: int) -> int:
-        k = _require_integer("wavenumber", k)
-        if abs(k) > self.n_modes:
-            raise ValueError(f"wavenumber {k} outside band |k| <= {self.n_modes}")
-        return k + self.n_modes
+        return _require_at_least("wavenumber", k, -self.n_modes, self.n_modes) + self.n_modes
 
 
 @dataclass(frozen=True)
@@ -293,9 +306,7 @@ def random_field(
     real_valued enforces Hermitian coefficients u_{-k} = conj(u_k); zero_mean
     zeroes the k = 0 coefficient (band[0] >= 1 already implies it).
     """
-    lo, hi = (_require_integer("band", b) for b in band)
-    if not (0 <= lo <= hi <= grid.n_modes):
-        raise ValueError(f"band {band} not inside |k| <= {grid.n_modes}")
+    lo, hi = band = _require_band("band", band, 0, grid.n_modes)
     c = _band_draw(grid, rng.standard_normal(4 * (hi - lo + 1)), band, real_valued)
     if lo == 0:
         if zero_mean:
@@ -348,9 +359,7 @@ def to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    n = values.size
-    if n < grid.n_coeffs:
-        raise ValueError("need at least as many samples as retained coefficients")
+    n = _require_at_least("n_samples", values.size, grid.n_coeffs)
     hat = np.fft.fft(values) / n
     return SpectralField(grid, hat[np.mod(grid.wavenumbers, n)])
 
@@ -382,7 +391,7 @@ def _m_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    _require_nonnegative("order", _require_integer("order", order))
+    _require_at_least("order", order, 0)
     return SpectralField(f.grid, f.coeffs * f.grid.ik ** order)
 
 
@@ -403,15 +412,15 @@ def norm(f: SpectralField, kind: str = "L2", s: float | None = None) -> float:
     L^2 integral norm); "Hs" with exponent s: weight max(1,|k|)^s per mode;
     "Linf": max |u(x)| on a 4x oversampled collocation grid.
     """
+    _require_one_of("kind", kind, ("L2", "Hs", "Linf"))
     if kind == "L2":
         return float(_norms(f.grid, f.coeffs))
-    if kind == "Hs":
-        if s is None:
-            raise ValueError("Hs norm needs the exponent s")
-        return float(_norms(f.grid, f.coeffs, s))
     if kind == "Linf":
         return float(_linf_norms(f.grid, f.coeffs))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    if s is None:
+        raise ValueError("Hs norm needs the exponent s")
+    _require_finite("s", s)
+    return float(_norms(f.grid, f.coeffs, s))
 
 
 def _norms(grid: Grid, coeffs: np.ndarray, s: float | None = None) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wavereg import experiments
+from wavereg import experiments, jets_ibp
 from wavereg.experiments import (
     ContinuationSchedule,
     DatumSpec,
@@ -497,7 +497,8 @@ class TestScalingSweep:
             (dict(dt=0.0), "^dt must be positive, got 0.0$"),
             (dict(t_end=math.nan), "^t_end must be finite, got nan$"),
             (dict(store_every=0), "^store_every must be at least 1, got 0$"),
-            (dict(kind="bogus"), "^unknown system kind 'bogus'$"),
+            (dict(kind="bogus"),
+             "^kind must be one of [(]'regularized', 'modified'[)], got 'bogus'$"),
             # 5e-324 * 0.2**2 underflows the scaled dt to 0
             (dict(dt=5e-324, time_scale="eps_squared"), "^dt must be positive, got 0.0$"),
             # a store_every that is not an integer
@@ -865,6 +866,17 @@ class TestLemmaMSuite:
         assert report.residuals["first_derivative_left"] > 0.1
         assert report.residuals["first_derivative_right"] > 0.1
 
+    def test_a_nan_multiplier_shows_nan_and_fails(self):
+        # Python's max(0.0, nan) is 0.0, which read every residual as 0.0, passed
+        report = lemma_m_suite(1, n_modes=8, n_fields=3,
+                               multiplier=lambda c: np.full(c.shape, complex(math.nan)))
+        assert all(math.isnan(value) for value in report.residuals.values())
+        assert not report.passed
+
+    def test_passed_reads_a_nan_after_a_number_as_failed(self):
+        report = experiments.IdentityReport({"a": 0.0, "b": math.nan}, 1e-10, 1, 8)
+        assert not report.passed
+
     def test_needs_a_band(self):
         with pytest.raises(ValueError, match="n_modes"):
             lemma_m_suite(seed=1, n_modes=0)
@@ -1007,6 +1019,24 @@ class TestVerifyLegs:
         assert max(calls) <= rows and sum(calls) == 2 * fields
         assert len(calls) == 2 * (2 if past_block > 0 else 1)
 
+    @pytest.mark.parametrize("legs, module, name, fake", [
+        (["lemma_m"], experiments, "lemma_m_suite", lambda *args, **kwargs:
+         experiments.IdentityReport({"a": 0.0, "b": math.nan}, 1e-10, 1, 8)),
+        (["cancellation_plain", "cancellation_conjugated"], experiments,
+         "_cancellation_residuals", lambda setting, grid, u1, u2: np.full(len(u1), math.nan)),
+        (["jet_worked_values"], experiments, "f_n", lambda u, n: u * math.nan),
+        # the bound of a nan sup norm is nan, and so is its ratio
+        (["jet_bound_ratio"], jets_ibp, "_linf_norms",
+         lambda grid, coeffs: np.full(len(coeffs), math.nan)),
+    ], ids=["lemma_m", "cancellation", "jet_worked_values", "jet_bound_ratio"])
+    def test_a_nan_residual_shows_nan_and_fails(self, monkeypatch, legs, module, name, fake):
+        # Python's max drops a nan after a number, so each leg read nan as 0.0, PASS
+        monkeypatch.setattr(module, name, fake)
+        results = {leg: (measured, ok) for leg, measured, _, ok in verify_legs(8, 1, 2)}
+        for leg in legs:
+            measured, ok = results[leg]
+            assert math.isnan(measured) and not ok, leg
+
     @pytest.mark.parametrize("fields", [0, -5])
     def test_needs_a_field(self, fields):
         # without fields the lemma and cancellation legs would pass at 0.0
@@ -1118,6 +1148,15 @@ class TestNormDomination:
         assert norm_domination_margin(setting, [good]) < 0.0
         assert norm_domination_margin(setting, [bad]) > 0.0
         assert norm_domination_margin(setting, [good, bad]) > 0.0
+
+    @pytest.mark.parametrize("law", [PressureLaw.P1, PressureLaw.P2])
+    def test_a_nan_sample_gives_nan(self, law):
+        # max(-inf, nan) is -inf, which read as "the bound held at every sample"
+        grid = Grid(4)
+        setting = NormalFormSetting(epsilon=0.1, law=law)
+        states = [self._state(grid, 1.0, 0.5), self._state(grid, math.nan, 0.5)]
+        assert norm_domination_margin(setting, states[:1]) < 0.0
+        assert math.isnan(norm_domination_margin(setting, states))
 
     def test_p2_vacuous_certificate_raises(self):
         grid = Grid(4)

@@ -4,23 +4,31 @@ Each row hands one library entry one bad value of one argument and expects
 ValueError with the message of the one function that spells its rule,
 which names the argument: "{name} must be finite, got {value}", and likewise
 "must be positive", "must be nonnegative" and "must lie in (0, 1)",
-"{name} must be an integer, got {value!r}" and, for a count,
-"{name} must be at least {minimum}, got {value}" (spectral.py); "the
-modified system is defined with law P0 only, got {law}" (model._require_law);
-and "scheme must be one of (...), got {value!r}" (integrate._require_step).
-Where an argument must be both finite and positive (or nonnegative), a value
-that breaks both rules, -inf, is named not finite.
+"{name} must be an integer, got {value!r}"; for a count, "{name} must be
+at least {minimum}, got {value}" and, under a cap, "must be at most
+{maximum}"; "{name} must be one of {choices}, got {value!r}"; for a band of
+wavenumbers, "{name} must satisfy {lowest} <= lo <= hi <= {highest}, got
+{band}"; and "fields live on different grids" (spectral.py); "the modified
+system is defined with law P0 only, got {law}" (model._require_law) and
+"law must be the setting's law {law}, got {law}"
+(model._require_setting_law).  Where an argument must be both finite and
+positive (or nonnegative), a value that breaks both rules, -inf, is named
+not finite.
 
 The rows hold every value of these kinds that the entries rejected before
 the rules were shared, so a dropped check fails a row.  HOLES names the
 rows that earlier versions did not reject with ValueError: they either
 accepted the value (growth_experiment filed the rate of k = 1.5 under
-k = 1, simpson_uniform integrated with dx = nan, and Grid.points(0) gave
-no points, and a count or seed of True was read as 1) or failed later
-with TypeError (a seed of 1.5, in numpy's SeedSequence).  RESPELLED names
-the rows that earlier versions rejected with ValueError in another text:
-the count, law and scheme rules each had up to three spellings, and
-verify_legs(8, 1, 1.5) named n_fields.
+k = 1, and so did linear_growth_rate, simpson_uniform integrated with
+dx = nan, Grid.points(0) gave no points, a count or seed of True was
+read as 1, norm(f, "Hs", nan) gave nan, and a nan Sobolev index or
+tolerance of lemma_m_suite passed every identity or failed them all) or
+failed later with TypeError (a seed of 1.5, in numpy's SeedSequence, and a
+jet depth of 1.5, in numpy's zeros).  RESPELLED names the rows that
+earlier versions rejected with ValueError in another text: the count,
+band, grid, choice, law and scheme rules each had up to five spellings,
+a wavenumber outside the band had its own, and verify_legs(8, 1, 1.5)
+named n_fields.
 """
 
 import math
@@ -41,6 +49,7 @@ from wavereg.experiments import (
     sobolev_constant,
     verify_legs,
 )
+from wavereg.experiments import make_datum
 from wavereg.integrate import IntegratorConfig, picard_solve, solve, step_full, step_reduced
 from wavereg.jets_ibp import (
     IbpCoefficients,
@@ -48,12 +57,23 @@ from wavereg.jets_ibp import (
     choose_n,
     f_n,
     f_n_directional,
+    implicit_residual,
     verify_fn_bound,
 )
-from wavereg.model import PressureLaw, State, SystemSpec
-from wavereg.normalform import NormalFormSetting, ReducedState
+from wavereg.model import PressureLaw, State, SystemSpec, linear_growth_rate
+from wavereg.normalform import NormalFormSetting, ReducedState, _phases
 from wavereg.quadrature import cumulative_weighted_simpson, simpson_uniform
-from wavereg.spectral import Grid, derivative, from_modes, random_field, to_physical, zeros
+from wavereg.spectral import (
+    Grid,
+    SpectralField,
+    derivative,
+    from_modes,
+    norm,
+    random_field,
+    to_physical,
+    to_spectral,
+    zeros,
+)
 
 NAN, INF = math.nan, math.inf
 P0, P1, P2 = PressureLaw.P0, PressureLaw.P1, PressureLaw.P2
@@ -65,7 +85,8 @@ MESSAGES = {
     "unit": "{} must lie in (0, 1), got {}",
     "integer": "{} must be an integer, got {!r}",
     "law": "the modified system is defined with law P0 only, got {1.name}",
-    "scheme": "{} must be one of ('exp_rk2', 'exp_euler'), got {!r}",
+    "setting law": "{0} must be the setting's law P0, got {1.name}",
+    "grid": "fields live on different grids",
 }
 
 # the bad values of each kind of argument, each with the rule it breaks
@@ -80,27 +101,60 @@ BAD = {
                             (-INF, "finite")],
     "unit": [(value, "unit") for value in (0.0, 1.0, -0.5, 1.5, NAN, INF, -INF)],
     "integer": [(value, "integer") for value in (1.5, 2.0, NAN, "8")],
-    "nonnegative integer": [(-1, "nonnegative"), (1.5, "integer"), (NAN, "integer"),
-                            ("8", "integer")],
     "law": [(P1, "law"), (P2, "law")],
-    "scheme": [(value, "scheme") for value in ("rk4", "", None)],
+    "setting law": [(P1, "setting law"), (P2, "setting law")],
     # operator.index reads True as 1; a few entries stand for every caller
     "not bool": [(True, "integer")],
 }
 
-# a count: an integer of at least its minimum
-for minimum in (1, 3, 17, 101):
+# a count: an integer of at least its minimum, and at most a cap if it has one
+for minimum in (0, 1, 3, 17, 101):
     rule = f"at least {minimum}"
     MESSAGES[rule] = f"{{}} must be at least {minimum}, got {{}}"
-    BAD[f"count from {minimum}"] = [(minimum - 1, rule), (-1, rule)] + BAD["integer"]
+    BAD[f"count from {minimum}"] = [(v, rule) for v in dict.fromkeys((minimum - 1, -1))]
+    BAD[f"count from {minimum}"] += BAD["integer"]
+    # a count of samples, which is len() of an array and so an int
+    BAD[f"samples from {minimum}"] = [(v, rule) for v in dict.fromkeys((minimum - 1, 0))]
+for maximum in (8, 16):
+    MESSAGES[f"at most {maximum}"] = f"{{}} must be at most {maximum}, got {{}}"
+    BAD[f"count from 0 to {maximum}"] = BAD["count from 0"] + [(maximum + 1, f"at most {maximum}")]
+# a wavenumber of the band |k| <= 8
+MESSAGES["at least -8"] = "{} must be at least -8, got {}"
+BAD["wavenumber"] = [(-9, "at least -8"), (9, "at most 8")] + BAD["integer"]
+
+# one of a fixed set of choices
+CHOICES = {
+    "scheme": ("exp_rk2", "exp_euler"),
+    "system kind": ("regularized", "modified"),
+    "norm kind": ("L2", "Hs", "Linf"),
+    "time_scale": ("fixed", "eps_squared"),
+    "direction": ("forward", "backward"),
+}
+for kind, choices in CHOICES.items():
+    MESSAGES[kind] = f"{{}} must be one of {choices}, got {{!r}}"
+    BAD[kind] = [(value, kind) for value in ("rk4" if kind == "scheme" else "bogus", "", None)]
+
+# a band of wavenumbers: integer ends with lowest <= lo <= hi, and hi <= highest if given
+for lowest, highest in ((0, 8), (1, 8), (1, None)):
+    rule = f"band from {lowest}" + ("" if highest is None else f" to {highest}")
+    top = "" if highest is None else f" <= {highest}"
+    MESSAGES[rule] = f"{{}} must satisfy {lowest} <= lo <= hi{top}, got {{}}"
+    BAD[rule] = [(band, rule) for band in ((lowest - 1, 3), (5, 3))]
+    if highest is not None:
+        BAD[rule] += [(band, rule) for band in ((1, highest + 1), (3, 12))]
+# make_datum reads a band that DatumSpec accepted, so only its hi can break the rule
+BAD["band from 1 to 8"] = BAD["band from 1 to 8"][-2:]
 
 GRID = Grid(8)
 ZERO = zeros(GRID)
 U = from_modes(GRID, {1: 0.1, -2: 0.05})
+OTHER = zeros(Grid(4))
+BAD["grid"] = [(OTHER, "grid")]
 SYSTEM = SystemSpec("regularized", 0.2)
 MODIFIED = SystemSpec("modified", 0.2)
 SETTING = NormalFormSetting(0.2)
 SPEC = DatumSpec(1, 0.15, P1)
+COEFFS = IbpCoefficients(1, 0.1, 0.2, 2.0)
 
 
 def sweep(**overrides):
@@ -121,19 +175,28 @@ def existence(entry, rho_max):
 
 # (entry, argument as its message names it, kind of argument, call on a value)
 ENTRIES = [
-    ("Grid", "n_modes", "nonnegative integer", lambda v: Grid(v)),
+    ("Grid", "n_modes", "count from 0", lambda v: Grid(v)),
     ("Grid", "n_modes", "not bool", lambda v: Grid(v)),
-    ("Grid", "n_points", "integer", lambda v: Grid(8, n_points=v)),
+    ("Grid", "n_points", "count from 17", lambda v: Grid(8, n_points=v)),
     ("Grid.points", "n_points", "count from 1", lambda v: GRID.points(v)),
-    ("Grid.index", "wavenumber", "integer", lambda v: GRID.index(v)),
-    ("from_modes", "wavenumber", "integer", lambda v: from_modes(GRID, {v: 1.0})),
-    ("SpectralField.coeff", "wavenumber", "integer", lambda v: U.coeff(v)),
+    ("Grid.index", "wavenumber", "wavenumber", lambda v: GRID.index(v)),
+    ("from_modes", "wavenumber", "wavenumber", lambda v: from_modes(GRID, {v: 1.0})),
+    ("SpectralField.coeff", "wavenumber", "wavenumber", lambda v: U.coeff(v)),
     ("to_physical", "n_points", "count from 17", lambda v: to_physical(U, v)),
-    ("derivative", "order", "nonnegative integer", lambda v: derivative(U, v)),
+    ("to_spectral", "n_samples", "samples from 17", lambda v: to_spectral(GRID, np.ones(v))),
+    ("derivative", "order", "count from 0", lambda v: derivative(U, v)),
+    ("norm", "kind", "norm kind", lambda v: norm(U, v)),
+    ("norm", "s", "finite", lambda v: norm(U, "Hs", v)),
     ("random_field lo", "band", "integer",
      lambda v: random_field(GRID, np.random.default_rng(1), band=(v, 3))),
     ("random_field hi", "band", "integer",
      lambda v: random_field(GRID, np.random.default_rng(1), band=(1, v))),
+    ("random_field", "band", "band from 0 to 8",
+     lambda v: random_field(GRID, np.random.default_rng(1), band=v)),
+    ("SpectralField +", "other", "grid", lambda v: U + v),
+    ("State", "u2", "grid", lambda v: State(U, v)),
+    ("ReducedState", "w2", "grid", lambda v: ReducedState(ZERO, v, 0.0)),
+    ("SystemSpec", "kind", "system kind", lambda v: SystemSpec(v, 0.2)),
     ("SystemSpec", "epsilon", "unit", lambda v: SystemSpec("regularized", v)),
     ("SystemSpec", "amplitude", "positive, finite",
      lambda v: SystemSpec("regularized", 0.2, amplitude=v)),
@@ -141,6 +204,9 @@ ENTRIES = [
     ("NormalFormSetting", "amplitude", "positive, finite",
      lambda v: NormalFormSetting(0.2, amplitude=v)),
     ("NormalFormSetting", "law", "law", lambda v: NormalFormSetting(0.2, True, v)),
+    ("_phases", "direction", "direction", lambda v: _phases(0.0, 0.2, v)),
+    ("linear_growth_rate", "u_star", "finite", lambda v: linear_growth_rate(P0, v, 1)),
+    ("linear_growth_rate", "k", "integer", lambda v: linear_growth_rate(P0, 0.0, v)),
     ("IntegratorConfig", "dt", "positive, finite", lambda v: IntegratorConfig(v, 1.0)),
     ("IntegratorConfig", "t_end", "positive, finite", lambda v: IntegratorConfig(1e-3, v)),
     ("IntegratorConfig", "blowup_threshold", "positive",
@@ -162,6 +228,9 @@ ENTRIES = [
     # a datum above the threshold takes no step, so solve's own check must reject it
     ("solve", "law", "law",
      lambda v: solve(MODIFIED, v, State(U, U), IntegratorConfig(1e-3, 1e-2, "exp_rk2", 1e-9))),
+    ("solve reduced", "law", "setting law",
+     lambda v: solve(SETTING, v, ReducedState(ZERO, ZERO, 0.0), IntegratorConfig(1e-3, 1e-2))),
+    ("picard_solve", "law", "setting law", lambda v: picard_solve(ZERO, ZERO, v, SETTING, T=0.01)),
     ("picard_solve", "T", "positive, finite",
      lambda v: picard_solve(ZERO, ZERO, P0, SETTING, T=v)),
     ("picard_solve", "n_nodes", "count from 3",
@@ -173,7 +242,10 @@ ENTRIES = [
     ("DatumSpec", "seed", "integer", lambda v: DatumSpec(v, 0.15, P1)),
     ("DatumSpec lo", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (v, 3))),
     ("DatumSpec hi", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (1, v))),
+    ("DatumSpec", "mode_band", "band from 1", lambda v: DatumSpec(1, 0.15, P1, v)),
     ("DatumSpec", "law", "law", lambda v: DatumSpec(1, 0.15, v, conjugated=True)),
+    ("make_datum", "mode_band", "band from 1 to 8",
+     lambda v: make_datum(GRID, DatumSpec(1, 0.15, P1, v))),
     ("existence_run", "rho_max", "positive", lambda v: existence(existence_run, v)),
     ("existence_time", "rho_max", "positive", lambda v: existence(existence_time, v)),
     ("scaling_sweep", "epsilon", "unit", lambda v: sweep(epsilons=(0.2, 0.1, v))),
@@ -182,6 +254,7 @@ ENTRIES = [
     ("scaling_sweep", "amplitude", "positive, finite",
      lambda v: sweep(amplitude_exponent=None, amplitude=v)),
     ("scaling_sweep", "rho_max", "positive", lambda v: sweep(rho_max=v)),
+    ("scaling_sweep", "time_scale", "time_scale", lambda v: sweep(time_scale=v)),
     ("scaling_sweep", "jobs", "count from 1", lambda v: sweep(jobs=v)),
     ("scaling_sweep", "dt", "positive, finite", lambda v: sweep(dt=v)),
     ("scaling_sweep", "t_end", "positive, finite", lambda v: sweep(t_end=v)),
@@ -207,13 +280,21 @@ ENTRIES = [
      lambda v: lemma_m_suite(1, n_modes=8, n_fields=v)),
     ("lemma_m_suite", "seed", "integer", lambda v: lemma_m_suite(v, n_modes=8, n_fields=1)),
     ("lemma_m_suite", "seed", "not bool", lambda v: lemma_m_suite(v, n_modes=8, n_fields=1)),
+    ("lemma_m_suite", "sobolev_indices", "finite",
+     lambda v: lemma_m_suite(1, n_modes=8, sobolev_indices=(0.0, v), n_fields=1)),
+    ("lemma_m_suite", "tolerance", "positive, finite",
+     lambda v: lemma_m_suite(1, n_modes=8, n_fields=1, tolerance=v)),
     ("verify_legs", "seed", "integer", lambda v: verify_legs(8, v, 1)),
     ("verify_legs", "fields", "count from 1", lambda v: verify_legs(8, 1, v)),
-    ("sobolev_constant", "max_wavenumber", "nonnegative integer", sobolev_constant),
-    ("f_n", "n", "nonnegative integer", lambda v: f_n(U, v)),
+    ("sobolev_constant", "max_wavenumber", "count from 0", sobolev_constant),
+    ("f_n", "n", "count from 0", lambda v: f_n(U, v)),
     # the jet recurrence behind f_n, whose own checks come first
-    ("_jets", "depth", "nonnegative", lambda v: _jets(GRID, U.coeffs, v)),
-    ("f_n_directional", "n", "nonnegative integer", lambda v: f_n_directional(U, v, U)),
+    ("_jets", "depth", "count from 0 to 16", lambda v: _jets(GRID, U.coeffs, v)),
+    ("_jets", "depth", "not bool", lambda v: _jets(GRID, U.coeffs, v)),
+    ("f_n_directional", "n", "count from 0", lambda v: f_n_directional(U, v, U)),
+    ("f_n_directional", "v", "grid", lambda v: f_n_directional(U, 1, v)),
+    ("implicit_residual", "n_samples", "samples from 3",
+     lambda v: implicit_residual(0.1 * np.arange(v), [ZERO] * v, [ZERO] * v, COEFFS)),
     ("IbpCoefficients", "n", "count from 1", lambda v: IbpCoefficients(v, 0.5, 0.1, 1.0)),
     ("IbpCoefficients", "lam", "nonnegative, finite",
      lambda v: IbpCoefficients(1, v, 0.1, 1.0)),
@@ -224,17 +305,21 @@ ENTRIES = [
     ("choose_n", "lam", "finite", lambda v: choose_n(v, 0.1, 1.0)),
     ("choose_n", "c_embed", "finite", lambda v: choose_n(0.5, 0.1, v)),
     ("choose_n", "c_embed * lam", "nonnegative", lambda v: choose_n(v, 0.1, 1)),
-    ("verify_fn_bound", "n", "integer", lambda v: verify_fn_bound(U, v)),
+    ("verify_fn_bound", "n", "count from 0 to 8", lambda v: verify_fn_bound(U, v)),
     ("cumulative_weighted_simpson", "dx", "positive",
      lambda v: cumulative_weighted_simpson(np.ones((5, 2)), 1.0, v)),
+    ("cumulative_weighted_simpson", "n_samples", "samples from 3",
+     lambda v: cumulative_weighted_simpson(np.ones((v, 2)), 1.0, 0.1)),
     ("simpson_uniform", "dx", "positive", lambda v: simpson_uniform(np.ones(5), v)),
+    ("simpson_uniform", "n_samples", "samples from 3", lambda v: simpson_uniform(np.ones(v), 0.1)),
 ]
 
 
 def _rows():
     for entry, name, kind, call in ENTRIES:
         for value, rule in BAD[kind]:
-            label = value.name if isinstance(value, PressureLaw) else repr(value)
+            label = (value.name if isinstance(value, PressureLaw)
+                     else repr(value.grid) if isinstance(value, SpectralField) else repr(value))
             yield pytest.param(call, value, MESSAGES[rule].format(name, value),
                                id=f"{entry}-{name}={label}")
 
@@ -265,6 +350,15 @@ HOLES = {
     "verify_legs-seed='8'", "verify_legs-fields='8'",
     "Grid-n_modes=True", "IntegratorConfig-store_every=True", "picard_solve-max_iter=True",
     "lemma_m_suite-seed=True",
+    "norm-s=nan", "norm-s=inf", "norm-s=-inf",
+    "linear_growth_rate-u_star=nan", "linear_growth_rate-u_star=inf",
+    "linear_growth_rate-u_star=-inf", "linear_growth_rate-k=1.5", "linear_growth_rate-k=2.0",
+    "linear_growth_rate-k=nan", "linear_growth_rate-k='8'",
+    "lemma_m_suite-sobolev_indices=nan", "lemma_m_suite-sobolev_indices=inf",
+    "lemma_m_suite-sobolev_indices=-inf",
+    "lemma_m_suite-tolerance=0.0", "lemma_m_suite-tolerance=-1.0", "lemma_m_suite-tolerance=nan",
+    "lemma_m_suite-tolerance=inf", "lemma_m_suite-tolerance=-inf",
+    "_jets-depth=1.5", "_jets-depth=2.0", "_jets-depth='8'", "_jets-depth=True",
 }
 
 RESPELLED = {
@@ -279,6 +373,26 @@ RESPELLED = {
     "step_full-law=P1", "step_full-law=P2", "solve-law=P1", "solve-law=P2",
     "step_full-scheme='rk4'", "step_full-scheme=''", "step_full-scheme=None",
     "step_reduced-scheme='rk4'", "step_reduced-scheme=''", "step_reduced-scheme=None",
+    "Grid-n_modes=-1", "derivative-order=-1", "sobolev_constant-max_wavenumber=-1", "f_n-n=-1",
+    "f_n_directional-n=-1", "_jets-depth=-1", "_jets-depth=nan", "_jets-depth=17",
+    "verify_fn_bound-n=-1", "verify_fn_bound-n=9",
+    "Grid-n_points=16", "Grid-n_points=-1",
+    "Grid.index-wavenumber=-9", "Grid.index-wavenumber=9", "from_modes-wavenumber=-9",
+    "from_modes-wavenumber=9", "SpectralField.coeff-wavenumber=-9",
+    "SpectralField.coeff-wavenumber=9",
+    "to_spectral-n_samples=16", "to_spectral-n_samples=0",
+    "implicit_residual-n_samples=2", "implicit_residual-n_samples=0",
+    "cumulative_weighted_simpson-n_samples=2", "cumulative_weighted_simpson-n_samples=0",
+    "simpson_uniform-n_samples=2", "simpson_uniform-n_samples=0",
+    "State-u2=Grid(n_modes=4, n_points=18)", "ReducedState-w2=Grid(n_modes=4, n_points=18)",
+    "SystemSpec-kind='bogus'", "SystemSpec-kind=''", "SystemSpec-kind=None",
+    "norm-kind='bogus'", "norm-kind=''", "norm-kind=None",
+    "scaling_sweep-time_scale='bogus'", "scaling_sweep-time_scale=''",
+    "scaling_sweep-time_scale=None",
+    "_phases-direction='bogus'", "_phases-direction=''", "_phases-direction=None",
+    "random_field-band=(-1, 3)", "random_field-band=(5, 3)", "random_field-band=(1, 9)",
+    "random_field-band=(3, 12)", "make_datum-mode_band=(1, 9)", "make_datum-mode_band=(3, 12)",
+    "solve reduced-law=P1", "solve reduced-law=P2", "picard_solve-law=P1", "picard_solve-law=P2",
 }
 
 

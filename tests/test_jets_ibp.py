@@ -125,7 +125,7 @@ class TestOdeJet:
 
     def test_depth_cap(self):
         grid = Grid(4)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="^depth must be at most 16, got 17$"):
             ode_jet(zeros(grid), 17)
 
     def test_tampered_sequence_is_rejected(self, rng):
@@ -485,7 +485,7 @@ class TestImplicitResidual:
         grid = Grid(4)
         coeffs = IbpCoefficients(n=1, lam=0.1, epsilon=0.2, c_embed=2.0)
         w = [zeros(grid)] * 2
-        with pytest.raises(ValueError, match="insufficient"):
+        with pytest.raises(ValueError, match="^n_samples must be at least 3, got 2$"):
             implicit_residual([0.0, 0.1], w, w, coeffs)
         w = [zeros(grid)] * 3
         with pytest.raises(ValueError, match="insufficient"):
@@ -702,6 +702,12 @@ class TestFnBounds:
         assert report.norm_fn == 0.0
         assert report.bound_fn == 0.0
         assert report.ratio_fn == 0.0
+
+    def test_a_nan_field_gives_nan_ratios(self):
+        # the ratio was 0.0 whenever the bound was not positive, a nan bound too
+        grid = Grid(4)
+        report = verify_fn_bound(single_mode(grid, 1, math.nan), 1, single_mode(grid, 1, 0.1))
+        assert math.isnan(report.ratio_fn) and math.isnan(report.ratio_dfn)
 
     def test_depth_precondition(self):
         grid = Grid(4)

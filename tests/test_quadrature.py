@@ -181,9 +181,9 @@ class TestPreparedRule:
 
     def test_rejects_short_samples_and_bad_steps(self):
         for n in (0, 1, 2):
-            with pytest.raises(ValueError, match="at least 3 samples"):
+            with pytest.raises(ValueError, match=f"^n_samples must be at least 3, got {n}$"):
                 _simpson_rule((n, 4), 1.0, 0.1)
-            with pytest.raises(ValueError, match="at least 3 samples"):
+            with pytest.raises(ValueError, match=f"^n_samples must be at least 3, got {n}$"):
                 cumulative_weighted_simpson(np.ones((n, 4)), 1.0, 0.1)
         for dx in (0.0, -0.1):
             with pytest.raises(ValueError, match="dx must be positive"):

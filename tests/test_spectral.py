@@ -89,7 +89,7 @@ class TestGridAndTransforms:
         assert f.coeff(np.int64(1)) == 1.0
         with pytest.raises(ValueError, match=r"^order must be an integer, got 1\.5$"):
             sp.derivative(f, 1.5)
-        with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match=r"^order must be at least 0, got -1$"):
             sp.derivative(f, -1)
         assert sp.derivative(f, np.int64(2)).coeff(1) == -1.0
         with pytest.raises(ValueError, match=r"^n_points must be an integer, got 20\.7$"):
@@ -542,8 +542,12 @@ class TestNormsAndProducts:
             "must lie in (0, 1)": "spectral.py:_require_in_unit_interval",
             "must be an integer": "spectral.py:_require_integer",
             "must be at least": "spectral.py:_require_at_least",
+            "must be at most": "spectral.py:_require_at_least",
+            "<= lo <= hi": "spectral.py:_require_band",
+            "must be one of": "spectral.py:_require_one_of",
+            "live on different grids": "spectral.py:_check_same_grid",
             "defined with law P0 only": "model.py:_require_law",
-            "must be one of": "integrate.py:_require_step",
+            "the setting's law": "model.py:_require_setting_law",
         }
         package = Path(sp.__file__).resolve().parent
         found, spelled = [], set()
