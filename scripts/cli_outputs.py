@@ -118,6 +118,18 @@ CASES = {
     "error-picard-target-norm": ["picard", "--epsilon", "0.2", "--target-norm", "0.2"],
     "error-modified-p1": ["simulate", "--system", "modified", "--pressure", "p1",
                           "--epsilon", "0.1"],
+    "error-simulate-epsilon": ["simulate", "--epsilon", "1.5"],
+    # 1e308**2 is past the float range: epsilon is checked before the amplitude
+    "error-simulate-epsilon-power": ["simulate", "--epsilon", "1e308", "--alpha", "2"],
+    "error-continue-epsilon": ["continue", "--rho", "0.5", "--epsilon", "1.5"],
+    # 0.2**1000 underflows the datum amplitude to 0, before the datum is built
+    "error-simulate-amplitude-underflow": ["simulate", "--epsilon", "0.2",
+                                           "--alpha", "1000"],
+    "error-sweep-two-epsilons": ["sweep", "--epsilons", "0.2,0.1"],
+    "error-continue-alpha": ["continue", "--rho", "0.5", "--epsilon", "0.003",
+                             "--alpha", "1.5"],
+    "error-verify-fields": ["verify", "--fields", "0"],
+    "error-verify-n-modes": ["verify", "--n-modes", "4"],
     # 0.2**1000 underflows the datum amplitude to 0
     "error-sweep-amplitude-underflow": ["sweep", "--epsilons", "0.2,0.1,0.05",
                                         "--alpha", "1000", "--n-modes", "8"],

@@ -17,6 +17,18 @@ configuration and seed reproduce each table byte for byte.  The default
 output directory comes from WAVEREG_OUTPUT_DIR when set, else the working
 directory.
 
+The library's records check every key they take, in their own words, and
+the CLI spells none of those rules again: each command builds its records
+(setting, datum recipe, system, run configuration) before any work, so a
+bad model key prints one library message and builds no datum.  A key that
+only a work call takes (simulate's rho_max, picard's max_iter and n_nodes)
+is checked when that call starts, after the datum, and so is an epsilon
+whose cube underflows in picard, which no record of it rejects.  Two
+checks stay here, for keys that reach no library twin by their name: they
+refuse a negative alpha (the sweep's twin is amplitude_exponent) and a
+picard t_horizon that is not above 0 (picard_solve's is T), in the
+library's message shape.
+
 Exit codes: 0 success, 1 bad configuration / unknown flags / I/O trouble,
 2 a verification that ran and failed.
 """
@@ -31,6 +43,7 @@ import re
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 from . import __version__
 from .experiments import (
@@ -342,19 +355,12 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
-def _check_epsilon(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise CliError(f"epsilon must lie strictly between 0 and 1, got {eps}")
-
-
 def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
     """The datum prefactor as (exponent, fixed): eps**alpha for the
     regularized system (exponent = alpha), a fixed lambda for the modified
     one (fixed = lambda).  --theorem-scaling pins alpha per law.  Every
     command uses this rule, so each rejects the other system's flag."""
     conjugated = cfg["system"] == "modified"
-    if conjugated and cfg["pressure"] != "p0":
-        raise CliError("the modified system requires pressure law p0")
     alpha, lam = cfg["alpha"], cfg["lam"]
     if (alpha if conjugated else lam) is not None:
         hint = ("alpha does not apply to the modified system; use --lambda"
@@ -380,18 +386,27 @@ def _amplitude_rule(cfg: dict) -> tuple[float | None, float | None]:
     return alpha, None
 
 
-def _model(cfg: dict) -> tuple[PressureLaw, DatumSpec, float | None, float | None]:
-    """The model keys of simulate, sweep and picard as (law, datum recipe,
-    exponent, fixed), checked in one order: each epsilon (sweep's
-    `epsilons`, else `epsilon`), then _amplitude_rule, then the recipe, so
-    a modified system with p1 prints the amplitude rule's message and not
-    the recipe's."""
-    for eps in cfg["epsilons"] if "epsilons" in cfg else (cfg["epsilon"],):
-        _check_epsilon(eps)
+def _model(cfg: dict) -> tuple[DatumSpec, float | None, float | None]:
+    """The model keys of simulate, sweep and picard as (datum recipe,
+    exponent, fixed): _amplitude_rule, then the recipe, which checks the
+    system's law before its own keys."""
     exponent, fixed = _amplitude_rule(cfg)
     law = _LAWS[cfg["pressure"]]
     spec = DatumSpec(cfg["seed"], cfg["target_norm"], law, cfg["band"], exponent is None)
-    return law, spec, exponent, fixed
+    return spec, exponent, fixed
+
+
+def _setting(cfg: dict) -> tuple[NormalFormSetting, DatumSpec]:
+    """simulate's and picard's model keys as the normal-form setting (epsilon,
+    system, law and datum amplitude) and the datum recipe.  The setting is
+    built first at amplitude 1, which checks epsilon and then the law before
+    _model, and before the amplitude eps**alpha is formed: a power of an
+    epsilon past 1 can leave the float range."""
+    setting = NormalFormSetting(cfg["epsilon"], cfg["system"] == "modified",
+                                _LAWS[cfg["pressure"]])
+    spec, exponent, fixed = _model(cfg)
+    amp = fixed if exponent is None else setting.epsilon ** exponent
+    return replace(setting, amplitude=amp), spec
 
 
 # --------------------------------------------------------------------------
@@ -441,17 +456,17 @@ _SIMULATE_DEFAULTS = {
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    law, spec, exponent, fixed = _model(cfg)
-    amp = fixed if exponent is None else cfg["epsilon"] ** exponent
-
-    started = time.perf_counter()
-    profile = make_datum(Grid(cfg["n_modes"], cfg["n_points"]), spec)
-    system = SystemSpec(cfg["system"], cfg["epsilon"], rescaled=True, amplitude=amp)
-    setting = NormalFormSetting(cfg["epsilon"], spec.conjugated, law, amp)
+    setting, spec = _setting(cfg)
+    amp = setting.amplitude
+    system = SystemSpec(cfg["system"], setting.epsilon, rescaled=True, amplitude=amp)
     run_config = IntegratorConfig(
         dt=cfg["dt"], t_end=cfg["t_end"], store_every=cfg["store_every"]
     )
-    trajectory = existence_run(system, law, amp * profile, run_config, cfg["rho_max"])
+
+    started = time.perf_counter()
+    profile = make_datum(Grid(cfg["n_modes"], cfg["n_points"]), spec)
+    trajectory = existence_run(system, setting.law, amp * profile, run_config,
+                               cfg["rho_max"])
 
     norms_v1, norms_v2, residuals = normal_frame_columns(setting, trajectory)
     rows = [
@@ -489,11 +504,11 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    law, spec, exponent, fixed = _model(cfg)
+    spec, exponent, fixed = _model(cfg)
 
     started = time.perf_counter()
     result = scaling_sweep(
-        law,
+        spec.law,
         cfg["system"],
         cfg["epsilons"],
         spec,
@@ -568,7 +583,6 @@ _CONTINUE_DEFAULTS = {
 
 
 def _cmd_continue(cfg: dict) -> int:
-    _check_epsilon(cfg["epsilon"])
     started = time.perf_counter()
     schedule = continuation_schedule(
         cfg["rho"],
@@ -605,20 +619,17 @@ _PICARD_DEFAULTS = {
 
 
 def _cmd_picard(cfg: dict) -> int:
-    law, spec, exponent, fixed = _model(cfg)
-    amp = fixed if exponent is None else cfg["epsilon"] ** exponent
+    setting, spec = _setting(cfg)
     horizon = cfg["t_horizon"]
     if horizon is None:
-        horizon = 0.1 * cfg["epsilon"] ** 2
+        horizon = 0.1 * setting.epsilon ** 2
     if horizon <= 0.0:
         raise CliError(f"t_horizon must be positive, got {horizon}")
 
     started = time.perf_counter()
-    profile = make_datum(Grid(cfg["n_modes"]), spec)
-    setting = NormalFormSetting(cfg["epsilon"], spec.conjugated, law, amp)
-    v0 = to_normal_coords(setting, profile)
+    v0 = to_normal_coords(setting, make_datum(Grid(cfg["n_modes"]), spec))
     _, report = picard_solve(
-        v0.u1, v0.u2, law, setting, horizon,
+        v0.u1, v0.u2, setting.law, setting, horizon,
         max_iter=cfg["max_iter"], n_nodes=cfg["n_nodes"],
     )
 
@@ -643,10 +654,6 @@ _VERIFY_DEFAULTS = {"n_modes": 64, "seed": 1, "fields": 100}
 
 
 def _cmd_verify(cfg: dict) -> int:
-    if cfg["n_modes"] < 8:
-        raise CliError(f"verify needs n_modes >= 8, got {cfg['n_modes']}")
-    if cfg["fields"] < 1:
-        raise CliError(f"fields must be positive, got {cfg['fields']}")
     legs = verify_legs(cfg["n_modes"], cfg["seed"], cfg["fields"])
     failures = 0
     for name, measured, threshold, ok in legs:

@@ -95,11 +95,11 @@ class DatumSpec:
     conjugated: bool = False
 
     def __post_init__(self) -> None:
+        _require_law(self.conjugated, self.law)  # the system's rule before the recipe's
         if not 0.0 < self.target_norm < _MAX_PROFILE_NORM:
             raise ValueError(f"target_norm must lie in (0, 1/6), got {self.target_norm}")
         _require_integer("seed", self.seed)
         _require_band("mode_band", self.mode_band, 1)
-        _require_law(self.conjugated, self.law)
 
 
 def make_datum(grid: Grid, spec: DatumSpec) -> State:
@@ -255,8 +255,7 @@ def scaling_sweep(
     come back merged in the order of `epsilons` either way, and the result
     is bitwise reproducible for a fixed spec.
     """
-    if len(epsilons) < 3:
-        raise ValueError("need at least three epsilon values")
+    _require_at_least("n_epsilons", len(epsilons), 3)
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("epsilon values must be distinct")
     for eps in epsilons:
@@ -379,8 +378,7 @@ def continuation_schedule(
         _require_finite(name, value)
     _require_positive("rho", rho)
     _require_in_unit_interval("epsilon", epsilon)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    _require_in_unit_interval("alpha", alpha, closed=True)
     _require_positive("growth_constant", growth_constant)
     _require_positive("step_constant", step_constant)
 
@@ -613,7 +611,8 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     spectral._blocks: each block's fields come from one standard_normal
     call, in the order of one random_field draw at a time, and are checked
     by one kernel call (lemma_m_suite, _cancellation_residuals,
-    jets_ibp._fn_bounds)."""
+    jets_ibp._fn_bounds).  n_modes is at least 8 and fields at least 1."""
+    _require_at_least("n_modes", n_modes, 8)
     _require_at_least("fields", fields, 1)
     legs = []
 

@@ -83,15 +83,16 @@ def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
 
 
 def f_n(u: SpectralField, n: int) -> SpectralField:
-    """n-th tower map: f_0(u) = (Id - mean) u^3, f_{k+1} = f_k'[f_0]."""
-    n = _require_at_least("n", n, 0)
+    """n-th tower map: f_0(u) = (Id - mean) u^3, f_{k+1} = f_k'[f_0].  It
+    reads the jet at depth n + 1, so n is at most _MAX_DEPTH - 1 = 15."""
+    n = _require_at_least("n", n, 0, _MAX_DEPTH - 1)
     level = _jets(u.grid, u.coeffs, n + 1)[n + 1]
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * level)
 
 
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
     """f_n'(u)[v] via the tangent jet."""
-    n = _require_at_least("n", n, 0)
+    n = _require_at_least("n", n, 0, _MAX_DEPTH - 1)
     _check_same_grid(u, v)
     _, deltas = _jets(u.grid, u.coeffs, n + 1, v.coeffs)
     return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])

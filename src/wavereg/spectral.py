@@ -128,7 +128,11 @@ def _require_at_least(name: str, value, minimum: int, maximum: int | None = None
 def _require_band(name: str, band, lowest: int, highest: int | None = None) -> tuple[int, int]:
     """band as a pair of ints (lo, hi) with lowest <= lo <= hi, and hi <=
     highest when highest is given: a band of wavenumbers."""
-    lo, hi = (_require_integer(name, b) for b in band)
+    try:
+        lo, hi = band
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError(f"{name} must be a pair (lo, hi), got {band!r}") from None
+    lo, hi = _require_integer(name, lo), _require_integer(name, hi)
     if not lowest <= lo <= hi <= (hi if highest is None else highest):
         top = "" if highest is None else f" <= {highest}"
         raise ValueError(f"{name} must satisfy {lowest} <= lo <= hi{top}, got {band}")
@@ -161,8 +165,12 @@ def _require_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def _require_in_unit_interval(name: str, value) -> None:
-    if not 0.0 < value < 1.0:
+def _require_in_unit_interval(name: str, value, closed: bool = False) -> None:
+    """value in the open interval (0, 1), or with closed in [0, 1]."""
+    if closed:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    elif not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 

@@ -15,13 +15,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavereg import __version__, cli
+from wavereg import __version__, cli, experiments
 from wavereg.cli import main
 from wavereg.experiments import (
     DatumSpec,
@@ -88,7 +89,7 @@ class TestExitCodes:
     def test_epsilon_out_of_range_names_the_bound(self, capsys, tmp_path):
         rc = main(["simulate", "--epsilon", "1.5", "--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "between 0 and 1" in capsys.readouterr().err
+        assert "must lie in (0, 1)" in capsys.readouterr().err
 
     def test_target_norm_names_the_bound(self, capsys, tmp_path):
         rc = run_simulate(tmp_path, "--target-norm", "0.2")
@@ -101,7 +102,7 @@ class TestExitCodes:
             "--epsilon", "0.1", "--output-dir", str(tmp_path),
         ])
         assert rc == 1
-        assert "pressure law p0" in capsys.readouterr().err
+        assert "law P0 only" in capsys.readouterr().err
 
     def test_theorem_scaling_pins_alpha(self, capsys, tmp_path):
         rc = run_simulate(tmp_path, "--theorem-scaling", "--alpha", "0.3")
@@ -340,7 +341,7 @@ class TestSweep:
         rc = main(["sweep", "--epsilons", "0.2,1.1,0.05",
                    "--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "between 0 and 1" in capsys.readouterr().err
+        assert "must lie in (0, 1), got 1.1" in capsys.readouterr().err
 
 
 class TestGrowth:
@@ -497,7 +498,7 @@ class TestVerify:
 
     def test_rejects_tiny_band(self, capsys):
         assert main(["verify", "--n-modes", "4"]) == 1
-        assert "n_modes >= 8" in capsys.readouterr().err
+        assert "n_modes must be at least 8, got 4" in capsys.readouterr().err
 
 
 class TestCsvText:
@@ -747,9 +748,9 @@ class TestSweepInputRules:
 
 
 class TestDatumRules:
-    """simulate, sweep and picard read their model keys through one reader
-    and build their datum through one recipe, so each checks the keys in
-    the same order and prints the library's own message for a bad datum."""
+    """simulate, sweep and picard read their amplitude flags and build their
+    datum recipe through one reader, so each prints the library's own
+    message for a bad datum."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--epsilon", "0.1"],
@@ -771,14 +772,17 @@ class TestDatumRules:
                    "--target-norm", "0.2", "--output-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: the modified system requires pressure law p0\n")
+            "error: the modified system is defined with law P0 only, got P1\n")
 
-    # each command reads its model keys in one order: epsilon, the system's
-    # law, the amplitude flags, then the datum
+    # each command reads its model keys in one order: simulate and picard
+    # epsilon and the system's law (the setting), then each command the
+    # amplitude flags and the datum; the sweep checks its epsilons last
     @pytest.mark.parametrize("command", ["simulate", "sweep", "picard"])
     @pytest.mark.parametrize("eps,flags,message", [
         pytest.param("1.5", ["--system", "modified", "--pressure", "p1"],
-                     "epsilon must lie strictly between 0 and 1, got 1.5",
+                     {"simulate": "epsilon must lie in (0, 1), got 1.5",
+                      "sweep": "the modified system is defined with law P0 only, got P1",
+                      "picard": "epsilon must lie in (0, 1), got 1.5"},
                      id="epsilon-before-law"),
         pytest.param("0.2", ["--system", "modified", "--alpha", "0.5"],
                      "alpha does not apply to the modified system; use --lambda",
@@ -798,6 +802,7 @@ class TestDatumRules:
                else ["--epsilon", eps])
         rc = main([command, *eps, *flags, "--output-dir", str(tmp_path)])
         assert rc == 1
+        message = message[command] if isinstance(message, dict) else message
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
@@ -812,6 +817,60 @@ class TestDatumRules:
         assert capsys.readouterr().err == (
             "error: epsilon 1e-110 is too small: 1/epsilon^3 is not a finite number\n")
         assert os.listdir(tmp_path) == []
+
+
+def _bad_model_keys():
+    """(argv, the library's message) with one bad model key each."""
+    outside = "epsilon must lie in (0, 1), got 1.5"
+    law = "the modified system is defined with law P0 only, got P1"
+    underflow = "amplitude must be positive, got 0.0"  # 0.2**1000 is 0.0
+    eps = {"simulate": ["--epsilon"], "sweep": ["--epsilons"], "picard": ["--epsilon"],
+           "continue": ["--rho", "0.5", "--epsilon"]}
+    for command, flags in eps.items():
+        value = "1.5,0.1,0.05" if command == "sweep" else "1.5"
+        yield pytest.param([command, *flags, value], outside, id=f"{command}-epsilon")
+    # 1e308**2 is past the float range, so epsilon is checked before the amplitude
+    yield pytest.param(["simulate", "--epsilon", "1e308", "--alpha", "2"],
+                       "epsilon must lie in (0, 1), got 1e+308", id="simulate-epsilon-power")
+    for command in ("simulate", "sweep", "picard"):
+        value = "0.2,0.1,0.05" if command == "sweep" else "0.2"
+        yield pytest.param([command, *eps[command], value, "--system", "modified",
+                            "--pressure", "p1"], law, id=f"{command}-modified-p1")
+    # 1e-110**3 underflows to 0: simulate's and the sweep's SystemSpec reject it
+    for command in ("simulate", "sweep"):
+        value = "1e-110,0.2,0.1" if command == "sweep" else "1e-110"
+        yield pytest.param([command, *eps[command], value],
+                           "epsilon 1e-110 is too small: 1/epsilon^3 is not a finite number",
+                           id=f"{command}-epsilon-cube")
+    for command in ("simulate", "picard"):
+        yield pytest.param([command, "--epsilon", "0.2", "--alpha", "1000"], underflow,
+                           id=f"{command}-alpha")
+    yield pytest.param(["verify", "--fields", "0"], "fields must be at least 1, got 0",
+                       id="verify-fields")
+    yield pytest.param(["verify", "--n-modes", "4"], "n_modes must be at least 8, got 4",
+                       id="verify-n-modes")
+
+
+class TestBadModelKeyStartsNoWork:
+    """The CLI spells no rule that a library record checks: each command
+    builds the records first, so one bad model key prints the library's
+    words on one line, writes no file and starts no work.  The work is
+    make_datum (simulate, sweep and picard) and verify_legs' first suite,
+    lemma_m_suite: verify_legs checks its own counts before it."""
+
+    @pytest.mark.parametrize("argv, message", _bad_model_keys())
+    def test_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("WAVEREG_OUTPUT_DIR", raising=False)
+        spies = []
+        for module, name in ((cli, "make_datum"), (experiments, "make_datum"),
+                             (experiments, "lemma_m_suite")):
+            spies.append(mock.Mock(side_effect=AssertionError(f"{name} ran")))
+            monkeypatch.setattr(module, name, spies[-1])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+        assert not any(spy.called for spy in spies)
 
 
 @pytest.fixture
@@ -847,7 +906,7 @@ class TestCliOutputsScript:
             "error-modified-p1", script.CASES["error-modified-p1"], str(tmp_path))
         assert code == 1
         assert (tmp_path / "error-modified-p1" / "stderr").read_text() == (
-            "error: the modified system requires pressure law p0\n")
+            "error: the modified system is defined with law P0 only, got P1\n")
         assert script.main([str(tmp_path)]) == 1
         assert "exists" in capsys.readouterr().err
 

@@ -474,7 +474,7 @@ class TestScalingSweep:
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            (dict(epsilons=(0.2, 0.1)), "three"),
+            (dict(epsilons=(0.2, 0.1)), "^n_epsilons must be at least 3, got 2$"),
             (dict(epsilons=(0.2, 0.2, 0.1)), "distinct"),
             (dict(epsilons=(0.2, 0.1, 1.5)), "epsilon"),
             (dict(amplitude=0.3), "exactly one"),

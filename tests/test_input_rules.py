@@ -3,12 +3,13 @@
 Each row hands one library entry one bad value of one argument and expects
 ValueError with the message of the one function that spells its rule,
 which names the argument: "{name} must be finite, got {value}", and likewise
-"must be positive", "must be nonnegative" and "must lie in (0, 1)",
-"{name} must be an integer, got {value!r}"; for a count, "{name} must be
-at least {minimum}, got {value}" and, under a cap, "must be at most
-{maximum}"; "{name} must be one of {choices}, got {value!r}"; for a band of
-wavenumbers, "{name} must satisfy {lowest} <= lo <= hi <= {highest}, got
-{band}"; and "fields live on different grids" (spectral.py); "the modified
+"must be positive", "must be nonnegative", "must lie in (0, 1)" and "must
+lie in [0, 1]", "{name} must be an integer, got {value!r}"; for a count,
+"{name} must be at least {minimum}, got {value}" and, under a cap, "must be
+at most {maximum}"; "{name} must be one of {choices}, got {value!r}"; for a
+band of wavenumbers, "{name} must be a pair (lo, hi), got {band!r}" and
+"{name} must satisfy {lowest} <= lo <= hi <= {highest}, got {band}"; and
+"fields live on different grids" (spectral.py); "the modified
 system is defined with law P0 only, got {law}" (model._require_law) and
 "law must be the setting's law {law}, got {law}"
 (model._require_setting_law).  Where an argument must be both finite and
@@ -22,13 +23,17 @@ accepted the value (growth_experiment filed the rate of k = 1.5 under
 k = 1, and so did linear_growth_rate, simpson_uniform integrated with
 dx = nan, Grid.points(0) gave no points, a count or seed of True was
 read as 1, norm(f, "Hs", nan) gave nan, and a nan Sobolev index or
-tolerance of lemma_m_suite passed every identity or failed them all) or
-failed later with TypeError (a seed of 1.5, in numpy's SeedSequence, and a
-jet depth of 1.5, in numpy's zeros).  RESPELLED names the rows that
-earlier versions rejected with ValueError in another text: the count,
-band, grid, choice, law and scheme rules each had up to five spellings,
-a wavenumber outside the band had its own, and verify_legs(8, 1, 1.5)
-named n_fields.
+tolerance of lemma_m_suite passed every identity or failed them all, and
+verify_legs ran at n_modes = 7, below the 8 that only the CLI asked for) or
+failed later with TypeError (a seed of 1.5, in numpy's SeedSequence, a
+jet depth of 1.5, in numpy's zeros, and a band that is no sequence, in
+its unpacking).  RESPELLED names the rows that earlier versions rejected
+with ValueError in another text: the count, band, grid, choice, law and
+scheme rules each had up to five spellings, a wavenumber outside the band
+had its own, verify_legs(8, 1, 1.5) named n_fields, f_n(u, 16) named the
+jet depth 17, a band of one or three ends failed on its unpacking,
+continuation_schedule's alpha rule gave no value and the sweep asked for
+"at least three epsilon values".
 """
 
 import math
@@ -83,6 +88,7 @@ MESSAGES = {
     "positive": "{} must be positive, got {}",
     "nonnegative": "{} must be nonnegative, got {}",
     "unit": "{} must lie in (0, 1), got {}",
+    "closed unit": "{} must lie in [0, 1], got {}",
     "integer": "{} must be an integer, got {!r}",
     "law": "the modified system is defined with law P0 only, got {1.name}",
     "setting law": "{0} must be the setting's law P0, got {1.name}",
@@ -100,6 +106,7 @@ BAD = {
     "nonnegative, finite": [(-0.5, "nonnegative"), (NAN, "finite"), (INF, "finite"),
                             (-INF, "finite")],
     "unit": [(value, "unit") for value in (0.0, 1.0, -0.5, 1.5, NAN, INF, -INF)],
+    "closed unit": [(value, "closed unit") for value in (-0.5, 1.5, NAN, INF, -INF)],
     "integer": [(value, "integer") for value in (1.5, 2.0, NAN, "8")],
     "law": [(P1, "law"), (P2, "law")],
     "setting law": [(P1, "setting law"), (P2, "setting law")],
@@ -108,14 +115,14 @@ BAD = {
 }
 
 # a count: an integer of at least its minimum, and at most a cap if it has one
-for minimum in (0, 1, 3, 17, 101):
+for minimum in (0, 1, 3, 8, 17, 101):
     rule = f"at least {minimum}"
     MESSAGES[rule] = f"{{}} must be at least {minimum}, got {{}}"
     BAD[f"count from {minimum}"] = [(v, rule) for v in dict.fromkeys((minimum - 1, -1))]
     BAD[f"count from {minimum}"] += BAD["integer"]
     # a count of samples, which is len() of an array and so an int
     BAD[f"samples from {minimum}"] = [(v, rule) for v in dict.fromkeys((minimum - 1, 0))]
-for maximum in (8, 16):
+for maximum in (8, 15, 16):
     MESSAGES[f"at most {maximum}"] = f"{{}} must be at most {maximum}, got {{}}"
     BAD[f"count from 0 to {maximum}"] = BAD["count from 0"] + [(maximum + 1, f"at most {maximum}")]
 # a wavenumber of the band |k| <= 8
@@ -144,6 +151,8 @@ for lowest, highest in ((0, 8), (1, 8), (1, None)):
         BAD[rule] += [(band, rule) for band in ((1, highest + 1), (3, 12))]
 # make_datum reads a band that DatumSpec accepted, so only its hi can break the rule
 BAD["band from 1 to 8"] = BAD["band from 1 to 8"][-2:]
+MESSAGES["pair"] = "{} must be a pair (lo, hi), got {!r}"
+BAD["pair"] = [(band, "pair") for band in ((1, 2, 3), (1,), 5)]
 
 GRID = Grid(8)
 ZERO = zeros(GRID)
@@ -192,6 +201,8 @@ ENTRIES = [
     ("random_field hi", "band", "integer",
      lambda v: random_field(GRID, np.random.default_rng(1), band=(1, v))),
     ("random_field", "band", "band from 0 to 8",
+     lambda v: random_field(GRID, np.random.default_rng(1), band=v)),
+    ("random_field", "band", "pair",
      lambda v: random_field(GRID, np.random.default_rng(1), band=v)),
     ("SpectralField +", "other", "grid", lambda v: U + v),
     ("State", "u2", "grid", lambda v: State(U, v)),
@@ -243,11 +254,14 @@ ENTRIES = [
     ("DatumSpec lo", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (v, 3))),
     ("DatumSpec hi", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (1, v))),
     ("DatumSpec", "mode_band", "band from 1", lambda v: DatumSpec(1, 0.15, P1, v)),
+    ("DatumSpec", "mode_band", "pair", lambda v: DatumSpec(1, 0.15, P1, v)),
     ("DatumSpec", "law", "law", lambda v: DatumSpec(1, 0.15, v, conjugated=True)),
     ("make_datum", "mode_band", "band from 1 to 8",
      lambda v: make_datum(GRID, DatumSpec(1, 0.15, P1, v))),
     ("existence_run", "rho_max", "positive", lambda v: existence(existence_run, v)),
     ("existence_time", "rho_max", "positive", lambda v: existence(existence_time, v)),
+    ("scaling_sweep", "n_epsilons", "samples from 3",
+     lambda v: sweep(epsilons=(0.2, 0.1, 0.05)[:v])),
     ("scaling_sweep", "epsilon", "unit", lambda v: sweep(epsilons=(0.2, 0.1, v))),
     ("scaling_sweep", "amplitude_exponent", "nonnegative, finite",
      lambda v: sweep(amplitude_exponent=v)),
@@ -263,6 +277,8 @@ ENTRIES = [
      lambda v: continuation_schedule(v, 0.01, 0.5)),
     ("continuation_schedule", "epsilon", "unit",
      lambda v: continuation_schedule(0.5, v, 0.5)),
+    ("continuation_schedule", "alpha", "closed unit",
+     lambda v: continuation_schedule(0.5, 0.01, v)),
     ("continuation_schedule", "growth_constant", "positive, finite",
      lambda v: continuation_schedule(0.5, 0.01, 0.5, growth_constant=v)),
     ("continuation_schedule", "step_constant", "positive, finite",
@@ -284,14 +300,16 @@ ENTRIES = [
      lambda v: lemma_m_suite(1, n_modes=8, sobolev_indices=(0.0, v), n_fields=1)),
     ("lemma_m_suite", "tolerance", "positive, finite",
      lambda v: lemma_m_suite(1, n_modes=8, n_fields=1, tolerance=v)),
+    ("verify_legs", "n_modes", "count from 8", lambda v: verify_legs(v, 1, 1)),
     ("verify_legs", "seed", "integer", lambda v: verify_legs(8, v, 1)),
     ("verify_legs", "fields", "count from 1", lambda v: verify_legs(8, 1, v)),
     ("sobolev_constant", "max_wavenumber", "count from 0", sobolev_constant),
-    ("f_n", "n", "count from 0", lambda v: f_n(U, v)),
+    # f_n reads the jet at depth n + 1
+    ("f_n", "n", "count from 0 to 15", lambda v: f_n(U, v)),
     # the jet recurrence behind f_n, whose own checks come first
     ("_jets", "depth", "count from 0 to 16", lambda v: _jets(GRID, U.coeffs, v)),
     ("_jets", "depth", "not bool", lambda v: _jets(GRID, U.coeffs, v)),
-    ("f_n_directional", "n", "count from 0", lambda v: f_n_directional(U, v, U)),
+    ("f_n_directional", "n", "count from 0 to 15", lambda v: f_n_directional(U, v, U)),
     ("f_n_directional", "v", "grid", lambda v: f_n_directional(U, 1, v)),
     ("implicit_residual", "n_samples", "samples from 3",
      lambda v: implicit_residual(0.1 * np.arange(v), [ZERO] * v, [ZERO] * v, COEFFS)),
@@ -359,6 +377,7 @@ HOLES = {
     "lemma_m_suite-tolerance=0.0", "lemma_m_suite-tolerance=-1.0", "lemma_m_suite-tolerance=nan",
     "lemma_m_suite-tolerance=inf", "lemma_m_suite-tolerance=-inf",
     "_jets-depth=1.5", "_jets-depth=2.0", "_jets-depth='8'", "_jets-depth=True",
+    "random_field-band=5", "DatumSpec-mode_band=5", "verify_legs-n_modes=7",
 }
 
 RESPELLED = {
@@ -393,6 +412,13 @@ RESPELLED = {
     "random_field-band=(-1, 3)", "random_field-band=(5, 3)", "random_field-band=(1, 9)",
     "random_field-band=(3, 12)", "make_datum-mode_band=(1, 9)", "make_datum-mode_band=(3, 12)",
     "solve reduced-law=P1", "solve reduced-law=P2", "picard_solve-law=P1", "picard_solve-law=P2",
+    "f_n-n=16", "f_n_directional-n=16", "verify_legs-n_modes=-1",
+    "random_field-band=(1, 2, 3)", "random_field-band=(1,)",
+    "DatumSpec-mode_band=(1, 2, 3)", "DatumSpec-mode_band=(1,)",
+    "scaling_sweep-n_epsilons=2", "scaling_sweep-n_epsilons=0",
+    "continuation_schedule-alpha=-0.5", "continuation_schedule-alpha=1.5",
+    "continuation_schedule-alpha=nan", "continuation_schedule-alpha=inf",
+    "continuation_schedule-alpha=-inf",
 }
 
 
