@@ -122,6 +122,8 @@ CASES = {
     # 1e308**2 is past the float range: epsilon is checked before the amplitude
     "error-simulate-epsilon-power": ["simulate", "--epsilon", "1e308", "--alpha", "2"],
     "error-continue-epsilon": ["continue", "--rho", "0.5", "--epsilon", "1.5"],
+    # 1e-110**3 underflows to 0: picard's SystemSpec rejects it before the datum
+    "error-picard-epsilon-cube": ["picard", "--epsilon", "1e-110"],
     # 0.2**1000 underflows the datum amplitude to 0, before the datum is built
     "error-simulate-amplitude-underflow": ["simulate", "--epsilon", "0.2",
                                            "--alpha", "1000"],

@@ -396,17 +396,21 @@ def _model(cfg: dict) -> tuple[DatumSpec, float | None, float | None]:
     return spec, exponent, fixed
 
 
-def _setting(cfg: dict) -> tuple[NormalFormSetting, DatumSpec]:
+def _setting(cfg: dict) -> tuple[NormalFormSetting, SystemSpec, DatumSpec]:
     """simulate's and picard's model keys as the normal-form setting (epsilon,
-    system, law and datum amplitude) and the datum recipe.  The setting is
-    built first at amplitude 1, which checks epsilon and then the law before
-    _model, and before the amplitude eps**alpha is formed: a power of an
-    epsilon past 1 can leave the float range."""
+    system, law and datum amplitude), the rescaled system and the datum
+    recipe.  The setting is built first at amplitude 1, which checks epsilon
+    and then the law before _model, and before the amplitude eps**alpha is
+    formed: a power of an epsilon past 1 can leave the float range.  The
+    rescaled system comes last, before any datum, and rejects an epsilon
+    whose coefficient 1/eps^3 is not a finite number."""
     setting = NormalFormSetting(cfg["epsilon"], cfg["system"] == "modified",
                                 _LAWS[cfg["pressure"]])
     spec, exponent, fixed = _model(cfg)
     amp = fixed if exponent is None else setting.epsilon ** exponent
-    return replace(setting, amplitude=amp), spec
+    setting = replace(setting, amplitude=amp)
+    system = SystemSpec(cfg["system"], setting.epsilon, rescaled=True, amplitude=amp)
+    return setting, system, spec
 
 
 # --------------------------------------------------------------------------
@@ -456,16 +460,14 @@ _SIMULATE_DEFAULTS = {
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    setting, spec = _setting(cfg)
-    amp = setting.amplitude
-    system = SystemSpec(cfg["system"], setting.epsilon, rescaled=True, amplitude=amp)
+    setting, system, spec = _setting(cfg)
     run_config = IntegratorConfig(
         dt=cfg["dt"], t_end=cfg["t_end"], store_every=cfg["store_every"]
     )
 
     started = time.perf_counter()
     profile = make_datum(Grid(cfg["n_modes"], cfg["n_points"]), spec)
-    trajectory = existence_run(system, setting.law, amp * profile, run_config,
+    trajectory = existence_run(system, setting.law, setting.amplitude * profile, run_config,
                                cfg["rho_max"])
 
     norms_v1, norms_v2, residuals = normal_frame_columns(setting, trajectory)
@@ -478,7 +480,7 @@ def _cmd_simulate(cfg: dict) -> int:
     ]
 
     csv_path, json_path = _write_outputs(cfg, "simulate", started, {
-        "amplitude": amp,
+        "amplitude": setting.amplitude,
         "terminal_status": trajectory.terminal_status,
         "blowup_time": trajectory.blowup_time,
         "samples": len(rows),
@@ -619,7 +621,7 @@ _PICARD_DEFAULTS = {
 
 
 def _cmd_picard(cfg: dict) -> int:
-    setting, spec = _setting(cfg)
+    setting, _, spec = _setting(cfg)
     horizon = cfg["t_horizon"]
     if horizon is None:
         horizon = 0.1 * setting.epsilon ** 2

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _mode_exponential, solve
-from .jets_ibp import IbpCoefficients, _fn_bounds, _jets, f_n, implicit_residual
+from .jets_ibp import _MAP_FACTORS, IbpCoefficients, _fn_bounds, _implicit_residual, _jets
 from .model import PressureLaw, State, SystemSpec, _require_law, energy, linear_growth_rate
 from .normalform import (
     NormalFormSetting,
@@ -56,13 +56,12 @@ from .spectral import (
     _require_one_of,
     _require_positive,
     _require_positive_finite,
+    _require_profile_norm,
     from_modes,
     norm,
     random_field,
     remove_mean,
 )
-
-_MAX_PROFILE_NORM = 1.0 / 6.0
 
 # the longest continuation schedule: 10**6 steps took 0.58 s and peaked at
 # 81 MB under tracemalloc (Python 3.11, numpy 2.4, one core of a 2-core host)
@@ -96,8 +95,7 @@ class DatumSpec:
 
     def __post_init__(self) -> None:
         _require_law(self.conjugated, self.law)  # the system's rule before the recipe's
-        if not 0.0 < self.target_norm < _MAX_PROFILE_NORM:
-            raise ValueError(f"target_norm must lie in (0, 1/6), got {self.target_norm}")
+        _require_profile_norm("target_norm", self.target_norm)
         _require_integer("seed", self.seed)
         _require_band("mode_band", self.mode_band, 1)
 
@@ -635,14 +633,13 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
         legs.append((name, worst, 1e-12, worst < 1e-12))
 
     # jet worked values: the cubic cascade on a single mode picks up the
-    # odd double factorial and shifts the mode by 2 each derivative
+    # odd double factorial and shifts the mode by 2 each derivative: f_j of
+    # e^{ix} is (2j + 1)!! e^{i(2j + 3)x}, at orders 0 to 3 of one jet
     jet_grid = Grid(12)
-    u = from_modes(jet_grid, {1: 1.0})
-    worst = 0.0
-    for order in range(4):
-        factor = math.prod(range(1, 2 * order + 2, 2))  # (2 order + 1)!!
-        defect = f_n(u, order) - from_modes(jet_grid, {2 * order + 3: factor})
-        worst = _worst(worst, norm(defect, "Hs", s=1.0))
+    jet = _jets(jet_grid, from_modes(jet_grid, {1: 1.0}).coeffs, 4)
+    want = np.stack([from_modes(jet_grid, {2 * j + 3: math.prod(range(1, 2 * j + 2, 2))}).coeffs
+                     for j in range(4)])
+    worst = _worst(*_norms(jet_grid, _MAP_FACTORS[:4, None] * jet[1:] - want, 1.0))
     legs.append(("jet_worked_values", worst, 1e-10, worst < 1e-10))
 
     # growth bound on the jets: measured/claimed ratio must never pass 1, on
@@ -669,17 +666,14 @@ def verify_legs(n_modes: int, seed: int, fields: int) -> list[tuple[str, float, 
     trajectory = solve(setting, PressureLaw.P0, ReducedState(w1, w2, 0.0),
                        IntegratorConfig(dt=dt, t_end=100 * dt))
     times = np.array(trajectory.times)
-    w1_samples = [w.w1 for w in trajectory.states]
-    # R1 = dt w1 - mu P(w1^3), mu = -i lam^2/eps exp(2it/eps), on all
-    # samples, with P(w1^3) the first jet level
-    w1 = np.stack([w.coeffs for w in w1_samples])
+    # R1 = dt w1 - (mu/eps) P(w1^3) on all samples, with P(w1^3) the first
+    # jet level
+    w1 = np.stack([w.w1.coeffs for w in trajectory.states])
     w2 = np.stack([w.w2.coeffs for w in trajectory.states])
     dw1, _ = _reduced_forcing(setting, imp_grid, w1, w2, times)
-    mu = -1j * lam**2 / eps * np.exp(2.0j * times / eps)
-    r1 = dw1 - mu[:, None] * _jets(imp_grid, w1, 1)[1]
-    r1_samples = [SpectralField(imp_grid, row) for row in r1]
     coeffs = IbpCoefficients(n=1, lam=lam, epsilon=eps, c_embed=1.0)
-    residual = implicit_residual(times, w1_samples, r1_samples, coeffs)
+    r1 = dw1 - coeffs.mu(times)[:, None] / eps * _jets(imp_grid, w1, 1)[1]
+    residual = _implicit_residual(imp_grid, times, w1, r1, coeffs)
     threshold = 5.0 * dt + 1e-8
     legs.append(("implicit_representation", residual, threshold, residual < threshold))
     return legs

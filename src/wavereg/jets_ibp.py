@@ -19,6 +19,15 @@ recurrence.  One array recurrence, _jets, builds both for a stack of fields
 on the padded product grid of spectral.py, one forward FFT per level; the
 tower maps, the growth bound (_fn_bounds, every order of a stack of pairs
 at once) and implicit_residual (per block of samples) call it directly.
+The factors k! (k+1) live in one read-only row, _MAP_FACTORS.
+
+P_n and bold_R_n are one series.  With S(mu; g) = sum_{k<n}
+(-mu)^{k+1} / ((2i)^{k+1} (k+1)!) g_k,
+
+    bold_R_n(w1, R1) = R1 + S(mu(t); f_k'(w1)[R1]),
+    P_n = w1_0 - S(mu(t); f_k(w1_t)) + S(mu(0); f_k(w1_0)),
+
+and _transported sums S along the levels it is handed, tangent or plain.
 Its oracle is JetSequence in tests/oracles.py, which re-checks every level
 of ode_jet's jet (or one built by hand) against the literal sum of
 `multiply` products; the tests hold _jets to it.  The residual evaluators
@@ -54,6 +63,10 @@ from .spectral import (
 
 _MAX_DEPTH = 16  # factorial growth of the coefficients overflows doubles near 20
 
+# the tower maps' factors k! (k+1), f_k = k! (k+1) u_{k+1}, for k < _MAX_DEPTH
+_MAP_FACTORS = np.array([math.factorial(k) * (k + 1) for k in range(_MAX_DEPTH)])
+_MAP_FACTORS.setflags(write=False)
+
 
 def _jets(grid, u: np.ndarray, depth: int, v: np.ndarray | None = None):
     """Jet levels u_0 = u, ..., u_depth, shape (depth + 1, ..., 2K+1), of each
@@ -87,7 +100,7 @@ def f_n(u: SpectralField, n: int) -> SpectralField:
     reads the jet at depth n + 1, so n is at most _MAX_DEPTH - 1 = 15."""
     n = _require_at_least("n", n, 0, _MAX_DEPTH - 1)
     level = _jets(u.grid, u.coeffs, n + 1)[n + 1]
-    return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * level)
+    return SpectralField(u.grid, _MAP_FACTORS[n] * level)
 
 
 def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField:
@@ -95,7 +108,7 @@ def f_n_directional(u: SpectralField, n: int, v: SpectralField) -> SpectralField
     n = _require_at_least("n", n, 0, _MAX_DEPTH - 1)
     _check_same_grid(u, v)
     _, deltas = _jets(u.grid, u.coeffs, n + 1, v.coeffs)
-    return SpectralField(u.grid, (math.factorial(n) * (n + 1)) * deltas[n + 1])
+    return SpectralField(u.grid, _MAP_FACTORS[n] * deltas[n + 1])
 
 
 @dataclass(frozen=True)
@@ -120,8 +133,10 @@ class IbpCoefficients:
         _require_in_unit_interval("epsilon", self.epsilon)
         _require_positive_finite("c_embed", self.c_embed)
 
-    def mu(self, t: float) -> complex:
-        return -1j * self.lam**2 * complex(np.exp(2.0j * t / self.epsilon))
+    def mu(self, t):
+        """The phase -i lam^2 exp(2it/eps) at a time t, or at each time of an
+        array of times."""
+        return -1j * self.lam**2 * np.exp(2.0j * t / self.epsilon)
 
     def denominator(self, k: int) -> complex:
         # prod_{j=1}^{k+1} (2 i j) = (2i)^{k+1} (k+1)!  (exact closed form)
@@ -133,16 +148,13 @@ def P_n_eval(
 ) -> SpectralField:
     """Boundary-term polynomial after n integrations by parts:
     w1_0 + sum_{k<n} (-1)^k / ((2i)^{k+1}(k+1)!) (mu(t)^{k+1} f_k(w1_t)
-    - mu(0)^{k+1} f_k(w1_0))."""
+    - mu(0)^{k+1} f_k(w1_0)).  Since (-1)^k mu^{k+1} = -(-mu)^{k+1}, this is
+    w1_0 - S(mu(t); f_k(w1_t)) + S(mu(0); f_k(w1_0)), with S the series of
+    bold_R_n: one _transported call sums it at both ends."""
     _check_same_grid(w1_t, w1_0)
     jet = _jets(w1_t.grid, np.stack([w1_t.coeffs, w1_0.coeffs]), coeffs.n)
-    mu_t, mu_0 = coeffs.mu(t), coeffs.mu(0.0)
-    out = w1_0.coeffs
-    for k in range(coeffs.n):
-        fk_t, fk_0 = (math.factorial(k) * (k + 1)) * jet[k + 1]
-        c_k = (-1.0) ** k / coeffs.denominator(k)
-        out = out + (fk_t * mu_t ** (k + 1) - fk_0 * mu_0 ** (k + 1)) * c_k
-    return SpectralField(w1_0.grid, out)
+    s_t, s_0 = _transported(coeffs, 0.0, jet, coeffs.mu(np.array([t, 0.0]))[:, None])
+    return SpectralField(w1_0.grid, w1_0.coeffs + (s_0 - s_t))
 
 
 def bold_R_n(
@@ -155,13 +167,15 @@ def bold_R_n(
     return SpectralField(w1.grid, _transported(coeffs, R1.coeffs, deltas, coeffs.mu(t)))
 
 
-def _transported(coeffs: IbpCoefficients, r, deltas, mu):
-    """bold_R_n on arrays: r (shape (..., 2K+1)) plus its terms from the
-    tangent levels deltas along r, with mu a scalar or of shape (..., 1)."""
+def _transported(coeffs: IbpCoefficients, r, levels, mu):
+    """r + S(mu; g) on arrays of shape (..., 2K+1), with mu a scalar or of
+    shape (..., 1) and g_k = _MAP_FACTORS[k] levels[k+1]: bold_R_n when the
+    levels are the tangent levels along r, P_n's end sums (r = 0) when they
+    are the plain jet levels."""
     out = r
     for k in range(coeffs.n):
-        dfk = (math.factorial(k) * (k + 1)) * deltas[k + 1]
-        out = out + ((-mu) ** (k + 1) / coeffs.denominator(k)) * dfk
+        g_k = _MAP_FACTORS[k] * levels[k + 1]
+        out = out + ((-mu) ** (k + 1) / coeffs.denominator(k)) * g_k
     return out
 
 
@@ -190,22 +204,27 @@ def implicit_residual(
               - int_0^T bold_R_n(w1, R1).
 
     Phases are evaluated analytically at the nodes; only the fields are
-    quadratured (composite Simpson on the uniform sample grid).  One jet
-    with tangent of depth n + 1 per block of samples gives the f_n and
-    bold_R_n rows: tangent levels up to n do not depend on the depth."""
-    times, dx, grid, w, r = _samples(times, w1_samples, r1_samples)
-    n, eps = coeffs.n, coeffs.epsilon
-    mu = np.array([coeffs.mu(t) for t in times])[:, None]
-    fn_rows, rn_rows = np.empty_like(w), np.empty_like(w)
+    quadratured (composite Simpson on the uniform sample grid)."""
+    times, _, grid, w, r = _samples(times, w1_samples, r1_samples)
+    return _implicit_residual(grid, times, w, r, coeffs)
+
+
+def _implicit_residual(grid, times, w, r, coeffs: IbpCoefficients) -> float:
+    """implicit_residual on arrays: uniform times, shape (S,), and the w1 and
+    R1 rows, shape (S, 2K+1).  The integrand, the leftover f_n term plus
+    bold_R_n, comes per block of samples from one jet with tangent of depth
+    n + 1: tangent levels up to n do not depend on the depth."""
+    n = coeffs.n
+    mu = coeffs.mu(times)[:, None]
+    leftover = (-1.0) ** n / (coeffs.epsilon * (2.0j) ** n * math.factorial(n)) * mu ** (n + 1)
+    integrand = np.empty_like(w)
     for block in _blocks(grid, len(times)):
         jet, deltas = _jets(grid, w[block], n + 1, r[block])
-        fn_rows[block] = jet[n + 1]
-        rn_rows[block] = _transported(coeffs, r[block], deltas, mu[block])
-    fn_rows = mu ** (n + 1) * ((math.factorial(n) * (n + 1)) * fn_rows)
-    prefactor = (-1.0) ** n / (eps * (2.0j) ** n * math.factorial(n))
-    boundary = P_n_eval(w1_samples[-1], w1_samples[0], float(times[-1]), coeffs)
-    defect = (w[-1] - boundary.coeffs - prefactor * simpson_uniform(fn_rows, dx)
-              - simpson_uniform(rn_rows, dx))
+        integrand[block] = (leftover[block] * (_MAP_FACTORS[n] * jet[n + 1])
+                            + _transported(coeffs, r[block], deltas, mu[block]))
+    ends = SpectralField(grid, w[-1]), SpectralField(grid, w[0])
+    boundary = P_n_eval(*ends, float(times[-1]), coeffs).coeffs
+    defect = w[-1] - boundary - simpson_uniform(integrand, times[1] - times[0])
     return norm(SpectralField(grid, defect), "Hs", s=1)
 
 
@@ -297,7 +316,7 @@ def _fn_bounds(grid, u: np.ndarray, n_max: int, v: np.ndarray | None = None):
     tangent rows along v); the norms are taken on the stacks by norm's own
     reductions, and each bound by the same scalar arithmetic per row."""
     n_max = _require_at_least("n", n_max, 0, 8)
-    scales = np.array([math.factorial(n) * (n + 1) for n in range(n_max + 1)])[:, None, None]
+    scales = _MAP_FACTORS[: n_max + 1, None, None]
     if v is None:
         jet = _jets(grid, u, n_max + 1)
     else:

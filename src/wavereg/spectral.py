@@ -174,6 +174,14 @@ def _require_in_unit_interval(name: str, value, closed: bool = False) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
+def _require_profile_norm(name: str, value) -> None:
+    """value in the open interval (0, 1/6), the size of a normalized datum
+    profile: the cap keeps it inside the fixed-point arguments' contraction
+    regime."""
+    if not 0.0 < value < 1.0 / 6.0:
+        raise ValueError(f"{name} must lie in (0, 1/6), got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Retained band |k| <= n_modes plus a collocation count.

@@ -836,8 +836,8 @@ def _bad_model_keys():
         value = "0.2,0.1,0.05" if command == "sweep" else "0.2"
         yield pytest.param([command, *eps[command], value, "--system", "modified",
                             "--pressure", "p1"], law, id=f"{command}-modified-p1")
-    # 1e-110**3 underflows to 0: simulate's and the sweep's SystemSpec reject it
-    for command in ("simulate", "sweep"):
+    # 1e-110**3 underflows to 0: the SystemSpec of each command rejects it
+    for command in ("simulate", "sweep", "picard"):
         value = "1e-110,0.2,0.1" if command == "sweep" else "1e-110"
         yield pytest.param([command, *eps[command], value],
                            "epsilon 1e-110 is too small: 1/epsilon^3 is not a finite number",

@@ -1024,7 +1024,8 @@ class TestVerifyLegs:
          experiments.IdentityReport({"a": 0.0, "b": math.nan}, 1e-10, 1, 8)),
         (["cancellation_plain", "cancellation_conjugated"], experiments,
          "_cancellation_residuals", lambda setting, grid, u1, u2: np.full(len(u1), math.nan)),
-        (["jet_worked_values"], experiments, "f_n", lambda u, n: u * math.nan),
+        (["jet_worked_values"], experiments, "_jets",
+         lambda grid, u, depth: np.full((depth + 1, *u.shape), math.nan, dtype=complex)),
         # the bound of a nan sup norm is nan, and so is its ratio
         (["jet_bound_ratio"], jets_ibp, "_linf_norms",
          lambda grid, coeffs: np.full(len(coeffs), math.nan)),

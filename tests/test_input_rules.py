@@ -3,8 +3,9 @@
 Each row hands one library entry one bad value of one argument and expects
 ValueError with the message of the one function that spells its rule,
 which names the argument: "{name} must be finite, got {value}", and likewise
-"must be positive", "must be nonnegative", "must lie in (0, 1)" and "must
-lie in [0, 1]", "{name} must be an integer, got {value!r}"; for a count,
+"must be positive", "must be nonnegative", "must lie in (0, 1)", "must
+lie in [0, 1]" and, for a datum profile's size, "must lie in (0, 1/6)",
+"{name} must be an integer, got {value!r}"; for a count,
 "{name} must be at least {minimum}, got {value}" and, under a cap, "must be
 at most {maximum}"; "{name} must be one of {choices}, got {value!r}"; for a
 band of wavenumbers, "{name} must be a pair (lo, hi), got {band!r}" and
@@ -89,6 +90,7 @@ MESSAGES = {
     "nonnegative": "{} must be nonnegative, got {}",
     "unit": "{} must lie in (0, 1), got {}",
     "closed unit": "{} must lie in [0, 1], got {}",
+    "profile norm": "{} must lie in (0, 1/6), got {}",
     "integer": "{} must be an integer, got {!r}",
     "law": "the modified system is defined with law P0 only, got {1.name}",
     "setting law": "{0} must be the setting's law P0, got {1.name}",
@@ -107,6 +109,7 @@ BAD = {
                             (-INF, "finite")],
     "unit": [(value, "unit") for value in (0.0, 1.0, -0.5, 1.5, NAN, INF, -INF)],
     "closed unit": [(value, "closed unit") for value in (-0.5, 1.5, NAN, INF, -INF)],
+    "profile norm": [(value, "profile norm") for value in (0, -0.1, 1 / 6, 0.2, NAN, INF)],
     "integer": [(value, "integer") for value in (1.5, 2.0, NAN, "8")],
     "law": [(P1, "law"), (P2, "law")],
     "setting law": [(P1, "setting law"), (P2, "setting law")],
@@ -251,6 +254,7 @@ ENTRIES = [
     ("picard_solve", "max_iter", "not bool",
      lambda v: picard_solve(ZERO, ZERO, P0, SETTING, T=0.01, max_iter=v)),
     ("DatumSpec", "seed", "integer", lambda v: DatumSpec(v, 0.15, P1)),
+    ("DatumSpec", "target_norm", "profile norm", lambda v: DatumSpec(1, v, P1)),
     ("DatumSpec lo", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (v, 3))),
     ("DatumSpec hi", "mode_band", "integer", lambda v: DatumSpec(1, 0.15, P1, (1, v))),
     ("DatumSpec", "mode_band", "band from 1", lambda v: DatumSpec(1, 0.15, P1, v)),

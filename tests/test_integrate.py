@@ -26,7 +26,8 @@ against the per-sample form they replaced (sample_diagnostics with
 energy), and its status against steps that return non-finite or
 overflowing coefficients.  Convergence orders are measured against a
 fine-step reference, and the Picard fixed point is compared against the
-time stepper on the same reduced problem.
+time stepper on the same reduced problem.  solve on both systems commutes
+with a translation off the grid and with the reflection (R u1, -R u2).
 """
 
 import math
@@ -1760,3 +1761,63 @@ class TestPicard:
         assert report.iterates < 30
         assert len(report.contraction_ratios) >= 3
         assert all(r >= 1.0 for r in report.contraction_ratios[-3:])
+
+
+# the moves of a datum's coefficient rows (u1, u2) or (w1, w2), shape (2, 2K+1)
+MOVES = {
+    # the shift x -> x + a off the grid: c_k -> e^{ika} c_k
+    "translation": lambda grid, rows: np.exp(0.739j * grid.wavenumbers) * rows,
+    # x -> -x, with (R c)_k = c_{-k}, and the second component's sign flipped
+    "reflection": lambda grid, rows: np.array([[1.0], [-1.0]]) * rows[:, ::-1],
+}
+
+
+def end_rows(system, law, grid, rows, steps):
+    """The rows of solve's end state after steps steps of 1e-3 from the
+    datum with the given rows, a State or (for a setting) a ReducedState."""
+    first, second = (SpectralField(grid, row) for row in rows)
+    full = isinstance(system, SystemSpec)
+    datum = State(first, second) if full else ReducedState(first, second, 0.0)
+    trajectory = solve(system, law, datum, IntegratorConfig(dt=1e-3, t_end=steps * 1e-3))
+    assert trajectory.terminal_status == "completed" and len(trajectory.times) == steps + 1
+    end = trajectory.states[-1]
+    return np.stack([end.u1.coeffs, end.u2.coeffs] if full else [end.w1.coeffs, end.w2.coeffs])
+
+
+class TestSymmetries:
+    """Both systems commute with the translation c_k -> e^{ika} c_k and with
+    the reflection (R u1, -R u2), and so does solve: from the moved datum it
+    ends on the moved end state, to within rounding.  A symmetry sees wrong
+    indexing, phases and conjugation on any datum, such as a slice of the
+    padded product grid that starts one slot off.  It cannot see a wrong
+    coefficient: a wrong ct or cd, a factor of 2, or dt taken for dt/2 keep
+    both symmetries; the reference and convergence tests catch those."""
+
+    @staticmethod
+    def defect(system, law, grid, rows, steps, move):
+        """The moved run's end against the moved end, relative to the end."""
+        end = end_rows(system, law, grid, rows, steps)
+        moved = end_rows(system, law, grid, MOVES[move](grid, rows), steps)
+        return np.linalg.norm(moved - MOVES[move](grid, end)) / np.linalg.norm(end)
+
+    @pytest.mark.parametrize("move", MOVES)
+    @pytest.mark.parametrize("kind, law", [
+        ("regularized", PressureLaw.P0), ("regularized", PressureLaw.P1),
+        ("regularized", PressureLaw.P2), ("modified", PressureLaw.P0)],
+        ids=["p0", "p1", "p2", "modified"])
+    def test_full_system(self, kind, law, move):
+        # rescaled eps = 0.1, amplitude 0.3, the datum of seed 3, 200 steps
+        grid = Grid(32)
+        system = SystemSpec(kind, 0.1, rescaled=True, amplitude=0.3)
+        datum = 0.3 * make_datum(grid, DatumSpec(3, 0.15, law, conjugated=kind == "modified"))
+        rows = np.stack([datum.u1.coeffs, datum.u2.coeffs])
+        assert self.defect(system, law, grid, rows, 200, move) <= 1e-13
+
+    @pytest.mark.parametrize("move", MOVES)
+    def test_reduced_system(self, move):
+        # eps = 0.1, lambda = 0.2, a zero-mean datum on the band 1 to 3, 100 steps
+        grid, rng = Grid(10), np.random.default_rng(3)
+        setting = NormalFormSetting(0.1, law=PressureLaw.P0, amplitude=0.2)
+        rows = np.stack([remove_mean(0.05 * random_field(grid, rng, band=(1, 3))).coeffs
+                         for _ in range(2)])
+        assert self.defect(setting, PressureLaw.P0, grid, rows, 100, move) <= 1e-13

@@ -541,6 +541,7 @@ class TestNormsAndProducts:
             "must be nonnegative": "spectral.py:_require_nonnegative",
             "must lie in (0, 1)": "spectral.py:_require_in_unit_interval",
             "must lie in [0, 1]": "spectral.py:_require_in_unit_interval",
+            "must lie in (0, 1/6)": "spectral.py:_require_profile_norm",
             "must be an integer": "spectral.py:_require_integer",
             "must be at least": "spectral.py:_require_at_least",
             "must be at most": "spectral.py:_require_at_least",
